@@ -49,8 +49,7 @@ from .experiments import (
     ResultRow,
     load_config,
     replay_row,
-    run_fig3,
-    run_fig4,
+    run_sweep,
     summarize_gains,
     write_rows,
 )
@@ -60,6 +59,7 @@ from .patterns import (
     build_pattern,
     conventional_pattern,
     default_registry,
+    group_overheads,
     select_pattern_for_group,
 )
 from .phy import (
@@ -68,6 +68,7 @@ from .phy import (
     mrc_combiner,
     mrt_precoder,
     rb_spectral_efficiency,
+    sinr_from_gram,
     uplink_sinr,
 )
 from .scheduling import (

@@ -15,7 +15,7 @@ J0(2*pi*f*T_s*lag), i.i.d. across antennas and taps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -86,9 +86,21 @@ class ChannelRealization:
     seed: int
     profile_names: tuple[str, ...]
     numerology: Numerology
+    _grams: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         self.h.flags.writeable = False
+
+    def gram(self, rb: int) -> tuple[np.ndarray, np.ndarray]:
+        """Cross powers of every user pair on one RB, built once and cached.
+
+        Returns `cross` of shape (K, K, T, N) with cross[k, j] = |h_k^H h_j|^2
+        and `norms` of shape (K, T, N) with norms[k] = ||h_k||^2. Only this
+        RB's channels are read, so the cache never holds more than the Gram.
+        """
+        if rb not in self._grams:
+            self._grams[rb] = _build_gram(self.h[:, rb])
+        return self._grams[rb]
 
     @property
     def num_users(self) -> int:
@@ -101,6 +113,17 @@ class ChannelRealization:
     @property
     def num_antennas(self) -> int:
         return self.h.shape[4]
+
+
+def _build_gram(h_rb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(cross, norms) of one RB's channels h_rb (K, T, N, M), by batched matmul."""
+    a = h_rb.transpose(1, 2, 0, 3)  # (T, N, K, M)
+    inner = np.matmul(a.conj(), a.swapaxes(-1, -2))  # (T, N, K, K): h_k^H h_j
+    inner = np.ascontiguousarray(inner.transpose(2, 3, 0, 1))
+    cross = inner.real**2 + inner.imag**2
+    norms = np.einsum("kktn->ktn", inner).real.copy()
+    cross.flags.writeable = norms.flags.writeable = False
+    return cross, norms
 
 
 def _floor_with_roundoff_guard(x: float) -> int:

@@ -21,11 +21,10 @@ from .experiments import (
     load_config,
     rows_to_csv,
     rows_to_json,
-    run_fig3,
-    run_fig4,
+    run_sweep,
     summarize_gains,
 )
-from .patterns import conventional_pattern, default_registry, pattern_to_dict, select_pattern_for_group
+from .patterns import conventional_pattern, default_registry, group_overheads, pattern_to_dict
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
@@ -113,14 +112,14 @@ def _cmd_patterns(args) -> int:
 
 def _cmd_simulate(args) -> int:
     cfg = _load(args)
-    rows = run_fig3(cfg)
+    rows = run_sweep(cfg)
     _emit(rows_to_csv(rows) if cfg.format == "csv" else rows_to_json(rows), cfg)
     return 0
 
 
 def _cmd_sweep(args) -> int:
     cfg = _load(args)
-    rows = run_fig4(cfg)
+    rows = run_sweep(cfg)
     _emit(rows_to_csv(rows) if cfg.format == "csv" else rows_to_json(rows), cfg)
     for entry in summarize_gains(rows):
         sys.stderr.write(
@@ -140,22 +139,11 @@ def _cmd_asymptotics(args) -> int:
         pop = build_population(sizes, cfg.fading, seed=cfg.seed)
         gammas = group_fractions(pop)
         registry = default_registry(profiles, cfg.numerology, mux)
-        rhos = [
-            select_pattern_for_group(registry, p, cfg.numerology).overhead_ratio
-            for p in profiles
-        ]
-        bound = gain_bound(gammas, rhos)
+        bound = gain_bound(gammas, group_overheads(registry, profiles, cfg.numerology))
         for m in cfg.m_list:
+            sys_cfg = cfg.system_config(m, mux)
             for direction in cfg.directions():
-                model = AsymptoticModel(
-                    alpha=mux / m,
-                    beta=mux / cfg.numerology.res_per_rb,
-                    gammas=gammas,
-                    fading=cfg.fading,
-                    direction=direction,
-                    power=cfg.ul_power if direction == "uplink" else cfg.dl_power,
-                    noise_power=cfg.derived_noise_power(),
-                )
+                model = AsymptoticModel.from_system(sys_cfg, gammas, cfg.fading, direction)
                 eta_bar = cfg.fading.mean()
                 det = deterministic_sinr(model, eta_bar, eta_bar, m, mux)
                 bar = sinr_bar(model, m, mux)

@@ -19,7 +19,7 @@ from .asymptotics import gain_bound
 from .channel import ChannelProfile, builtin_profiles, generate_realization
 from .core import FadingSpec, Numerology, SystemConfig, build_population, group_fractions, lte_numerology
 from .errors import ConfigurationError, ExactSearchBudgetError
-from .patterns import conventional_pattern, default_registry
+from .patterns import conventional_pattern, default_registry, group_overheads
 from .scheduling import (
     conventional_schedule_exact,
     conventional_schedule_greedy,
@@ -65,6 +65,10 @@ class ExperimentConfig:
             raise ConfigurationError(f"unknown scheduler {self.scheduler!r}")
         if self.format not in ("csv", "json"):
             raise ConfigurationError(f"unknown output format {self.format!r}")
+        if self.picker not in ("random", "round_robin"):
+            raise ConfigurationError(f"unknown user picker {self.picker!r}")
+        if self.seed < 0:
+            raise ConfigurationError("seed must be non-negative")
 
     def resolved_profiles(self) -> list[ChannelProfile]:
         if self.profiles == "table1":
@@ -85,6 +89,18 @@ class ExperimentConfig:
         g = len(self.resolved_profiles())
         base, extra = divmod(k, g)
         return [base + (1 if i < extra else 0) for i in range(g)]
+
+    def system_config(self, m: int, mux: int) -> SystemConfig:
+        """Cell parameters of the sweep point with M antennas and mux order U."""
+        return SystemConfig(
+            num_rbs=self.num_rbs,
+            num_antennas=m,
+            max_mux=mux,
+            ul_power=self.ul_power,
+            dl_power=self.dl_power,
+            noise_power=self.derived_noise_power(),
+            numerology=self.numerology,
+        )
 
     def directions(self) -> list[str]:
         if self.direction == "both":
@@ -138,27 +154,23 @@ def _num_workers() -> int:
 def run_trial(
     cfg: ExperimentConfig, m: int, mux: int, trial: int, seed: int
 ) -> list[ResultRow]:
-    """Evaluate one realization: grouping vs conventional, per direction."""
+    """Evaluate one realization: grouping vs conventional, per direction.
+
+    Both directions share the realization's cached per-RB Grams and one
+    grouping assignment, which does not depend on the direction.
+    """
     profiles = cfg.resolved_profiles()
-    sizes = cfg.sizes_for(mux)
-    pop = build_population(sizes, cfg.fading, seed=seed)
-    sys_cfg = SystemConfig(
-        num_rbs=cfg.num_rbs,
-        num_antennas=m,
-        max_mux=mux,
-        ul_power=cfg.ul_power,
-        dl_power=cfg.dl_power,
-        noise_power=cfg.derived_noise_power(),
-        numerology=cfg.numerology,
-    )
+    pop = build_population(cfg.sizes_for(mux), cfg.fading, seed=seed)
+    sys_cfg = cfg.system_config(m, mux)
     registry = default_registry(profiles, cfg.numerology, mux)
     pattern = conventional_pattern(profiles, cfg.numerology, mux)
     realization = generate_realization(pop, profiles, sys_cfg, seed=seed)
     fadings = pop.fadings()
-
-    gammas = group_fractions(pop)
-    rhos = _group_overheads(registry, profiles, cfg.numerology)
-    bound = gain_bound(gammas, rhos)
+    bound = gain_bound(
+        group_fractions(pop), group_overheads(registry, profiles, cfg.numerology)
+    )
+    picker_rng = np.random.default_rng(np.random.SeedSequence((seed, 1)))
+    assignment = grouping_schedule(pop, sys_cfg, registry, profiles, cfg.picker, picker_rng)
 
     rows = []
     for direction in cfg.directions():
@@ -175,10 +187,6 @@ def run_trial(
             _, r_conv = conventional_schedule_greedy(
                 realization, pop, sys_cfg, pattern, direction
             )
-        picker_rng = np.random.default_rng(np.random.SeedSequence((seed, 1)))
-        assignment = grouping_schedule(
-            pop, sys_cfg, registry, profiles, cfg.picker, picker_rng
-        )
         r_grp = evaluate_schedule(
             realization, assignment, sys_cfg, direction, fadings=fadings
         )
@@ -199,16 +207,11 @@ def run_trial(
     return rows
 
 
-def _group_overheads(registry, profiles, num) -> list[float]:
-    from .patterns import select_pattern_for_group
+def run_sweep(cfg: ExperimentConfig) -> list[ResultRow]:
+    """Rows of both schemes over the (M, U_mux, trial, direction) grid.
 
-    return [
-        select_pattern_for_group(registry, prof, num).overhead_ratio
-        for prof in profiles
-    ]
-
-
-def _run_grid(cfg: ExperimentConfig) -> list[ResultRow]:
+    Every row carries the registry gain bound of its sweep point.
+    """
     tasks = [
         (m, mux, trial, trial_seed(cfg.seed, mi, ui, trial))
         for mi, m in enumerate(cfg.m_list)
@@ -224,16 +227,6 @@ def _run_grid(cfg: ExperimentConfig) -> list[ResultRow]:
     rows = [row for group in nested for row in group]
     rows.sort(key=lambda r: (r.m, r.u_mux, r.trial, r.direction))
     return rows
-
-
-def run_fig3(cfg: ExperimentConfig) -> list[ResultRow]:
-    """Spectral efficiency of both schemes over the (M, U_mux, trial) grid."""
-    return _run_grid(cfg)
-
-
-def run_fig4(cfg: ExperimentConfig) -> list[ResultRow]:
-    """Relative-gain sweep; every row carries the registry gain bound."""
-    return _run_grid(cfg)
 
 
 def replay_row(cfg: ExperimentConfig, row: ResultRow) -> ResultRow:
@@ -288,18 +281,6 @@ def write_rows(rows: list[ResultRow], path: str, fmt: str = "csv") -> None:
 # ---------------------------------------------------------------------------
 # config files: flat key = value text, or JSON with the same keys
 
-_LIST_KEYS = {"m_list", "u_mux_list", "group_sizes"}
-_INT_KEYS = {"trials", "num_rbs", "seed"}
-_FLOAT_KEYS = {"snr_db", "ul_power", "dl_power", "noise_power"}
-_STR_KEYS = {"direction", "scheduler", "picker", "fading", "out", "format", "profiles"}
-_NUMEROLOGY_KEYS = {
-    "symbol_duration_s",
-    "subcarrier_spacing_hz",
-    "symbols_per_rb",
-    "subcarriers_per_rb",
-}
-
-
 def parse_flat_config(text: str) -> dict:
     """Parse the flat `key = value` format (strings, numbers, [lists])."""
     out: dict = {}
@@ -342,84 +323,145 @@ def _parse_scalar(value: str, lineno: int):
 
 def load_config(path: str) -> ExperimentConfig:
     """Read an experiment config from a flat text or JSON file."""
-    with open(path) as fh:
-        text = fh.read()
-    if path.endswith(".json"):
-        data = json.loads(text)
-    else:
-        data = parse_flat_config(text)
+    try:
+        with open(path) as fh:
+            text = fh.read()
+        data = json.loads(text) if path.endswith(".json") else parse_flat_config(text)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
     return config_from_dict(data)
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
-    data = dict(data)
+    """Validate every key's type and build the config; bad input raises
+    ConfigurationError, never a coercion."""
+    if not isinstance(data, dict):
+        raise ConfigurationError("a config must be a mapping of keys to values")
     kwargs: dict = {}
-
-    numerology_kwargs = {}
-    for key in list(data):
-        if key in _NUMEROLOGY_KEYS:
-            numerology_kwargs[key] = data.pop(key)
-    if numerology_kwargs:
-        base = lte_numerology()
-        kwargs["numerology"] = replace(base, **numerology_kwargs)
-
-    if "fading" in data:
-        kwargs["fading"] = _parse_fading(data.pop("fading"))
-    if "profiles" in data:
-        kwargs["profiles"] = _parse_profiles(data.pop("profiles"))
-    if "group_sizes" in data:
-        gs = data.pop("group_sizes")
-        kwargs["group_sizes"] = gs if gs == "auto" else tuple(int(s) for s in gs)
-
+    numerology: dict = {}
     for key, value in data.items():
-        if key in _LIST_KEYS:
-            kwargs[key] = tuple(value)
-        elif key in _INT_KEYS:
-            kwargs[key] = int(value)
-        elif key in _FLOAT_KEYS:
-            kwargs[key] = float(value)
-        elif key in _STR_KEYS:
-            kwargs[key] = value
+        if key in _NUMEROLOGY_KEYS:
+            numerology[key] = _NUMEROLOGY_KEYS[key](key, value)
+        elif key in _KEYS:
+            kwargs[key] = _KEYS[key](key, value)
         else:
             raise ConfigurationError(f"unknown config key {key!r}")
+    if numerology:
+        kwargs["numerology"] = replace(lte_numerology(), **numerology)
     return ExperimentConfig(**kwargs)
 
 
-def _parse_fading(value) -> FadingSpec:
+def _int(key: str, value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigurationError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
+def _number(key: str, value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ConfigurationError(f"{key} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _str(key: str, value) -> str:
+    if not isinstance(value, str):
+        raise ConfigurationError(f"{key} must be a string, got {value!r}")
+    return value
+
+
+def _int_list(key: str, value) -> tuple[int, ...]:
+    if not isinstance(value, list):
+        raise ConfigurationError(f"{key} must be a list of integers, got {value!r}")
+    return tuple(_int(key, v) for v in value)
+
+
+def _parse_group_sizes(key: str, value):
+    return value if value == "auto" else _int_list(key, value)
+
+
+def _parse_fading(key: str, value) -> FadingSpec:
     if isinstance(value, dict):
+        unknown = set(value) - {"kind", "value", "spread_db", "values"}
+        if unknown:
+            raise ConfigurationError(f"unknown fading keys {sorted(unknown)}")
+        values = value.get("values", [])
+        if not isinstance(values, list):
+            raise ConfigurationError(f"fading values must be a list, got {values!r}")
         return FadingSpec(
-            kind=value.get("kind", "constant"),
-            value=value.get("value", 1.0),
-            spread_db=value.get("spread_db", 0.0),
-            values=tuple(value.get("values", ())),
+            kind=_str("fading kind", value.get("kind", "constant")),
+            value=_number("fading value", value.get("value", 1.0)),
+            spread_db=_number("fading spread_db", value.get("spread_db", 0.0)),
+            values=tuple(_number("fading values", v) for v in values),
         )
     if value == "constant":
         return FadingSpec()
-    if isinstance(value, str) and value.startswith("lognormal:"):
-        return FadingSpec(kind="lognormal", spread_db=float(value.split(":", 1)[1]))
-    if isinstance(value, str) and value.startswith("explicit:"):
-        vals = tuple(float(v) for v in value.split(":", 1)[1].split(","))
-        return FadingSpec(kind="explicit", values=vals)
+    kind, _, arg = _str(key, value).partition(":")
+    try:
+        if kind == "lognormal":
+            return FadingSpec(kind="lognormal", spread_db=_number(key, float(arg)))
+        if kind == "explicit":
+            vals = tuple(_number(key, float(v)) for v in arg.split(","))
+            return FadingSpec(kind="explicit", values=vals)
+    except ValueError:
+        pass
     raise ConfigurationError(f"cannot parse fading spec {value!r}")
 
 
-def _parse_profiles(value):
+def _parse_profiles(key: str, value):
     if value == "table1":
         return "table1"
-    if isinstance(value, list):
-        # JSON form: list of dicts with optional tap tables
-        profs = []
-        for entry in value:
-            taps = tuple((float(d), float(p)) for d, p in entry.get("taps", ()))
-            profs.append(
-                ChannelProfile(
-                    name=entry["name"],
-                    max_doppler_hz=float(entry["max_doppler_hz"]),
-                    max_delay_spread_s=float(entry["max_delay_spread_s"]),
-                    taps=taps,
-                )
+    if not isinstance(value, list) or not value:
+        raise ConfigurationError(
+            "profiles must be \"table1\" or (JSON configs only) a non-empty list of "
+            "profile objects"
+        )
+    # JSON form: list of dicts with optional tap tables
+    profs = []
+    for entry in value:
+        if not isinstance(entry, dict) or not _PROFILE_KEYS <= set(entry):
+            raise ConfigurationError(
+                f"each profile needs {', '.join(sorted(_PROFILE_KEYS))}, got {entry!r}"
             )
-        return tuple(profs)
-    raise ConfigurationError(
-        "profiles must be \"table1\" or (JSON configs only) a list of profile objects"
-    )
+        taps = entry.get("taps", [])
+        if not isinstance(taps, list) or not all(
+            isinstance(t, list) and len(t) == 2 for t in taps
+        ):
+            raise ConfigurationError(f"profile taps must be [delay_s, power] rows, got {taps!r}")
+        profs.append(
+            ChannelProfile(
+                name=_str("profile name", entry["name"]),
+                max_doppler_hz=_number("max_doppler_hz", entry["max_doppler_hz"]),
+                max_delay_spread_s=_number("max_delay_spread_s", entry["max_delay_spread_s"]),
+                taps=tuple((_number("tap delay", d), _number("tap power", p)) for d, p in taps),
+            )
+        )
+    return tuple(profs)
+
+
+_PROFILE_KEYS = {"name", "max_doppler_hz", "max_delay_spread_s"}
+# config key -> validating parser(key, value)
+_KEYS = {
+    "m_list": _int_list,
+    "u_mux_list": _int_list,
+    "group_sizes": _parse_group_sizes,
+    "trials": _int,
+    "num_rbs": _int,
+    "seed": _int,
+    "snr_db": _number,
+    "ul_power": _number,
+    "dl_power": _number,
+    "noise_power": _number,
+    "direction": _str,
+    "scheduler": _str,
+    "picker": _str,
+    "out": _str,
+    "format": _str,
+    "fading": _parse_fading,
+    "profiles": _parse_profiles,
+}
+_NUMEROLOGY_KEYS = {
+    "symbol_duration_s": _number,
+    "subcarrier_spacing_hz": _number,
+    "symbols_per_rb": _int,
+    "subcarriers_per_rb": _int,
+}

@@ -202,6 +202,13 @@ def select_pattern_for_group(
     return feasible[0]
 
 
+def group_overheads(
+    registry: PatternRegistry, profiles: list[ChannelProfile], num: Numerology
+) -> list[float]:
+    """Pilot overhead ratio of each group's selected pattern, in profile order."""
+    return [select_pattern_for_group(registry, p, num).overhead_ratio for p in profiles]
+
+
 def pattern_to_dict(pattern: PilotPattern) -> dict:
     """JSON-friendly description of a pattern."""
     return {

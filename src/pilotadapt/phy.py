@@ -9,6 +9,10 @@ Downlink uses maximum-ratio transmission with precoders normalized to
 
     eta_k*P * |w_k^H h_k|^2 / (sum_{j!=k} eta_k*P * |w_j^H h_k|^2 + M^2 * sigma^2)
 
+`uplink_sinr`/`downlink_sinr` evaluate these per RE for an explicit beamformer.
+Every rate is computed by `sinr_from_gram`, which needs only the per-RB Gram
+cross powers |h_k^H h_j|^2 that `ChannelRealization.gram` builds once per RB.
+
 The per-RB spectral efficiency averages log2(1 + SINR) of every scheduled
 user over the non-pilot REs, normalized by the full RE count of the block.
 """
@@ -24,8 +28,6 @@ from .channel import ChannelRealization
 from .core import SystemConfig
 from .errors import DegenerateChannelError, NoDataRoomError
 from .patterns import PilotPattern
-
-DIRECTIONS = ("uplink", "downlink")
 
 
 @dataclass(frozen=True)
@@ -101,40 +103,36 @@ def downlink_sinr(
     return float(signal / (interference + m**2 * cfg.noise_power))
 
 
-def _sinr_grid(
-    h: np.ndarray, fadings: np.ndarray, cfg: SystemConfig, direction: str
+def sinr_from_gram(
+    cross: np.ndarray,
+    norms: np.ndarray,
+    eta: np.ndarray,
+    cfg: SystemConfig,
+    direction: str,
 ) -> np.ndarray:
-    """SINR of every scheduled user at every RE.
+    """SINR of every scheduled user at every RE, from the users' Gram.
 
-    h: (U, T, N, M) channels of the scheduled users on one RB.
-    Returns (U, T, N).
+    cross: (..., U, U, T, N), cross[..., k, j, :, :] = |h_k^H h_j|^2.
+    norms: (..., U, T, N), ||h_k||^2.
+    eta:   (..., U), large-scale gains.
+    Leading axes are batch axes. Returns (..., U, T, N).
+
+    The MRT normalization ||w_j|| = M scales the downlink signal,
+    interference and noise alike by M^2, so M cancels and is not needed.
     """
-    if direction not in DIRECTIONS:
-        raise ValueError(f"unknown direction {direction!r}")
-    inner = np.einsum("ktnm,jtnm->kjtn", h.conj(), h)
-    cross = inner.real**2 + inner.imag**2  # |h_k^H h_j|^2
-    u = h.shape[0]
-    norms = np.einsum("kktn->ktn", inner).real  # ||h_k||^2
+    p = cfg.power(direction)
     if np.any(norms == 0.0):
         raise DegenerateChannelError("zero-norm channel vector on some RE")
-    eta = np.asarray(fadings, dtype=float)
-
+    gain = p * np.asarray(eta, dtype=float)
+    g = gain[..., None, None]  # broadcast over (T, N)
     if direction == "uplink":
-        p = cfg.ul_power
-        signal = eta[:, None, None] * p * norms**2
-        interference = np.einsum("j,kjtn->ktn", eta * p, cross)
-        interference -= eta[:, None, None] * p * norms**2  # drop j == k term
-        noise = norms * cfg.noise_power
-        return signal / (interference + noise)
-
-    m = h.shape[3]
-    p = cfg.dl_power
-    # |w_j^H h_k|^2 = M^2 |h_j^H h_k|^2 / ||h_j||^2
-    scaled = cross / norms[None, :, :, :]  # index [k, j]: cross[k,j]/||h_j||^2
-    interference = m**2 * p * (np.einsum("kjtn->ktn", scaled) - norms)
-    interference *= eta[:, None, None]
-    signal = eta[:, None, None] * p * m**2 * norms
-    return signal / (interference + m**2 * cfg.noise_power)
+        # |w^H h_j|^2 = |h_k^H h_j|^2; the j == k term is the signal
+        signal = g * norms**2
+        total = np.einsum("...j,...kjtn->...ktn", gain, cross)
+        return signal / (total - signal + norms * cfg.noise_power)
+    # |w_j^H h_k|^2 / M^2 = |h_j^H h_k|^2 / ||h_j||^2, summed over j
+    total = (cross / norms[..., None, :, :, :]).sum(axis=-3)
+    return g * norms / (g * (total - norms) + cfg.noise_power)
 
 
 def _data_mask(pattern: PilotPattern | None, n_s: int, n_sc: int) -> np.ndarray:
@@ -145,6 +143,21 @@ def _data_mask(pattern: PilotPattern | None, n_s: int, n_sc: int) -> np.ndarray:
         if not mask.any():
             raise NoDataRoomError("pattern covers every RE of the block")
     return mask
+
+
+def _rb_sinr(
+    realization: ChannelRealization,
+    rb: int,
+    users: Sequence[int],
+    cfg: SystemConfig,
+    direction: str,
+    fadings: np.ndarray | None = None,
+) -> np.ndarray:
+    """SINR (users, symbols, subcarriers) of a user set on one RB."""
+    idx = np.asarray(users, dtype=int)
+    cross, norms = realization.gram(rb)
+    eta = np.ones(idx.size) if fadings is None else np.asarray(fadings)[idx]
+    return sinr_from_gram(cross[np.ix_(idx, idx)], norms[idx], eta, cfg, direction)
 
 
 def rb_spectral_efficiency(
@@ -167,12 +180,7 @@ def rb_spectral_efficiency(
     if len(users) > cfg.max_mux:
         raise ValueError(f"{len(users)} users exceed the multiplexing cap {cfg.max_mux}")
     num = realization.numerology
-    h = realization.h[users, rb]  # (U, T, N, M)
-    if fadings is None:
-        eta = np.ones(len(users))
-    else:
-        eta = np.asarray(fadings)[users]
-    sinr = _sinr_grid(h, eta, cfg, direction)
+    sinr = _rb_sinr(realization, rb, users, cfg, direction, fadings)
     mask = _data_mask(pattern, num.symbols_per_rb, num.subcarriers_per_rb)
     rate = np.log2(1.0 + sinr[:, mask]).sum()
     return float(rate / num.res_per_rb)

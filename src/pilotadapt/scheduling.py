@@ -27,7 +27,7 @@ from .channel import ChannelProfile, ChannelRealization
 from .core import SystemConfig, UserPopulation
 from .errors import ConfigurationError, ExactSearchBudgetError
 from .patterns import PatternRegistry, PilotPattern, select_pattern_for_group
-from .phy import RateReport, _data_mask, _sinr_grid, rb_spectral_efficiency
+from .phy import RateReport, _data_mask, _rb_sinr, rb_spectral_efficiency, sinr_from_gram
 
 # transition cap for the exact DP; K=16 balanced needs ~1.8e6
 MAX_DP_TRANSITIONS = 30_000_000
@@ -60,7 +60,7 @@ class ScheduleAssignment:
 
 
 class RbRateCalculator:
-    """Fast per-RB subset rates from precomputed channel cross powers."""
+    """Fast per-RB subset rates from the realization's cached Gram."""
 
     def __init__(
         self,
@@ -72,13 +72,9 @@ class RbRateCalculator:
         fadings: np.ndarray,
     ):
         num = realization.numerology
-        h = realization.h[:, rb]  # (K, T, N, M)
-        inner = np.einsum("ktnm,jtnm->kjtn", h.conj(), h)
-        self._cross = inner.real**2 + inner.imag**2
-        self._norms = np.einsum("kktn->ktn", inner).real
+        self._cross, self._norms = realization.gram(rb)
         self._mask = _data_mask(pattern, num.symbols_per_rb, num.subcarriers_per_rb)
         self._n_re = num.res_per_rb
-        self._m = cfg.num_antennas
         self._eta = np.asarray(fadings, dtype=float)
         self._cfg = cfg
         self._direction = direction
@@ -94,23 +90,10 @@ class RbRateCalculator:
         subsets: integer array (batch, subset_size) of user ids.
         """
         subsets = np.asarray(subsets)
-        eta = self._eta[subsets]  # (B, s)
-        norms = self._norms[subsets]  # (B, s, T, N)
         cross = self._cross[subsets[:, :, None], subsets[:, None, :]]  # (B, s, s, T, N)
-        if self._direction == "uplink":
-            p = self._cfg.ul_power
-            signal = eta[:, :, None, None] * p * norms**2
-            interference = np.einsum("bj,bkjtn->bktn", eta * p, cross)
-            interference -= eta[:, :, None, None] * p * norms**2
-            sinr = signal / (interference + norms * self._cfg.noise_power)
-        else:
-            p = self._cfg.dl_power
-            m = self._m
-            scaled = cross / norms[:, None, :, :, :]  # cross[b,k,j]/||h_j||^2
-            interference = m**2 * p * (np.einsum("bkjtn->bktn", scaled) - norms)
-            interference *= eta[:, :, None, None]
-            signal = eta[:, :, None, None] * p * m**2 * norms
-            sinr = signal / (interference + m**2 * self._cfg.noise_power)
+        sinr = sinr_from_gram(
+            cross, self._norms[subsets], self._eta[subsets], self._cfg, self._direction
+        )
         rates = np.log2(1.0 + sinr[:, :, self._mask]).sum(axis=(1, 2))
         return rates / self._n_re
 
@@ -389,11 +372,7 @@ def rate_report(
             )
         )
         if collect_sinr:
-            if users:
-                h = realization.h[list(users), rb]
-                samples.append(_sinr_grid(h, fadings[list(users)], cfg, direction))
-            else:
-                samples.append(np.zeros((0, 0, 0)))
+            samples.append(_rb_sinr(realization, rb, users, cfg, direction, fadings))
     return RateReport(
         rb_rates=tuple(rates),
         direction=direction,

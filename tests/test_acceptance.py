@@ -30,7 +30,7 @@ from pilotadapt.channel import (
 from pilotadapt.core import FadingSpec, SystemConfig, build_population, lte_numerology
 from pilotadapt.errors import NoDataRoomError
 from pilotadapt.estimation import interpolation_nmse
-from pilotadapt.experiments import ExperimentConfig, rows_to_csv, run_fig3
+from pilotadapt.experiments import ExperimentConfig, rows_to_csv, run_sweep
 from pilotadapt.patterns import (
     build_pattern,
     conventional_pattern,
@@ -372,10 +372,10 @@ def test_criterion_9_reproducibility(monkeypatch):
         direction="both", scheduler="greedy", seed=12,
     )
     monkeypatch.setenv("PILOTADAPT_WORKERS", "1")
-    first = rows_to_csv(run_fig3(cfg))
-    second = rows_to_csv(run_fig3(cfg))
+    first = rows_to_csv(run_sweep(cfg))
+    second = rows_to_csv(run_sweep(cfg))
     monkeypatch.setenv("PILOTADAPT_WORKERS", "4")
-    third = rows_to_csv(run_fig3(cfg))
+    third = rows_to_csv(run_sweep(cfg))
     ok = first == second == third
     _report(9, ok, f"byte-identical CSV across reruns and worker counts ({len(first)} bytes)")
     assert ok

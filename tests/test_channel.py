@@ -157,3 +157,19 @@ def test_realization_immutable(num, profiles):
     real = generate_realization(pop, profiles, cfg, seed=0)
     with pytest.raises(ValueError):
         real.h[0, 0, 0, 0, 0] = 0.0
+
+
+def test_gram_matches_direct_inner_products(num, profiles):
+    pop = build_population([2, 1, 1, 1], FadingSpec(), seed=0)
+    cfg = SystemConfig(num_rbs=2, num_antennas=5, max_mux=4, ul_power=1.0, dl_power=1.0, noise_power=1.0)
+    real = generate_realization(pop, profiles, cfg, seed=3)
+    for rb in range(cfg.num_rbs):
+        cross, norms = real.gram(rb)
+        h = real.h[:, rb]  # (K, T, N, M)
+        inner = np.einsum("ktnm,jtnm->kjtn", h.conj(), h)
+        assert np.allclose(cross, np.abs(inner) ** 2, rtol=1e-12, atol=0.0)
+        assert np.allclose(norms, np.sum(np.abs(h) ** 2, axis=-1), rtol=1e-12, atol=0.0)
+        assert real.gram(rb)[0] is cross  # cached, not rebuilt
+        with pytest.raises(ValueError):
+            cross[0, 0, 0, 0] = 0.0
+    assert "_grams" not in repr(real)
