@@ -21,6 +21,7 @@ from .core import FadingSpec, Numerology, SystemConfig, build_population, group_
 from .errors import ConfigurationError, ExactSearchBudgetError
 from .patterns import conventional_pattern, default_registry, group_overheads
 from .scheduling import (
+    check_exact_budget,
     conventional_schedule_exact,
     conventional_schedule_greedy,
     evaluate_schedule,
@@ -175,14 +176,9 @@ def run_trial(
     rows = []
     for direction in cfg.directions():
         if cfg.scheduler == "exact":
-            try:
-                _, r_conv = conventional_schedule_exact(
-                    realization, pop, sys_cfg, pattern, direction
-                )
-            except ExactSearchBudgetError as exc:
-                raise ExactSearchBudgetError(
-                    f"{exc} (set scheduler = \"greedy\" in the experiment config)"
-                ) from exc
+            _, r_conv = conventional_schedule_exact(
+                realization, pop, sys_cfg, pattern, direction
+            )
         else:
             _, r_conv = conventional_schedule_greedy(
                 realization, pop, sys_cfg, pattern, direction
@@ -210,8 +206,18 @@ def run_trial(
 def run_sweep(cfg: ExperimentConfig) -> list[ResultRow]:
     """Rows of both schemes over the (M, U_mux, trial, direction) grid.
 
-    Every row carries the registry gain bound of its sweep point.
+    Every row carries the registry gain bound of its sweep point. An exact
+    sweep is refused before any trial runs if one of its points exceeds the
+    exact search budget.
     """
+    if cfg.scheduler == "exact":
+        for mux in cfg.u_mux_list:
+            try:
+                check_exact_budget(sum(cfg.sizes_for(mux)), cfg.num_rbs, mux)
+            except ExactSearchBudgetError as exc:
+                raise ExactSearchBudgetError(
+                    f"{exc} (set scheduler = \"greedy\" in the experiment config)"
+                ) from exc
     tasks = [
         (m, mux, trial, trial_seed(cfg.seed, mi, ui, trial))
         for mi, m in enumerate(cfg.m_list)

@@ -31,6 +31,13 @@ from .phy import RateReport, _data_mask, _rb_sinr, rb_spectral_efficiency, sinr_
 
 # transition cap for the exact DP; K=16 balanced needs ~1.8e6
 MAX_DP_TRANSITIONS = 30_000_000
+# user cap for the exact DP: each stage holds four dense 2^K float64/int64
+# arrays, 512 MiB at K = 24, however few transitions the instance has
+MAX_DP_USERS = 24
+# rows per rates_for_subsets call when filling a subset rate table
+_RATE_CHUNK = 512
+# (state, subset) transitions max-scattered at once by the exact DP
+_DP_CHUNK = 16_384
 
 
 @dataclass(frozen=True)
@@ -98,31 +105,6 @@ class RbRateCalculator:
         return rates / self._n_re
 
 
-class _SubsetRateTable:
-    """Per-RB rates of all user subsets of each size, built lazily and batched."""
-
-    _CHUNK = 512
-
-    def __init__(self, calc: RbRateCalculator, num_users: int):
-        self._calc = calc
-        self._k = num_users
-        self._by_size: dict[int, dict[tuple[int, ...], float]] = {}
-
-    def rate(self, subset: tuple[int, ...]) -> float:
-        if not subset:
-            return 0.0
-        size = len(subset)
-        if size not in self._by_size:
-            subsets = list(combinations(range(self._k), size))
-            rates = np.empty(len(subsets))
-            arr = np.asarray(subsets)
-            for lo in range(0, len(subsets), self._CHUNK):
-                hi = lo + self._CHUNK
-                rates[lo:hi] = self._calc.rates_for_subsets(arr[lo:hi])
-            self._by_size[size] = dict(zip(subsets, rates))
-        return self._by_size[size][subset]
-
-
 def _partition_sizes(k: int, n_rbs: int, mux: int) -> list[int]:
     """Balanced target sizes (used by the greedy baseline)."""
     sizes = []
@@ -148,7 +130,17 @@ def conventional_schedule_exact(
     pattern: PilotPattern,
     direction: str,
 ) -> tuple[ScheduleAssignment, float]:
-    """Optimal user partition under the fixed pattern, by subset DP.
+    """Optimal user partition under the fixed pattern, by a dense subset DP.
+
+    Stage r places users on RB r; a state is the bitmask of users placed so
+    far. Each stage holds dense length-2^K arrays (the RB's subset rates, the
+    state values and the backpointers), so memory is O(2^K) per stage, and
+    the (state, subset) transitions are max-scattered in chunks of at most
+    _DP_CHUNK. Only the reached states' chosen subsets outlive their stage.
+
+    Ties go to the first transition in (popcount of the state, state mask,
+    subset size, lexicographic subset) order; later transitions must be
+    strictly better to replace it.
 
     Raises ExactSearchBudgetError when the instance exceeds the transition
     budget; callers must switch to the greedy scheduler explicitly.
@@ -159,50 +151,118 @@ def conventional_schedule_exact(
         raise ConfigurationError(f"{k} users cannot fit {n_rbs} RBs x {mux} layers")
     if k < 1:
         raise ConfigurationError("need at least one user")
+    check_exact_budget(k, n_rbs, mux)
 
+    fadings = pop.fadings()
+    calcs = _make_calculators(realization, cfg, pattern, direction, fadings)
+
+    value = np.full(1 << k, -np.inf)
+    value[0] = 0.0
+    states = np.zeros(1, dtype=np.int64)
+    backs = []  # per stage: (reached state masks ascending, chosen subset masks)
+    for stage, calc in enumerate(calcs):
+        room = (n_rbs - stage - 1) * mux  # users the later RBs can still take
+        value, states, subs = _dp_stage(value, states, calc, k, mux, room)
+        backs.append((states, subs))
+
+    mask = full = (1 << k) - 1
+    chosen = []
+    for reached, subs in reversed(backs):
+        sub = int(subs[np.searchsorted(reached, mask)])
+        chosen.append(tuple(u for u in range(k) if (sub >> u) & 1))
+        mask ^= sub
+    assignment = ScheduleAssignment(
+        rb_users=tuple(reversed(chosen)),
+        rb_patterns=tuple([pattern] * n_rbs),
+        rb_groups=tuple([None] * n_rbs),
+        mode="conventional",
+    )
+    return assignment, value[full] / n_rbs
+
+
+def _dp_stage(value, states, calc, k, mux, room):
+    """One RB of the exact DP.
+
+    Gives the RB every subset of each state's free users that leaves at most
+    `room` users for the later RBs. Returns the dense next-stage values, the
+    reached states in ascending mask order and the subset each one took.
+    """
+    counts = np.zeros(len(states), dtype=np.int64)
+    for u in range(k):
+        counts += (states >> u) & 1
+    sizes = {
+        c: range(max(0, k - c - room), min(mux, k - c) + 1) for c in np.unique(counts).tolist()
+    }
+    rate = _subset_rates(calc, k, {s for r in sizes.values() for s in r})
+    nxt = np.full(1 << k, -np.inf)
+    back = np.full(1 << k, -1, dtype=np.int64)
+    for c, size_range in sizes.items():
+        tables = [_combinations(k - c, s) for s in size_range]
+        group = states[counts == c]
+        step = max(1, _DP_CHUNK // sum(len(t) for t in tables))
+        for lo in range(0, len(group), step):
+            _relax(group[lo : lo + step], k, tables, value, rate, nxt, back)
+    reached = np.flatnonzero(back >= 0)
+    return nxt, reached, back[reached]
+
+
+def _relax(src, k, tables, value, rate, nxt, back):
+    """Max-scatter the transitions of the states `src` (all with the same
+    popcount) into `nxt`, recording in `back` the subset of every state whose
+    value rose. A transition must beat earlier ones strictly to win."""
+    n_free = k - bin(int(src[0])).count("1")
+    free = np.empty((len(src), n_free), dtype=np.int64)  # free users' bits, ascending
+    rest = ((1 << k) - 1) ^ src
+    for j in range(n_free):
+        free[:, j] = rest & -rest
+        rest ^= free[:, j]
+    sub = np.concatenate([free[:, t].sum(axis=2) for t in tables], axis=1)
+    new = (src[:, None] | sub).ravel()
+    cand = (value[src][:, None] + rate[sub]).ravel()
+    sub = sub.ravel()
+    before = nxt[new]
+    np.maximum.at(nxt, new, cand)
+    hit = np.flatnonzero((cand == nxt[new]) & (cand > before))
+    won, first = np.unique(new[hit], return_index=True)
+    back[won] = sub[hit[first]]
+
+
+def _combinations(n: int, size: int) -> np.ndarray:
+    """All size-subsets of range(n) in lexicographic order, one per row."""
+    if size == 0:
+        return np.zeros((1, 0), dtype=np.intp)  # one empty subset
+    return np.array(list(combinations(range(n), size)), dtype=np.intp)
+
+
+def _subset_rates(calc: RbRateCalculator, k: int, sizes: set[int]) -> np.ndarray:
+    """One RB's rate of every user subset with a size in `sizes`, indexed by
+    subset bitmask; 0 for the empty subset and for masks of other sizes."""
+    rate = np.zeros(1 << k)
+    bits = 1 << np.arange(k)
+    for size in sorted(sizes - {0}):
+        subsets = _combinations(k, size)
+        masks = bits[subsets].sum(axis=1)
+        for lo in range(0, len(subsets), _RATE_CHUNK):
+            hi = lo + _RATE_CHUNK
+            rate[masks[lo:hi]] = calc.rates_for_subsets(subsets[lo:hi])
+    return rate
+
+
+def check_exact_budget(k: int, n_rbs: int, mux: int) -> None:
+    """Raise ExactSearchBudgetError if the exact DP on K users, n_rbs RBs and
+    mux layers would visit more than MAX_DP_TRANSITIONS transitions or need
+    dense tables for more than MAX_DP_USERS users."""
     est = _estimate_transitions(k, n_rbs, mux)
     if est > MAX_DP_TRANSITIONS:
         raise ExactSearchBudgetError(
             f"~{est:.0f} DP transitions exceed the budget {MAX_DP_TRANSITIONS}; "
             "use the greedy scheduler"
         )
-
-    fadings = pop.fadings()
-    calcs = _make_calculators(realization, cfg, pattern, direction, fadings)
-    tables = [_SubsetRateTable(c, k) for c in calcs]
-
-    all_users = list(range(k))
-    # best[mask] = (value, chosen subsets) with popcount(mask) users placed in
-    # the first `stage` RBs
-    best: dict[int, tuple[float, tuple[tuple[int, ...], ...]]] = {0: (0.0, ())}
-    for stage in range(n_rbs):
-        rbs_left_after = n_rbs - stage - 1
-        table = tables[stage]
-        nxt: dict[int, tuple[float, tuple[tuple[int, ...], ...]]] = {}
-        for mask, (value, chosen) in best.items():
-            free = [u for u in all_users if not (mask >> u) & 1]
-            lo = max(0, len(free) - rbs_left_after * mux)
-            hi = min(mux, len(free))
-            for size in range(lo, hi + 1):
-                for subset in combinations(free, size):
-                    sub_mask = mask
-                    for u in subset:
-                        sub_mask |= 1 << u
-                    cand = value + table.rate(subset)
-                    cur = nxt.get(sub_mask)
-                    if cur is None or cand > cur[0]:
-                        nxt[sub_mask] = (cand, chosen + (subset,))
-        best = nxt
-
-    full = (1 << k) - 1
-    value, chosen = best[full]
-    assignment = ScheduleAssignment(
-        rb_users=chosen,
-        rb_patterns=tuple([pattern] * n_rbs),
-        rb_groups=tuple([None] * n_rbs),
-        mode="conventional",
-    )
-    return assignment, value / n_rbs
+    if k > MAX_DP_USERS:
+        raise ExactSearchBudgetError(
+            f"{k} users need DP tables of 2^{k} entries, above 2^{MAX_DP_USERS}; "
+            "use the greedy scheduler"
+        )
 
 
 def _estimate_transitions(k: int, n_rbs: int, mux: int) -> float:

@@ -47,7 +47,7 @@ from pilotadapt.scheduling import (
 
 from conftest import random_channels, tiny_numerology
 from oracles import oracle_rb_rate
-from test_scheduler import brute_force_best
+from test_scheduler import exhaustive_best
 
 
 def _report(criterion: int, ok: bool, detail: str) -> None:
@@ -110,7 +110,7 @@ def test_criterion_2_scheduler_exactness():
         pattern = conventional_pattern(profiles, cfg.numerology, 4)
         direction = "uplink" if seed % 2 == 0 else "downlink"
         _, dp = conventional_schedule_exact(real, pop, cfg, pattern, direction)
-        bf = brute_force_best(real, pop, cfg, pattern, direction)
+        bf = exhaustive_best(real, pop, cfg, pattern, direction)
         worst = max(worst, abs(dp - bf))
     ok = worst <= 1e-12
     _report(2, ok, f"max |DP - brute force| = {worst:.3e} over 50 instances (<= 1e-12)")

@@ -121,6 +121,19 @@ def test_exact_scheduler_abort_instruction():
         run_sweep(cfg)
 
 
+def test_exact_budget_refused_before_any_trial(monkeypatch):
+    """U_mux = 4 is feasible, U_mux = 7 is not: the sweep must refuse before
+    running any U_mux = 4 trial."""
+    started = []
+    monkeypatch.setattr(experiments, "run_trial", lambda *args: started.append(args) or [])
+    cfg = ExperimentConfig(
+        m_list=(8,), u_mux_list=(4, 7), trials=3, num_rbs=4, scheduler="exact", seed=0
+    )
+    with pytest.raises(ExactSearchBudgetError, match="greedy"):
+        run_sweep(cfg)
+    assert started == []
+
+
 def test_fig4_rows_carry_bound_and_summary():
     cfg = ExperimentConfig(**QUICK)
     rows = run_sweep(cfg)

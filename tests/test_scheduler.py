@@ -1,15 +1,26 @@
+import functools
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pilotadapt.channel import builtin_profiles, generate_realization, max_spacing
+from pilotadapt.channel import (
+    ChannelRealization,
+    builtin_profiles,
+    generate_realization,
+    max_spacing,
+)
 from pilotadapt.core import FadingSpec, SystemConfig, build_population
 from pilotadapt.errors import ConfigurationError, ExactSearchBudgetError
 from pilotadapt.patterns import PatternRegistry, conventional_pattern, default_registry
 from pilotadapt.scheduling import (
+    MAX_DP_USERS,
     RbRateCalculator,
     ScheduleAssignment,
+    check_exact_budget,
     conventional_schedule_exact,
     conventional_schedule_greedy,
     evaluate_schedule,
@@ -31,39 +42,111 @@ def _instance(seed, k=8, n_rbs=2, m=4, mux=4, sigma2=0.1):
     return pop, cfg, real, pattern, profiles
 
 
-def brute_force_best(real, pop, cfg, pattern, direction):
-    """Enumerate every balanced partition; independent of the DP."""
-    k = pop.num_users
-    calcs = [
-        RbRateCalculator(real, rb, cfg, pattern, direction, pop.fadings())
-        for rb in range(cfg.num_rbs)
-    ]
-
-    users = set(range(k))
-    best = -np.inf
-
-    def recurse(remaining, rb, acc):
-        nonlocal best
-        if rb == cfg.num_rbs:
-            if not remaining:
-                best = max(best, acc / cfg.num_rbs)
-            return
-        size = min(cfg.max_mux, len(remaining) - (cfg.num_rbs - rb - 1) * cfg.max_mux)
-        size = max(size, 0)
-        for subset in itertools.combinations(sorted(remaining), size):
-            recurse(remaining - set(subset), rb + 1, acc + calcs[rb].rate(subset))
-
-    recurse(users, 0, 0.0)
-    return best
-
-
 def test_exact_matches_brute_force():
     for seed in range(5):
         pop, cfg, real, pattern, _ = _instance(seed)
         for direction in ("uplink", "downlink"):
             _, dp = conventional_schedule_exact(real, pop, cfg, pattern, direction)
-            bf = brute_force_best(real, pop, cfg, pattern, direction)
+            bf = exhaustive_best(real, pop, cfg, pattern, direction)
             assert dp == pytest.approx(bf, abs=1e-12)
+
+
+def exhaustive_best(real, pop, cfg, pattern, direction):
+    """Best mean rate over every assignment of users to RBs with at most
+    max_mux users per RB, empty RBs included; independent of the DP."""
+    k, n_rbs = pop.num_users, cfg.num_rbs
+    calcs = [
+        RbRateCalculator(real, rb, cfg, pattern, direction, pop.fadings())
+        for rb in range(n_rbs)
+    ]
+    rate = functools.cache(lambda rb, users: calcs[rb].rate(users))
+    best = -np.inf
+    for labels in itertools.product(range(n_rbs), repeat=k):
+        parts = [tuple(u for u in range(k) if labels[u] == rb) for rb in range(n_rbs)]
+        if max(map(len, parts)) <= cfg.max_mux:
+            best = max(best, sum(rate(rb, p) for rb, p in enumerate(parts)) / n_rbs)
+    return best
+
+
+@st.composite
+def small_instances(draw):
+    mux = draw(st.integers(1, 3))
+    n_rbs = draw(st.integers(1, 3))
+    k = max(1, min(7, n_rbs * mux) - draw(st.integers(0, 3)))  # free layers when > 0
+    seed = draw(st.integers(0, 2**16))
+    direction = draw(st.sampled_from(["uplink", "downlink"]))
+    pop = build_population([k], FadingSpec(kind="lognormal", spread_db=6.0), seed=seed)
+    cfg = SystemConfig(
+        num_rbs=n_rbs, num_antennas=4, max_mux=mux,
+        ul_power=1.0, dl_power=1.0, noise_power=0.1,
+    )
+    profiles = builtin_profiles()
+    real = generate_realization(pop, profiles[:1], cfg, seed=seed)
+    return pop, cfg, real, conventional_pattern(profiles, cfg.numerology, mux), direction
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(small_instances())
+def test_exact_matches_exhaustive_search(instance):
+    """K <= n_rbs * mux, so RBs may be left partly or wholly empty."""
+    pop, cfg, real, pattern, direction = instance
+    assign, dp = conventional_schedule_exact(real, pop, cfg, pattern, direction)
+    assert dp == pytest.approx(exhaustive_best(real, pop, cfg, pattern, direction), abs=1e-12)
+
+    placed = [u for users in assign.rb_users for u in users]
+    assert sorted(placed) == list(range(pop.num_users))
+    assert len(assign.rb_users) == cfg.num_rbs
+    assert all(len(users) <= cfg.max_mux for users in assign.rb_users)
+    achieved = evaluate_schedule(real, assign, cfg, direction, fadings=pop.fadings())
+    assert achieved == pytest.approx(dp, abs=1e-12)
+
+    _, greedy = conventional_schedule_greedy(real, pop, cfg, pattern, direction)
+    assert greedy <= dp + 1e-12
+
+
+@pytest.mark.parametrize(
+    "k, n_rbs, mux, expected",
+    [
+        (6, 3, 2, ((0, 1), (2, 3), (4, 5))),
+        (6, 2, 3, ((0, 1, 2), (3, 4, 5))),
+    ],
+)
+def test_exact_tie_rule(k, n_rbs, mux, expected):
+    """Every user has the all-ones channel on every RB, so the Gram is exact,
+    subsets of one size have bit-identical rates and every partition ties.
+    The DP keeps the first transition in (popcount of the state, state mask,
+    subset size, lexicographic subset) order, which fills the RBs with the
+    lowest user ids first. The per-transition dict DP that preceded the
+    dense one chose the same partitions on these instances."""
+    pop, cfg, real, pattern, _ = _instance(50, k=k, n_rbs=n_rbs, mux=mux)
+    same = ChannelRealization(
+        h=np.ones_like(real.h), seed=0, profile_names=real.profile_names,
+        numerology=real.numerology,
+    )
+    for direction in ("uplink", "downlink"):
+        calc = RbRateCalculator(same, 0, cfg, pattern, direction, pop.fadings())
+        rates = calc.rates_for_subsets(np.array(list(itertools.combinations(range(k), mux))))
+        assert np.all(rates == rates[0])
+        assign, _ = conventional_schedule_exact(same, pop, cfg, pattern, direction)
+        assert assign.rb_users == expected
+
+
+def test_exact_dp_memory_is_per_stage():
+    """K = 16 users on 16 single-layer RBs: one (RB, 2^K) float64 block is
+    8.4 MB. The DP keeps its dense 2^K arrays for one stage at a time, so its
+    peak allocation stays under 0.6 of that; a per-RB rate table or an int64
+    (or int32) backpointer block would not."""
+    k = n_rbs = 16
+    pop, cfg, real, pattern, _ = _instance(60, k=k, n_rbs=n_rbs, m=2, mux=1)
+    # the first call builds the Grams and finishes numpy's lazy imports
+    conventional_schedule_exact(real, pop, cfg, pattern, "uplink")
+    tracemalloc.start()
+    try:
+        conventional_schedule_exact(real, pop, cfg, pattern, "uplink")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.6 * n_rbs * 2**k * 8
 
 
 def test_exact_single_rb_is_forced():
@@ -78,6 +161,14 @@ def test_exact_rejects_oversized_instance():
     pop, cfg, real, pattern, _ = _instance(1, k=28, n_rbs=4, mux=7)
     with pytest.raises(ExactSearchBudgetError, match="greedy"):
         conventional_schedule_exact(real, pop, cfg, pattern, "uplink")
+
+
+def test_exact_refuses_dense_tables_beyond_user_cap():
+    # one RB holding every user is a single transition, but the dense DP
+    # would still allocate 2^K-entry tables
+    check_exact_budget(MAX_DP_USERS, 1, MAX_DP_USERS)
+    with pytest.raises(ExactSearchBudgetError, match="greedy"):
+        check_exact_budget(MAX_DP_USERS + 1, 1, MAX_DP_USERS + 1)
 
 
 def test_greedy_never_beats_exact():
