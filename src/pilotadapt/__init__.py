@@ -51,7 +51,6 @@ from .experiments import (
     replay_row,
     run_sweep,
     summarize_gains,
-    write_rows,
 )
 from .patterns import (
     PatternRegistry,
@@ -63,11 +62,9 @@ from .patterns import (
     select_pattern_for_group,
 )
 from .phy import (
-    RateReport,
     downlink_sinr,
     mrc_combiner,
     mrt_precoder,
-    rb_spectral_efficiency,
     sinr_from_gram,
     uplink_sinr,
 )
@@ -79,7 +76,6 @@ from .scheduling import (
     evaluate_schedule,
     group_rb_ownership,
     grouping_schedule,
-    rate_report,
 )
 
 __version__ = "0.1.0"

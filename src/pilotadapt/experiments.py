@@ -22,6 +22,7 @@ from .errors import ConfigurationError, ExactSearchBudgetError
 from .patterns import conventional_pattern, default_registry, group_overheads
 from .scheduling import (
     check_exact_budget,
+    check_users_fit,
     conventional_schedule_exact,
     conventional_schedule_greedy,
     evaluate_schedule,
@@ -149,7 +150,9 @@ def _num_workers() -> int:
         n = int(raw)
     except ValueError as exc:
         raise ConfigurationError(f"{WORKERS_ENV_VAR} must be an integer") from exc
-    return max(1, n)
+    if n < 1:
+        raise ConfigurationError(f"{WORKERS_ENV_VAR} must be at least 1, got {n}")
+    return n
 
 
 def run_trial(
@@ -206,14 +209,17 @@ def run_trial(
 def run_sweep(cfg: ExperimentConfig) -> list[ResultRow]:
     """Rows of both schemes over the (M, U_mux, trial, direction) grid.
 
-    Every row carries the registry gain bound of its sweep point. An exact
-    sweep is refused before any trial runs if one of its points exceeds the
-    exact search budget.
+    Every row carries the registry gain bound of its sweep point. The sweep
+    is refused before any trial runs if the users of one of its points do not
+    fit the RBs, or, for the exact scheduler, if it exceeds the exact search
+    budget.
     """
-    if cfg.scheduler == "exact":
-        for mux in cfg.u_mux_list:
+    for mux in cfg.u_mux_list:
+        k = sum(cfg.sizes_for(mux))
+        check_users_fit(k, cfg.num_rbs, mux)
+        if cfg.scheduler == "exact":
             try:
-                check_exact_budget(sum(cfg.sizes_for(mux)), cfg.num_rbs, mux)
+                check_exact_budget(k, cfg.num_rbs, mux)
             except ExactSearchBudgetError as exc:
                 raise ExactSearchBudgetError(
                     f"{exc} (set scheduler = \"greedy\" in the experiment config)"
@@ -276,12 +282,6 @@ def rows_to_csv(rows: list[ResultRow]) -> str:
 
 def rows_to_json(rows: list[ResultRow]) -> str:
     return json.dumps([r.as_record() for r in rows], indent=2) + "\n"
-
-
-def write_rows(rows: list[ResultRow], path: str, fmt: str = "csv") -> None:
-    text = rows_to_csv(rows) if fmt == "csv" else rows_to_json(rows)
-    with open(path, "w", newline="") as fh:
-        fh.write(text)
 
 
 # ---------------------------------------------------------------------------

@@ -84,6 +84,11 @@ def _anchor_positions(spacing: PilotSpacing, num: Numerology) -> list[tuple[int,
     ]
 
 
+def _sparsest_first(p: PilotPattern) -> tuple[int, int, int]:
+    """Sort key: fewest pilot REs, then larger time, then larger frequency spacing."""
+    return (p.size, -p.spacing.time_spacing_symbols, -p.spacing.freq_spacing_subcarriers)
+
+
 def build_pattern(spacing: PilotSpacing, num: Numerology, mux: int) -> PilotPattern:
     """Place pilot clusters of `mux` REs on the anchor lattice of `spacing`."""
     n_s, n_sc = num.symbols_per_rb, num.subcarriers_per_rb
@@ -137,11 +142,7 @@ def conventional_pattern(
     best = None
     for prof in profiles:
         sp = max_spacing(prof, num)
-        count = (
-            -(-num.symbols_per_rb // sp.time_spacing_symbols)
-            * -(-num.subcarriers_per_rb // sp.freq_spacing_subcarriers)
-            * mux
-        )
+        count = len(_anchor_positions(sp, num)) * mux
         key = (-count, sp.time_spacing_symbols, sp.freq_spacing_subcarriers)
         if best is None or key < best[0]:
             best = (key, sp)
@@ -159,14 +160,7 @@ def default_registry(
         sp = max_spacing(prof, num)
         if sp not in spacings:
             spacings.append(sp)
-    patterns = sorted(
-        (build_pattern(sp, num, mux) for sp in spacings),
-        key=lambda p: (
-            p.size,
-            -p.spacing.time_spacing_symbols,
-            -p.spacing.freq_spacing_subcarriers,
-        ),
-    )
+    patterns = sorted((build_pattern(sp, num, mux) for sp in spacings), key=_sparsest_first)
     return PatternRegistry(patterns=tuple(patterns))
 
 
@@ -192,14 +186,7 @@ def select_pattern_for_group(
         raise InfeasibleRegistryError(
             f"no registry pattern is feasible for profile {group_profile.name!r}"
         )
-    feasible.sort(
-        key=lambda p: (
-            p.size,
-            -p.spacing.time_spacing_symbols,
-            -p.spacing.freq_spacing_subcarriers,
-        )
-    )
-    return feasible[0]
+    return min(feasible, key=_sparsest_first)
 
 
 def group_overheads(

@@ -1,4 +1,4 @@
-"""Combining/precoding, per-RE SINR, and per-RB spectral efficiency (perfect CSI).
+"""Combining/precoding and per-RE SINR (perfect CSI).
 
 Uplink uses maximum-ratio combining, w = h_k. The per-RE SINR of user k is
 
@@ -10,41 +10,19 @@ Downlink uses maximum-ratio transmission with precoders normalized to
     eta_k*P * |w_k^H h_k|^2 / (sum_{j!=k} eta_k*P * |w_j^H h_k|^2 + M^2 * sigma^2)
 
 `uplink_sinr`/`downlink_sinr` evaluate these per RE for an explicit beamformer.
-Every rate is computed by `sinr_from_gram`, which needs only the per-RB Gram
-cross powers |h_k^H h_j|^2 that `ChannelRealization.gram` builds once per RB.
-
-The per-RB spectral efficiency averages log2(1 + SINR) of every scheduled
-user over the non-pilot REs, normalized by the full RE count of the block.
+`sinr_from_gram` evaluates them for whole user sets from the per-RB Gram
+cross powers |h_k^H h_j|^2 that `ChannelRealization.gram` builds once per RB;
+`scheduling.RbRateCalculator` turns those SINRs into per-RB rates.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .channel import ChannelRealization
 from .core import SystemConfig
-from .errors import DegenerateChannelError, NoDataRoomError
-from .patterns import PilotPattern
-
-
-@dataclass(frozen=True)
-class RateReport:
-    """Spectral efficiencies of one schedule evaluation.
-
-    `sinr_samples` (per RB: array of shape (users, symbols, subcarriers)) is
-    collected only on request; it is bulky and most callers need the rates.
-    """
-
-    rb_rates: tuple[float, ...]
-    direction: str
-    sinr_samples: tuple[np.ndarray, ...] | None = None
-
-    @property
-    def mean_rate(self) -> float:
-        return float(np.mean(self.rb_rates))
+from .errors import DegenerateChannelError
 
 
 def mrc_combiner(h: np.ndarray) -> np.ndarray:
@@ -133,54 +111,3 @@ def sinr_from_gram(
     # |w_j^H h_k|^2 / M^2 = |h_j^H h_k|^2 / ||h_j||^2, summed over j
     total = (cross / norms[..., None, :, :, :]).sum(axis=-3)
     return g * norms / (g * (total - norms) + cfg.noise_power)
-
-
-def _data_mask(pattern: PilotPattern | None, n_s: int, n_sc: int) -> np.ndarray:
-    mask = np.ones((n_s, n_sc), dtype=bool)
-    if pattern is not None:
-        for t, n in pattern.positions:
-            mask[t, n] = False
-        if not mask.any():
-            raise NoDataRoomError("pattern covers every RE of the block")
-    return mask
-
-
-def _rb_sinr(
-    realization: ChannelRealization,
-    rb: int,
-    users: Sequence[int],
-    cfg: SystemConfig,
-    direction: str,
-    fadings: np.ndarray | None = None,
-) -> np.ndarray:
-    """SINR (users, symbols, subcarriers) of a user set on one RB."""
-    idx = np.asarray(users, dtype=int)
-    cross, norms = realization.gram(rb)
-    eta = np.ones(idx.size) if fadings is None else np.asarray(fadings)[idx]
-    return sinr_from_gram(cross[np.ix_(idx, idx)], norms[idx], eta, cfg, direction)
-
-
-def rb_spectral_efficiency(
-    realization: ChannelRealization,
-    rb: int,
-    users: Sequence[int],
-    pattern: PilotPattern | None,
-    cfg: SystemConfig,
-    direction: str,
-    fadings: np.ndarray | None = None,
-) -> float:
-    """Average spectral efficiency of one RB for the scheduled user set.
-
-    `fadings` defaults to unit gains; pass the population's gains indexed by
-    user id. `pattern=None` means every RE carries data.
-    """
-    users = list(users)
-    if len(users) == 0:
-        return 0.0
-    if len(users) > cfg.max_mux:
-        raise ValueError(f"{len(users)} users exceed the multiplexing cap {cfg.max_mux}")
-    num = realization.numerology
-    sinr = _rb_sinr(realization, rb, users, cfg, direction, fadings)
-    mask = _data_mask(pattern, num.symbols_per_rb, num.subcarriers_per_rb)
-    rate = np.log2(1.0 + sinr[:, mask]).sum()
-    return float(rate / num.res_per_rb)

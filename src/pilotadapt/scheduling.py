@@ -25,9 +25,9 @@ import numpy as np
 
 from .channel import ChannelProfile, ChannelRealization
 from .core import SystemConfig, UserPopulation
-from .errors import ConfigurationError, ExactSearchBudgetError
+from .errors import ConfigurationError, ExactSearchBudgetError, NoDataRoomError
 from .patterns import PatternRegistry, PilotPattern, select_pattern_for_group
-from .phy import RateReport, _data_mask, _rb_sinr, rb_spectral_efficiency, sinr_from_gram
+from .phy import sinr_from_gram
 
 # transition cap for the exact DP; K=16 balanced needs ~1.8e6
 MAX_DP_TRANSITIONS = 30_000_000
@@ -67,7 +67,11 @@ class ScheduleAssignment:
 
 
 class RbRateCalculator:
-    """Fast per-RB subset rates from the realization's cached Gram."""
+    """Per-RB spectral efficiency of user subsets, from the realization's
+    cached Gram: log2(1 + SINR) of every scheduled user summed over the
+    data REs (those outside `pattern`; all of them when it is None) and
+    divided by the block's full RE count.
+    """
 
     def __init__(
         self,
@@ -86,23 +90,29 @@ class RbRateCalculator:
         self._cfg = cfg
         self._direction = direction
 
-    def rate(self, users: tuple[int, ...]) -> float:
-        if not users:
-            return 0.0
-        return float(self.rates_for_subsets(np.asarray([users]))[0])
-
     def rates_for_subsets(self, subsets: np.ndarray) -> np.ndarray:
         """RB rates of many equally sized user subsets at once.
 
-        subsets: integer array (batch, subset_size) of user ids.
+        subsets: integer array (batch, subset_size) of user ids; rows of
+        size 0 (empty RBs) rate 0.
         """
-        subsets = np.asarray(subsets)
+        subsets = np.asarray(subsets, dtype=np.intp)
         cross = self._cross[subsets[:, :, None], subsets[:, None, :]]  # (B, s, s, T, N)
         sinr = sinr_from_gram(
             cross, self._norms[subsets], self._eta[subsets], self._cfg, self._direction
         )
         rates = np.log2(1.0 + sinr[:, :, self._mask]).sum(axis=(1, 2))
         return rates / self._n_re
+
+
+def _data_mask(pattern: PilotPattern | None, n_s: int, n_sc: int) -> np.ndarray:
+    mask = np.ones((n_s, n_sc), dtype=bool)
+    if pattern is not None:
+        for t, n in pattern.positions:
+            mask[t, n] = False
+        if not mask.any():
+            raise NoDataRoomError("pattern covers every RE of the block")
+    return mask
 
 
 def _partition_sizes(k: int, n_rbs: int, mux: int) -> list[int]:
@@ -147,8 +157,7 @@ def conventional_schedule_exact(
     """
     k = pop.num_users
     n_rbs, mux = cfg.num_rbs, cfg.max_mux
-    if k > n_rbs * mux:
-        raise ConfigurationError(f"{k} users cannot fit {n_rbs} RBs x {mux} layers")
+    check_users_fit(k, n_rbs, mux)
     if k < 1:
         raise ConfigurationError("need at least one user")
     check_exact_budget(k, n_rbs, mux)
@@ -248,6 +257,12 @@ def _subset_rates(calc: RbRateCalculator, k: int, sizes: set[int]) -> np.ndarray
     return rate
 
 
+def check_users_fit(k: int, n_rbs: int, mux: int) -> None:
+    """Raise ConfigurationError if K users exceed n_rbs RBs x mux layers."""
+    if k > n_rbs * mux:
+        raise ConfigurationError(f"{k} users cannot fit {n_rbs} RBs x {mux} layers")
+
+
 def check_exact_budget(k: int, n_rbs: int, mux: int) -> None:
     """Raise ExactSearchBudgetError if the exact DP on K users, n_rbs RBs and
     mux layers would visit more than MAX_DP_TRANSITIONS transitions or need
@@ -300,8 +315,7 @@ def conventional_schedule_greedy(
     """
     k = pop.num_users
     n_rbs, mux = cfg.num_rbs, cfg.max_mux
-    if k > n_rbs * mux:
-        raise ConfigurationError(f"{k} users cannot fit {n_rbs} RBs x {mux} layers")
+    check_users_fit(k, n_rbs, mux)
     fadings = pop.fadings()
     calcs = _make_calculators(realization, cfg, pattern, direction, fadings)
     sizes = _partition_sizes(k, n_rbs, mux)
@@ -313,15 +327,10 @@ def conventional_schedule_greedy(
         current: tuple[int, ...] = ()
         current_rate = 0.0
         for _ in range(sizes[rb]):
-            best_gain, best_user, best_rate = None, None, None
-            for u in remaining:
-                cand = calcs[rb].rate(current + (u,))
-                gain = cand - current_rate
-                if best_gain is None or gain > best_gain:
-                    best_gain, best_user, best_rate = gain, u, cand
-            current = tuple(sorted(current + (best_user,)))
-            current_rate = best_rate
-            remaining.remove(best_user)
+            cands = calcs[rb].rates_for_subsets([current + (u,) for u in remaining])
+            best = int(np.argmax(cands - current_rate))  # first maximum: lowest id
+            current = tuple(sorted(current + (remaining.pop(best),)))
+            current_rate = float(cands[best])
         chosen.append(current)
         total += current_rate
 
@@ -412,34 +421,6 @@ def _shuffled(members: list[int], picker: str, rng) -> list[int]:
     return order
 
 
-def rate_report(
-    realization: ChannelRealization,
-    assignment: ScheduleAssignment,
-    cfg: SystemConfig,
-    direction: str,
-    fadings: np.ndarray | None = None,
-    collect_sinr: bool = False,
-) -> RateReport:
-    """Per-RB spectral efficiencies of an assignment, optionally with SINRs."""
-    if fadings is None:
-        fadings = np.ones(realization.num_users)
-    rates = []
-    samples = [] if collect_sinr else None
-    for rb, (users, pattern) in enumerate(zip(assignment.rb_users, assignment.rb_patterns)):
-        rates.append(
-            rb_spectral_efficiency(
-                realization, rb, users, pattern, cfg, direction, fadings=fadings
-            )
-        )
-        if collect_sinr:
-            samples.append(_rb_sinr(realization, rb, users, cfg, direction, fadings))
-    return RateReport(
-        rb_rates=tuple(rates),
-        direction=direction,
-        sinr_samples=tuple(samples) if collect_sinr else None,
-    )
-
-
 def evaluate_schedule(
     realization: ChannelRealization,
     assignment: ScheduleAssignment,
@@ -447,6 +428,14 @@ def evaluate_schedule(
     direction: str,
     fadings: np.ndarray | None = None,
 ) -> float:
-    """Mean per-RB spectral efficiency of an assignment."""
-    report = rate_report(realization, assignment, cfg, direction, fadings=fadings)
-    return report.mean_rate
+    """Mean per-RB spectral efficiency of an assignment; `fadings` defaults
+    to unit gains."""
+    if fadings is None:
+        fadings = np.ones(realization.num_users)
+    rates = []
+    for rb, (users, pattern) in enumerate(zip(assignment.rb_users, assignment.rb_patterns)):
+        if len(users) > cfg.max_mux:
+            raise ValueError(f"{len(users)} users exceed the multiplexing cap {cfg.max_mux}")
+        calc = RbRateCalculator(realization, rb, cfg, pattern, direction, fadings)
+        rates.append(calc.rates_for_subsets([users])[0])
+    return float(np.mean(rates))

@@ -3,6 +3,7 @@ import pytest
 
 from pilotadapt.channel import builtin_profiles
 from pilotadapt.core import FadingSpec, Numerology, SystemConfig, build_population, lte_numerology
+from pilotadapt.scheduling import RbRateCalculator
 
 
 @pytest.fixture(scope="session")
@@ -39,3 +40,10 @@ def tiny_numerology(n_s: int, n_sc: int) -> Numerology:
 
 def random_channels(rng: np.random.Generator, *shape) -> np.ndarray:
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+
+
+def rb_rate(real, rb, users, pattern, cfg, direction, fadings=None):
+    """Spectral efficiency of one RB's user set; unit gains by default."""
+    eta = np.ones(real.num_users) if fadings is None else fadings
+    calc = RbRateCalculator(real, rb, cfg, pattern, direction, eta)
+    return float(calc.rates_for_subsets([users])[0])

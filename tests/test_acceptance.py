@@ -37,7 +37,7 @@ from pilotadapt.patterns import (
     default_registry,
     select_pattern_for_group,
 )
-from pilotadapt.phy import downlink_sinr, rb_spectral_efficiency, uplink_sinr
+from pilotadapt.phy import downlink_sinr, uplink_sinr
 from pilotadapt.scheduling import (
     conventional_schedule_exact,
     conventional_schedule_greedy,
@@ -45,7 +45,7 @@ from pilotadapt.scheduling import (
     grouping_schedule,
 )
 
-from conftest import random_channels, tiny_numerology
+from conftest import random_channels, rb_rate, tiny_numerology
 from oracles import oracle_rb_rate
 from test_scheduler import exhaustive_best
 
@@ -58,7 +58,7 @@ def _report(criterion: int, ok: bool, detail: str) -> None:
 
 
 def test_criterion_1_formula_fidelity():
-    """rb_spectral_efficiency matches a straight-line re-implementation."""
+    """The per-RB rate kernel matches a straight-line re-implementation."""
     rng = np.random.default_rng(101)
     worst = 0.0
     for i in range(100):
@@ -85,9 +85,7 @@ def test_criterion_1_formula_fidelity():
             except NoDataRoomError:
                 pattern = None
             positions = pattern.positions if pattern else ()
-        got = rb_spectral_efficiency(
-            real, 0, list(range(u)), pattern, cfg, direction, fadings=eta
-        )
+        got = rb_rate(real, 0, list(range(u)), pattern, cfg, direction, fadings=eta)
         want = oracle_rb_rate(h[:, 0].tolist(), list(eta), positions, 1.0, sigma2, direction)
         if want != 0.0:
             worst = max(worst, abs(got - want) / abs(want))

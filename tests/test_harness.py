@@ -134,6 +134,21 @@ def test_exact_budget_refused_before_any_trial(monkeypatch):
     assert started == []
 
 
+@pytest.mark.parametrize("scheduler", ["greedy", "exact"])
+def test_users_that_do_not_fit_refused_before_any_trial(monkeypatch, scheduler):
+    """12 users fit 4 RBs x 4 layers but not 4 x 2: the sweep must refuse
+    before running any U_mux = 4 trial."""
+    started = []
+    monkeypatch.setattr(experiments, "run_trial", lambda *args: started.append(args) or [])
+    cfg = ExperimentConfig(
+        m_list=(8,), u_mux_list=(4, 2), trials=2, num_rbs=4, scheduler=scheduler,
+        group_sizes=(3, 3, 3, 3), seed=0,
+    )
+    with pytest.raises(ConfigurationError, match="12 users cannot fit 4 RBs x 2 layers"):
+        run_sweep(cfg)
+    assert started == []
+
+
 def test_fig4_rows_carry_bound_and_summary():
     cfg = ExperimentConfig(**QUICK)
     rows = run_sweep(cfg)
@@ -352,6 +367,30 @@ def test_cli_malformed_config_one_json_line(tmp_path, capsys, filename, text):
     lines = captured.err.splitlines()
     assert len(lines) == 1
     assert set(json.loads(lines[0])) == {"error"}
+
+
+def test_cli_users_do_not_fit_error(tmp_path, capsys):
+    path = tmp_path / "crowded.toml"
+    path.write_text(
+        "m_list = [8]\nu_mux_list = [7, 4]\ntrials = 1\n"
+        "group_sizes = [7, 7, 7, 7]\nscheduler = \"greedy\"\n"
+    )
+    assert cli_main(["simulate", "--config", str(path)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {"error": "28 users cannot fit 4 RBs x 4 layers"}
+
+
+@pytest.mark.parametrize("workers", ["0", "-3", "two"])
+def test_cli_bad_worker_count(tmp_path, capsys, monkeypatch, workers):
+    monkeypatch.setenv("PILOTADAPT_WORKERS", workers)
+    cfg = _write_quick_config(tmp_path)
+    assert cli_main(["simulate", "--config", cfg]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert "PILOTADAPT_WORKERS" in json.loads(lines[0])["error"]
 
 
 def test_cli_exact_budget_error(tmp_path, capsys):

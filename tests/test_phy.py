@@ -5,15 +5,10 @@ from pilotadapt.channel import ChannelRealization, PilotSpacing
 from pilotadapt.core import SystemConfig
 from pilotadapt.errors import DegenerateChannelError
 from pilotadapt.patterns import build_pattern
-from pilotadapt.phy import (
-    downlink_sinr,
-    mrc_combiner,
-    mrt_precoder,
-    rb_spectral_efficiency,
-    uplink_sinr,
-)
+from pilotadapt.phy import downlink_sinr, mrc_combiner, mrt_precoder, uplink_sinr
+from pilotadapt.scheduling import ScheduleAssignment, evaluate_schedule
 
-from conftest import random_channels, tiny_numerology
+from conftest import random_channels, rb_rate, tiny_numerology
 from oracles import oracle_rb_rate
 
 
@@ -114,12 +109,12 @@ def test_rb_rate_unit_sinr_cases():
     h = np.ones((1, 1, n_s, n_sc, 1), dtype=complex)
     real = _realization_from_array(h, n_s, n_sc)
     cfg = _cfg(1, sigma2=1.0)
-    assert rb_spectral_efficiency(real, 0, [0], None, cfg, "uplink") == pytest.approx(1.0)
+    assert rb_rate(real, 0, [0], None, cfg, "uplink") == pytest.approx(1.0)
     # a pattern covering half the REs halves the rate
     num = tiny_numerology(n_s, n_sc)
     half = build_pattern(PilotSpacing(2, 1), num, 1)
     assert half.size == n_s * n_sc // 2
-    assert rb_spectral_efficiency(real, 0, [0], half, cfg, "uplink") == pytest.approx(0.5)
+    assert rb_rate(real, 0, [0], half, cfg, "uplink") == pytest.approx(0.5)
 
 
 def test_rb_rate_matches_straight_line_oracle():
@@ -133,7 +128,7 @@ def test_rb_rate_matches_straight_line_oracle():
             cfg = _cfg(m, sigma2=0.4, mux=4)
             num = tiny_numerology(n_s, n_sc)
             pat = build_pattern(PilotSpacing(3, 2), num, 1)
-            got = rb_spectral_efficiency(real, 0, [0, 1, 2], pat, cfg, direction, fadings=eta)
+            got = rb_rate(real, 0, [0, 1, 2], pat, cfg, direction, fadings=eta)
             want = oracle_rb_rate(
                 h[:, 0].tolist(), list(eta), pat.positions, 1.0, 0.4, direction
             )
@@ -150,9 +145,9 @@ def test_rb_rate_overhead_monotonicity():
     small = build_pattern(PilotSpacing(4, 4), num, 1)
     big = build_pattern(PilotSpacing(2, 2), num, 1)
     assert big.size > small.size
-    r_small = rb_spectral_efficiency(real, 0, [0, 1], small, cfg, "uplink")
-    r_big = rb_spectral_efficiency(real, 0, [0, 1], big, cfg, "uplink")
-    r_none = rb_spectral_efficiency(real, 0, [0, 1], None, cfg, "uplink")
+    r_small = rb_rate(real, 0, [0, 1], small, cfg, "uplink")
+    r_big = rb_rate(real, 0, [0, 1], big, cfg, "uplink")
+    r_none = rb_rate(real, 0, [0, 1], None, cfg, "uplink")
     assert r_none > r_small > r_big
 
 
@@ -161,8 +156,11 @@ def test_rb_rate_rejects_overloaded_set():
     h = random_channels(rng, 3, 1, 2, 2, 2)
     real = _realization_from_array(h, 2, 2)
     cfg = _cfg(2, mux=2)
+    overfull = ScheduleAssignment(
+        rb_users=((0, 1, 2),), rb_patterns=(None,), rb_groups=(None,), mode="conventional"
+    )
     with pytest.raises(ValueError):
-        rb_spectral_efficiency(real, 0, [0, 1, 2], None, cfg, "uplink")
+        evaluate_schedule(real, overfull, cfg, "uplink")
 
 
 def test_degenerate_channel_raises():

@@ -28,6 +28,8 @@ from pilotadapt.scheduling import (
     grouping_schedule,
 )
 
+from conftest import rb_rate
+
 
 def _instance(seed, k=8, n_rbs=2, m=4, mux=4, sigma2=0.1):
     profiles = builtin_profiles()
@@ -59,7 +61,7 @@ def exhaustive_best(real, pop, cfg, pattern, direction):
         RbRateCalculator(real, rb, cfg, pattern, direction, pop.fadings())
         for rb in range(n_rbs)
     ]
-    rate = functools.cache(lambda rb, users: calcs[rb].rate(users))
+    rate = functools.cache(lambda rb, users: calcs[rb].rates_for_subsets([users])[0])
     best = -np.inf
     for labels in itertools.product(range(n_rbs), repeat=k):
         parts = [tuple(u for u in range(k) if labels[u] == rb) for rb in range(n_rbs)]
@@ -131,6 +133,20 @@ def test_exact_tie_rule(k, n_rbs, mux, expected):
         assert assign.rb_users == expected
 
 
+def test_greedy_tie_rule():
+    """On the all-ones channel every candidate of a step has a bit-identical
+    rate, so the greedy's lowest-id tie rule fills the RBs with the lowest
+    user ids first."""
+    pop, cfg, real, pattern, _ = _instance(50, k=6, n_rbs=3, mux=2)
+    same = ChannelRealization(
+        h=np.ones_like(real.h), seed=0, profile_names=real.profile_names,
+        numerology=real.numerology,
+    )
+    for direction in ("uplink", "downlink"):
+        assign, _ = conventional_schedule_greedy(same, pop, cfg, pattern, direction)
+        assert assign.rb_users == ((0, 1), (2, 3), (4, 5))
+
+
 def test_exact_dp_memory_is_per_stage():
     """K = 16 users on 16 single-layer RBs: one (RB, 2^K) float64 block is
     8.4 MB. The DP keeps its dense 2^K arrays for one stage at a time, so its
@@ -154,7 +170,7 @@ def test_exact_single_rb_is_forced():
     assign, rate = conventional_schedule_exact(real, pop, cfg, pattern, "uplink")
     assert assign.rb_users == ((0, 1, 2, 3),)
     calc = RbRateCalculator(real, 0, cfg, pattern, "uplink", pop.fadings())
-    assert rate == pytest.approx(calc.rate((0, 1, 2, 3)))
+    assert rate == pytest.approx(calc.rates_for_subsets([(0, 1, 2, 3)])[0])
 
 
 def test_exact_rejects_oversized_instance():
@@ -306,9 +322,7 @@ def test_evaluate_schedule_empty_rb_contributes_zero():
         mode="conventional",
     )
     rate = evaluate_schedule(real, only_first, cfg, "uplink", fadings=pop.fadings())
-    from pilotadapt.phy import rb_spectral_efficiency
-
-    solo = rb_spectral_efficiency(real, 0, [0, 1, 2, 3], pattern, cfg, "uplink", fadings=pop.fadings())
+    solo = rb_rate(real, 0, [0, 1, 2, 3], pattern, cfg, "uplink", fadings=pop.fadings())
     assert rate == pytest.approx(solo / 2.0)
 
 
@@ -326,10 +340,8 @@ def test_identical_rbs_contribute_equally():
         rb_groups=(None, None),
         mode="grouping",
     )
-    from pilotadapt.phy import rb_spectral_efficiency
-
-    r0 = rb_spectral_efficiency(dup, 0, [0, 1], pattern, cfg, "uplink", fadings=pop.fadings())
-    r1 = rb_spectral_efficiency(dup, 1, [0, 1], pattern, cfg, "uplink", fadings=pop.fadings())
+    r0 = rb_rate(dup, 0, [0, 1], pattern, cfg, "uplink", fadings=pop.fadings())
+    r1 = rb_rate(dup, 1, [0, 1], pattern, cfg, "uplink", fadings=pop.fadings())
     assert r0 == pytest.approx(r1, abs=1e-15)
 
 
@@ -360,20 +372,6 @@ def test_assignment_json_dump():
     assert [rb["group"] for rb in dump["rbs"]] == [0, 1, 2, 3]
     assert dump["rbs"][0]["spacing"] == [14, 12]
     assert dump["rbs"][0]["users"] == [0, 1, 2, 3]
-
-
-def test_rate_report_collects_sinr():
-    from pilotadapt.scheduling import rate_report
-
-    pop, cfg, real, pattern, _ = _instance(40, k=4, n_rbs=2)
-    assign, rate = conventional_schedule_exact(real, pop, cfg, pattern, "uplink")
-    report = rate_report(real, assign, cfg, "uplink", fadings=pop.fadings(), collect_sinr=True)
-    assert report.mean_rate == pytest.approx(rate, abs=1e-12)
-    assert len(report.sinr_samples) == cfg.num_rbs
-    num = cfg.numerology
-    for users, sinr in zip(assign.rb_users, report.sinr_samples):
-        assert sinr.shape == (len(users), num.symbols_per_rb, num.subcarriers_per_rb)
-        assert np.all(sinr >= 0.0)
 
 
 def test_grouping_gain_vs_exact_rises_with_antennas():
