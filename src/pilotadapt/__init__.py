@@ -20,6 +20,7 @@ from .channel import (
     ChannelRealization,
     PilotSpacing,
     builtin_profiles,
+    draw_channels,
     generate_realization,
     generate_single_grid,
     max_spacing,

@@ -59,6 +59,11 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.m_list or not self.u_mux_list:
             raise ConfigurationError("m_list and u_mux_list must be non-empty")
+        for key in ("m_list", "u_mux_list"):
+            if min(getattr(self, key)) < 1:
+                raise ConfigurationError(f"every {key} entry must be at least 1")
+        if self.num_rbs < 1:
+            raise ConfigurationError("num_rbs must be at least 1")
         if self.trials < 1:
             raise ConfigurationError("trials must be at least 1")
         if self.direction not in ("uplink", "downlink", "both"):
@@ -160,7 +165,7 @@ def run_trial(
 ) -> list[ResultRow]:
     """Evaluate one realization: grouping vs conventional, per direction.
 
-    Both directions share the realization's cached per-RB Grams and one
+    Both directions share the realization's per-RB Grams and one
     grouping assignment, which does not depend on the direction.
     """
     profiles = cfg.resolved_profiles()

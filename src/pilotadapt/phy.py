@@ -11,7 +11,7 @@ Downlink uses maximum-ratio transmission with precoders normalized to
 
 `uplink_sinr`/`downlink_sinr` evaluate these per RE for an explicit beamformer.
 `sinr_from_gram` evaluates them for whole user sets from the per-RB Gram
-cross powers |h_k^H h_j|^2 that `ChannelRealization.gram` builds once per RB;
+cross powers |h_k^H h_j|^2 that `generate_realization` keeps for each RB;
 `scheduling.RbRateCalculator` turns those SINRs into per-RB rates.
 """
 

@@ -68,7 +68,7 @@ class ScheduleAssignment:
 
 class RbRateCalculator:
     """Per-RB spectral efficiency of user subsets, from the realization's
-    cached Gram: log2(1 + SINR) of every scheduled user summed over the
+    Gram: log2(1 + SINR) of every scheduled user summed over the
     data REs (those outside `pattern`; all of them when it is None) and
     divided by the block's full RE count.
     """

@@ -62,3 +62,24 @@ def oracle_rb_rate(h, fadings, pilot_positions, p, sigma2, direction):
                     sinr = oracle_downlink_sinr(h_set, k, fadings, p, sigma2, m)
                 total += math.log2(1.0 + sinr)
     return total / (n_t * n_f)
+
+
+def oracle_single_grid(profile, num_symbols, num_subcarriers, num, rng, num_antennas=1):
+    """The tapped-delay-line fading grid (T, N, A) written out step by step:
+    per-(antenna, tap) sum-of-sinusoids processes, scaled by the tap
+    amplitudes, then mixed over taps by an explicit einsum. Draws its phases
+    from `rng` in the same (antenna, tap, angle) order as the library."""
+    import numpy as np
+
+    n = 32
+    angles = 2.0 * math.pi * (np.arange(n) + 0.5) / n
+    freqs = profile.max_doppler_hz * np.cos(angles)
+    times = np.arange(num_symbols) * num.symbol_duration_s
+    delays = profile.tap_delays()
+    phases = rng.uniform(0.0, 2.0 * math.pi, size=(num_antennas, len(delays), n))
+    basis = np.exp(1j * 2.0 * math.pi * np.outer(freqs, times))  # (n, T)
+    taps = np.exp(1j * phases) @ basis / math.sqrt(n)  # (A, L, T)
+    taps = taps * np.sqrt(profile.tap_powers())[None, :, None]
+    sc = np.arange(num_subcarriers) * num.subcarrier_spacing_hz
+    mix = np.exp(-2j * math.pi * np.outer(sc, delays))  # (N, L)
+    return np.einsum("alt,nl->tna", taps, mix)

@@ -24,6 +24,7 @@ from pilotadapt.channel import (
     ChannelRealization,
     PilotSpacing,
     builtin_profiles,
+    draw_channels,
     generate_realization,
     max_spacing,
 )
@@ -71,7 +72,7 @@ def test_criterion_1_formula_fidelity():
         h = random_channels(rng, u, 1, n_s, n_sc, m)
         eta = rng.uniform(0.5, 2.0, u)
         sigma2 = float(rng.uniform(0.05, 2.0))
-        real = ChannelRealization(h=h, seed=0, profile_names=("t",) * u, numerology=num)
+        real = ChannelRealization.from_channels(h, num)
         cfg = SystemConfig(
             num_rbs=1, num_antennas=m, max_mux=4,
             ul_power=1.0, dl_power=1.0, noise_power=sigma2,
@@ -226,18 +227,15 @@ def test_criterion_5_gain_behavior():
             num_rbs=4, num_antennas=112, max_mux=mux,
             ul_power=1.0, dl_power=1.0, noise_power=0.1,
         )
-        real112 = generate_realization(pop, profiles, cfg112, seed=5000 + trial)
-        # common random numbers: the M=64 system sees the first 64 antennas
-        real64 = ChannelRealization(
-            h=real112.h[..., :64].copy(),
-            seed=real112.seed,
-            profile_names=real112.profile_names,
-            numerology=num,
-        )
         cfg64 = SystemConfig(
             num_rbs=4, num_antennas=64, max_mux=mux,
             ul_power=1.0, dl_power=1.0, noise_power=0.1,
         )
+        # common random numbers: antennas are drawn in order from one
+        # generator per (seed, user, RB), so the M=64 draw is the first 64
+        # antennas of the M=112 draw with the same seed
+        real112 = generate_realization(pop, profiles, cfg112, seed=5000 + trial)
+        real64 = generate_realization(pop, profiles, cfg64, seed=5000 + trial)
         for m, real, cfg in ((64, real64, cfg64), (112, real112, cfg112)):
             _, r_conv = conventional_schedule_greedy(real, pop, cfg, pattern, "uplink")
             assign = grouping_schedule(
@@ -313,14 +311,14 @@ def test_criterion_7_channel_statistics():
             num_rbs=100, num_antennas=100, max_mux=4,
             ul_power=1.0, dl_power=1.0, noise_power=1.0,
         )
-        real = generate_realization(pop, [prof], cfg, seed=700)
-        x = real.h[0, :, :, 0, :]  # (rb, t, m): 10^4 series
+        h = np.stack([draw_channels(pop, [prof], cfg, 700, rb)[0] for rb in range(cfg.num_rbs)])
+        x = h[:, :, 0, :]  # (rb, t, m): 10^4 series
         denom = np.mean(np.abs(x) ** 2)
         for lag in (1, 3, 7, 13):
             emp = np.mean(x[:, :-lag, :].conj() * x[:, lag:, :]) / denom
             theo = j0(2 * np.pi * prof.max_doppler_hz * num.symbol_duration_s * lag)
             worst_t = max(worst_t, abs(emp - theo))
-        y = real.h[0, :, 0, :, :]  # (rb, n, m)
+        y = h[:, 0, :, :]  # (rb, n, m)
         denom = np.mean(np.abs(y) ** 2)
         for dn in (1, 3, 6, 11):
             emp = np.mean(y[:, dn:, :] * y[:, :-dn, :].conj()) / denom

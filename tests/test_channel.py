@@ -1,16 +1,24 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.special import j0
 
+from pilotadapt import channel
 from pilotadapt.channel import (
     ChannelProfile,
+    ChannelRealization,
     PilotSpacing,
     builtin_profiles,
+    draw_channels,
     generate_realization,
+    generate_single_grid,
     max_spacing,
 )
 from pilotadapt.core import FadingSpec, Numerology, SystemConfig, build_population
 from pilotadapt.errors import ConfigurationError, UnsupportableProfileError
+
+from oracles import oracle_single_grid
 
 
 def test_max_spacing_etu300(num):
@@ -76,35 +84,43 @@ def test_default_bracket_pdp():
     assert prof.taps == ((0.0, 0.5), (2.51e-6, 0.5))
 
 
-def _one_user_realization(profile, cfg, seed):
+def _one_user_channels(profile, cfg, seed):
+    """(RBs, T, N, M) channels of a single user of `profile`."""
     pop = build_population([1], FadingSpec(), seed=0)
-    return generate_realization(pop, [profile], cfg, seed=seed)
+    return np.stack(
+        [draw_channels(pop, [profile], cfg, seed, rb)[0] for rb in range(cfg.num_rbs)]
+    )
+
+
+def _cfg(n_rbs, m):
+    return SystemConfig(
+        num_rbs=n_rbs, num_antennas=m, max_mux=4, ul_power=1.0, dl_power=1.0, noise_power=1.0
+    )
 
 
 def test_static_flat_channel_constant(num):
     prof = ChannelProfile("static-flat", 1e-9, 1e-12, taps=((0.0, 1.0),))
-    cfg = SystemConfig(num_rbs=1, num_antennas=3, max_mux=4, ul_power=1.0, dl_power=1.0, noise_power=1.0)
-    real = _one_user_realization(prof, cfg, seed=5)
-    h = real.h[0, 0]  # (T, N, M)
+    h = _one_user_channels(prof, _cfg(1, 3), seed=5)[0]  # (T, N, M)
     assert np.allclose(h, h[0, 0][None, None, :], atol=1e-9)
 
 
 def test_realization_seed_determinism(num, profiles):
     pop = build_population([2, 2, 2, 2], FadingSpec(), seed=1)
-    cfg = SystemConfig(num_rbs=2, num_antennas=4, max_mux=4, ul_power=1.0, dl_power=1.0, noise_power=1.0)
+    cfg = _cfg(2, 4)
     a = generate_realization(pop, profiles, cfg, seed=9)
     b = generate_realization(pop, profiles, cfg, seed=9)
-    assert np.array_equal(a.h, b.h)
     c = generate_realization(pop, profiles, cfg, seed=10)
-    assert not np.array_equal(a.h, c.h)
+    for rb in range(cfg.num_rbs):
+        assert np.array_equal(a.gram(rb)[0], b.gram(rb)[0])
+        assert np.array_equal(a.gram(rb)[1], b.gram(rb)[1])
+        assert not np.array_equal(a.gram(rb)[0], c.gram(rb)[0])
+    assert np.array_equal(draw_channels(pop, profiles, cfg, 9, 1), draw_channels(pop, profiles, cfg, 9, 1))
 
 
 def test_time_autocorrelation_matches_bessel(num):
     # lag-1 autocorrelation over 10^4 independent series
     prof = ChannelProfile("ETU300", 300.0, 4.69e-6)
-    cfg = SystemConfig(num_rbs=100, num_antennas=100, max_mux=4, ul_power=1.0, dl_power=1.0, noise_power=1.0)
-    real = _one_user_realization(prof, cfg, seed=2)
-    x = real.h[0, :, :, 0, :]  # (rb, t, m) at one subcarrier
+    x = _one_user_channels(prof, _cfg(100, 100), seed=2)[:, :, 0, :]  # (rb, t, m) at one subcarrier
     emp = np.mean(x[:, :-1, :].conj() * x[:, 1:, :]) / np.mean(np.abs(x) ** 2)
     theo = j0(2 * np.pi * prof.max_doppler_hz * num.symbol_duration_s)
     assert abs(emp.real - theo) < 0.05
@@ -113,9 +129,7 @@ def test_time_autocorrelation_matches_bessel(num):
 
 def test_frequency_correlation_matches_pdp_transform(num):
     prof = ChannelProfile("ETU300", 300.0, 4.69e-6)
-    cfg = SystemConfig(num_rbs=100, num_antennas=100, max_mux=4, ul_power=1.0, dl_power=1.0, noise_power=1.0)
-    real = _one_user_realization(prof, cfg, seed=8)
-    y = real.h[0, :, 0, :, :]  # (rb, n, m) at one symbol
+    y = _one_user_channels(prof, _cfg(100, 100), seed=8)[:, 0, :, :]  # (rb, n, m) at one symbol
     dn = 3
     emp = np.mean(y[:, dn:, :] * y[:, :-dn, :].conj()) / np.mean(np.abs(y) ** 2)
     theo = np.sum(
@@ -127,9 +141,7 @@ def test_frequency_correlation_matches_pdp_transform(num):
 
 def test_unit_power_and_zero_mean(num):
     prof = ChannelProfile("EVA70", 70.0, 2.51e-6)
-    cfg = SystemConfig(num_rbs=50, num_antennas=50, max_mux=4, ul_power=1.0, dl_power=1.0, noise_power=1.0)
-    real = _one_user_realization(prof, cfg, seed=13)
-    h = real.h[0]
+    h = _one_user_channels(prof, _cfg(50, 50), seed=13)
     n = h.size
     # |h|^2 has unit mean and ~unit std; means within 3 standard errors
     assert abs(np.mean(np.abs(h) ** 2) - 1.0) < 3.0 / np.sqrt(n / 168)  # REs correlated within an RB
@@ -138,8 +150,6 @@ def test_unit_power_and_zero_mean(num):
 
 def test_doppler_band_limitation(num):
     # periodogram energy of a long series concentrates inside [-f, f]
-    from pilotadapt.channel import generate_single_grid
-
     prof = ChannelProfile("ETU300", 300.0, 4.69e-6)
     n_t = 4096
     rng = np.random.default_rng(21)
@@ -153,23 +163,98 @@ def test_doppler_band_limitation(num):
 
 def test_realization_immutable(num, profiles):
     pop = build_population([1, 1, 1, 1], FadingSpec(), seed=0)
-    cfg = SystemConfig(num_rbs=1, num_antennas=2, max_mux=4, ul_power=1.0, dl_power=1.0, noise_power=1.0)
-    real = generate_realization(pop, profiles, cfg, seed=0)
-    with pytest.raises(ValueError):
-        real.h[0, 0, 0, 0, 0] = 0.0
+    real = generate_realization(pop, profiles, _cfg(1, 2), seed=0)
+    cross, norms = real.gram(0)
+    for arr in (cross, norms):
+        with pytest.raises(ValueError):
+            arr[0, 0, 0] = 0.0
+    with pytest.raises(AttributeError):
+        real.seed = 1
+    assert not hasattr(real, "h")
 
 
 def test_gram_matches_direct_inner_products(num, profiles):
+    """The Gram accumulated over antenna blocks equals the one-block Gram of
+    the same RB's channels; M = 70 is not a multiple of the block size."""
     pop = build_population([2, 1, 1, 1], FadingSpec(), seed=0)
-    cfg = SystemConfig(num_rbs=2, num_antennas=5, max_mux=4, ul_power=1.0, dl_power=1.0, noise_power=1.0)
-    real = generate_realization(pop, profiles, cfg, seed=3)
+    for m in (5, 70):
+        cfg = _cfg(2, m)
+        real = generate_realization(pop, profiles, cfg, seed=3)
+        assert real.num_users == 5
+        for rb in range(cfg.num_rbs):
+            cross, norms = real.gram(rb)
+            h = draw_channels(pop, profiles, cfg, 3, rb)  # (K, T, N, M)
+            inner = np.einsum("ktnm,jtnm->kjtn", h.conj(), h)
+            assert np.allclose(cross, np.abs(inner) ** 2, rtol=1e-12, atol=0.0)
+            assert np.allclose(norms, np.sum(np.abs(h) ** 2, axis=-1), rtol=1e-12, atol=0.0)
+        assert "array" not in repr(real)
+
+
+def test_from_channels_matches_generated_grams(num, profiles):
+    pop = build_population([1, 2, 1, 1], FadingSpec(), seed=2)
+    cfg = _cfg(3, 40)
+    real = generate_realization(pop, profiles, cfg, seed=4)
+    h = np.stack([draw_channels(pop, profiles, cfg, 4, rb) for rb in range(3)], axis=1)
+    explicit = ChannelRealization.from_channels(h, num)
+    for rb in range(3):
+        assert np.allclose(explicit.gram(rb)[0], real.gram(rb)[0], rtol=1e-12, atol=0.0)
+        assert np.allclose(explicit.gram(rb)[1], real.gram(rb)[1], rtol=1e-12, atol=0.0)
+
+
+ONE_TAP = ChannelProfile("one-tap", 70.0, 1e-6, taps=((0.0, 1.0),))
+THREE_TAP = ChannelProfile("three-tap", 300.0, 4.69e-6, taps=((0.0, 0.5), (1.5e-6, 0.3), (4.69e-6, 0.2)))
+
+
+@pytest.mark.parametrize("profile", [ONE_TAP, THREE_TAP, builtin_profiles()[1]], ids=lambda p: p.name)
+@pytest.mark.parametrize("shape", [(14, 12, 1), (14, 12, 130), (140, 24, 1), (28, 120, 3)])
+def test_single_grid_matches_einsum_oracle(num, profile, shape):
+    """The matmul kernel equals the step-by-step einsum form on RB-sized,
+    estimation-sized (wide) and many-antenna grids."""
+    t, n, a = shape
+    got = generate_single_grid(profile, t, n, num, np.random.default_rng(7), num_antennas=a)
+    want = oracle_single_grid(profile, t, n, num, np.random.default_rng(7), num_antennas=a)
+    assert got.shape == want.shape == shape
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_drawn_blocks_continue_one_stream(num):
+    """M = 130 is drawn in several blocks, yet each user's channels equal one
+    draw of all 130 antennas from that user's (seed, user, RB) generator."""
+    profs = [ONE_TAP, THREE_TAP]
+    pop = build_population([1, 2], FadingSpec(), seed=0)
+    cfg = _cfg(2, 130)
+    assert cfg.num_antennas % channel._ANTENNA_CHUNK != 0
     for rb in range(cfg.num_rbs):
-        cross, norms = real.gram(rb)
-        h = real.h[:, rb]  # (K, T, N, M)
-        inner = np.einsum("ktnm,jtnm->kjtn", h.conj(), h)
-        assert np.allclose(cross, np.abs(inner) ** 2, rtol=1e-12, atol=0.0)
-        assert np.allclose(norms, np.sum(np.abs(h) ** 2, axis=-1), rtol=1e-12, atol=0.0)
-        assert real.gram(rb)[0] is cross  # cached, not rebuilt
-        with pytest.raises(ValueError):
-            cross[0, 0, 0, 0] = 0.0
-    assert "_grams" not in repr(real)
+        h = draw_channels(pop, profs, cfg, 11, rb)
+        for user in pop.users:
+            rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((11, user.id, rb))))
+            want = oracle_single_grid(profs[user.group_id], 14, 12, num, rng, num_antennas=130)
+            assert np.max(np.abs(h[user.id] - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_fewer_antennas_draw_the_leading_antennas(profiles):
+    """Common random numbers across M: the M = 64 draw is the first 64
+    antennas of the M = 112 draw with the same seed."""
+    pop = build_population([2, 2, 2, 2], FadingSpec(), seed=0)
+    for rb in range(2):
+        h64 = draw_channels(pop, profiles, _cfg(2, 64), 5000, rb)
+        h112 = draw_channels(pop, profiles, _cfg(2, 112), 5000, rb)
+        assert np.max(np.abs(h64 - h112[..., :64])) <= 1e-12
+
+
+def test_generation_memory_is_per_block(profiles):
+    """K = 16 users, M = 256, 4 RBs: one RB's channels take 11 MB. Each RB's
+    Gram is accumulated from antenna blocks, so the peak allocation of a whole
+    realization stays under half of one RB's channels; building any RB's full
+    channel array first would not."""
+    pop = build_population([4, 4, 4, 4], FadingSpec(), seed=0)
+    cfg = _cfg(4, 256)
+    generate_realization(pop, profiles, cfg, seed=0)  # warm caches and lazy imports
+    one_rb = pop.num_users * 14 * 12 * cfg.num_antennas * 16
+    tracemalloc.start()
+    try:
+        generate_realization(pop, profiles, cfg, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * one_rb

@@ -80,14 +80,14 @@ def test_replay_row_round_trip():
 
 @pytest.mark.parametrize("scheduler", ["greedy", "exact"])
 def test_trial_builds_each_rb_gram_once(monkeypatch, scheduler):
-    builds = Counter()  # keyed by the address of the RB's channel slice
-    build = channel._build_gram
+    builds = Counter()  # draws of one RB's channels, keyed by (seed, RB)
+    draw = channel._antenna_blocks
 
-    def counting_build(h_rb):
-        builds[h_rb.ctypes.data] += 1
-        return build(h_rb)
+    def counting_draw(pop, profiles, cfg, seed, rb):
+        builds[seed, rb] += 1
+        return draw(pop, profiles, cfg, seed, rb)
 
-    monkeypatch.setattr(channel, "_build_gram", counting_build)
+    monkeypatch.setattr(channel, "_antenna_blocks", counting_draw)
     cfg = ExperimentConfig(**{**QUICK, "direction": "both", "scheduler": scheduler})
     rows = run_trial(cfg, 8, 4, 0, trial_seed(cfg.seed, 0, 0, 0))
     assert [r.direction for r in rows] == ["uplink", "downlink"]
@@ -367,6 +367,32 @@ def test_cli_malformed_config_one_json_line(tmp_path, capsys, filename, text):
     lines = captured.err.splitlines()
     assert len(lines) == 1
     assert set(json.loads(lines[0])) == {"error"}
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ("m_list = [8, 0]\n", "m_list"),
+        ("m_list = [-8]\n", "m_list"),
+        ("u_mux_list = [0]\n", "u_mux_list"),
+        ("u_mux_list = [4, -1]\n", "u_mux_list"),
+        ("num_rbs = 0\n", "num_rbs"),
+        ("num_rbs = -2\n", "num_rbs"),
+    ],
+)
+def test_cli_out_of_range_sizes_refused_before_any_trial(tmp_path, capsys, monkeypatch, text, key):
+    def no_trial(*args):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(experiments, "run_trial", no_trial)
+    path = tmp_path / "range.toml"
+    path.write_text('trials = 1\nscheduler = "greedy"\n' + text)
+    assert cli_main(["simulate", "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert key in json.loads(lines[0])["error"]
 
 
 def test_cli_users_do_not_fit_error(tmp_path, capsys):

@@ -98,9 +98,7 @@ def test_added_interferer_never_helps():
 
 def _realization_from_array(h, n_s, n_sc):
     num = tiny_numerology(n_s, n_sc)
-    return ChannelRealization(
-        h=h, seed=0, profile_names=("test",) * h.shape[0], numerology=num
-    )
+    return ChannelRealization.from_channels(h, num)
 
 
 def test_rb_rate_unit_sinr_cases():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from pilotadapt.channel import (
     ChannelRealization,
     builtin_profiles,
+    draw_channels,
     generate_realization,
     max_spacing,
 )
@@ -121,9 +122,8 @@ def test_exact_tie_rule(k, n_rbs, mux, expected):
     lowest user ids first. The per-transition dict DP that preceded the
     dense one chose the same partitions on these instances."""
     pop, cfg, real, pattern, _ = _instance(50, k=k, n_rbs=n_rbs, mux=mux)
-    same = ChannelRealization(
-        h=np.ones_like(real.h), seed=0, profile_names=real.profile_names,
-        numerology=real.numerology,
+    same = ChannelRealization.from_channels(
+        np.ones((k, n_rbs, 14, 12, cfg.num_antennas), dtype=complex), real.numerology
     )
     for direction in ("uplink", "downlink"):
         calc = RbRateCalculator(same, 0, cfg, pattern, direction, pop.fadings())
@@ -138,9 +138,8 @@ def test_greedy_tie_rule():
     rate, so the greedy's lowest-id tie rule fills the RBs with the lowest
     user ids first."""
     pop, cfg, real, pattern, _ = _instance(50, k=6, n_rbs=3, mux=2)
-    same = ChannelRealization(
-        h=np.ones_like(real.h), seed=0, profile_names=real.profile_names,
-        numerology=real.numerology,
+    same = ChannelRealization.from_channels(
+        np.ones((6, 3, 14, 12, cfg.num_antennas), dtype=complex), real.numerology
     )
     for direction in ("uplink", "downlink"):
         assign, _ = conventional_schedule_greedy(same, pop, cfg, pattern, direction)
@@ -327,13 +326,9 @@ def test_evaluate_schedule_empty_rb_contributes_zero():
 
 
 def test_identical_rbs_contribute_equally():
-    import numpy as np
-    from pilotadapt.channel import ChannelRealization
-
-    pop, cfg, real, pattern, _ = _instance(32, k=4, n_rbs=2)
-    h = real.h.copy()
-    h[:, 1] = h[:, 0]  # duplicate RB 0 into RB 1
-    dup = ChannelRealization(h=h, seed=0, profile_names=real.profile_names, numerology=real.numerology)
+    pop, cfg, real, pattern, profiles = _instance(32, k=4, n_rbs=2)
+    h0 = draw_channels(pop, profiles, cfg, 32, 0)
+    dup = ChannelRealization.from_channels(np.stack([h0, h0], axis=1), real.numerology)  # RB 1 = RB 0
     assign = ScheduleAssignment(
         rb_users=((0, 1), (0, 1)),
         rb_patterns=(pattern, pattern),
