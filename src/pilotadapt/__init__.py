@@ -8,12 +8,10 @@ in Monte Carlo and in the large-system limit.
 
 from .asymptotics import (
     AsymptoticModel,
-    SuperiorityCheck,
     asymptotic_rates,
     deterministic_sinr,
     gain_bound,
     sinr_bar,
-    superiority_check,
 )
 from .channel import (
     ChannelProfile,
@@ -62,13 +60,7 @@ from .patterns import (
     group_overheads,
     select_pattern_for_group,
 )
-from .phy import (
-    downlink_sinr,
-    mrc_combiner,
-    mrt_precoder,
-    sinr_from_gram,
-    uplink_sinr,
-)
+from .phy import sinr_from_gram
 from .scheduling import (
     RbRateCalculator,
     ScheduleAssignment,

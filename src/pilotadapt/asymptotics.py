@@ -23,8 +23,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .core import FadingSpec, SystemConfig
 from .errors import ConfigurationError
 
@@ -124,31 +122,3 @@ def gain_bound(gammas: Sequence[float], overhead_ratios: Sequence[float]) -> flo
     den = 1.0 - max(overhead_ratios)
     return num / den - 1.0
 
-
-@dataclass(frozen=True)
-class SuperiorityCheck:
-    """Paired Monte Carlo comparison of grouping vs conventional rates."""
-
-    fraction_strictly_better: float
-    mean_difference: float
-    stderr_difference: float
-    trials: int
-
-
-def superiority_check(
-    grp_rates: Sequence[float], conv_rates: Sequence[float]
-) -> SuperiorityCheck:
-    """Empirical probability that grouping beats the conventional baseline."""
-    grp = np.asarray(grp_rates, dtype=float)
-    conv = np.asarray(conv_rates, dtype=float)
-    if grp.shape != conv.shape or grp.size < 10:
-        raise ConfigurationError("need at least 10 paired trials")
-    diff = grp - conv
-    n = diff.size
-    se = float(diff.std(ddof=1) / math.sqrt(n)) if n > 1 else float("nan")
-    return SuperiorityCheck(
-        fraction_strictly_better=float(np.mean(diff > 0.0)),
-        mean_difference=float(diff.mean()),
-        stderr_difference=se,
-        trials=n,
-    )

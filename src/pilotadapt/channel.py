@@ -87,13 +87,11 @@ class ChannelRealization:
     """
 
     grams: tuple[tuple[np.ndarray, np.ndarray], ...] = field(repr=False)
-    seed: int
-    profile_names: tuple[str, ...]
     numerology: Numerology
 
     @classmethod
     def from_channels(cls, h: np.ndarray, numerology: Numerology) -> ChannelRealization:
-        """Realization of explicit channels h (K, RBs, T, N, M), seed 0."""
+        """Realization of explicit channels h (K, RBs, T, N, M)."""
         m = h.shape[-1]
         grams = tuple(
             _accumulate_gram(
@@ -102,11 +100,7 @@ class ChannelRealization:
             )
             for rb in range(h.shape[1])
         )
-        return cls(grams, 0, ("explicit",) * h.shape[0], numerology)
-
-    def gram(self, rb: int) -> tuple[np.ndarray, np.ndarray]:
-        """(cross, norms) of one RB, read-only."""
-        return self.grams[rb]
+        return cls(grams, numerology)
 
     @property
     def num_users(self) -> int:
@@ -286,5 +280,4 @@ def generate_realization(
         _accumulate_gram(_antenna_blocks(pop, profiles, cfg, seed, rb))
         for rb in range(cfg.num_rbs)
     )
-    names = tuple(profiles[user.group_id].name for user in pop.users)
-    return ChannelRealization(grams, seed, names, cfg.numerology)
+    return ChannelRealization(grams, cfg.numerology)

@@ -96,6 +96,8 @@ class FadingSpec:
                 raise ConfigurationError("explicit fading needs positive values")
         elif self.value <= 0:
             raise ConfigurationError("fading gain must be positive")
+        if not self.spread_db >= 0.0:
+            raise ConfigurationError(f"fading spread_db must be non-negative, got {self.spread_db}")
 
     def mean(self) -> float:
         """E[eta] in linear units."""

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -76,6 +77,12 @@ class ExperimentConfig:
             raise ConfigurationError(f"unknown user picker {self.picker!r}")
         if self.seed < 0:
             raise ConfigurationError("seed must be non-negative")
+        noise = self.derived_noise_power()
+        if not (math.isfinite(noise) and noise > 0.0):
+            raise ConfigurationError(
+                f"noise power must be finite and positive, got {noise} "
+                f"(snr_db = {self.snr_db}, noise_power = {self.noise_power})"
+            )
 
     def resolved_profiles(self) -> list[ChannelProfile]:
         if self.profiles == "table1":
@@ -85,8 +92,11 @@ class ExperimentConfig:
     def derived_noise_power(self) -> float:
         if self.noise_power is not None:
             return self.noise_power
-        # snr_db fixes mean(eta)*P_ul / sigma^2
-        return self.fading.mean() * self.ul_power / 10.0 ** (self.snr_db / 10.0)
+        # snr_db fixes mean(eta)*P_ul / sigma^2; nan when out of float range
+        try:
+            return self.fading.mean() * self.ul_power / 10.0 ** (self.snr_db / 10.0)
+        except (OverflowError, ZeroDivisionError):
+            return math.nan
 
     def sizes_for(self, mux: int) -> list[int]:
         if self.group_sizes != "auto":
@@ -292,11 +302,15 @@ def rows_to_json(rows: list[ResultRow]) -> str:
 # ---------------------------------------------------------------------------
 # config files: flat key = value text, or JSON with the same keys
 
+# a line up to its first `#` outside quotes (an unclosed quote runs to the end)
+_BEFORE_COMMENT = re.compile(r"""(?:[^#"']|"[^"]*(?:"|$)|'[^']*(?:'|$))*""")
+
+
 def parse_flat_config(text: str) -> dict:
     """Parse the flat `key = value` format (strings, numbers, [lists])."""
     out: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = _BEFORE_COMMENT.match(raw).group().strip()
         if not line:
             continue
         if "=" not in line:

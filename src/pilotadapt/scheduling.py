@@ -83,7 +83,7 @@ class RbRateCalculator:
         fadings: np.ndarray,
     ):
         num = realization.numerology
-        self._cross, self._norms = realization.gram(rb)
+        self._cross, self._norms = realization.grams[rb]
         self._mask = _data_mask(pattern, num.symbols_per_rb, num.subcarriers_per_rb)
         self._n_re = num.res_per_rb
         self._eta = np.asarray(fadings, dtype=float)

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from pilotadapt.channel import builtin_profiles
+from pilotadapt.channel import ChannelRealization, builtin_profiles
 from pilotadapt.core import FadingSpec, Numerology, SystemConfig, build_population, lte_numerology
+from pilotadapt.phy import sinr_from_gram
 from pilotadapt.scheduling import RbRateCalculator
 
 
@@ -47,3 +48,14 @@ def rb_rate(real, rb, users, pattern, cfg, direction, fadings=None):
     eta = np.ones(real.num_users) if fadings is None else fadings
     calc = RbRateCalculator(real, rb, cfg, pattern, direction, eta)
     return float(calc.rates_for_subsets([users])[0])
+
+
+def kernel_sinr(h, fadings, cfg, direction):
+    """Per-RE SINRs (U, REs) of channels h (REs, U, M) through the Gram
+    kernel, with the REs laid out as the symbols of one subcarrier."""
+    h = np.asarray(h)
+    channels = h.transpose(1, 0, 2)[:, None, :, None, :]
+    real = ChannelRealization.from_channels(channels, tiny_numerology(h.shape[0], 1))
+    cross, norms = real.grams[0]
+    eta = np.asarray(fadings, dtype=float)
+    return sinr_from_gram(cross, norms, eta, cfg, direction)[..., 0]

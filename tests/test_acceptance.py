@@ -38,7 +38,6 @@ from pilotadapt.patterns import (
     default_registry,
     select_pattern_for_group,
 )
-from pilotadapt.phy import downlink_sinr, uplink_sinr
 from pilotadapt.scheduling import (
     conventional_schedule_exact,
     conventional_schedule_greedy,
@@ -46,7 +45,7 @@ from pilotadapt.scheduling import (
     grouping_schedule,
 )
 
-from conftest import random_channels, rb_rate, tiny_numerology
+from conftest import kernel_sinr, random_channels, rb_rate, tiny_numerology
 from oracles import oracle_rb_rate
 from test_scheduler import exhaustive_best
 
@@ -119,6 +118,7 @@ def test_criterion_2_scheduler_exactness():
 def test_criterion_3_deterministic_equivalent_convergence():
     """Mean per-RE SINR approaches the closed-form equivalent as M grows.
 
+    The SINRs come from `sinr_from_gram`, the kernel behind every rate.
     SINRs are compared on the decibel scale (mean of 10*log10(SINR) against
     the closed form in dB): the mean of the linear SINR keeps an
     M-independent Jensen gap of ~30% from the U-user closed form at fixed
@@ -135,10 +135,8 @@ def test_criterion_3_deterministic_equivalent_convergence():
         )
         h = random_channels(rng, n_re, u, m)
         eta = [1.0] * u
-        for direction, fn in (("uplink", uplink_sinr), ("downlink", downlink_sinr)):
-            samples = np.array(
-                [fn(h[i], k, eta, cfg) for i in range(n_re) for k in range(u)]
-            )
+        for direction in ("uplink", "downlink"):
+            samples = kernel_sinr(h, eta, cfg, direction)
             model = AsymptoticModel(
                 alpha=u / m, beta=u / 168, gammas=(1.0,), fading=FadingSpec(),
                 direction=direction, power=1.0, noise_power=sigma2,

@@ -9,7 +9,6 @@ from pilotadapt.asymptotics import (
     deterministic_sinr,
     gain_bound,
     sinr_bar,
-    superiority_check,
 )
 from pilotadapt.core import FadingSpec
 from pilotadapt.errors import ConfigurationError
@@ -125,20 +124,6 @@ def test_gain_bound_nonnegative_randomized():
         assert gain_bound(g, rho) >= -1e-12
 
 
-def test_superiority_check_stats():
-    grp = [1.1, 1.2, 1.3, 1.15, 1.25, 1.18, 1.22, 1.3, 1.16, 1.24]
-    conv = [1.0] * 10
-    chk = superiority_check(grp, conv)
-    assert chk.fraction_strictly_better == 1.0
-    assert chk.mean_difference == pytest.approx(np.mean(grp) - 1.0)
-    assert chk.trials == 10
-    # dominance pole: identical inputs give zero strict superiority
-    chk = superiority_check(conv, conv)
-    assert chk.fraction_strictly_better == 0.0
-    with pytest.raises(ConfigurationError):
-        superiority_check([1.0] * 5, [1.0] * 5)
-
-
 def test_model_validations():
     with pytest.raises(ConfigurationError):
         AsymptoticModel(1.5, 0.1, (1.0,), FadingSpec(), "uplink", 1.0, 1.0)
@@ -163,9 +148,8 @@ def test_model_from_system():
 def test_mrc_sinr_approaches_deterministic_equivalent():
     """Mean uplink SINR (dB scale) closes in on the closed form as M grows."""
     from pilotadapt.core import SystemConfig
-    from pilotadapt.phy import uplink_sinr
 
-    from conftest import random_channels
+    from conftest import kernel_sinr, random_channels
 
     u, sigma2, n_re = 8, 0.1, 300
     rng = np.random.default_rng(77)
@@ -176,9 +160,7 @@ def test_mrc_sinr_approaches_deterministic_equivalent():
             ul_power=1.0, dl_power=1.0, noise_power=sigma2,
         )
         h = random_channels(rng, n_re, u, m)
-        samples = np.array(
-            [uplink_sinr(h[i], k, [1.0] * u, cfg) for i in range(n_re) for k in range(u)]
-        )
+        samples = kernel_sinr(h, [1.0] * u, cfg, "uplink")
         model = _model(noise=sigma2)
         det_db = 10.0 * np.log10(deterministic_sinr(model, 1.0, 1.0, m, u))
         mean_db = np.mean(10.0 * np.log10(samples))

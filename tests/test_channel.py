@@ -111,9 +111,9 @@ def test_realization_seed_determinism(num, profiles):
     b = generate_realization(pop, profiles, cfg, seed=9)
     c = generate_realization(pop, profiles, cfg, seed=10)
     for rb in range(cfg.num_rbs):
-        assert np.array_equal(a.gram(rb)[0], b.gram(rb)[0])
-        assert np.array_equal(a.gram(rb)[1], b.gram(rb)[1])
-        assert not np.array_equal(a.gram(rb)[0], c.gram(rb)[0])
+        assert np.array_equal(a.grams[rb][0], b.grams[rb][0])
+        assert np.array_equal(a.grams[rb][1], b.grams[rb][1])
+        assert not np.array_equal(a.grams[rb][0], c.grams[rb][0])
     assert np.array_equal(draw_channels(pop, profiles, cfg, 9, 1), draw_channels(pop, profiles, cfg, 9, 1))
 
 
@@ -164,12 +164,12 @@ def test_doppler_band_limitation(num):
 def test_realization_immutable(num, profiles):
     pop = build_population([1, 1, 1, 1], FadingSpec(), seed=0)
     real = generate_realization(pop, profiles, _cfg(1, 2), seed=0)
-    cross, norms = real.gram(0)
+    cross, norms = real.grams[0]
     for arr in (cross, norms):
         with pytest.raises(ValueError):
             arr[0, 0, 0] = 0.0
     with pytest.raises(AttributeError):
-        real.seed = 1
+        real.numerology = num
     assert not hasattr(real, "h")
 
 
@@ -182,7 +182,7 @@ def test_gram_matches_direct_inner_products(num, profiles):
         real = generate_realization(pop, profiles, cfg, seed=3)
         assert real.num_users == 5
         for rb in range(cfg.num_rbs):
-            cross, norms = real.gram(rb)
+            cross, norms = real.grams[rb]
             h = draw_channels(pop, profiles, cfg, 3, rb)  # (K, T, N, M)
             inner = np.einsum("ktnm,jtnm->kjtn", h.conj(), h)
             assert np.allclose(cross, np.abs(inner) ** 2, rtol=1e-12, atol=0.0)
@@ -197,8 +197,8 @@ def test_from_channels_matches_generated_grams(num, profiles):
     h = np.stack([draw_channels(pop, profiles, cfg, 4, rb) for rb in range(3)], axis=1)
     explicit = ChannelRealization.from_channels(h, num)
     for rb in range(3):
-        assert np.allclose(explicit.gram(rb)[0], real.gram(rb)[0], rtol=1e-12, atol=0.0)
-        assert np.allclose(explicit.gram(rb)[1], real.gram(rb)[1], rtol=1e-12, atol=0.0)
+        assert np.allclose(explicit.grams[rb][0], real.grams[rb][0], rtol=1e-12, atol=0.0)
+        assert np.allclose(explicit.grams[rb][1], real.grams[rb][1], rtol=1e-12, atol=0.0)
 
 
 ONE_TAP = ChannelProfile("one-tap", 70.0, 1e-6, taps=((0.0, 1.0),))

@@ -219,6 +219,9 @@ def test_unknown_config_key_rejected():
 def test_flat_parser_scalars():
     parsed = parse_flat_config('a = 1\nb = 2.5\nc = "x"\nd = [1, 2]\ne = true\n')
     assert parsed == {"a": 1, "b": 2.5, "c": "x", "d": [1, 2], "e": True}
+    # a `#` inside quotes is part of the value; one outside starts a comment
+    parsed = parse_flat_config('out = "rows#1.csv"\ntrials = 3  # "three"\n# whole line\n')
+    assert parsed == {"out": "rows#1.csv", "trials": 3}
 
 
 def test_auto_group_sizes_scale_with_mux():
@@ -343,6 +346,7 @@ _PROFILE = {"max_doppler_hz": 5.0, "max_delay_spread_s": 0.4e-6}
         ("seed_negative.toml", "seed = -1\n"),
         ("snr_str.toml", 'snr_db = "high"\n'),
         ("fading_bad.toml", 'fading = "lognormal:x"\n'),
+        ("fading_negative_spread.toml", 'fading = "lognormal:-3"\n'),
         ("picker_bad.toml", 'picker = "first"\n'),
         ("no_equals.toml", "trials 3\n"),
         ("truncated.json", '{"m_list": [8], "trials": '),
@@ -352,6 +356,10 @@ _PROFILE = {"max_doppler_hz": 5.0, "max_delay_spread_s": 0.4e-6}
         ("profiles_empty.json", json.dumps({"profiles": []})),
         ("taps_bad.json", json.dumps({"profiles": [{**_PROFILE, "name": "a", "taps": [1]}]})),
         ("fading_dict_bad.json", json.dumps({"fading": {"kind": "constant", "value": "x"}})),
+        (
+            "fading_dict_negative_spread.json",
+            json.dumps({"fading": {"kind": "lognormal", "spread_db": -3}}),
+        ),
         ("binary.toml", b"\xff\xfe\x00trials = 1"),
     ],
 )
@@ -378,6 +386,9 @@ def test_cli_malformed_config_one_json_line(tmp_path, capsys, filename, text):
         ("u_mux_list = [4, -1]\n", "u_mux_list"),
         ("num_rbs = 0\n", "num_rbs"),
         ("num_rbs = -2\n", "num_rbs"),
+        ("snr_db = 4000\n", "snr_db"),
+        ("snr_db = -4000\n", "snr_db"),
+        ("noise_power = 0\n", "noise_power"),
     ],
 )
 def test_cli_out_of_range_sizes_refused_before_any_trial(tmp_path, capsys, monkeypatch, text, key):

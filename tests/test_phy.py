@@ -5,11 +5,11 @@ from pilotadapt.channel import ChannelRealization, PilotSpacing
 from pilotadapt.core import SystemConfig
 from pilotadapt.errors import DegenerateChannelError
 from pilotadapt.patterns import build_pattern
-from pilotadapt.phy import downlink_sinr, mrc_combiner, mrt_precoder, uplink_sinr
-from pilotadapt.scheduling import ScheduleAssignment, evaluate_schedule
+from pilotadapt.phy import sinr_from_gram
+from pilotadapt.scheduling import RbRateCalculator, ScheduleAssignment, evaluate_schedule
 
-from conftest import random_channels, rb_rate, tiny_numerology
-from oracles import oracle_rb_rate
+from conftest import kernel_sinr, random_channels, rb_rate, tiny_numerology
+from oracles import oracle_downlink_sinr, oracle_rb_rate, oracle_uplink_sinr
 
 
 def _cfg(m, sigma2=1.0, n_rbs=1, mux=4):
@@ -22,7 +22,7 @@ def _cfg(m, sigma2=1.0, n_rbs=1, mux=4):
 def test_uplink_sinr_hand_example():
     # h = [1, 1]: |w^H h|^2 = 4, noise 2*2 = 4 -> SINR = 1
     cfg = _cfg(2, sigma2=2.0)
-    assert uplink_sinr([np.array([1.0, 1.0])], 0, [1.0], cfg) == pytest.approx(1.0)
+    assert kernel_sinr(np.array([[[1.0, 1.0]]]), [1.0], cfg, "uplink")[0, 0] == pytest.approx(1.0)
 
 
 def test_uplink_sinr_single_user_closed_form():
@@ -30,21 +30,26 @@ def test_uplink_sinr_single_user_closed_form():
     cfg = _cfg(4, sigma2=0.7)
     h = random_channels(rng, 4)
     expected = np.linalg.norm(h) ** 2 / 0.7
-    assert uplink_sinr([h], 0, [1.0], cfg) == pytest.approx(expected)
+    assert kernel_sinr(h[None, None], [1.0], cfg, "uplink")[0, 0] == pytest.approx(expected)
+
+
+def _orthogonal_interferer_is_free(direction):
+    cfg = _cfg(2, sigma2=1.0)
+    h1, h2 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+    pair = kernel_sinr(np.array([[h1, h2]]), [1.0, 1.0], cfg, direction)
+    alone = kernel_sinr(np.array([[h1]]), [1.0], cfg, direction)
+    assert pair[0, 0] == pytest.approx(alone[0, 0])
 
 
 def test_uplink_orthogonal_interferer_is_free():
-    cfg = _cfg(2, sigma2=1.0)
-    h1, h2 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
-    assert uplink_sinr([h1, h2], 0, [1.0, 1.0], cfg) == pytest.approx(
-        uplink_sinr([h1], 0, [1.0], cfg)
-    )
+    _orthogonal_interferer_is_free("uplink")
 
 
 def test_downlink_sinr_hand_example():
     # M = 2, h = [1, i]: |w^H h|^2 = 8, denominator 4 -> SINR = 2
     cfg = _cfg(2, sigma2=1.0)
-    assert downlink_sinr([np.array([1.0, 1.0j])], 0, [1.0], cfg) == pytest.approx(2.0)
+    got = kernel_sinr(np.array([[[1.0, 1.0j]]]), [1.0], cfg, "downlink")[0, 0]
+    assert got == pytest.approx(2.0)
 
 
 def test_downlink_single_user_closed_form():
@@ -52,48 +57,56 @@ def test_downlink_single_user_closed_form():
     cfg = _cfg(8, sigma2=0.3)
     h = random_channels(rng, 8)
     expected = np.linalg.norm(h) ** 2 / 0.3
-    assert downlink_sinr([h], 0, [1.0], cfg) == pytest.approx(expected)
+    assert kernel_sinr(h[None, None], [1.0], cfg, "downlink")[0, 0] == pytest.approx(expected)
 
 
 def test_downlink_orthogonal_interferer_is_free():
-    cfg = _cfg(2, sigma2=1.0)
-    h1, h2 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
-    assert downlink_sinr([h1, h2], 0, [1.0, 1.0], cfg) == pytest.approx(
-        downlink_sinr([h1], 0, [1.0], cfg)
-    )
-
-
-def test_beamformer_conventions():
-    rng = np.random.default_rng(2)
-    h = random_channels(rng, 16)
-    assert np.array_equal(mrc_combiner(h), h)
-    w = mrt_precoder(h, 16)
-    assert np.linalg.norm(w) == pytest.approx(16.0)
-    with pytest.raises(DegenerateChannelError):
-        mrt_precoder(np.zeros(4, dtype=complex), 4)
-
-
-def test_uplink_scale_invariance():
-    # rescaling the combiner by any nonzero complex scalar leaves SINR unchanged
-    rng = np.random.default_rng(3)
-    cfg = _cfg(4, sigma2=0.5)
-    h = [random_channels(rng, 4) for _ in range(3)]
-    base = uplink_sinr(h, 1, [1.0, 0.8, 1.3], cfg)
-    for scale in (2.0, -0.5, 1.7j, 0.3 - 0.9j):
-        scaled = uplink_sinr(h, 1, [1.0, 0.8, 1.3], cfg, w=scale * h[1])
-        assert scaled == pytest.approx(base, rel=1e-12)
+    _orthogonal_interferer_is_free("downlink")
 
 
 def test_added_interferer_never_helps():
     rng = np.random.default_rng(4)
     cfg = _cfg(6, sigma2=0.2)
     for _ in range(20):
-        h = [random_channels(rng, 6) for _ in range(3)]
+        h = np.array([[random_channels(rng, 6) for _ in range(3)]])
         eta = list(rng.uniform(0.5, 2.0, 3))
-        for direction, fn in (("ul", uplink_sinr), ("dl", downlink_sinr)):
-            two = fn(h[:2], 0, eta[:2], cfg)
-            three = fn(h, 0, eta, cfg)
+        for direction in ("uplink", "downlink"):
+            two = kernel_sinr(h[:, :2], eta[:2], cfg, direction)[0, 0]
+            three = kernel_sinr(h, eta, cfg, direction)[0, 0]
             assert three <= two + 1e-12
+
+
+def test_sinr_from_gram_matches_per_re_oracles():
+    """Every user's SINR on every RE equals the straight-line MRC/MRT
+    formulas, for the full user set and for a batch of subsets."""
+    rng = np.random.default_rng(8)
+    m, u, n_s, n_sc = 5, 4, 3, 2
+    cfg = SystemConfig(
+        num_rbs=1, num_antennas=m, max_mux=u,
+        ul_power=1.3, dl_power=0.7, noise_power=0.4,
+    )
+    subsets = np.array([[0, 1, 2, 3], [3, 1, 0, 2]])
+    for _ in range(5):
+        h = random_channels(rng, u, 1, n_s, n_sc, m)
+        eta = rng.uniform(0.3, 3.0, u)
+        cross, norms = _realization_from_array(h, n_s, n_sc).grams[0]
+        for direction in ("uplink", "downlink"):
+            got = sinr_from_gram(
+                cross[subsets[:, :, None], subsets[:, None, :]],
+                norms[subsets], eta[subsets], cfg, direction,
+            )
+            p = cfg.power(direction)
+            for b, users in enumerate(subsets):
+                for t in range(n_s):
+                    for n in range(n_sc):
+                        h_set = [h[j, 0, t, n] for j in users]
+                        fad = list(eta[users])
+                        for i in range(len(users)):
+                            if direction == "uplink":
+                                want = oracle_uplink_sinr(h_set, i, fad, p, 0.4)
+                            else:
+                                want = oracle_downlink_sinr(h_set, i, fad, p, 0.4, m)
+                            assert got[b, i, t, n] == pytest.approx(want, rel=1e-12)
 
 
 def _realization_from_array(h, n_s, n_sc):
@@ -162,8 +175,14 @@ def test_rb_rate_rejects_overloaded_set():
 
 
 def test_degenerate_channel_raises():
-    cfg = _cfg(2)
-    with pytest.raises(DegenerateChannelError):
-        uplink_sinr([np.zeros(2, dtype=complex)], 0, [1.0], cfg)
-    with pytest.raises(DegenerateChannelError):
-        downlink_sinr([np.zeros(2, dtype=complex)], 0, [1.0], cfg)
+    # user 1 has a zero channel on one RE of the RB
+    rng = np.random.default_rng(9)
+    h = random_channels(rng, 2, 1, 2, 2, 3)
+    h[1, 0, 1, 0] = 0.0
+    real = _realization_from_array(h, 2, 2)
+    cfg = _cfg(3, mux=2)
+    for direction in ("uplink", "downlink"):
+        calc = RbRateCalculator(real, 0, cfg, None, direction, np.ones(2))
+        assert calc.rates_for_subsets([[0]])[0] > 0.0
+        with pytest.raises(DegenerateChannelError):
+            calc.rates_for_subsets([[0, 1]])
