@@ -60,7 +60,7 @@ from .patterns import (
     group_overheads,
     select_pattern_for_group,
 )
-from .phy import sinr_from_gram
+from .phy import pair_terms, subset_sinr
 from .scheduling import (
     RbRateCalculator,
     ScheduleAssignment,

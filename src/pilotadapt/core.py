@@ -98,6 +98,12 @@ class FadingSpec:
             raise ConfigurationError("fading gain must be positive")
         if not self.spread_db >= 0.0:
             raise ConfigurationError(f"fading spread_db must be non-negative, got {self.spread_db}")
+        try:
+            finite = math.isfinite(self.mean())
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ConfigurationError(f"fading spread_db {self.spread_db} makes the mean gain overflow")
 
     def mean(self) -> float:
         """E[eta] in linear units."""

@@ -27,10 +27,15 @@ from .channel import ChannelProfile, ChannelRealization
 from .core import SystemConfig, UserPopulation
 from .errors import ConfigurationError, ExactSearchBudgetError, NoDataRoomError
 from .patterns import PatternRegistry, PilotPattern, select_pattern_for_group
-from .phy import sinr_from_gram
+from .phy import pair_terms, subset_sinr
 
-# transition cap for the exact DP; K=16 balanced needs ~1.8e6
-MAX_DP_TRANSITIONS = 30_000_000
+# cost cap for the exact DP, in (state, subset) transitions, where one row
+# a subset-rate table gathers counts as _TABLE_ROW_COST transitions; K=16
+# balanced on 4 RBs costs ~1.8e6, K=20 on 4 RBs x 5 layers ~1.1e8
+MAX_DP_TRANSITIONS = 130_000_000
+# ~600 ns per gathered pair-term row (168 REs at most) against ~75 ns per
+# transition, the slowest of each measured on 2-core x86 at K = 14..20
+_TABLE_ROW_COST = 8
 # user cap for the exact DP: each stage holds four dense 2^K float64/int64
 # arrays, 512 MiB at K = 24, however few transitions the instance has
 MAX_DP_USERS = 24
@@ -70,7 +75,8 @@ class RbRateCalculator:
     """Per-RB spectral efficiency of user subsets, from the realization's
     Gram: log2(1 + SINR) of every scheduled user summed over the
     data REs (those outside `pattern`; all of them when it is None) and
-    divided by the block's full RE count.
+    divided by the block's full RE count. The RB's pair terms are built
+    once, so each subset costs one gather-sum.
     """
 
     def __init__(
@@ -83,12 +89,9 @@ class RbRateCalculator:
         fadings: np.ndarray,
     ):
         num = realization.numerology
-        self._cross, self._norms = realization.grams[rb]
-        self._mask = _data_mask(pattern, num.symbols_per_rb, num.subcarriers_per_rb)
-        self._n_re = num.res_per_rb
-        self._eta = np.asarray(fadings, dtype=float)
-        self._cfg = cfg
-        self._direction = direction
+        data = _data_mask(pattern, num.symbols_per_rb, num.subcarriers_per_rb)
+        self._terms = pair_terms(*realization.grams[rb], fadings, cfg, direction, data)
+        self._scale = 1.0 / (math.log(2.0) * num.res_per_rb)
 
     def rates_for_subsets(self, subsets: np.ndarray) -> np.ndarray:
         """RB rates of many equally sized user subsets at once.
@@ -96,13 +99,8 @@ class RbRateCalculator:
         subsets: integer array (batch, subset_size) of user ids; rows of
         size 0 (empty RBs) rate 0.
         """
-        subsets = np.asarray(subsets, dtype=np.intp)
-        cross = self._cross[subsets[:, :, None], subsets[:, None, :]]  # (B, s, s, T, N)
-        sinr = sinr_from_gram(
-            cross, self._norms[subsets], self._eta[subsets], self._cfg, self._direction
-        )
-        rates = np.log2(1.0 + sinr[:, :, self._mask]).sum(axis=(1, 2))
-        return rates / self._n_re
+        sinr = subset_sinr(self._terms, np.asarray(subsets, dtype=np.intp))
+        return np.log1p(sinr, out=sinr).sum(axis=(1, 2)) * self._scale
 
 
 def _data_mask(pattern: PilotPattern | None, n_s: int, n_sc: int) -> np.ndarray:
@@ -124,13 +122,6 @@ def _partition_sizes(k: int, n_rbs: int, mux: int) -> list[int]:
         sizes.append(take)
         left -= take
     return sizes
-
-
-def _make_calculators(realization, cfg, pattern, direction, fadings):
-    return [
-        RbRateCalculator(realization, rb, cfg, pattern, direction, fadings)
-        for rb in range(cfg.num_rbs)
-    ]
 
 
 def conventional_schedule_exact(
@@ -163,13 +154,13 @@ def conventional_schedule_exact(
     check_exact_budget(k, n_rbs, mux)
 
     fadings = pop.fadings()
-    calcs = _make_calculators(realization, cfg, pattern, direction, fadings)
-
     value = np.full(1 << k, -np.inf)
     value[0] = 0.0
     states = np.zeros(1, dtype=np.int64)
     backs = []  # per stage: (reached state masks ascending, chosen subset masks)
-    for stage, calc in enumerate(calcs):
+    for stage in range(n_rbs):
+        # one stage's pair terms at a time: each RB's are (K, K, data REs)
+        calc = RbRateCalculator(realization, stage, cfg, pattern, direction, fadings)
         room = (n_rbs - stage - 1) * mux  # users the later RBs can still take
         value, states, subs = _dp_stage(value, states, calc, k, mux, room)
         backs.append((states, subs))
@@ -265,12 +256,13 @@ def check_users_fit(k: int, n_rbs: int, mux: int) -> None:
 
 def check_exact_budget(k: int, n_rbs: int, mux: int) -> None:
     """Raise ExactSearchBudgetError if the exact DP on K users, n_rbs RBs and
-    mux layers would visit more than MAX_DP_TRANSITIONS transitions or need
+    mux layers would cost more than MAX_DP_TRANSITIONS transitions or need
     dense tables for more than MAX_DP_USERS users."""
     est = _estimate_transitions(k, n_rbs, mux)
     if est > MAX_DP_TRANSITIONS:
         raise ExactSearchBudgetError(
-            f"~{est:.0f} DP transitions exceed the budget {MAX_DP_TRANSITIONS}; "
+            f"~{est:.0f} DP transitions (subset-rate tables included) exceed the "
+            f"budget {MAX_DP_TRANSITIONS}; "
             "use the greedy scheduler"
         )
     if k > MAX_DP_USERS:
@@ -281,7 +273,9 @@ def check_exact_budget(k: int, n_rbs: int, mux: int) -> None:
 
 
 def _estimate_transitions(k: int, n_rbs: int, mux: int) -> float:
-    """Count the (state, subset) pairs the DP will visit.
+    """Count the (state, subset) pairs the DP will visit, plus
+    _TABLE_ROW_COST for each of the s^2 pair-term rows that each stage's
+    rate table gathers per size-s subset.
 
     States with c users placed are bounded by C(k, c); subset sizes are
     constrained so the remaining users still fit the remaining RBs.
@@ -290,6 +284,7 @@ def _estimate_transitions(k: int, n_rbs: int, mux: int) -> float:
     levels = {0}
     for r in range(n_rbs):
         nxt: set[int] = set()
+        sizes: set[int] = set()
         for c in levels:
             free = k - c
             lo = max(0, free - (n_rbs - r - 1) * mux)
@@ -297,6 +292,8 @@ def _estimate_transitions(k: int, n_rbs: int, mux: int) -> float:
             for size in range(lo, hi + 1):
                 total += math.comb(k, c) * math.comb(free, size)
                 nxt.add(c + size)
+                sizes.add(size)
+        total += _TABLE_ROW_COST * sum(math.comb(k, s) * s * s for s in sizes)
         levels = nxt
     return total
 
@@ -317,17 +314,17 @@ def conventional_schedule_greedy(
     n_rbs, mux = cfg.num_rbs, cfg.max_mux
     check_users_fit(k, n_rbs, mux)
     fadings = pop.fadings()
-    calcs = _make_calculators(realization, cfg, pattern, direction, fadings)
     sizes = _partition_sizes(k, n_rbs, mux)
 
     remaining = list(range(k))
     chosen: list[tuple[int, ...]] = []
     total = 0.0
     for rb in range(n_rbs):
+        calc = RbRateCalculator(realization, rb, cfg, pattern, direction, fadings)
         current: tuple[int, ...] = ()
         current_rate = 0.0
         for _ in range(sizes[rb]):
-            cands = calcs[rb].rates_for_subsets([current + (u,) for u in remaining])
+            cands = calc.rates_for_subsets([current + (u,) for u in remaining])
             best = int(np.argmax(cands - current_rate))  # first maximum: lowest id
             current = tuple(sorted(current + (remaining.pop(best),)))
             current_rate = float(cands[best])

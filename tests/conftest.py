@@ -3,7 +3,7 @@ import pytest
 
 from pilotadapt.channel import ChannelRealization, builtin_profiles
 from pilotadapt.core import FadingSpec, Numerology, SystemConfig, build_population, lte_numerology
-from pilotadapt.phy import sinr_from_gram
+from pilotadapt.phy import pair_terms, subset_sinr
 from pilotadapt.scheduling import RbRateCalculator
 
 
@@ -51,11 +51,12 @@ def rb_rate(real, rb, users, pattern, cfg, direction, fadings=None):
 
 
 def kernel_sinr(h, fadings, cfg, direction):
-    """Per-RE SINRs (U, REs) of channels h (REs, U, M) through the Gram
+    """Per-RE SINRs (U, REs) of channels h (REs, U, M) through the pair-term
     kernel, with the REs laid out as the symbols of one subcarrier."""
     h = np.asarray(h)
+    n_re, u = h.shape[:2]
     channels = h.transpose(1, 0, 2)[:, None, :, None, :]
-    real = ChannelRealization.from_channels(channels, tiny_numerology(h.shape[0], 1))
-    cross, norms = real.grams[0]
-    eta = np.asarray(fadings, dtype=float)
-    return sinr_from_gram(cross, norms, eta, cfg, direction)[..., 0]
+    real = ChannelRealization.from_channels(channels, tiny_numerology(n_re, 1))
+    data = np.ones((n_re, 1), dtype=bool)
+    terms = pair_terms(*real.grams[0], fadings, cfg, direction, data)
+    return subset_sinr(terms, np.arange(u)[None])[0]

@@ -118,7 +118,8 @@ def test_criterion_2_scheduler_exactness():
 def test_criterion_3_deterministic_equivalent_convergence():
     """Mean per-RE SINR approaches the closed-form equivalent as M grows.
 
-    The SINRs come from `sinr_from_gram`, the kernel behind every rate.
+    The SINRs come from `phy.pair_terms` and `phy.subset_sinr`, the kernel
+    behind every rate.
     SINRs are compared on the decibel scale (mean of 10*log10(SINR) against
     the closed form in dB): the mean of the linear SINR keeps an
     M-independent Jensen gap of ~30% from the U-user closed form at fixed
@@ -219,21 +220,25 @@ def test_criterion_5_gain_behavior():
     ]
     bound = gain_bound(gammas, rhos)
 
+    cfg112 = SystemConfig(
+        num_rbs=4, num_antennas=112, max_mux=mux,
+        ul_power=1.0, dl_power=1.0, noise_power=0.1,
+    )
+    cfg64 = SystemConfig(
+        num_rbs=4, num_antennas=64, max_mux=mux,
+        ul_power=1.0, dl_power=1.0, noise_power=0.1,
+    )
     gains = {64: [], 112: []}
     for trial in range(trials):
-        cfg112 = SystemConfig(
-            num_rbs=4, num_antennas=112, max_mux=mux,
-            ul_power=1.0, dl_power=1.0, noise_power=0.1,
+        # common random numbers: one M=112 draw per trial, whose first 64
+        # antennas are the M=64 system (the Grams equal generate_realization's
+        # at either M, because antennas are drawn in order from one generator
+        # per (seed, user, RB))
+        h = np.stack(
+            [draw_channels(pop, profiles, cfg112, 5000 + trial, rb) for rb in range(4)], axis=1
         )
-        cfg64 = SystemConfig(
-            num_rbs=4, num_antennas=64, max_mux=mux,
-            ul_power=1.0, dl_power=1.0, noise_power=0.1,
-        )
-        # common random numbers: antennas are drawn in order from one
-        # generator per (seed, user, RB), so the M=64 draw is the first 64
-        # antennas of the M=112 draw with the same seed
-        real112 = generate_realization(pop, profiles, cfg112, seed=5000 + trial)
-        real64 = generate_realization(pop, profiles, cfg64, seed=5000 + trial)
+        real112 = ChannelRealization.from_channels(h, num)
+        real64 = ChannelRealization.from_channels(h[..., :64], num)
         for m, real, cfg in ((64, real64, cfg64), (112, real112, cfg112)):
             _, r_conv = conventional_schedule_greedy(real, pop, cfg, pattern, "uplink")
             assign = grouping_schedule(

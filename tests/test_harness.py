@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import os
 import subprocess
 import sys
 from collections import Counter
@@ -347,6 +348,8 @@ _PROFILE = {"max_doppler_hz": 5.0, "max_delay_spread_s": 0.4e-6}
         ("snr_str.toml", 'snr_db = "high"\n'),
         ("fading_bad.toml", 'fading = "lognormal:x"\n'),
         ("fading_negative_spread.toml", 'fading = "lognormal:-3"\n'),
+        ("fading_overflow_spread.toml", 'fading = "lognormal:200"\n'),
+        ("fading_overflow_spread_noise.toml", 'fading = "lognormal:200"\nnoise_power = 0.1\n'),
         ("picker_bad.toml", 'picker = "first"\n'),
         ("no_equals.toml", "trials 3\n"),
         ("truncated.json", '{"m_list": [8], "trials": '),
@@ -430,6 +433,17 @@ def test_cli_bad_worker_count(tmp_path, capsys, monkeypatch, workers):
     assert "PILOTADAPT_WORKERS" in json.loads(lines[0])["error"]
 
 
+@pytest.mark.parametrize("command", ["simulate", "asymptotics"])
+def test_cli_lognormal_mean_overflow_names_spread(tmp_path, capsys, command):
+    """A spread whose lognormal mean overflows is blamed on spread_db, with or
+    without an explicit noise power."""
+    for text in ('fading = "lognormal:200"\n', 'fading = "lognormal:200"\nnoise_power = 0.1\n'):
+        path = tmp_path / "spread.toml"
+        path.write_text(text)
+        assert cli_main([command, "--config", str(path)]) == 1
+        assert "spread_db" in json.loads(capsys.readouterr().err)["error"]
+
+
 def test_cli_exact_budget_error(tmp_path, capsys):
     path = tmp_path / "big.toml"
     path.write_text('m_list = [8]\nu_mux_list = [7]\ntrials = 1\nscheduler = "exact"\n')
@@ -438,11 +452,20 @@ def test_cli_exact_budget_error(tmp_path, capsys):
     assert "greedy" in err["error"]
 
 
+def _child_env() -> dict:
+    """The environment with the repository's src/ first on PYTHONPATH, so a
+    child interpreter imports this checkout's package."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+
+
 def test_cli_unknown_flag_exits_2(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "pilotadapt.cli", "simulate", "--bogus"],
         capture_output=True,
         text=True,
+        env=_child_env(),
     )
     assert proc.returncode == 2
 
@@ -452,6 +475,7 @@ def test_cli_entrypoint_runs():
         [sys.executable, "-m", "pilotadapt.cli", "--help"],
         capture_output=True,
         text=True,
+        env=_child_env(),
     )
     assert proc.returncode == 0
     assert "patterns" in proc.stdout

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from pilotadapt.channel import ChannelRealization, PilotSpacing
 from pilotadapt.core import SystemConfig
 from pilotadapt.errors import DegenerateChannelError
 from pilotadapt.patterns import build_pattern
-from pilotadapt.phy import sinr_from_gram
+from pilotadapt.phy import pair_terms, subset_sinr
 from pilotadapt.scheduling import RbRateCalculator, ScheduleAssignment, evaluate_schedule
 
 from conftest import kernel_sinr, random_channels, rb_rate, tiny_numerology
@@ -76,7 +78,7 @@ def test_added_interferer_never_helps():
             assert three <= two + 1e-12
 
 
-def test_sinr_from_gram_matches_per_re_oracles():
+def test_pair_terms_match_per_re_oracles():
     """Every user's SINR on every RE equals the straight-line MRC/MRT
     formulas, for the full user set and for a batch of subsets."""
     rng = np.random.default_rng(8)
@@ -86,15 +88,14 @@ def test_sinr_from_gram_matches_per_re_oracles():
         ul_power=1.3, dl_power=0.7, noise_power=0.4,
     )
     subsets = np.array([[0, 1, 2, 3], [3, 1, 0, 2]])
+    data = np.ones((n_s, n_sc), dtype=bool)
     for _ in range(5):
         h = random_channels(rng, u, 1, n_s, n_sc, m)
         eta = rng.uniform(0.3, 3.0, u)
-        cross, norms = _realization_from_array(h, n_s, n_sc).grams[0]
+        gram = _realization_from_array(h, n_s, n_sc).grams[0]
         for direction in ("uplink", "downlink"):
-            got = sinr_from_gram(
-                cross[subsets[:, :, None], subsets[:, None, :]],
-                norms[subsets], eta[subsets], cfg, direction,
-            )
+            terms = pair_terms(*gram, eta, cfg, direction, data)
+            got = subset_sinr(terms, subsets).reshape(len(subsets), u, n_s, n_sc)
             p = cfg.power(direction)
             for b, users in enumerate(subsets):
                 for t in range(n_s):
@@ -107,6 +108,35 @@ def test_sinr_from_gram_matches_per_re_oracles():
                             else:
                                 want = oracle_downlink_sinr(h_set, i, fad, p, 0.4, m)
                             assert got[b, i, t, n] == pytest.approx(want, rel=1e-12)
+
+
+def test_subset_rates_match_per_re_oracles_on_data_res():
+    """Under a pilot pattern, the calculator's rate of every subset of every
+    size up to max_mux equals the per-RE oracles summed over the data REs."""
+    rng = np.random.default_rng(10)
+    m, u, n_s, n_sc, mux = 4, 5, 4, 3, 3
+    cfg = SystemConfig(
+        num_rbs=1, num_antennas=m, max_mux=mux,
+        ul_power=1.3, dl_power=0.7, noise_power=0.4,
+    )
+    pat = build_pattern(PilotSpacing(2, 3), tiny_numerology(n_s, n_sc), 1)
+    assert 0 < pat.size < n_s * n_sc
+    for _ in range(3):
+        h = random_channels(rng, u, 1, n_s, n_sc, m)
+        eta = rng.uniform(0.3, 3.0, u)
+        real = _realization_from_array(h, n_s, n_sc)
+        for direction in ("uplink", "downlink"):
+            calc = RbRateCalculator(real, 0, cfg, pat, direction, eta)
+            p = cfg.power(direction)
+            for size in range(1, mux + 1):
+                subsets = np.array(list(itertools.combinations(range(u), size)))
+                got = calc.rates_for_subsets(subsets)
+                for rate, users in zip(got, subsets):
+                    want = oracle_rb_rate(
+                        h[users, 0].tolist(), list(eta[users]), pat.positions, p, 0.4,
+                        direction,
+                    )
+                    assert rate == pytest.approx(want, rel=1e-12)
 
 
 def _realization_from_array(h, n_s, n_sc):
@@ -186,3 +216,23 @@ def test_degenerate_channel_raises():
         assert calc.rates_for_subsets([[0]])[0] > 0.0
         with pytest.raises(DegenerateChannelError):
             calc.rates_for_subsets([[0, 1]])
+
+
+def test_degenerate_channel_on_pilot_re_raises():
+    """A zero channel on a pilot RE still makes the user unschedulable,
+    although the rates read only the data REs."""
+    rng = np.random.default_rng(11)
+    n_s, n_sc = 2, 2
+    pat = build_pattern(PilotSpacing(2, 2), tiny_numerology(n_s, n_sc), 1)
+    t, n = pat.positions[0]
+    h = random_channels(rng, 3, 1, n_s, n_sc, 3)
+    h[1, 0, t, n] = 0.0
+    real = _realization_from_array(h, n_s, n_sc)
+    cfg = _cfg(3, mux=2)
+    for direction in ("uplink", "downlink"):
+        calc = RbRateCalculator(real, 0, cfg, pat, direction, np.ones(3))
+        assert np.all(calc.rates_for_subsets([[0], [2]]) > 0.0)
+        assert calc.rates_for_subsets([[0, 2]])[0] > 0.0
+        for users in ([1], [0, 1]):
+            with pytest.raises(DegenerateChannelError):
+                calc.rates_for_subsets([users])

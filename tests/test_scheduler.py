@@ -186,6 +186,15 @@ def test_exact_refuses_dense_tables_beyond_user_cap():
         check_exact_budget(MAX_DP_USERS + 1, 1, MAX_DP_USERS + 1)
 
 
+def test_exact_budget_counts_subset_tables():
+    """K = 20 on 4 RBs x 5 layers fits the budget. K = 24 on 2 RBs x 15
+    layers visits fewer DP transitions, but its subset-rate tables gather
+    ~4e9 pair-term rows, so it is refused."""
+    check_exact_budget(20, 4, 5)
+    with pytest.raises(ExactSearchBudgetError, match="greedy"):
+        check_exact_budget(24, 2, 15)
+
+
 def test_greedy_never_beats_exact():
     for seed in range(4):
         pop, cfg, real, pattern, _ = _instance(10 + seed)
