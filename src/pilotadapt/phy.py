@@ -50,9 +50,10 @@ def pair_terms(
     k, keep = len(norms), data.ravel()
     degenerate = (norms == 0.0).any(axis=(1, 2))
     # compress keeps the RE axis contiguous, so subset_sinr gathers whole rows
-    cross = cross.reshape(k, k, -1).compress(keep, axis=2)
+    cross = cross.reshape(k, k, keep.size).compress(keep, axis=2)
     # a degenerate user never rates, so its norms only have to be nonzero
-    norms = np.where(degenerate[:, None], 1.0, norms.reshape(k, -1).compress(keep, axis=1))
+    norms = norms.reshape(k, keep.size).compress(keep, axis=1)
+    norms = np.where(degenerate[:, None], 1.0, norms)
     g = cfg.power(direction) * np.asarray(eta, dtype=float)[:, None]
     if direction == "uplink":
         v, a, b = g[None] * cross, g * norms**2, norms * cfg.noise_power

@@ -18,6 +18,7 @@ from that group only.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -77,6 +78,9 @@ class RbRateCalculator:
     data REs (those outside `pattern`; all of them when it is None) and
     divided by the block's full RE count. The RB's pair terms are built
     once, so each subset costs one gather-sum.
+
+    `users` restricts the pair terms to the users that subsets may contain
+    (all of them when None); subsets still name users by id.
     """
 
     def __init__(
@@ -87,10 +91,18 @@ class RbRateCalculator:
         pattern: PilotPattern | None,
         direction: str,
         fadings: np.ndarray,
+        users: Sequence[int] | None = None,
     ):
         num = realization.numerology
         data = _data_mask(pattern, num.symbols_per_rb, num.subcarriers_per_rb)
-        self._terms = pair_terms(*realization.grams[rb], fadings, cfg, direction, data)
+        k = realization.num_users
+        users = np.arange(k) if users is None else np.asarray(users, dtype=np.intp)
+        cross, norms = realization.grams[rb]
+        cross, norms = cross[users[:, None], users], norms[users]
+        fadings = np.asarray(fadings)[users]
+        self._local = np.full(k, -1, dtype=np.intp)  # user id -> row of the pair terms
+        self._local[users] = np.arange(len(users))
+        self._terms = pair_terms(cross, norms, fadings, cfg, direction, data)
         self._scale = 1.0 / (math.log(2.0) * num.res_per_rb)
 
     def rates_for_subsets(self, subsets: np.ndarray) -> np.ndarray:
@@ -99,7 +111,10 @@ class RbRateCalculator:
         subsets: integer array (batch, subset_size) of user ids; rows of
         size 0 (empty RBs) rate 0.
         """
-        sinr = subset_sinr(self._terms, np.asarray(subsets, dtype=np.intp))
+        subsets = self._local[np.asarray(subsets, dtype=np.intp)]
+        if (subsets < 0).any():
+            raise ValueError("subset names a user outside the calculator's users")
+        sinr = subset_sinr(self._terms, subsets)
         return np.log1p(sinr, out=sinr).sum(axis=(1, 2)) * self._scale
 
 
@@ -320,7 +335,8 @@ def conventional_schedule_greedy(
     chosen: list[tuple[int, ...]] = []
     total = 0.0
     for rb in range(n_rbs):
-        calc = RbRateCalculator(realization, rb, cfg, pattern, direction, fadings)
+        # only the users still unscheduled can join this RB
+        calc = RbRateCalculator(realization, rb, cfg, pattern, direction, fadings, remaining)
         current: tuple[int, ...] = ()
         current_rate = 0.0
         for _ in range(sizes[rb]):
@@ -433,6 +449,6 @@ def evaluate_schedule(
     for rb, (users, pattern) in enumerate(zip(assignment.rb_users, assignment.rb_patterns)):
         if len(users) > cfg.max_mux:
             raise ValueError(f"{len(users)} users exceed the multiplexing cap {cfg.max_mux}")
-        calc = RbRateCalculator(realization, rb, cfg, pattern, direction, fadings)
+        calc = RbRateCalculator(realization, rb, cfg, pattern, direction, fadings, users)
         rates.append(calc.rates_for_subsets([users])[0])
     return float(np.mean(rates))

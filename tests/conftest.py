@@ -6,6 +6,8 @@ from pilotadapt.core import FadingSpec, Numerology, SystemConfig, build_populati
 from pilotadapt.phy import pair_terms, subset_sinr
 from pilotadapt.scheduling import RbRateCalculator
 
+from oracles import oracle_grams
+
 
 @pytest.fixture(scope="session")
 def num():
@@ -56,7 +58,7 @@ def kernel_sinr(h, fadings, cfg, direction):
     h = np.asarray(h)
     n_re, u = h.shape[:2]
     channels = h.transpose(1, 0, 2)[:, None, :, None, :]
-    real = ChannelRealization.from_channels(channels, tiny_numerology(n_re, 1))
+    real = ChannelRealization(oracle_grams(channels), tiny_numerology(n_re, 1))
     data = np.ones((n_re, 1), dtype=bool)
     terms = pair_terms(*real.grams[0], fadings, cfg, direction, data)
     return subset_sinr(terms, np.arange(u)[None])[0]

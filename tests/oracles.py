@@ -83,3 +83,17 @@ def oracle_single_grid(profile, num_symbols, num_subcarriers, num, rng, num_ante
     sc = np.arange(num_subcarriers) * num.subcarrier_spacing_hz
     mix = np.exp(-2j * math.pi * np.outer(sc, delays))  # (N, L)
     return np.einsum("alt,nl->tna", taps, mix)
+
+
+def oracle_grams(h):
+    """Per-RB (cross, norms) of explicit channels h (K, RBs, T, N, M): the
+    inner products h_k^H h_j over all antennas in the frequency domain, one
+    matmul per RE, in `ChannelRealization.grams`' layout. The library builds
+    the same Grams in the tap domain without forming h."""
+    import numpy as np
+
+    h = np.asarray(h, dtype=np.complex128).transpose(1, 2, 3, 0, 4)  # (RBs, T, N, K, M)
+    inner = np.matmul(h.conj(), h.swapaxes(-1, -2)).transpose(0, 3, 4, 1, 2)  # (RBs, K, K, T, N)
+    return tuple(
+        (g.real**2 + g.imag**2, np.einsum("kktn->ktn", g).real.copy()) for g in inner
+    )

@@ -46,7 +46,7 @@ from pilotadapt.scheduling import (
 )
 
 from conftest import kernel_sinr, random_channels, rb_rate, tiny_numerology
-from oracles import oracle_rb_rate
+from oracles import oracle_grams, oracle_rb_rate
 from test_scheduler import exhaustive_best
 
 
@@ -71,7 +71,7 @@ def test_criterion_1_formula_fidelity():
         h = random_channels(rng, u, 1, n_s, n_sc, m)
         eta = rng.uniform(0.5, 2.0, u)
         sigma2 = float(rng.uniform(0.05, 2.0))
-        real = ChannelRealization.from_channels(h, num)
+        real = ChannelRealization(oracle_grams(h), num)
         cfg = SystemConfig(
             num_rbs=1, num_antennas=m, max_mux=4,
             ul_power=1.0, dl_power=1.0, noise_power=sigma2,
@@ -230,15 +230,11 @@ def test_criterion_5_gain_behavior():
     )
     gains = {64: [], 112: []}
     for trial in range(trials):
-        # common random numbers: one M=112 draw per trial, whose first 64
-        # antennas are the M=64 system (the Grams equal generate_realization's
-        # at either M, because antennas are drawn in order from one generator
-        # per (seed, user, RB))
-        h = np.stack(
-            [draw_channels(pop, profiles, cfg112, 5000 + trial, rb) for rb in range(4)], axis=1
-        )
-        real112 = ChannelRealization.from_channels(h, num)
-        real64 = ChannelRealization.from_channels(h[..., :64], num)
+        # common random numbers: the M=64 system is the first 64 antennas of
+        # the M=112 one, because antennas are drawn in order from one
+        # generator per (seed, user, RB)
+        real112 = generate_realization(pop, profiles, cfg112, seed=5000 + trial)
+        real64 = generate_realization(pop, profiles, cfg64, seed=5000 + trial)
         for m, real, cfg in ((64, real64, cfg64), (112, real112, cfg112)):
             _, r_conv = conventional_schedule_greedy(real, pop, cfg, pattern, "uplink")
             assign = grouping_schedule(

@@ -7,18 +7,18 @@ from scipy.special import j0
 from pilotadapt import channel
 from pilotadapt.channel import (
     ChannelProfile,
-    ChannelRealization,
     PilotSpacing,
     builtin_profiles,
     draw_channels,
     generate_realization,
     generate_single_grid,
     max_spacing,
+    unit_phasors,
 )
 from pilotadapt.core import FadingSpec, Numerology, SystemConfig, build_population
 from pilotadapt.errors import ConfigurationError, UnsupportableProfileError
 
-from oracles import oracle_single_grid
+from oracles import oracle_grams, oracle_single_grid
 
 
 def test_max_spacing_etu300(num):
@@ -82,6 +82,10 @@ def test_profile_validations():
 def test_default_bracket_pdp():
     prof = ChannelProfile("x", 70.0, 2.51e-6)
     assert prof.taps == ((0.0, 0.5), (2.51e-6, 0.5))
+
+
+ONE_TAP = ChannelProfile("one-tap", 70.0, 1e-6, taps=((0.0, 1.0),))
+THREE_TAP = ChannelProfile("three-tap", 300.0, 4.69e-6, taps=((0.0, 0.5), (1.5e-6, 0.3), (4.69e-6, 0.2)))
 
 
 def _one_user_channels(profile, cfg, seed):
@@ -173,36 +177,30 @@ def test_realization_immutable(num, profiles):
     assert not hasattr(real, "h")
 
 
-def test_gram_matches_direct_inner_products(num, profiles):
-    """The Gram accumulated over antenna blocks equals the one-block Gram of
-    the same RB's channels; M = 70 is not a multiple of the block size."""
-    pop = build_population([2, 1, 1, 1], FadingSpec(), seed=0)
+def test_gram_matches_direct_inner_products():
+    """The tap-domain Gram accumulated over antenna blocks equals the
+    frequency-domain Gram of the same RB's channels. One-, two- and
+    three-tap users share the blocks, so the padded taps are exercised, and
+    M = 70 is not a multiple of the block size."""
+    profs = [ONE_TAP, THREE_TAP, builtin_profiles()[1]]
+    pop = build_population([2, 1, 2], FadingSpec(), seed=0)
     for m in (5, 70):
         cfg = _cfg(2, m)
-        real = generate_realization(pop, profiles, cfg, seed=3)
+        real = generate_realization(pop, profs, cfg, seed=3)
         assert real.num_users == 5
-        for rb in range(cfg.num_rbs):
-            cross, norms = real.grams[rb]
-            h = draw_channels(pop, profiles, cfg, 3, rb)  # (K, T, N, M)
-            inner = np.einsum("ktnm,jtnm->kjtn", h.conj(), h)
-            assert np.allclose(cross, np.abs(inner) ** 2, rtol=1e-12, atol=0.0)
-            assert np.allclose(norms, np.sum(np.abs(h) ** 2, axis=-1), rtol=1e-12, atol=0.0)
+        h = np.stack([draw_channels(pop, profs, cfg, 3, rb) for rb in range(2)], axis=1)
+        for (cross, norms), (want_cross, want_norms) in zip(real.grams, oracle_grams(h)):
+            assert np.allclose(cross, want_cross, rtol=1e-12, atol=0.0)
+            assert np.allclose(norms, want_norms, rtol=1e-12, atol=0.0)
         assert "array" not in repr(real)
 
 
-def test_from_channels_matches_generated_grams(num, profiles):
-    pop = build_population([1, 2, 1, 1], FadingSpec(), seed=2)
-    cfg = _cfg(3, 40)
-    real = generate_realization(pop, profiles, cfg, seed=4)
-    h = np.stack([draw_channels(pop, profiles, cfg, 4, rb) for rb in range(3)], axis=1)
-    explicit = ChannelRealization.from_channels(h, num)
-    for rb in range(3):
-        assert np.allclose(explicit.grams[rb][0], real.grams[rb][0], rtol=1e-12, atol=0.0)
-        assert np.allclose(explicit.grams[rb][1], real.grams[rb][1], rtol=1e-12, atol=0.0)
-
-
-ONE_TAP = ChannelProfile("one-tap", 70.0, 1e-6, taps=((0.0, 1.0),))
-THREE_TAP = ChannelProfile("three-tap", 300.0, 4.69e-6, taps=((0.0, 0.5), (1.5e-6, 0.3), (4.69e-6, 0.2)))
+def test_unit_phasors_match_exp():
+    rng = np.random.default_rng(17)
+    edges = [0.0, np.pi / 2, np.pi, 3 * np.pi / 2, np.nextafter(2 * np.pi, 0.0)]
+    phases = np.concatenate([rng.uniform(0.0, 2.0 * np.pi, 100_000), edges])
+    err = np.abs(unit_phasors(phases) - np.exp(1j * phases))
+    assert np.max(err) <= 2 * np.finfo(float).eps
 
 
 @pytest.mark.parametrize("profile", [ONE_TAP, THREE_TAP, builtin_profiles()[1]], ids=lambda p: p.name)

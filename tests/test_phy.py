@@ -11,7 +11,7 @@ from pilotadapt.phy import pair_terms, subset_sinr
 from pilotadapt.scheduling import RbRateCalculator, ScheduleAssignment, evaluate_schedule
 
 from conftest import kernel_sinr, random_channels, rb_rate, tiny_numerology
-from oracles import oracle_downlink_sinr, oracle_rb_rate, oracle_uplink_sinr
+from oracles import oracle_downlink_sinr, oracle_grams, oracle_rb_rate, oracle_uplink_sinr
 
 
 def _cfg(m, sigma2=1.0, n_rbs=1, mux=4):
@@ -141,7 +141,7 @@ def test_subset_rates_match_per_re_oracles_on_data_res():
 
 def _realization_from_array(h, n_s, n_sc):
     num = tiny_numerology(n_s, n_sc)
-    return ChannelRealization.from_channels(h, num)
+    return ChannelRealization(oracle_grams(h), num)
 
 
 def test_rb_rate_unit_sinr_cases():

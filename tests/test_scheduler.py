@@ -30,6 +30,7 @@ from pilotadapt.scheduling import (
 )
 
 from conftest import rb_rate
+from oracles import oracle_grams
 
 
 def _instance(seed, k=8, n_rbs=2, m=4, mux=4, sigma2=0.1):
@@ -122,8 +123,8 @@ def test_exact_tie_rule(k, n_rbs, mux, expected):
     lowest user ids first. The per-transition dict DP that preceded the
     dense one chose the same partitions on these instances."""
     pop, cfg, real, pattern, _ = _instance(50, k=k, n_rbs=n_rbs, mux=mux)
-    same = ChannelRealization.from_channels(
-        np.ones((k, n_rbs, 14, 12, cfg.num_antennas), dtype=complex), real.numerology
+    same = ChannelRealization(
+        oracle_grams(np.ones((k, n_rbs, 14, 12, cfg.num_antennas))), real.numerology
     )
     for direction in ("uplink", "downlink"):
         calc = RbRateCalculator(same, 0, cfg, pattern, direction, pop.fadings())
@@ -138,8 +139,8 @@ def test_greedy_tie_rule():
     rate, so the greedy's lowest-id tie rule fills the RBs with the lowest
     user ids first."""
     pop, cfg, real, pattern, _ = _instance(50, k=6, n_rbs=3, mux=2)
-    same = ChannelRealization.from_channels(
-        np.ones((6, 3, 14, 12, cfg.num_antennas), dtype=complex), real.numerology
+    same = ChannelRealization(
+        oracle_grams(np.ones((6, 3, 14, 12, cfg.num_antennas))), real.numerology
     )
     for direction in ("uplink", "downlink"):
         assign, _ = conventional_schedule_greedy(same, pop, cfg, pattern, direction)
@@ -337,7 +338,8 @@ def test_evaluate_schedule_empty_rb_contributes_zero():
 def test_identical_rbs_contribute_equally():
     pop, cfg, real, pattern, profiles = _instance(32, k=4, n_rbs=2)
     h0 = draw_channels(pop, profiles, cfg, 32, 0)
-    dup = ChannelRealization.from_channels(np.stack([h0, h0], axis=1), real.numerology)  # RB 1 = RB 0
+    # RB 1 = RB 0
+    dup = ChannelRealization(oracle_grams(np.stack([h0, h0], axis=1)), real.numerology)
     assign = ScheduleAssignment(
         rb_users=((0, 1), (0, 1)),
         rb_patterns=(pattern, pattern),
@@ -401,3 +403,19 @@ def test_grouping_gain_vs_exact_rises_with_antennas():
             vals.append(r_grp / r_conv - 1.0)
         gains[m] = np.mean(vals)
     assert gains[256] > gains[64]
+
+
+@pytest.mark.parametrize("direction", ["uplink", "downlink"])
+def test_calculator_over_some_users_matches_all_users(direction):
+    """Pair terms built for a subset of the users rate that subset's user
+    sets bit-identically to the all-users calculator, and refuse others."""
+    pop, cfg, real, pattern, _ = _instance(33, k=8, n_rbs=2)
+    users = [6, 1, 4, 3]
+    for rb in range(cfg.num_rbs):
+        full = RbRateCalculator(real, rb, cfg, pattern, direction, pop.fadings())
+        some = RbRateCalculator(real, rb, cfg, pattern, direction, pop.fadings(), users)
+        for size in range(len(users) + 1):
+            subsets = np.array(list(itertools.combinations(users, size)), dtype=np.intp)
+            assert np.array_equal(some.rates_for_subsets(subsets), full.rates_for_subsets(subsets))
+        with pytest.raises(ValueError):
+            some.rates_for_subsets([[1, 2]])
