@@ -203,7 +203,10 @@ def generate_single_grid(
 
 
 # Antennas drawn per block while an RB's Gram is accumulated. A block holds
-# (T, K, L, chunk) complex tap values plus the phases that made them.
+# the (K, chunk, L, 32) phases, their phasors and the (T, K, L, chunk) taps
+# (2.2 MB at K = 28, L = 2), so generation memory does not grow with M. At
+# K = 28, blocks of 64 generated as fast at M = 512 and 9% faster at M = 112
+# for 3 MB more peak memory; 16 was 7-14% slower and 128 60-75% slower.
 _ANTENNA_CHUNK = 32
 
 
