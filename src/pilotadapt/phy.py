@@ -69,6 +69,9 @@ def subset_sinr(terms, subsets: np.ndarray) -> np.ndarray:
     v, a, b, degenerate = terms
     if degenerate[subsets].any():
         raise DegenerateChannelError("zero-norm channel vector on some RE")
-    denominator = v[subsets[:, :, None], subsets[:, None, :]].sum(axis=2)
+    # sum the V rows of each subset's members in member order into one buffer
+    denominator = v[subsets, subsets[:, :1]]
+    for j in range(1, subsets.shape[1]):
+        denominator += v[subsets, subsets[:, j : j + 1]]
     denominator += b[subsets]
     return np.divide(a[subsets], denominator, out=denominator)

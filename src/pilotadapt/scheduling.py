@@ -34,15 +34,19 @@ from .phy import pair_terms, subset_sinr
 # a subset-rate table gathers counts as _TABLE_ROW_COST transitions; K=16
 # balanced on 4 RBs costs ~1.8e6, K=20 on 4 RBs x 5 layers ~1.1e8
 MAX_DP_TRANSITIONS = 130_000_000
-# ~600 ns per gathered pair-term row (168 REs at most) against ~75 ns per
-# transition, the slowest of each measured on 2-core x86 at K = 14..20
+# ~270 ns per gathered pair-term row (168 REs at most) against ~16 ns per
+# transition, the slowest of each measured on 2-core x86 at K = 14..22; the
+# weight was set when a transition cost ~75 ns, and the slowest feasible call
+# now takes ~3 s
 _TABLE_ROW_COST = 8
 # user cap for the exact DP: each stage holds four dense 2^K float64/int64
 # arrays, 512 MiB at K = 24, however few transitions the instance has
 MAX_DP_USERS = 24
-# rows per rates_for_subsets call when filling a subset rate table
-_RATE_CHUNK = 512
-# (state, subset) transitions max-scattered at once by the exact DP
+# rows per rates_for_subsets call when filling a subset rate table: a
+# (rows, s, REs) buffer that stays in cache; 64..128 rows were fastest and
+# 512 ~1.5x slower at K = 16 and 20
+_RATE_CHUNK = 128
+# (target state, candidate subset) pairs the exact DP compares at once
 _DP_CHUNK = 16_384
 
 
@@ -149,14 +153,18 @@ def conventional_schedule_exact(
     """Optimal user partition under the fixed pattern, by a dense subset DP.
 
     Stage r places users on RB r; a state is the bitmask of users placed so
-    far. Each stage holds dense length-2^K arrays (the RB's subset rates, the
-    state values and the backpointers), so memory is O(2^K) per stage, and
-    the (state, subset) transitions are max-scattered in chunks of at most
-    _DP_CHUNK. Only the reached states' chosen subsets outlive their stage.
+    far. Each stage holds dense length-2^K arrays (the RB's subset rates and
+    the state values), so memory is O(2^K) per stage. The DP pulls: every
+    state the stage can reach takes the best value[state ^ sub] + rate[sub]
+    over its candidate subsets, gathered for a chunk of states of one
+    popcount as a dense (states, candidates) block of at most _DP_CHUNK
+    entries (one state's candidates when they are more). Only the states'
+    chosen subsets outlive their stage.
 
     Ties go to the first transition in (popcount of the state, state mask,
     subset size, lexicographic subset) order; later transitions must be
-    strictly better to replace it.
+    strictly better to replace it. Each state's candidates are ordered so
+    that the first maximum of its row is that transition.
 
     Raises ExactSearchBudgetError when the instance exceeds the transition
     budget; callers must switch to the greedy scheduler explicitly.
@@ -169,21 +177,24 @@ def conventional_schedule_exact(
     check_exact_budget(k, n_rbs, mux)
 
     fadings = pop.fadings()
+    popcount = _popcounts(k)
     value = np.full(1 << k, -np.inf)
     value[0] = 0.0
-    states = np.zeros(1, dtype=np.int64)
-    backs = []  # per stage: (reached state masks ascending, chosen subset masks)
+    levels = [0]  # popcounts of the reached states
+    backs = []  # per stage: {popcount: (state masks ascending, chosen subset masks)}
     for stage in range(n_rbs):
         # one stage's pair terms at a time: each RB's are (K, K, data REs)
         calc = RbRateCalculator(realization, stage, cfg, pattern, direction, fadings)
         room = (n_rbs - stage - 1) * mux  # users the later RBs can still take
-        value, states, subs = _dp_stage(value, states, calc, k, mux, room)
-        backs.append((states, subs))
+        value, back = _dp_stage(value, levels, popcount, calc, k, mux, room)
+        levels = list(back)
+        backs.append(back)
 
     mask = full = (1 << k) - 1
     chosen = []
-    for reached, subs in reversed(backs):
-        sub = int(subs[np.searchsorted(reached, mask)])
+    for back in reversed(backs):
+        states, subs = back[int(popcount[mask])]
+        sub = int(subs[np.searchsorted(states, mask)])
         chosen.append(tuple(u for u in range(k) if (sub >> u) & 1))
         mask ^= sub
     assignment = ScheduleAssignment(
@@ -195,51 +206,64 @@ def conventional_schedule_exact(
     return assignment, value[full] / n_rbs
 
 
-def _dp_stage(value, states, calc, k, mux, room):
-    """One RB of the exact DP.
+def _dp_stage(value, levels, popcount, calc, k, mux, room):
+    """One RB of the exact DP, in pull form.
 
-    Gives the RB every subset of each state's free users that leaves at most
-    `room` users for the later RBs. Returns the dense next-stage values, the
-    reached states in ascending mask order and the subset each one took.
+    Each state of popcount p >= k - room (the later RBs can take the rest)
+    takes the best value[state ^ sub] + rate[sub] over its subsets `sub` of
+    at most mux users whose source popcount p - |sub| is in `levels`. Any
+    subset of the free users is allowed, so every state of such a p is
+    reached. Returns the dense next-stage values and, per popcount p, the
+    states in ascending mask order with the subset each one took.
     """
-    counts = np.zeros(len(states), dtype=np.int64)
-    for u in range(k):
-        counts += (states >> u) & 1
-    sizes = {
-        c: range(max(0, k - c - room), min(mux, k - c) + 1) for c in np.unique(counts).tolist()
-    }
+    sizes: dict[int, list[int]] = {}  # state popcount -> subset sizes, descending
+    for c in sorted(levels):
+        for s in range(max(0, k - c - room), min(mux, k - c) + 1):
+            sizes.setdefault(c + s, []).append(s)
     rate = _subset_rates(calc, k, {s for r in sizes.values() for s in r})
     nxt = np.full(1 << k, -np.inf)
-    back = np.full(1 << k, -1, dtype=np.int64)
-    for c, size_range in sizes.items():
-        tables = [_combinations(k - c, s) for s in size_range]
-        group = states[counts == c]
-        step = max(1, _DP_CHUNK // sum(len(t) for t in tables))
-        for lo in range(0, len(group), step):
-            _relax(group[lo : lo + step], k, tables, value, rate, nxt, back)
-    reached = np.flatnonzero(back >= 0)
-    return nxt, reached, back[reached]
+    back = {}
+    for p, size_list in sorted(sizes.items()):
+        targets = np.flatnonzero(popcount == p)
+        members = np.concatenate([_members_descending(p, s) for s in size_list], axis=1)
+        step = max(1, _DP_CHUNK // members.shape[1])
+        subs = [
+            _pull(targets[lo : lo + step], members, value, rate, nxt)
+            for lo in range(0, len(targets), step)
+        ]
+        back[p] = (targets, np.concatenate(subs))
+    return nxt, back
 
 
-def _relax(src, k, tables, value, rate, nxt, back):
-    """Max-scatter the transitions of the states `src` (all with the same
-    popcount) into `nxt`, recording in `back` the subset of every state whose
-    value rose. A transition must beat earlier ones strictly to win."""
-    n_free = k - bin(int(src[0])).count("1")
-    free = np.empty((len(src), n_free), dtype=np.int64)  # free users' bits, ascending
-    rest = ((1 << k) - 1) ^ src
-    for j in range(n_free):
-        free[:, j] = rest & -rest
-        rest ^= free[:, j]
-    sub = np.concatenate([free[:, t].sum(axis=2) for t in tables], axis=1)
-    new = (src[:, None] | sub).ravel()
-    cand = (value[src][:, None] + rate[sub]).ravel()
-    sub = sub.ravel()
-    before = nxt[new]
-    np.maximum.at(nxt, new, cand)
-    hit = np.flatnonzero((cand == nxt[new]) & (cand > before))
-    won, first = np.unique(new[hit], return_index=True)
-    back[won] = sub[hit[first]]
+def _pull(targets, members, value, rate, nxt):
+    """Write into `nxt` the best transition into each of `targets` (states
+    of one popcount p) and return the subset each one took.
+
+    Column i of `members` (p, candidates) selects the state bits of candidate
+    subset i. The candidates run by subset size descending, then subset mask
+    descending, i.e. by (popcount of the source state, source mask)
+    ascending, and the first maximum wins."""
+    bits = np.empty((len(targets), len(members)))  # the states' bits, ascending
+    rest = targets.copy()
+    for j in range(len(members)):
+        low = rest & -rest
+        bits[:, j] = low
+        rest ^= low
+    # sums of distinct powers of two below 2^53 are exact in float64
+    sub = (bits @ members).astype(np.int64)
+    cand = value[targets[:, None] ^ sub]
+    cand += rate[sub]
+    rows, pick = np.arange(len(targets)), cand.argmax(axis=1)
+    nxt[targets] = cand[rows, pick]
+    return sub[rows, pick]
+
+
+def _popcounts(k: int) -> np.ndarray:
+    """Number of set bits of every mask below 2^k."""
+    count = np.zeros(1 << k, dtype=np.uint8)
+    for u in range(k):
+        count[1 << u : 2 << u] = count[: 1 << u] + 1
+    return count
 
 
 def _combinations(n: int, size: int) -> np.ndarray:
@@ -247,6 +271,16 @@ def _combinations(n: int, size: int) -> np.ndarray:
     if size == 0:
         return np.zeros((1, 0), dtype=np.intp)  # one empty subset
     return np.array(list(combinations(range(n), size)), dtype=np.intp)
+
+
+def _members_descending(n: int, size: int) -> np.ndarray:
+    """0/1 matrix (n, C(n, size)) whose columns are the size-subsets of
+    range(n) in descending order of their bitmasks: mirrored lexicographic
+    rows compare the largest members first."""
+    table = n - 1 - _combinations(n, size)
+    members = np.zeros((n, len(table)))
+    members[table, np.arange(len(table))[:, None]] = 1.0
+    return members
 
 
 def _subset_rates(calc: RbRateCalculator, k: int, sizes: set[int]) -> np.ndarray:

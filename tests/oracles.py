@@ -97,3 +97,32 @@ def oracle_grams(h):
     return tuple(
         (g.real**2 + g.imag**2, np.einsum("kktn->ktn", g).real.copy()) for g in inner
     )
+
+
+def oracle_exact_partition(rate, k, n_rbs, mux):
+    """The exact scheduler's optimum by a plain per-transition dict DP.
+
+    rate(rb, users) is RB rb's rate of a sorted user tuple. Stage rb gives
+    RB rb every subset of at most mux free users of every state. The
+    transitions into a state run in (popcount of the source state, source
+    mask, subset size, lexicographic subset) order, and a later one replaces
+    the kept one only if strictly better. Returns the per-RB user tuples of
+    the full set and their summed rate.
+    """
+    from itertools import combinations
+
+    layer = {0: (0.0, ())}
+    for rb in range(n_rbs):
+        nxt = {}
+        for state in sorted(layer, key=lambda m: (bin(m).count("1"), m)):
+            value, parts = layer[state]
+            free = [u for u in range(k) if not (state >> u) & 1]
+            for size in range(min(mux, len(free)) + 1):
+                for sub in combinations(free, size):
+                    target = state | sum(1 << u for u in sub)
+                    cand = value + rate(rb, sub)
+                    if target not in nxt or cand > nxt[target][0]:
+                        nxt[target] = (cand, parts + (sub,))
+        layer = nxt
+    value, parts = layer[(1 << k) - 1]
+    return parts, value

@@ -7,6 +7,8 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pilotadapt import channel, experiments
 from pilotadapt.cli import main as cli_main
@@ -223,6 +225,35 @@ def test_flat_parser_scalars():
     # a `#` inside quotes is part of the value; one outside starts a comment
     parsed = parse_flat_config('out = "rows#1.csv"\ntrials = 3  # "three"\n# whole line\n')
     assert parsed == {"out": "rows#1.csv", "trials": 3}
+
+
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+# (value, its flat-config text)
+_FLAT_VALUES = st.one_of(
+    st.integers(-(10**12), 10**12).map(lambda v: (v, str(v))),
+    _FLOATS.map(lambda v: (v, repr(v))),
+    _FLOATS.map(lambda v: (v, f"{v:.17e}")),
+    st.lists(st.integers(-999, 999), max_size=4).map(
+        lambda v: (v, "[" + ", ".join(map(str, v)) + "]")
+    ),
+    st.text("ab #.=-/_'", max_size=10).map(lambda v: (v, f'"{v}"')),
+    st.booleans().map(lambda v: (v, str(v).lower())),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    st.dictionaries(st.from_regex(r"[a-z_][a-z0-9_]{0,9}", fullmatch=True), _FLAT_VALUES),
+    st.text("ab #='\"", max_size=6),
+)
+def test_flat_parser_round_trips(entries, comment):
+    """Written `key = value  # comment` lines parse back to the same values
+    and types: ints, negative and exponent floats, int lists, bools, and
+    quoted strings that contain `#`."""
+    text = "".join(f"{key} = {shown}  # {comment}\n" for key, (_, shown) in entries.items())
+    parsed = parse_flat_config(text)
+    assert parsed == {key: value for key, (value, _) in entries.items()}
+    assert [type(v) for v in parsed.values()] == [type(v) for v, _ in entries.values()]
 
 
 def test_auto_group_sizes_scale_with_mux():
@@ -479,3 +510,24 @@ def test_cli_entrypoint_runs():
     )
     assert proc.returncode == 0
     assert "patterns" in proc.stdout
+
+
+def test_exact_sweep_does_not_import_numpy_ma(tmp_path):
+    """numpy imports numpy.ma on the first np.unique of a process, about
+    15 ms; an exact CLI sweep needs neither."""
+    config = tmp_path / "exact.toml"
+    config.write_text(
+        'm_list = [8]\nu_mux_list = [2]\ntrials = 1\nnum_rbs = 2\nscheduler = "exact"\n'
+    )
+    code = (
+        "import sys\n"
+        "from pilotadapt.cli import main\n"
+        f"main(['simulate', '--config', {str(config)!r}, '--out', {str(tmp_path / 'rows.csv')!r}])\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_child_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "rows.csv").read_text().count("\n") == 2
+    assert proc.stdout.strip() == "False"

@@ -30,7 +30,7 @@ from pilotadapt.scheduling import (
 )
 
 from conftest import rb_rate
-from oracles import oracle_grams
+from oracles import oracle_exact_partition, oracle_grams
 
 
 def _instance(seed, k=8, n_rbs=2, m=4, mux=4, sigma2=0.1):
@@ -55,15 +55,20 @@ def test_exact_matches_brute_force():
             assert dp == pytest.approx(bf, abs=1e-12)
 
 
+def rb_rates(real, pop, cfg, pattern, direction):
+    """Cached rate(rb, users) of one sorted user tuple on one RB."""
+    calcs = [
+        RbRateCalculator(real, rb, cfg, pattern, direction, pop.fadings())
+        for rb in range(cfg.num_rbs)
+    ]
+    return functools.cache(lambda rb, users: calcs[rb].rates_for_subsets([users])[0])
+
+
 def exhaustive_best(real, pop, cfg, pattern, direction):
     """Best mean rate over every assignment of users to RBs with at most
     max_mux users per RB, empty RBs included; independent of the DP."""
     k, n_rbs = pop.num_users, cfg.num_rbs
-    calcs = [
-        RbRateCalculator(real, rb, cfg, pattern, direction, pop.fadings())
-        for rb in range(n_rbs)
-    ]
-    rate = functools.cache(lambda rb, users: calcs[rb].rates_for_subsets([users])[0])
+    rate = rb_rates(real, pop, cfg, pattern, direction)
     best = -np.inf
     for labels in itertools.product(range(n_rbs), repeat=k):
         parts = [tuple(u for u in range(k) if labels[u] == rb) for rb in range(n_rbs)]
@@ -108,20 +113,36 @@ def test_exact_matches_exhaustive_search(instance):
     assert greedy <= dp + 1e-12
 
 
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(small_instances())
+def test_exact_matches_dict_dp_partition(instance):
+    """The dense DP returns the partition of a per-transition dict DP with
+    the documented tie order, not only its value."""
+    pop, cfg, real, pattern, direction = instance
+    assign, dp = conventional_schedule_exact(real, pop, cfg, pattern, direction)
+    rate = rb_rates(real, pop, cfg, pattern, direction)
+    users, total = oracle_exact_partition(rate, pop.num_users, cfg.num_rbs, cfg.max_mux)
+    assert assign.rb_users == users
+    assert dp == total / cfg.num_rbs
+
+
 @pytest.mark.parametrize(
     "k, n_rbs, mux, expected",
     [
         (6, 3, 2, ((0, 1), (2, 3), (4, 5))),
         (6, 2, 3, ((0, 1, 2), (3, 4, 5))),
+        # free layers: the earlier RBs take the smaller subsets
+        (5, 3, 2, ((0,), (1, 2), (3, 4))),
+        (7, 3, 3, ((0,), (1, 2, 3), (4, 5, 6))),
     ],
 )
 def test_exact_tie_rule(k, n_rbs, mux, expected):
     """Every user has the all-ones channel on every RB, so the Gram is exact,
-    subsets of one size have bit-identical rates and every partition ties.
-    The DP keeps the first transition in (popcount of the state, state mask,
-    subset size, lexicographic subset) order, which fills the RBs with the
-    lowest user ids first. The per-transition dict DP that preceded the
-    dense one chose the same partitions on these instances."""
+    subsets of one size have bit-identical rates and every partition with
+    the same RB sizes ties. The DP keeps the first transition in (popcount of
+    the state, state mask, subset size, lexicographic subset) order, which
+    fills the RBs with the lowest user ids first. The per-transition dict DP
+    of `oracle_exact_partition` chooses the same partitions."""
     pop, cfg, real, pattern, _ = _instance(50, k=k, n_rbs=n_rbs, mux=mux)
     same = ChannelRealization(
         oracle_grams(np.ones((k, n_rbs, 14, 12, cfg.num_antennas))), real.numerology
@@ -132,6 +153,8 @@ def test_exact_tie_rule(k, n_rbs, mux, expected):
         assert np.all(rates == rates[0])
         assign, _ = conventional_schedule_exact(same, pop, cfg, pattern, direction)
         assert assign.rb_users == expected
+        rate = rb_rates(same, pop, cfg, pattern, direction)
+        assert oracle_exact_partition(rate, k, n_rbs, mux)[0] == expected
 
 
 def test_greedy_tie_rule():
