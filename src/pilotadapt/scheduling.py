@@ -36,11 +36,12 @@ from .phy import pair_terms, subset_sinr
 MAX_DP_TRANSITIONS = 130_000_000
 # ~270 ns per gathered pair-term row (168 REs at most) against ~16 ns per
 # transition, the slowest of each measured on 2-core x86 at K = 14..22; the
-# weight was set when a transition cost ~75 ns, and the slowest feasible call
-# now takes ~3 s
+# weight is below that ratio, so table-heavy calls are the slowest feasible
+# ones (~3 s)
 _TABLE_ROW_COST = 8
-# user cap for the exact DP: each stage holds four dense 2^K float64/int64
-# arrays, 512 MiB at K = 24, however few transitions the instance has
+# user cap for the exact DP: each stage holds three dense 2^K float64 arrays
+# and a 2^K-byte popcount table, ~400 MiB at K = 24, however few transitions
+# the instance has
 MAX_DP_USERS = 24
 # rows per rates_for_subsets call when filling a subset rate table: a
 # (rows, s, REs) buffer that stays in cache; 64..128 rows were fastest and
