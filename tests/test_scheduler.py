@@ -97,10 +97,16 @@ def small_instances(draw):
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(small_instances())
 def test_exact_matches_exhaustive_search(instance):
-    """K <= n_rbs * mux, so RBs may be left partly or wholly empty."""
+    """K <= n_rbs * mux, so RBs may be left partly or wholly empty. The
+    partition, not only the rate, is that of a per-transition dict DP with
+    the documented tie order."""
     pop, cfg, real, pattern, direction = instance
     assign, dp = conventional_schedule_exact(real, pop, cfg, pattern, direction)
     assert dp == pytest.approx(exhaustive_best(real, pop, cfg, pattern, direction), abs=1e-12)
+    rate = rb_rates(real, pop, cfg, pattern, direction)
+    users, total = oracle_exact_partition(rate, pop.num_users, cfg.num_rbs, cfg.max_mux)
+    assert assign.rb_users == users
+    assert dp == total / cfg.num_rbs
 
     placed = [u for users in assign.rb_users for u in users]
     assert sorted(placed) == list(range(pop.num_users))
@@ -111,19 +117,6 @@ def test_exact_matches_exhaustive_search(instance):
 
     _, greedy = conventional_schedule_greedy(real, pop, cfg, pattern, direction)
     assert greedy <= dp + 1e-12
-
-
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(small_instances())
-def test_exact_matches_dict_dp_partition(instance):
-    """The dense DP returns the partition of a per-transition dict DP with
-    the documented tie order, not only its value."""
-    pop, cfg, real, pattern, direction = instance
-    assign, dp = conventional_schedule_exact(real, pop, cfg, pattern, direction)
-    rate = rb_rates(real, pop, cfg, pattern, direction)
-    users, total = oracle_exact_partition(rate, pop.num_users, cfg.num_rbs, cfg.max_mux)
-    assert assign.rb_users == users
-    assert dp == total / cfg.num_rbs
 
 
 @pytest.mark.parametrize(
