@@ -22,13 +22,20 @@ with G_t, a (K L) x (K L) product per symbol, summed over antenna blocks.
 That is N / L^2 times fewer flops (3 at N = 12, L = 2) than a K x K product
 per (symbol, subcarrier) of the frequency response, which only
 `draw_channels` forms.
+
+`generate_realization` builds every RB's Gram for all users up front, or,
+given the users each RB must cover, builds an RB on its first request for
+those and the requested users only. A user's channels depend only on
+(seed, user, RB), so a Gram over fewer users is the full one's sub-block up
+to rounding. A realization caches its builds unlocked: one trial uses it,
+on one thread.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -86,24 +93,69 @@ class PilotSpacing:
             raise ConfigurationError("pilot spacings must be at least 1")
 
 
-@dataclass(frozen=True)
 class ChannelRealization:
     """Per-RB cross powers of one small-scale fading draw.
 
-    `grams[rb]` is (cross, norms): cross of shape (K, K, T, N) with
-    cross[k, j] = |h_k^H h_j|^2 and norms of shape (K, T, N) with
-    norms[k] = ||h_k||^2, for channels h of unit per-entry power
-    (large-scale gains are applied in the SINR computation). Every rate
-    reads only these, so the channels themselves are never held;
-    `draw_channels` redraws one RB's when they are needed.
+    `gram(rb, users)` is RB rb's (cross, norms) over `users` (every user
+    when None), in the order given: cross of shape (U, U, T, N) with
+    cross[a, b] = |h_{users[a]}^H h_{users[b]}|^2 and norms of shape
+    (U, T, N) with norms[a] = ||h_{users[a]}||^2, for channels h of unit
+    per-entry power (large-scale gains are applied in the SINR
+    computation). Both arrays are read-only. Every rate reads only these,
+    so the channels themselves are never held; `draw_channels` redraws one
+    RB's when they are needed.
+
+    `grams` holds each RB's (cross, norms) over all users in id order, or
+    None for an RB that `build(rb, users)` draws on its first request for
+    some user; `build` returns the users it built, ascending and a superset
+    of `users`, and their Gram. Later requests within that set are sliced
+    from it; a request outside it rebuilds the RB for the union. Builds are
+    cached without a lock: a realization serves one trial on one thread.
     """
 
-    grams: tuple[tuple[np.ndarray, np.ndarray], ...] = field(repr=False)
-    numerology: Numerology
+    __slots__ = ("_numerology", "_num_users", "_built", "_build")
+
+    def __init__(self, grams, numerology: Numerology, build=None):
+        self._numerology = numerology
+        self._build = build
+        self._built = [
+            None if g is None else (np.arange(len(g[1])), *map(_read_only, g)) for g in grams
+        ]
+        self._num_users = build.num_users if build is not None else len(grams[0][1])
+
+    @property
+    def numerology(self) -> Numerology:
+        return self._numerology
 
     @property
     def num_users(self) -> int:
-        return self.grams[0][1].shape[0]
+        return self._num_users
+
+    def gram(self, rb: int, users=None) -> tuple[np.ndarray, np.ndarray]:
+        want = np.arange(self._num_users) if users is None else np.asarray(users, dtype=np.intp)
+        if not want.size:  # nothing to build
+            grid = (self._numerology.symbols_per_rb, self._numerology.subcarriers_per_rb)
+            return _read_only(np.zeros((0, 0, *grid))), _read_only(np.zeros((0, *grid)))
+        if want.min() < 0 or want.max() >= self._num_users:
+            raise ValueError(f"users {want.tolist()} outside the {self._num_users} of the draw")
+        built = self._built[rb]
+        if built is None or not np.isin(want, built[0]).all():
+            need = want if built is None else np.concatenate([want, built[0]])
+            built = self._built[rb] = self._build(rb, np.unique(need))
+        ids, cross, norms = built
+        rows = np.searchsorted(ids, want)
+        if np.array_equal(rows, np.arange(len(ids))):
+            return cross, norms
+        return _read_only(cross[rows[:, None], rows]), _read_only(norms[rows])
+
+    def __repr__(self) -> str:
+        return f"ChannelRealization({self._num_users} users, {len(self._built)} RBs)"
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    view = a.view()
+    view.flags.writeable = False
+    return view
 
 
 def _floor_with_roundoff_guard(x: float) -> int:
@@ -202,6 +254,58 @@ def generate_single_grid(
     return np.matmul(mix, taps.transpose(2, 1, 0))  # (T, N, A)
 
 
+class _TapSource:
+    """A population's tap processes on any RB, from factors built once per
+    draw: each user's generator id (ids), own tap count (counts) and stacked
+    `_grid_bases`, bases (K, 32, T) and mix (K, N, L) with L the largest tap
+    count. A user with fewer taps gets zero mix columns for the missing
+    ones.
+
+    Called as `ChannelRealization`'s `build`, it returns RB rb's Gram for
+    the users asked for and include[rb] (when given)."""
+
+    def __init__(
+        self,
+        pop: UserPopulation,
+        profiles: list[ChannelProfile],
+        cfg: SystemConfig,
+        seed: int,
+        include=None,
+    ):
+        if pop.num_groups > len(profiles):
+            raise ConfigurationError(
+                f"{pop.num_groups} groups but only {len(profiles)} channel profiles"
+            )
+        num = cfg.numerology
+        t, n = num.symbols_per_rb, num.subcarriers_per_rb
+        factors = [_grid_bases(profiles[user.group_id], t, n, num) for user in pop.users]
+        self.mix = np.zeros(
+            (pop.num_users, n, max(m.shape[1] for _, m in factors)), dtype=np.complex128
+        )
+        for k, (_, m) in enumerate(factors):
+            self.mix[k, :, : m.shape[1]] = m
+        self.bases = np.stack([basis for basis, _ in factors])
+        self.counts = [m.shape[1] for _, m in factors]
+        self.ids = [user.id for user in pop.users]
+        self.num_users = pop.num_users
+        self.seed, self.num_antennas, self.include = seed, cfg.num_antennas, include
+
+    @functools.cached_property
+    def weights(self) -> np.ndarray:
+        """Tap-pair weights (K, K, L*L, N): conj(mix[k, n, l]) * mix[j, n, l']."""
+        per_tap = self.mix.transpose(0, 2, 1)  # (K, L, N)
+        k, n = self.num_users, per_tap.shape[2]
+        return (per_tap.conj()[:, None, :, None] * per_tap[None, :, None]).reshape(k, k, -1, n)
+
+    def __call__(self, rb: int, users: np.ndarray):
+        if self.include is not None:
+            users = np.union1d(users, self.include[rb])
+        users = np.asarray(users, dtype=np.intp)
+        every = len(users) == self.num_users  # ascending and distinct, so all of them
+        pair = self.weights if every else self.weights[np.ix_(users, users)]
+        return users, *_accumulate_gram(_antenna_blocks(self, rb, users), pair)
+
+
 # Antennas drawn per block while an RB's Gram is accumulated. A block holds
 # the (K, chunk, L, 32) phases, their phasors and the (T, K, L, chunk) taps
 # (2.2 MB at K = 28, L = 2), so generation memory does not grow with M. At
@@ -210,54 +314,33 @@ def generate_single_grid(
 _ANTENNA_CHUNK = 32
 
 
-def _tap_factors(
-    pop: UserPopulation, profiles: list[ChannelProfile], num: Numerology
-) -> tuple[np.ndarray, np.ndarray]:
-    """Every user's `_grid_bases` for one RB, stacked: bases (K, 32, T) and
-    mix (K, N, L), L the largest tap count. A user with fewer taps gets zero
-    mix columns for the missing ones."""
-    if pop.num_groups > len(profiles):
-        raise ConfigurationError(
-            f"{pop.num_groups} groups but only {len(profiles)} channel profiles"
-        )
-    t, n = num.symbols_per_rb, num.subcarriers_per_rb
-    factors = [_grid_bases(profiles[user.group_id], t, n, num) for user in pop.users]
-    mix = np.zeros((pop.num_users, n, max(m.shape[1] for _, m in factors)), dtype=np.complex128)
-    for k, (_, m) in enumerate(factors):
-        mix[k, :, : m.shape[1]] = m
-    return np.stack([basis for basis, _ in factors]), mix
-
-
-def _antenna_blocks(
-    pop: UserPopulation,
-    profiles: list[ChannelProfile],
-    cfg: SystemConfig,
-    seed: int,
-    rb: int,
-):
-    """Every user's tap processes on one RB, in blocks of at most
-    _ANTENNA_CHUNK antennas: yields (T, K, L, a) arrays, each overwritten
-    by the next. User k's channels are `_tap_factors`' mix[k] applied over
-    the L axis, so its taps beyond its own count carry zero weight.
+def _antenna_blocks(source: _TapSource, rb: int, users: np.ndarray):
+    """The tap processes of `users` (indices into the population) on one
+    RB, in blocks of at most _ANTENNA_CHUNK antennas: yields (T, U, L, a)
+    arrays, each overwritten by the next. User k's channels are
+    source.mix[k] applied over the L axis, so its taps beyond its own count
+    carry zero weight.
 
     Each (user, RB) pair draws its phases from its own generator seeded by
-    (seed, user, rb), in `generate_single_grid`'s antenna-major order, so
-    the channels do not depend on the block size or on how generation is
-    parallelized or ordered. All users' phases of a block become taps in
-    one phasor call and one batched matmul.
+    (seed, user id, rb), in `generate_single_grid`'s antenna-major order, so
+    a user's channels do not depend on the block size, on which other users
+    are drawn with it, or on how generation is parallelized or ordered. All
+    users' phases of a block become taps in one phasor call and one batched
+    matmul.
     """
-    num = cfg.numerology
-    bases, mix = _tap_factors(pop, profiles, num)
-    k, n_taps, m = pop.num_users, mix.shape[2], cfg.num_antennas
+    bases = source.bases[users]
+    k, n_taps, m = len(users), source.mix.shape[2], source.num_antennas
     chunk = min(m, _ANTENNA_CHUNK)
-    counts = [len(profiles[user.group_id].taps) for user in pop.users]
+    counts = [source.counts[u] for u in users]
     rngs = [
-        np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, user.id, rb))))
-        for user in pop.users
+        np.random.Generator(
+            np.random.PCG64(np.random.SeedSequence((source.seed, source.ids[u], rb)))
+        )
+        for u in users
     ]
     # padded taps keep phase 0: finite taps that the zero mix columns cancel
     phases = np.zeros((k, chunk, n_taps, NUM_ARRIVAL_ANGLES))
-    block = np.empty((num.symbols_per_rb, k, n_taps, chunk), dtype=np.complex128)
+    block = np.empty((bases.shape[2], k, n_taps, chunk), dtype=np.complex128)
     for start in range(0, m, chunk):
         a = min(chunk, m - start)
         for row, count, rng in zip(phases, counts, rngs):
@@ -273,7 +356,8 @@ def _antenna_blocks(
 
 def _accumulate_gram(blocks, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(cross, norms) of one RB from its tap blocks (T, K, L, a) and the
-    tap-pair weights (K, K, L*L, N) that `generate_realization` builds."""
+    tap-pair weights (K, K, L*L, N) of `_TapSource.weights`, restricted to
+    the block's users."""
     gram = None  # G_t[(k, l), (j, l')], summed over antenna blocks
     for block in blocks:
         t, k, n_taps, _ = block.shape
@@ -283,7 +367,8 @@ def _accumulate_gram(blocks, weights: np.ndarray) -> tuple[np.ndarray, np.ndarra
         gram += np.matmul(x.conj(), x.swapaxes(1, 2))
     # one (T, L*L) @ (L*L, N) product per user pair expands the taps to
     # subcarriers, writing h_k^H h_j straight into its (K, K, T, N) layout
-    gram = gram.reshape(t, k, n_taps, k, n_taps).transpose(1, 3, 0, 2, 4).reshape(k, k, t, -1)
+    gram = gram.reshape(t, k, n_taps, k, n_taps).transpose(1, 3, 0, 2, 4)
+    gram = gram.reshape(k, k, t, n_taps * n_taps)
     inner = np.matmul(gram, weights)
     del gram
     norms = np.einsum("kktn->ktn", inner).real.copy()
@@ -302,15 +387,15 @@ def draw_channels(
 ) -> np.ndarray:
     """The channels (K, T, N, M) of one RB of `generate_realization`'s draw."""
     num = cfg.numerology
-    _, mix = _tap_factors(pop, profiles, num)
+    source = _TapSource(pop, profiles, cfg, seed)
     h = np.empty(
         (pop.num_users, num.symbols_per_rb, num.subcarriers_per_rb, cfg.num_antennas),
         dtype=np.complex128,
     )
     start = 0
-    for block in _antenna_blocks(pop, profiles, cfg, seed, rb):
+    for block in _antenna_blocks(source, rb, np.arange(pop.num_users)):
         stop = start + block.shape[-1]
-        np.matmul(mix[:, None], block.transpose(1, 0, 2, 3), out=h[..., start:stop])
+        np.matmul(source.mix[:, None], block.transpose(1, 0, 2, 3), out=h[..., start:stop])
         start = stop
     return h
 
@@ -320,20 +405,20 @@ def generate_realization(
     profiles: list[ChannelProfile],
     cfg: SystemConfig,
     seed: int = 0,
+    include=None,
 ) -> ChannelRealization:
     """Draw the per-user, per-RB fading field and keep each RB's Gram.
 
     Fading is independent across users, RBs, antennas, and taps. Each RB's
     Gram is accumulated in the tap domain from antenna blocks, so memory
-    stays bounded by one block whatever the antenna count.
+    stays bounded by one block whatever the antenna count. With `include`
+    None every RB is built here for all users. Otherwise RB r is built when
+    first asked for, for the users asked for and include[r], so users that
+    no caller rates are never drawn there.
     """
-    _, mix = _tap_factors(pop, profiles, cfg.numerology)
-    k, n = pop.num_users, mix.shape[1]
-    per_tap = mix.transpose(0, 2, 1)  # (K, L, N)
-    # weights[k, j, (l, l'), n] = conj(mix[k, n, l]) * mix[j, n, l']
-    weights = (per_tap.conj()[:, None, :, None] * per_tap[None, :, None]).reshape(k, k, -1, n)
-    grams = tuple(
-        _accumulate_gram(_antenna_blocks(pop, profiles, cfg, seed, rb), weights)
-        for rb in range(cfg.num_rbs)
-    )
+    source = _TapSource(pop, profiles, cfg, seed, include)
+    if include is not None:
+        return ChannelRealization([None] * cfg.num_rbs, cfg.numerology, source)
+    every = np.arange(pop.num_users)
+    grams = [source(rb, every)[1:] for rb in range(cfg.num_rbs)]
     return ChannelRealization(grams, cfg.numerology)

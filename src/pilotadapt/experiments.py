@@ -77,6 +77,12 @@ class ExperimentConfig:
             raise ConfigurationError(f"unknown user picker {self.picker!r}")
         if self.seed < 0:
             raise ConfigurationError("seed must be non-negative")
+        groups, profiles = len(self.sizes_for(1)), len(self.resolved_profiles())
+        if groups != profiles:
+            raise ConfigurationError(
+                f"group_sizes gives {groups} sizes but profiles has {profiles} entries; "
+                "give one group size per profile"
+            )
         noise = self.derived_noise_power()
         if not (math.isfinite(noise) and noise > 0.0):
             raise ConfigurationError(
@@ -176,20 +182,27 @@ def run_trial(
     """Evaluate one realization: grouping vs conventional, per direction.
 
     Both directions share the realization's per-RB Grams and one
-    grouping assignment, which does not depend on the direction.
+    grouping assignment, which does not depend on the channel. A greedy
+    run in one direction builds each RB's Gram only for the users it
+    rates there and the grouping's; the exact DP, and two greedy runs that
+    want different users on every RB after the first, take every RB's
+    Gram for all users, built up front.
     """
     profiles = cfg.resolved_profiles()
     pop = build_population(cfg.sizes_for(mux), cfg.fading, seed=seed)
     sys_cfg = cfg.system_config(m, mux)
     registry = default_registry(profiles, cfg.numerology, mux)
     pattern = conventional_pattern(profiles, cfg.numerology, mux)
-    realization = generate_realization(pop, profiles, sys_cfg, seed=seed)
+    picker_rng = np.random.default_rng(np.random.SeedSequence((seed, 1)))
+    assignment = grouping_schedule(pop, sys_cfg, registry, profiles, cfg.picker, picker_rng)
+    on_demand = cfg.scheduler == "greedy" and len(cfg.directions()) == 1
+    realization = generate_realization(
+        pop, profiles, sys_cfg, seed=seed, include=assignment.rb_users if on_demand else None
+    )
     fadings = pop.fadings()
     bound = gain_bound(
         group_fractions(pop), group_overheads(registry, profiles, cfg.numerology)
     )
-    picker_rng = np.random.default_rng(np.random.SeedSequence((seed, 1)))
-    assignment = grouping_schedule(pop, sys_cfg, registry, profiles, cfg.picker, picker_rng)
 
     rows = []
     for direction in cfg.directions():
@@ -257,10 +270,11 @@ def run_sweep(cfg: ExperimentConfig) -> list[ResultRow]:
 
 
 def replay_row(cfg: ExperimentConfig, row: ResultRow) -> ResultRow:
-    """Recompute a row from its own seed; equal to the original by construction."""
-    sub = replace(cfg, direction=row.direction)
-    rows = run_trial(sub, row.m, row.u_mux, row.trial, row.seed)
-    return rows[0]
+    """Recompute a row of a sweep of `cfg` from its own seed. The trial
+    reruns under the sweep's own config, so its Grams are built as they
+    were and the row is equal to the original bit for bit."""
+    rows = run_trial(cfg, row.m, row.u_mux, row.trial, row.seed)
+    return next(r for r in rows if r.direction == row.direction)
 
 
 def summarize_gains(rows: list[ResultRow]) -> list[dict]:

@@ -17,6 +17,8 @@ from that group only.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -101,13 +103,14 @@ class RbRateCalculator:
         num = realization.numerology
         data = _data_mask(pattern, num.symbols_per_rb, num.subcarriers_per_rb)
         k = realization.num_users
+        cross, norms = realization.gram(rb, users)
         users = np.arange(k) if users is None else np.asarray(users, dtype=np.intp)
-        cross, norms = realization.grams[rb]
-        cross, norms = cross[users[:, None], users], norms[users]
         fadings = np.asarray(fadings)[users]
         self._local = np.full(k, -1, dtype=np.intp)  # user id -> row of the pair terms
         self._local[users] = np.arange(len(users))
-        self._terms = pair_terms(cross, norms, fadings, cfg, direction, data)
+        self._refuse = functools.partial(_overflow_refused, cfg, direction)
+        with self._refuse():
+            self._terms = pair_terms(cross, norms, fadings, cfg, direction, data)
         self._scale = 1.0 / (math.log(2.0) * num.res_per_rb)
 
     def rates_for_subsets(self, subsets: np.ndarray) -> np.ndarray:
@@ -119,8 +122,25 @@ class RbRateCalculator:
         subsets = self._local[np.asarray(subsets, dtype=np.intp)]
         if (subsets < 0).any():
             raise ValueError("subset names a user outside the calculator's users")
-        sinr = subset_sinr(self._terms, subsets)
-        return np.log1p(sinr, out=sinr).sum(axis=(1, 2)) * self._scale
+        with self._refuse():
+            sinr = subset_sinr(self._terms, subsets)
+            return np.log1p(sinr, out=sinr).sum(axis=(1, 2)) * self._scale
+
+
+@contextlib.contextmanager
+def _overflow_refused(cfg: SystemConfig, direction: str):
+    """Turn an overflow or a NaN in the rate arithmetic into a
+    ConfigurationError that names the direction's power."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError as exc:
+        key = "ul_power" if direction == "uplink" else "dl_power"
+        raise ConfigurationError(
+            f"the {direction} rates are not finite ({exc}) at {key} = "
+            f"{cfg.power(direction)!r} and noise_power = {cfg.noise_power!r}; "
+            f"lower {key}"
+        ) from exc
 
 
 def _data_mask(pattern: PilotPattern | None, n_s: int, n_sc: int) -> np.ndarray:
@@ -274,13 +294,26 @@ def _combinations(n: int, size: int) -> np.ndarray:
     return np.array(list(combinations(range(n), size)), dtype=np.intp)
 
 
+# the exact DP asks for the same (n, size) tables at every stage of every
+# call; 256 entries hold all of a call's when (K + 1) x (mux + 1) <= 256
+@functools.lru_cache(maxsize=256)
+def _subset_table(k: int, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """`_combinations(k, size)` and the bitmask of each row, read-only."""
+    subsets = _combinations(k, size)
+    masks = (1 << np.arange(k))[subsets].sum(axis=1)
+    subsets.flags.writeable = masks.flags.writeable = False
+    return subsets, masks
+
+
+@functools.lru_cache(maxsize=256)
 def _members_descending(n: int, size: int) -> np.ndarray:
-    """0/1 matrix (n, C(n, size)) whose columns are the size-subsets of
-    range(n) in descending order of their bitmasks: mirrored lexicographic
-    rows compare the largest members first."""
+    """Read-only 0/1 matrix (n, C(n, size)) whose columns are the
+    size-subsets of range(n) in descending order of their bitmasks: mirrored
+    lexicographic rows compare the largest members first."""
     table = n - 1 - _combinations(n, size)
     members = np.zeros((n, len(table)))
     members[table, np.arange(len(table))[:, None]] = 1.0
+    members.flags.writeable = False
     return members
 
 
@@ -288,10 +321,8 @@ def _subset_rates(calc: RbRateCalculator, k: int, sizes: set[int]) -> np.ndarray
     """One RB's rate of every user subset with a size in `sizes`, indexed by
     subset bitmask; 0 for the empty subset and for masks of other sizes."""
     rate = np.zeros(1 << k)
-    bits = 1 << np.arange(k)
     for size in sorted(sizes - {0}):
-        subsets = _combinations(k, size)
-        masks = bits[subsets].sum(axis=1)
+        subsets, masks = _subset_table(k, size)
         for lo in range(0, len(subsets), _RATE_CHUNK):
             hi = lo + _RATE_CHUNK
             rate[masks[lo:hi]] = calc.rates_for_subsets(subsets[lo:hi])

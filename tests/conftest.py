@@ -60,5 +60,5 @@ def kernel_sinr(h, fadings, cfg, direction):
     channels = h.transpose(1, 0, 2)[:, None, :, None, :]
     real = ChannelRealization(oracle_grams(channels), tiny_numerology(n_re, 1))
     data = np.ones((n_re, 1), dtype=bool)
-    terms = pair_terms(*real.grams[0], fadings, cfg, direction, data)
+    terms = pair_terms(*real.gram(0), fadings, cfg, direction, data)
     return subset_sinr(terms, np.arange(u)[None])[0]

@@ -88,8 +88,8 @@ def oracle_single_grid(profile, num_symbols, num_subcarriers, num, rng, num_ante
 def oracle_grams(h):
     """Per-RB (cross, norms) of explicit channels h (K, RBs, T, N, M): the
     inner products h_k^H h_j over all antennas in the frequency domain, one
-    matmul per RE, in `ChannelRealization.grams`' layout. The library builds
-    the same Grams in the tap domain without forming h."""
+    matmul per RE, in the layout of `ChannelRealization.gram`. The library
+    builds the same Grams in the tap domain without forming h."""
     import numpy as np
 
     h = np.asarray(h, dtype=np.complex128).transpose(1, 2, 3, 0, 4)  # (RBs, T, N, K, M)

@@ -1,12 +1,17 @@
+import functools
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import j0
 
 from pilotadapt import channel
 from pilotadapt.channel import (
     ChannelProfile,
+    ChannelRealization,
     PilotSpacing,
     builtin_profiles,
     draw_channels,
@@ -115,9 +120,9 @@ def test_realization_seed_determinism(num, profiles):
     b = generate_realization(pop, profiles, cfg, seed=9)
     c = generate_realization(pop, profiles, cfg, seed=10)
     for rb in range(cfg.num_rbs):
-        assert np.array_equal(a.grams[rb][0], b.grams[rb][0])
-        assert np.array_equal(a.grams[rb][1], b.grams[rb][1])
-        assert not np.array_equal(a.grams[rb][0], c.grams[rb][0])
+        assert np.array_equal(a.gram(rb)[0], b.gram(rb)[0])
+        assert np.array_equal(a.gram(rb)[1], b.gram(rb)[1])
+        assert not np.array_equal(a.gram(rb)[0], c.gram(rb)[0])
     assert np.array_equal(draw_channels(pop, profiles, cfg, 9, 1), draw_channels(pop, profiles, cfg, 9, 1))
 
 
@@ -168,13 +173,86 @@ def test_doppler_band_limitation(num):
 def test_realization_immutable(num, profiles):
     pop = build_population([1, 1, 1, 1], FadingSpec(), seed=0)
     real = generate_realization(pop, profiles, _cfg(1, 2), seed=0)
-    cross, norms = real.grams[0]
+    cross, norms = real.gram(0)
     for arr in (cross, norms):
         with pytest.raises(ValueError):
             arr[0, 0, 0] = 0.0
     with pytest.raises(AttributeError):
         real.numerology = num
     assert not hasattr(real, "h")
+
+
+def test_gram_arrays_are_read_only(profiles):
+    """Full builds, on-demand builds, their slices and explicit Grams all
+    come back read-only; the caller's explicit arrays stay writable."""
+    pop = build_population([2, 2, 2, 2], FadingSpec(), seed=0)
+    cfg = _cfg(2, 4)
+    h = np.stack([draw_channels(pop, profiles, cfg, 1, rb) for rb in range(2)], axis=1)
+    explicit = oracle_grams(h)
+    reals = [
+        generate_realization(pop, profiles, cfg, seed=1),
+        generate_realization(pop, profiles, cfg, seed=1, include=((0, 1), (6,))),
+        ChannelRealization(explicit, cfg.numerology),
+    ]
+    for real in reals:
+        for users in (None, [5, 1, 6], [3]):
+            for arr in real.gram(1, users):
+                assert not arr.flags.writeable
+                with pytest.raises(ValueError):
+                    arr[0, 0] = 0.0
+    assert explicit[1][0].flags.writeable
+    with pytest.raises(ValueError, match="outside"):
+        reals[1].gram(0, [8])
+
+
+SUBSET_POP = build_population([2, 1, 2], FadingSpec(), seed=0)
+SUBSET_PROFILES = [ONE_TAP, THREE_TAP, builtin_profiles()[1]]
+
+
+@functools.lru_cache(maxsize=None)
+def _full_build(m):
+    return generate_realization(SUBSET_POP, SUBSET_PROFILES, _cfg(2, m), seed=3)
+
+
+@st.composite
+def gram_requests(draw):
+    """Antenna count, per-RB include sets and a sequence of (RB, users)
+    requests; users come in random order."""
+    subsets = st.lists(st.integers(0, SUBSET_POP.num_users - 1), unique=True, max_size=5)
+    m = draw(st.sampled_from([5, 40]))
+    include = tuple(tuple(sorted(draw(subsets))) for _ in range(2))
+    requests = draw(st.lists(st.tuples(st.integers(0, 1), subsets), min_size=1, max_size=6))
+    return m, include, requests
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(gram_requests())
+def test_gram_of_users_matches_the_full_build(case):
+    """An on-demand realization serves any users of an RB, in the order
+    asked, as the matching sub-block of the full build within rounding. An
+    RB is drawn on its first request and again only when a request leaves
+    its built set; a last request for every user forces that rebuild."""
+    m, include, requests = case
+    full = _full_build(m)
+    real = generate_realization(SUBSET_POP, SUBSET_PROFILES, _cfg(2, m), seed=3, include=include)
+    built: dict[int, set] = {}
+    want_builds = 0
+    with mock.patch.object(channel, "_antenna_blocks", wraps=channel._antenna_blocks) as draws:
+        for rb, users in requests + [(0, None), (1, None)]:
+            asked = set(range(SUBSET_POP.num_users) if users is None else users)
+            if asked and (rb not in built or not asked <= built[rb]):
+                built[rb] = asked | built.get(rb, set()) | set(include[rb])
+                want_builds += 1
+            cross, norms = real.gram(rb, users)
+            rows = np.arange(SUBSET_POP.num_users) if users is None else np.array(users, dtype=int)
+            want_cross, want_norms = full.gram(rb)
+            assert cross.shape == (len(rows), len(rows), 14, 12)
+            assert np.allclose(cross, want_cross[np.ix_(rows, rows)], rtol=1e-12, atol=0.0)
+            assert np.allclose(norms, want_norms[rows], rtol=1e-12, atol=0.0)
+    assert draws.call_count == want_builds
+    # the last two requests built both RBs for every user, as the full build does
+    for rb in range(2):
+        assert all(np.array_equal(a, b) for a, b in zip(real.gram(rb), full.gram(rb)))
 
 
 def test_gram_matches_direct_inner_products():
@@ -189,7 +267,8 @@ def test_gram_matches_direct_inner_products():
         real = generate_realization(pop, profs, cfg, seed=3)
         assert real.num_users == 5
         h = np.stack([draw_channels(pop, profs, cfg, 3, rb) for rb in range(2)], axis=1)
-        for (cross, norms), (want_cross, want_norms) in zip(real.grams, oracle_grams(h)):
+        for rb, (want_cross, want_norms) in enumerate(oracle_grams(h)):
+            cross, norms = real.gram(rb)
             assert np.allclose(cross, want_cross, rtol=1e-12, atol=0.0)
             assert np.allclose(norms, want_norms, rtol=1e-12, atol=0.0)
         assert "array" not in repr(real)

@@ -3,7 +3,8 @@ import json
 import os
 import subprocess
 import sys
-from collections import Counter
+import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -73,28 +74,60 @@ def test_worker_count_invariance(monkeypatch):
 
 
 def test_replay_row_round_trip():
-    cfg = ExperimentConfig(**QUICK)
-    rows = run_sweep(cfg)
-    for row in rows[:2]:
-        again = replay_row(cfg, row)
-        assert again.r_grp == row.r_grp
-        assert again.r_conv == row.r_conv
+    """Replay is exact whatever the sweep's direction: a "both" sweep builds
+    its Grams up front, an uplink greedy one on demand."""
+    for scheduler in ("greedy", "exact"):
+        for direction in ("uplink", "both"):
+            cfg = ExperimentConfig(**{**QUICK, "scheduler": scheduler, "direction": direction})
+            rows = run_sweep(cfg)
+            for row in rows[:2] + rows[-2:]:
+                again = replay_row(cfg, row)
+                assert again.direction == row.direction
+                assert again.r_grp == row.r_grp
+                assert again.r_conv == row.r_conv
+
+
+def _count_builds(monkeypatch):
+    """Record the users of every RB build, keyed by (seed, RB)."""
+    builds = {}
+    draw = channel._antenna_blocks
+
+    def counting_draw(source, rb, users):
+        builds.setdefault((source.seed, rb), []).append(len(users))
+        return draw(source, rb, users)
+
+    monkeypatch.setattr(channel, "_antenna_blocks", counting_draw)
+    return builds
 
 
 @pytest.mark.parametrize("scheduler", ["greedy", "exact"])
 def test_trial_builds_each_rb_gram_once(monkeypatch, scheduler):
-    builds = Counter()  # draws of one RB's channels, keyed by (seed, RB)
-    draw = channel._antenna_blocks
-
-    def counting_draw(pop, profiles, cfg, seed, rb):
-        builds[seed, rb] += 1
-        return draw(pop, profiles, cfg, seed, rb)
-
-    monkeypatch.setattr(channel, "_antenna_blocks", counting_draw)
+    builds = _count_builds(monkeypatch)
     cfg = ExperimentConfig(**{**QUICK, "direction": "both", "scheduler": scheduler})
     rows = run_trial(cfg, 8, 4, 0, trial_seed(cfg.seed, 0, 0, 0))
     assert [r.direction for r in rows] == ["uplink", "downlink"]
-    assert list(builds.values()) == [1] * cfg.num_rbs
+    # one build per RB, for all K = 8 users
+    assert list(builds.values()) == [[8]] * cfg.num_rbs
+
+
+def test_one_direction_greedy_builds_rbs_for_the_rated_users(monkeypatch):
+    """An uplink-only greedy trial builds each RB once: RB 0 for all K users,
+    the later RBs only for the users still unscheduled and the grouping's.
+    Its rates match the up-front build of a two-direction trial within
+    rounding."""
+    builds = _count_builds(monkeypatch)
+    cfg = ExperimentConfig(**{**QUICK, "num_rbs": 4})
+    seed = trial_seed(cfg.seed, 0, 0, 0)
+    (row,) = run_trial(cfg, 8, 4, 0, seed)
+    k = 16
+    assert [len(v) for v in builds.values()] == [1] * cfg.num_rbs
+    sizes = [builds[seed, rb][0] for rb in range(cfg.num_rbs)]
+    assert sizes[0] == k
+    assert all(size < k for size in sizes[1:])
+    both = run_trial(replace(cfg, direction="both"), 8, 4, 0, seed)
+    (up,) = [r for r in both if r.direction == "uplink"]
+    assert row.r_conv == pytest.approx(up.r_conv, rel=1e-12, abs=0.0)
+    assert row.r_grp == pytest.approx(up.r_grp, rel=1e-12, abs=0.0)
 
 
 def test_benchmark_trace_points_exist(monkeypatch):
@@ -149,6 +182,17 @@ def test_users_that_do_not_fit_refused_before_any_trial(monkeypatch, scheduler):
     )
     with pytest.raises(ConfigurationError, match="12 users cannot fit 4 RBs x 2 layers"):
         run_sweep(cfg)
+    assert started == []
+
+
+@pytest.mark.parametrize("sizes", [(16,), (8, 8), (4, 4, 4, 2, 2)])
+def test_group_count_mismatch_refused_before_any_trial(monkeypatch, sizes):
+    """The four table1 profiles need four group sizes; any other count is
+    refused, naming both keys, before a trial runs."""
+    started = []
+    monkeypatch.setattr(experiments, "run_trial", lambda *args: started.append(args) or [])
+    with pytest.raises(ConfigurationError, match="group_sizes .* profiles"):
+        run_sweep(ExperimentConfig(**{**QUICK, "group_sizes": sizes}))
     assert started == []
 
 
@@ -473,6 +517,29 @@ def test_cli_lognormal_mean_overflow_names_spread(tmp_path, capsys, command):
         path.write_text(text)
         assert cli_main([command, "--config", str(path)]) == 1
         assert "spread_db" in json.loads(capsys.readouterr().err)["error"]
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ("ul_power = 1e308\n", "ul_power"),
+        ('dl_power = 1e308\ndirection = "downlink"\n', "dl_power"),
+        ('dl_power = 1e308\nnoise_power = 0.1\ndirection = "both"\n', "dl_power"),
+    ],
+)
+def test_cli_overflowing_power_names_it(tmp_path, capsys, text, key):
+    """A power whose rates overflow ends in the one-line diagnostic, not in
+    inf or nan rows and a numpy warning."""
+    path = tmp_path / "power.toml"
+    path.write_text('m_list = [8]\ntrials = 1\nscheduler = "greedy"\n' + text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli_main(["simulate", "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert key in json.loads(lines[0])["error"]
 
 
 def test_cli_exact_budget_error(tmp_path, capsys):

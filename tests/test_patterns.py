@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pilotadapt.channel import ChannelProfile, PilotSpacing, max_spacing
 from pilotadapt.errors import ConfigurationError, InfeasibleRegistryError, NoDataRoomError
@@ -33,6 +35,31 @@ def test_build_pattern_counts(num):
     # the classic 4-layer pattern size arises at spacing (7, 4)
     pat = build_pattern(PilotSpacing(7, 4), num, 4)
     assert pat.size == 2 * 3 * 4 == 24
+
+
+@st.composite
+def pattern_cases(draw):
+    n_s, n_sc = draw(st.integers(1, 20)), draw(st.integers(1, 16))
+    spacing = PilotSpacing(draw(st.integers(1, n_s)), draw(st.integers(1, n_sc)))
+    return tiny_numerology(n_s, n_sc), spacing, draw(st.integers(1, 8))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(pattern_cases())
+def test_pattern_count_identity(case):
+    """|P| = ceil(N_s / dt) * ceil(N_sc / df) * mux on any grid and spacing,
+    with distinct in-grid positions; a pattern that would cover every RE is
+    refused."""
+    num, spacing, mux = case
+    count = expected_count(spacing, num, mux)
+    if count >= num.res_per_rb:
+        with pytest.raises(NoDataRoomError):
+            build_pattern(spacing, num, mux)
+        return
+    pat = build_pattern(spacing, num, mux)
+    assert pat.size == len(set(pat.positions)) == count
+    for t, n in pat.positions:
+        assert 0 <= t < num.symbols_per_rb and 0 <= n < num.subcarriers_per_rb
 
 
 def test_build_pattern_positions_distinct_and_in_grid(num):

@@ -92,7 +92,7 @@ def test_pair_terms_match_per_re_oracles():
     for _ in range(5):
         h = random_channels(rng, u, 1, n_s, n_sc, m)
         eta = rng.uniform(0.3, 3.0, u)
-        gram = _realization_from_array(h, n_s, n_sc).grams[0]
+        gram = _realization_from_array(h, n_s, n_sc).gram(0)
         for direction in ("uplink", "downlink"):
             terms = pair_terms(*gram, eta, cfg, direction, data)
             got = subset_sinr(terms, subsets).reshape(len(subsets), u, n_s, n_sc)
