@@ -148,9 +148,6 @@ class ChannelRealization:
             return cross, norms
         return _read_only(cross[rows[:, None], rows]), _read_only(norms[rows])
 
-    def __repr__(self) -> str:
-        return f"ChannelRealization({self._num_users} users, {len(self._built)} RBs)"
-
 
 def _read_only(a: np.ndarray) -> np.ndarray:
     view = a.view()

@@ -17,7 +17,6 @@ from that group only.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
 from collections.abc import Sequence
@@ -108,9 +107,12 @@ class RbRateCalculator:
         fadings = np.asarray(fadings)[users]
         self._local = np.full(k, -1, dtype=np.intp)  # user id -> row of the pair terms
         self._local[users] = np.arange(len(users))
-        self._refuse = functools.partial(_overflow_refused, cfg, direction)
-        with self._refuse():
-            self._terms = pair_terms(cross, norms, fadings, cfg, direction, data)
+        self._power = cfg, direction  # named if a rate overflows
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                self._terms = pair_terms(cross, norms, fadings, cfg, direction, data)
+        except FloatingPointError as exc:
+            raise _overflow_error(*self._power, exc) from exc
         self._scale = 1.0 / (math.log(2.0) * num.res_per_rb)
 
     def rates_for_subsets(self, subsets: np.ndarray) -> np.ndarray:
@@ -122,25 +124,23 @@ class RbRateCalculator:
         subsets = self._local[np.asarray(subsets, dtype=np.intp)]
         if (subsets < 0).any():
             raise ValueError("subset names a user outside the calculator's users")
-        with self._refuse():
-            sinr = subset_sinr(self._terms, subsets)
-            return np.log1p(sinr, out=sinr).sum(axis=(1, 2)) * self._scale
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                sinr = subset_sinr(self._terms, subsets)
+                return np.log1p(sinr, out=sinr).sum(axis=(1, 2)) * self._scale
+        except FloatingPointError as exc:
+            raise _overflow_error(*self._power, exc) from exc
 
 
-@contextlib.contextmanager
-def _overflow_refused(cfg: SystemConfig, direction: str):
-    """Turn an overflow or a NaN in the rate arithmetic into a
-    ConfigurationError that names the direction's power."""
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            yield
-    except FloatingPointError as exc:
-        key = "ul_power" if direction == "uplink" else "dl_power"
-        raise ConfigurationError(
-            f"the {direction} rates are not finite ({exc}) at {key} = "
-            f"{cfg.power(direction)!r} and noise_power = {cfg.noise_power!r}; "
-            f"lower {key}"
-        ) from exc
+def _overflow_error(cfg: SystemConfig, direction: str, exc: FloatingPointError):
+    """The ConfigurationError for an overflow or a NaN in the rate
+    arithmetic; it names the direction's power."""
+    key = "ul_power" if direction == "uplink" else "dl_power"
+    return ConfigurationError(
+        f"the {direction} rates are not finite ({exc}) at {key} = "
+        f"{cfg.power(direction)!r} and noise_power = {cfg.noise_power!r}; "
+        f"lower {key} or raise noise_power"
+    )
 
 
 def _data_mask(pattern: PilotPattern | None, n_s: int, n_sc: int) -> np.ndarray:
