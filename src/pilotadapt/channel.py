@@ -23,12 +23,12 @@ That is N / L^2 times fewer flops (3 at N = 12, L = 2) than a K x K product
 per (symbol, subcarrier) of the frequency response, which only
 `draw_channels` forms.
 
-`generate_realization` builds every RB's Gram for all users up front, or,
-given the users each RB must cover, builds an RB on its first request for
-those and the requested users only. A user's channels depend only on
-(seed, user, RB), so a Gram over fewer users is the full one's sub-block up
-to rounding. A realization caches its builds unlocked: one trial uses it,
-on one thread.
+`generate_realization` builds nothing up front. An RB is built on a
+request its held build does not cover, for the requested users and the
+users the caller said that RB must cover, and the new build replaces the
+held one. A user's channels depend only on (seed, user, RB), so a Gram over
+fewer users is the full one's sub-block up to rounding. A realization
+caches its builds unlocked: one trial uses it, on one thread.
 """
 
 from __future__ import annotations
@@ -105,23 +105,26 @@ class ChannelRealization:
     so the channels themselves are never held; `draw_channels` redraws one
     RB's when they are needed.
 
-    `grams` holds each RB's (cross, norms) over all users in id order, or
-    None for an RB that `build(rb, users)` draws on its first request for
-    some user; `build` returns the users it built, ascending and a superset
-    of `users`, and their Gram. Later requests within that set are sliced
-    from it; a request outside it rebuilds the RB for the union. Builds are
-    cached without a lock: a realization serves one trial on one thread.
+    `build(rb, users)` returns the users it built, ascending and a superset
+    of `users`, and their Gram. A request is sliced from the RB's held
+    build when that build covers it; otherwise the RB is built for the
+    request and the new build replaces the held one. Given explicit `grams`
+    (each RB's (cross, norms) over all users in id order) and no `build`,
+    every build returns the stored full Gram. Builds are cached without a
+    lock: a realization serves one trial on one thread.
     """
 
     __slots__ = ("_numerology", "_num_users", "_built", "_build")
 
     def __init__(self, grams, numerology: Numerology, build=None):
         self._numerology = numerology
-        self._build = build
-        self._built = [
-            None if g is None else (np.arange(len(g[1])), *map(_read_only, g)) for g in grams
-        ]
-        self._num_users = build.num_users if build is not None else len(grams[0][1])
+        self._built = [None] * len(grams)
+        if build is None:
+            stored = [(np.arange(len(g[1])), *map(_read_only, g)) for g in grams]
+            self._num_users = len(grams[0][1])
+            self._build = lambda rb, users: stored[rb]
+        else:
+            self._num_users, self._build = build.num_users, build
 
     @property
     def numerology(self) -> Numerology:
@@ -140,8 +143,7 @@ class ChannelRealization:
             raise ValueError(f"users {want.tolist()} outside the {self._num_users} of the draw")
         built = self._built[rb]
         if built is None or not np.isin(want, built[0]).all():
-            need = want if built is None else np.concatenate([want, built[0]])
-            built = self._built[rb] = self._build(rb, np.unique(need))
+            built = self._built[rb] = self._build(rb, want)
         ids, cross, norms = built
         rows = np.searchsorted(ids, want)
         if np.array_equal(rows, np.arange(len(ids))):
@@ -259,7 +261,8 @@ class _TapSource:
     ones.
 
     Called as `ChannelRealization`'s `build`, it returns RB rb's Gram for
-    the users asked for and include[rb] (when given)."""
+    the users asked for and include[rb] (no extra users when include is
+    None)."""
 
     def __init__(
         self,
@@ -295,11 +298,13 @@ class _TapSource:
         return (per_tap.conj()[:, None, :, None] * per_tap[None, :, None]).reshape(k, k, -1, n)
 
     def __call__(self, rb: int, users: np.ndarray):
+        # a mask, not np.union1d: np.unique would import numpy.ma (~15 ms)
+        chosen = np.zeros(self.num_users, dtype=bool)
+        chosen[users] = True
         if self.include is not None:
-            users = np.union1d(users, self.include[rb])
-        users = np.asarray(users, dtype=np.intp)
-        every = len(users) == self.num_users  # ascending and distinct, so all of them
-        pair = self.weights if every else self.weights[np.ix_(users, users)]
+            chosen[list(self.include[rb])] = True
+        users = np.flatnonzero(chosen)
+        pair = self.weights if chosen.all() else self.weights[np.ix_(users, users)]
         return users, *_accumulate_gram(_antenna_blocks(self, rb, users), pair)
 
 
@@ -404,18 +409,14 @@ def generate_realization(
     seed: int = 0,
     include=None,
 ) -> ChannelRealization:
-    """Draw the per-user, per-RB fading field and keep each RB's Gram.
+    """The per-user, per-RB fading field, as each RB's Gram on request.
 
-    Fading is independent across users, RBs, antennas, and taps. Each RB's
-    Gram is accumulated in the tap domain from antenna blocks, so memory
-    stays bounded by one block whatever the antenna count. With `include`
-    None every RB is built here for all users. Otherwise RB r is built when
-    first asked for, for the users asked for and include[r], so users that
-    no caller rates are never drawn there.
+    Fading is independent across users, RBs, antennas, and taps. Nothing is
+    built here: RB r is built when a request is not covered by its held
+    build, for the requested users and include[r] (none when `include` is
+    None), so users that no caller rates are never drawn there. Each Gram
+    is accumulated in the tap domain from antenna blocks, so memory stays
+    bounded by one block whatever the antenna count.
     """
     source = _TapSource(pop, profiles, cfg, seed, include)
-    if include is not None:
-        return ChannelRealization([None] * cfg.num_rbs, cfg.numerology, source)
-    every = np.arange(pop.num_users)
-    grams = [source(rb, every)[1:] for rb in range(cfg.num_rbs)]
-    return ChannelRealization(grams, cfg.numerology)
+    return ChannelRealization([None] * cfg.num_rbs, cfg.numerology, source)

@@ -10,6 +10,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import replace
 
 from .asymptotics import AsymptoticModel, deterministic_sinr, gain_bound, sinr_bar
 from .channel import PilotSpacing, max_spacing
@@ -44,8 +45,6 @@ def _load(args: argparse.Namespace) -> ExperimentConfig:
     if getattr(args, "format", None) is not None:
         updates["format"] = args.format
     if updates:
-        from dataclasses import replace
-
         cfg = replace(cfg, **updates)
     return cfg
 
@@ -114,13 +113,8 @@ def _cmd_simulate(args) -> int:
     cfg = _load(args)
     rows = run_sweep(cfg)
     _emit(rows_to_csv(rows) if cfg.format == "csv" else rows_to_json(rows), cfg)
-    return 0
-
-
-def _cmd_sweep(args) -> int:
-    cfg = _load(args)
-    rows = run_sweep(cfg)
-    _emit(rows_to_csv(rows) if cfg.format == "csv" else rows_to_json(rows), cfg)
+    if args.command != "sweep":
+        return 0
     for entry in summarize_gains(rows):
         sys.stderr.write(
             f"# {entry['direction']} M={entry['M']} U={entry['U_mux']}: "
@@ -210,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("sweep", help="relative-gain sweep with the asymptotic bound")
     _add_common(p)
-    p.set_defaults(func=_cmd_sweep)
+    p.set_defaults(func=_cmd_simulate)
 
     p = subs.add_parser("asymptotics", help="print closed-form limits and the gain bound")
     _add_common(p)
@@ -231,10 +225,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except PilotAdaptError as exc:
-        sys.stderr.write(json.dumps({"error": str(exc)}) + "\n")
-        return 1
-    except OSError as exc:
+    except (PilotAdaptError, OSError) as exc:
         sys.stderr.write(json.dumps({"error": str(exc)}) + "\n")
         return 1
 

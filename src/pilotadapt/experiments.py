@@ -181,12 +181,12 @@ def run_trial(
 ) -> list[ResultRow]:
     """Evaluate one realization: grouping vs conventional, per direction.
 
-    Both directions share the realization's per-RB Grams and one
-    grouping assignment, which does not depend on the channel. A greedy
-    run in one direction builds each RB's Gram only for the users it
-    rates there and the grouping's; the exact DP, and two greedy runs that
-    want different users on every RB after the first, take every RB's
-    Gram for all users, built up front.
+    Both directions share the realization and one grouping assignment,
+    which does not depend on the channel. Each RB's Gram is built on
+    request for the users the scheduler rates there and the grouping's,
+    and rebuilt only when a request leaves that set: once per RB for the
+    exact DP (every user) and a greedy run in one direction, at most once
+    per RB and direction for greedy runs in both.
     """
     profiles = cfg.resolved_profiles()
     pop = build_population(cfg.sizes_for(mux), cfg.fading, seed=seed)
@@ -195,9 +195,8 @@ def run_trial(
     pattern = conventional_pattern(profiles, cfg.numerology, mux)
     picker_rng = np.random.default_rng(np.random.SeedSequence((seed, 1)))
     assignment = grouping_schedule(pop, sys_cfg, registry, profiles, cfg.picker, picker_rng)
-    on_demand = cfg.scheduler == "greedy" and len(cfg.directions()) == 1
     realization = generate_realization(
-        pop, profiles, sys_cfg, seed=seed, include=assignment.rb_users if on_demand else None
+        pop, profiles, sys_cfg, seed=seed, include=assignment.rb_users
     )
     fadings = pop.fadings()
     bound = gain_bound(
@@ -271,8 +270,8 @@ def run_sweep(cfg: ExperimentConfig) -> list[ResultRow]:
 
 def replay_row(cfg: ExperimentConfig, row: ResultRow) -> ResultRow:
     """Recompute a row of a sweep of `cfg` from its own seed. The trial
-    reruns under the sweep's own config, so its Grams are built as they
-    were and the row is equal to the original bit for bit."""
+    reruns under the sweep's own config, so it makes the same Gram
+    requests and the row is equal to the original bit for bit."""
     rows = run_trial(cfg, row.m, row.u_mux, row.trial, row.seed)
     return next(r for r in rows if r.direction == row.direction)
 

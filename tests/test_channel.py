@@ -211,7 +211,8 @@ SUBSET_PROFILES = [ONE_TAP, THREE_TAP, builtin_profiles()[1]]
 
 @functools.lru_cache(maxsize=None)
 def _full_build(m):
-    return generate_realization(SUBSET_POP, SUBSET_PROFILES, _cfg(2, m), seed=3)
+    real = generate_realization(SUBSET_POP, SUBSET_PROFILES, _cfg(2, m), seed=3)
+    return [real.gram(rb) for rb in range(2)]
 
 
 @st.composite
@@ -228,10 +229,11 @@ def gram_requests(draw):
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(gram_requests())
 def test_gram_of_users_matches_the_full_build(case):
-    """An on-demand realization serves any users of an RB, in the order
-    asked, as the matching sub-block of the full build within rounding. An
-    RB is drawn on its first request and again only when a request leaves
-    its built set; a last request for every user forces that rebuild."""
+    """A realization serves any users of an RB, in the order asked, as the
+    matching sub-block of the full build within rounding. An RB is drawn on
+    its first request and again only when a request leaves its built set,
+    each time for the request and include[rb] alone; a last request for
+    every user forces that rebuild."""
     m, include, requests = case
     full = _full_build(m)
     real = generate_realization(SUBSET_POP, SUBSET_PROFILES, _cfg(2, m), seed=3, include=include)
@@ -241,18 +243,18 @@ def test_gram_of_users_matches_the_full_build(case):
         for rb, users in requests + [(0, None), (1, None)]:
             asked = set(range(SUBSET_POP.num_users) if users is None else users)
             if asked and (rb not in built or not asked <= built[rb]):
-                built[rb] = asked | built.get(rb, set()) | set(include[rb])
+                built[rb] = asked | set(include[rb])
                 want_builds += 1
             cross, norms = real.gram(rb, users)
             rows = np.arange(SUBSET_POP.num_users) if users is None else np.array(users, dtype=int)
-            want_cross, want_norms = full.gram(rb)
+            want_cross, want_norms = full[rb]
             assert cross.shape == (len(rows), len(rows), 14, 12)
             assert np.allclose(cross, want_cross[np.ix_(rows, rows)], rtol=1e-12, atol=0.0)
             assert np.allclose(norms, want_norms[rows], rtol=1e-12, atol=0.0)
     assert draws.call_count == want_builds
     # the last two requests built both RBs for every user, as the full build does
     for rb in range(2):
-        assert all(np.array_equal(a, b) for a, b in zip(real.gram(rb), full.gram(rb)))
+        assert all(np.array_equal(a, b) for a, b in zip(real.gram(rb), full[rb]))
 
 
 def test_gram_matches_direct_inner_products():
@@ -321,16 +323,21 @@ def test_fewer_antennas_draw_the_leading_antennas(profiles):
 
 def test_generation_memory_is_per_block(profiles):
     """K = 16 users, M = 256, 4 RBs: one RB's channels take 11 MB. Each RB's
-    Gram is accumulated from antenna blocks, so the peak allocation of a whole
-    realization stays under half of one RB's channels; building any RB's full
-    channel array first would not."""
+    Gram is accumulated from antenna blocks, so the peak allocation of
+    building every RB of a realization stays under half of one RB's
+    channels; building any RB's full channel array first would not."""
     pop = build_population([4, 4, 4, 4], FadingSpec(), seed=0)
     cfg = _cfg(4, 256)
-    generate_realization(pop, profiles, cfg, seed=0)  # warm caches and lazy imports
+
+    def build_every_rb(seed):
+        real = generate_realization(pop, profiles, cfg, seed=seed)
+        return [real.gram(rb) for rb in range(cfg.num_rbs)]
+
+    build_every_rb(0)  # warm caches and lazy imports
     one_rb = pop.num_users * 14 * 12 * cfg.num_antennas * 16
     tracemalloc.start()
     try:
-        generate_realization(pop, profiles, cfg, seed=1)
+        build_every_rb(1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

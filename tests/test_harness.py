@@ -93,7 +93,7 @@ def _count_builds(monkeypatch):
     draw = channel._antenna_blocks
 
     def counting_draw(source, rb, users):
-        builds.setdefault((source.seed, rb), []).append(len(users))
+        builds.setdefault((source.seed, rb), []).append(tuple(users.tolist()))
         return draw(source, rb, users)
 
     monkeypatch.setattr(channel, "_antenna_blocks", counting_draw)
@@ -102,32 +102,53 @@ def _count_builds(monkeypatch):
 
 @pytest.mark.parametrize("scheduler", ["greedy", "exact"])
 def test_trial_builds_each_rb_gram_once(monkeypatch, scheduler):
+    """The exact DP rates every user, so an exact trial builds each RB once
+    for all K users, in one direction or both. A greedy trial in both
+    directions builds each RB at most once per direction, RB 0 once for
+    all K users, and every build covers the grouping's users of the RB."""
     builds = _count_builds(monkeypatch)
-    cfg = ExperimentConfig(**{**QUICK, "direction": "both", "scheduler": scheduler})
-    rows = run_trial(cfg, 8, 4, 0, trial_seed(cfg.seed, 0, 0, 0))
+    grouped = []
+    schedule = experiments.grouping_schedule
+    monkeypatch.setattr(
+        experiments, "grouping_schedule", lambda *a: grouped.append(schedule(*a)) or grouped[-1]
+    )
+    if scheduler == "exact":
+        for direction in ("uplink", "both"):
+            builds.clear()
+            cfg = ExperimentConfig(**{**QUICK, "direction": direction, "scheduler": "exact"})
+            rows = run_trial(cfg, 8, 4, 0, trial_seed(cfg.seed, 0, 0, 0))
+            assert len(rows) == len(cfg.directions())
+            assert list(builds.values()) == [[tuple(range(8))]] * cfg.num_rbs
+        return
+    cfg = ExperimentConfig(**{**QUICK, "num_rbs": 4, "direction": "both"})
+    seed = trial_seed(cfg.seed, 0, 0, 0)
+    rows = run_trial(cfg, 8, 4, 0, seed)
     assert [r.direction for r in rows] == ["uplink", "downlink"]
-    # one build per RB, for all K = 8 users
-    assert list(builds.values()) == [[8]] * cfg.num_rbs
+    assert builds[seed, 0] == [tuple(range(16))]
+    (assignment,) = grouped
+    for rb, users in enumerate(assignment.rb_users):
+        assert 1 <= len(builds[seed, rb]) <= 2
+        assert all(set(users) <= set(built) for built in builds[seed, rb])
 
 
 def test_one_direction_greedy_builds_rbs_for_the_rated_users(monkeypatch):
     """An uplink-only greedy trial builds each RB once: RB 0 for all K users,
     the later RBs only for the users still unscheduled and the grouping's.
-    Its rates match the up-front build of a two-direction trial within
-    rounding."""
+    It makes the same requests as the uplink half of a two-direction trial,
+    so its rates equal that trial's uplink row."""
     builds = _count_builds(monkeypatch)
     cfg = ExperimentConfig(**{**QUICK, "num_rbs": 4})
     seed = trial_seed(cfg.seed, 0, 0, 0)
     (row,) = run_trial(cfg, 8, 4, 0, seed)
     k = 16
     assert [len(v) for v in builds.values()] == [1] * cfg.num_rbs
-    sizes = [builds[seed, rb][0] for rb in range(cfg.num_rbs)]
+    sizes = [len(builds[seed, rb][0]) for rb in range(cfg.num_rbs)]
     assert sizes[0] == k
     assert all(size < k for size in sizes[1:])
     both = run_trial(replace(cfg, direction="both"), 8, 4, 0, seed)
     (up,) = [r for r in both if r.direction == "uplink"]
-    assert row.r_conv == pytest.approx(up.r_conv, rel=1e-12, abs=0.0)
-    assert row.r_grp == pytest.approx(up.r_grp, rel=1e-12, abs=0.0)
+    assert row.r_conv == up.r_conv
+    assert row.r_grp == up.r_grp
 
 
 def test_benchmark_trace_points_exist(monkeypatch):
@@ -581,7 +602,8 @@ def test_cli_entrypoint_runs():
 
 def test_exact_sweep_does_not_import_numpy_ma(tmp_path):
     """numpy imports numpy.ma on the first np.unique of a process, about
-    15 ms; an exact CLI sweep needs neither."""
+    15 ms; an exact CLI sweep needs neither, nor scipy, which only the
+    tests use."""
     config = tmp_path / "exact.toml"
     config.write_text(
         'm_list = [8]\nu_mux_list = [2]\ntrials = 1\nnum_rbs = 2\nscheduler = "exact"\n'
@@ -590,11 +612,11 @@ def test_exact_sweep_does_not_import_numpy_ma(tmp_path):
         "import sys\n"
         "from pilotadapt.cli import main\n"
         f"main(['simulate', '--config', {str(config)!r}, '--out', {str(tmp_path / 'rows.csv')!r}])\n"
-        "print('numpy.ma' in sys.modules)\n"
+        "print('numpy.ma' in sys.modules, 'scipy' in sys.modules)\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=_child_env()
     )
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "rows.csv").read_text().count("\n") == 2
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "False False"
