@@ -105,13 +105,14 @@ class ChannelRealization:
     so the channels themselves are never held; `draw_channels` redraws one
     RB's when they are needed.
 
-    `build(rb, users)` returns the users it built, ascending and a superset
-    of `users`, and their Gram. A request is sliced from the RB's held
-    build when that build covers it; otherwise the RB is built for the
-    request and the new build replaces the held one. Given explicit `grams`
-    (each RB's (cross, norms) over all users in id order) and no `build`,
-    every build returns the stored full Gram. Builds are cached without a
-    lock: a realization serves one trial on one thread.
+    `build(rb, users)` builds a superset of `users` and returns each
+    user's row in its Gram (-1 for users it did not build) and the Gram. A
+    request is sliced from the RB's held build when that build covers it;
+    otherwise the RB is built for the request and the new build replaces
+    the held one. Given explicit `grams` (each RB's (cross, norms) over all
+    users in id order) and no `build`, every build returns the stored full
+    Gram. Builds are cached without a lock: a realization serves one trial
+    on one thread.
     """
 
     __slots__ = ("_numerology", "_num_users", "_built", "_build")
@@ -142,11 +143,11 @@ class ChannelRealization:
         if want.min() < 0 or want.max() >= self._num_users:
             raise ValueError(f"users {want.tolist()} outside the {self._num_users} of the draw")
         built = self._built[rb]
-        if built is None or not np.isin(want, built[0]).all():
+        if built is None or (built[0][want] < 0).any():
             built = self._built[rb] = self._build(rb, want)
-        ids, cross, norms = built
-        rows = np.searchsorted(ids, want)
-        if np.array_equal(rows, np.arange(len(ids))):
+        rows_of, cross, norms = built
+        rows = rows_of[want]
+        if np.array_equal(rows, np.arange(len(norms))):
             return cross, norms
         return _read_only(cross[rows[:, None], rows]), _read_only(norms[rows])
 
@@ -298,14 +299,15 @@ class _TapSource:
         return (per_tap.conj()[:, None, :, None] * per_tap[None, :, None]).reshape(k, k, -1, n)
 
     def __call__(self, rb: int, users: np.ndarray):
-        # a mask, not np.union1d: np.unique would import numpy.ma (~15 ms)
+        # a mask, not np.union1d: np.unique imports numpy.ma (~15 ms)
         chosen = np.zeros(self.num_users, dtype=bool)
         chosen[users] = True
         if self.include is not None:
             chosen[list(self.include[rb])] = True
         users = np.flatnonzero(chosen)
+        rows = np.where(chosen, np.cumsum(chosen) - 1, -1)
         pair = self.weights if chosen.all() else self.weights[np.ix_(users, users)]
-        return users, *_accumulate_gram(_antenna_blocks(self, rb, users), pair)
+        return rows, *_accumulate_gram(_antenna_blocks(self, rb, users), pair)
 
 
 # Antennas drawn per block while an RB's Gram is accumulated. A block holds

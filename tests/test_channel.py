@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import j0
 
@@ -183,8 +183,9 @@ def test_realization_immutable(num, profiles):
 
 
 def test_gram_arrays_are_read_only(profiles):
-    """Full builds, on-demand builds, their slices and explicit Grams all
-    come back read-only; the caller's explicit arrays stay writable."""
+    """Builds with and without include sets, their slices and explicit
+    Grams all come back read-only; the caller's explicit arrays stay
+    writable."""
     pop = build_population([2, 2, 2, 2], FadingSpec(), seed=0)
     cfg = _cfg(2, 4)
     h = np.stack([draw_channels(pop, profiles, cfg, 1, rb) for rb in range(2)], axis=1)
@@ -228,6 +229,7 @@ def gram_requests(draw):
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(gram_requests())
+@example((5, ((), ()), [(0, [0]), (0, [1]), (0, [0])]))  # a union would keep user 0
 def test_gram_of_users_matches_the_full_build(case):
     """A realization serves any users of an RB, in the order asked, as the
     matching sub-block of the full build within rounding. An RB is drawn on

@@ -74,8 +74,8 @@ def test_worker_count_invariance(monkeypatch):
 
 
 def test_replay_row_round_trip():
-    """Replay is exact whatever the sweep's direction: a "both" sweep builds
-    its Grams up front, an uplink greedy one on demand."""
+    """Replay is exact whatever the scheduler and direction: a rerun trial
+    makes the same Gram requests, so its Grams are built as they were."""
     for scheduler in ("greedy", "exact"):
         for direction in ("uplink", "both"):
             cfg = ExperimentConfig(**{**QUICK, "scheduler": scheduler, "direction": direction})
@@ -398,11 +398,14 @@ def test_cli_validate_estimation(tmp_path, capsys):
 
 
 def test_cli_sweep_prints_gain_summary(tmp_path, capsys):
+    """`sweep` writes the rows of `simulate` and adds only the summary."""
     cfg = _write_quick_config(tmp_path)
     assert cli_main(["sweep", "--config", cfg]) == 0
     captured = capsys.readouterr()
     assert captured.out.splitlines()[0] == CSV_HEADER
     assert "gain" in captured.err and "bound" in captured.err
+    assert cli_main(["simulate", "--config", cfg]) == 0
+    assert capsys.readouterr() == (captured.out, "")
 
 
 def test_cli_patterns_csv_summary(tmp_path, capsys):
@@ -603,20 +606,28 @@ def test_cli_entrypoint_runs():
 def test_exact_sweep_does_not_import_numpy_ma(tmp_path):
     """numpy imports numpy.ma on the first np.unique of a process, about
     15 ms; an exact CLI sweep needs neither, nor scipy, which only the
-    tests use."""
+    tests use. Nor does a greedy sweep, whose later RBs are built for
+    fewer users than K."""
     config = tmp_path / "exact.toml"
     config.write_text(
         'm_list = [8]\nu_mux_list = [2]\ntrials = 1\nnum_rbs = 2\nscheduler = "exact"\n'
+    )
+    greedy = tmp_path / "greedy.toml"
+    greedy.write_text(
+        'm_list = [8]\nu_mux_list = [4]\ntrials = 2\nnum_rbs = 4\nscheduler = "greedy"\n'
     )
     code = (
         "import sys\n"
         "from pilotadapt.cli import main\n"
         f"main(['simulate', '--config', {str(config)!r}, '--out', {str(tmp_path / 'rows.csv')!r}])\n"
         "print('numpy.ma' in sys.modules, 'scipy' in sys.modules)\n"
+        f"main(['simulate', '--config', {str(greedy)!r}, '--out', {str(tmp_path / 'g.csv')!r}])\n"
+        "print('numpy.ma' in sys.modules)\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=_child_env()
     )
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "rows.csv").read_text().count("\n") == 2
-    assert proc.stdout.strip() == "False False"
+    assert (tmp_path / "g.csv").read_text().count("\n") == 3
+    assert proc.stdout.split() == ["False", "False", "False"]
