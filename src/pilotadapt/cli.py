@@ -29,7 +29,7 @@ from .patterns import conventional_pattern, default_registry, group_overheads, p
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="experiment config file (flat text or JSON)")
+    sub.add_argument("--config", help="experiment config file (TOML or JSON)")
     sub.add_argument("--seed", type=int, help="override the master seed")
     sub.add_argument("--out", help="output file (default: config `out` or stdout)")
     sub.add_argument("--format", choices=("csv", "json"), help="output format")
@@ -168,9 +168,9 @@ def _cmd_asymptotics(args) -> int:
 
 def _cmd_validate_estimation(args) -> int:
     cfg = _load(args)
-    profiles = cfg.resolved_profiles()
-    lines = ["profile,spacing_t,spacing_f,nmse,nmse_db"]
-    for prof in profiles:
+    header = ("profile", "spacing_t", "spacing_f", "nmse", "nmse_db")
+    rows = []
+    for prof in cfg.resolved_profiles():
         base = max_spacing(prof, cfg.numerology)
         doubled = PilotSpacing(
             base.time_spacing_symbols * 2, base.freq_spacing_subcarriers * 2
@@ -179,11 +179,14 @@ def _cmd_validate_estimation(args) -> int:
             report = interpolation_nmse(
                 prof, spacing, cfg.numerology, trials=args.trials, seed=cfg.seed
             )
-            lines.append(
-                f"{prof.name},{spacing.time_spacing_symbols},"
-                f"{spacing.freq_spacing_subcarriers},{report.nmse},{report.nmse_db}"
+            rows.append(
+                (prof.name, spacing.time_spacing_symbols, spacing.freq_spacing_subcarriers,
+                 report.nmse, report.nmse_db)
             )
-    _emit("\n".join(lines) + "\n", cfg)
+    if cfg.format == "json":
+        _emit(json.dumps([dict(zip(header, row)) for row in rows], indent=2) + "\n", cfg)
+    else:
+        _emit("\n".join(",".join(map(str, row)) for row in [header, *rows]) + "\n", cfg)
     return 0
 
 

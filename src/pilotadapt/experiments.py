@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 import os
-import re
+import tomllib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -28,6 +28,7 @@ from .scheduling import (
     conventional_schedule_greedy,
     evaluate_schedule,
     grouping_schedule,
+    power_error,
 )
 
 CSV_HEADER = "M,U_mux,trial,direction,R_grp,R_conv,rel_gain,bound,scheduler,seed"
@@ -216,6 +217,10 @@ def run_trial(
         r_grp = evaluate_schedule(
             realization, assignment, sys_cfg, direction, fadings=fadings
         )
+        rel_gain = r_grp / r_conv - 1.0 if r_conv > 0.0 else math.nan
+        if not math.isfinite(rel_gain):
+            problem = f"rates R_grp = {r_grp!r} and R_conv = {r_conv!r} give no finite gain"
+            raise power_error(sys_cfg, direction, problem, fix="raise")
         rows.append(
             ResultRow(
                 m=m,
@@ -224,7 +229,7 @@ def run_trial(
                 direction=direction,
                 r_grp=r_grp,
                 r_conv=r_conv,
-                rel_gain=r_grp / r_conv - 1.0,
+                rel_gain=rel_gain,
                 bound=bound,
                 scheduler=cfg.scheduler,
                 seed=seed,
@@ -313,59 +318,16 @@ def rows_to_json(rows: list[ResultRow]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# config files: flat key = value text, or JSON with the same keys
-
-# a line up to its first `#` outside quotes (an unclosed quote runs to the end)
-_BEFORE_COMMENT = re.compile(r"""(?:[^#"']|"[^"]*(?:"|$)|'[^']*(?:'|$))*""")
-
-
-def parse_flat_config(text: str) -> dict:
-    """Parse the flat `key = value` format (strings, numbers, [lists])."""
-    out: dict = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _BEFORE_COMMENT.match(raw).group().strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigurationError(f"line {lineno}: expected key = value")
-        key, value = (s.strip() for s in line.split("=", 1))
-        out[key] = _parse_scalar_or_list(value, lineno)
-    return out
-
-
-def _parse_scalar_or_list(value: str, lineno: int):
-    if value.startswith("[") and value.endswith("]"):
-        inner = value[1:-1].strip()
-        if not inner:
-            return []
-        return [_parse_scalar(v.strip(), lineno) for v in inner.split(",")]
-    return _parse_scalar(value, lineno)
-
-
-def _parse_scalar(value: str, lineno: int):
-    if len(value) >= 2 and value[0] == value[-1] and value[0] in "'\"":
-        return value[1:-1]
-    lowered = value.lower()
-    if lowered in ("true", "false"):
-        return lowered == "true"
-    try:
-        return int(value)
-    except ValueError:
-        pass
-    try:
-        return float(value)
-    except ValueError:
-        pass
-    return value  # bare string
+# config files: TOML, or JSON with the same keys
 
 
 def load_config(path: str) -> ExperimentConfig:
-    """Read an experiment config from a flat text or JSON file."""
+    """Read an experiment config from a TOML or JSON file."""
     try:
         with open(path) as fh:
             text = fh.read()
-        data = json.loads(text) if path.endswith(".json") else parse_flat_config(text)
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        data = json.loads(text) if path.endswith(".json") else tomllib.loads(text)
+    except (UnicodeDecodeError, json.JSONDecodeError, tomllib.TOMLDecodeError) as exc:
         raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
     return config_from_dict(data)
 
@@ -450,10 +412,9 @@ def _parse_profiles(key: str, value):
         return "table1"
     if not isinstance(value, list) or not value:
         raise ConfigurationError(
-            "profiles must be \"table1\" or (JSON configs only) a non-empty list of "
-            "profile objects"
+            "profiles must be \"table1\" or a non-empty list of profile tables"
         )
-    # JSON form: list of dicts with optional tap tables
+    # a list of tables (JSON objects) with optional tap tables
     profs = []
     for entry in value:
         if not isinstance(entry, dict) or not _PROFILE_KEYS <= set(entry):

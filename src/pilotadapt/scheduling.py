@@ -112,7 +112,7 @@ class RbRateCalculator:
             with np.errstate(over="raise", invalid="raise"):
                 self._terms = pair_terms(cross, norms, fadings, cfg, direction, data)
         except FloatingPointError as exc:
-            raise _overflow_error(*self._power, exc) from exc
+            raise power_error(*self._power, f"rates are not finite ({exc})") from exc
         self._scale = 1.0 / (math.log(2.0) * num.res_per_rb)
 
     def rates_for_subsets(self, subsets: np.ndarray) -> np.ndarray:
@@ -129,17 +129,18 @@ class RbRateCalculator:
                 sinr = subset_sinr(self._terms, subsets)
                 return np.log1p(sinr, out=sinr).sum(axis=(1, 2)) * self._scale
         except FloatingPointError as exc:
-            raise _overflow_error(*self._power, exc) from exc
+            raise power_error(*self._power, f"rates are not finite ({exc})") from exc
 
 
-def _overflow_error(cfg: SystemConfig, direction: str, exc: FloatingPointError):
-    """The ConfigurationError for an overflow or a NaN in the rate
-    arithmetic; it names the direction's power."""
+def power_error(cfg: SystemConfig, direction: str, problem: str, fix: str = "lower"):
+    """The ConfigurationError for rates that the direction's power and the
+    noise power put out of range. It names both, and says to `fix` ("lower"
+    or "raise") the power or to do the opposite to the noise power."""
     key = "ul_power" if direction == "uplink" else "dl_power"
+    undo = "raise" if fix == "lower" else "lower"
     return ConfigurationError(
-        f"the {direction} rates are not finite ({exc}) at {key} = "
-        f"{cfg.power(direction)!r} and noise_power = {cfg.noise_power!r}; "
-        f"lower {key} or raise noise_power"
+        f"the {direction} {problem} at {key} = {cfg.power(direction)!r} and "
+        f"noise_power = {cfg.noise_power!r}; {fix} {key} or {undo} noise_power"
     )
 
 
@@ -201,14 +202,11 @@ def conventional_schedule_exact(
     popcount = _popcounts(k)
     value = np.full(1 << k, -np.inf)
     value[0] = 0.0
-    levels = [0]  # popcounts of the reached states
     backs = []  # per stage: {popcount: (state masks ascending, chosen subset masks)}
-    for stage in range(n_rbs):
+    for stage, plan in enumerate(_stage_plan(k, n_rbs, mux)):
         # one stage's pair terms at a time: each RB's are (K, K, data REs)
         calc = RbRateCalculator(realization, stage, cfg, pattern, direction, fadings)
-        room = (n_rbs - stage - 1) * mux  # users the later RBs can still take
-        value, back = _dp_stage(value, levels, popcount, calc, k, mux, room)
-        levels = list(back)
+        value, back = _dp_stage(value, plan, popcount, calc, k)
         backs.append(back)
 
     mask = full = (1 << k) - 1
@@ -224,27 +222,37 @@ def conventional_schedule_exact(
         rb_groups=tuple([None] * n_rbs),
         mode="conventional",
     )
-    return assignment, value[full] / n_rbs
+    return assignment, float(value[full]) / n_rbs
 
 
-def _dp_stage(value, levels, popcount, calc, k, mux, room):
+def _stage_plan(k: int, n_rbs: int, mux: int) -> list[dict[int, list[int]]]:
+    """Per RB r of the exact DP, {popcount p of a state: the sizes of the
+    subsets it takes on RB r, descending}, in ascending p. Before RB r every
+    count c of placed users in [max(0, k - (n_rbs - r) * mux), min(k, r * mux)]
+    is reached; RB r takes at most mux users and leaves the later RBs no more
+    than they can take."""
+    plan = []
+    for r in range(n_rbs):
+        lo, hi = max(0, k - (n_rbs - r) * mux), min(k, r * mux)
+        targets = range(max(lo, k - (n_rbs - r - 1) * mux), min(hi + mux, k) + 1)
+        # a state of p users came from one of c in [lo, hi], by p - c <= mux
+        plan.append({p: list(range(min(p - lo, mux), max(p - hi, 0) - 1, -1)) for p in targets})
+    return plan
+
+
+def _dp_stage(value, plan, popcount, calc, k):
     """One RB of the exact DP, in pull form.
 
-    Each state of popcount p >= k - room (the later RBs can take the rest)
+    Every state of a popcount p in `plan` (the RB's `_stage_plan` entry)
     takes the best value[state ^ sub] + rate[sub] over its subsets `sub` of
-    at most mux users whose source popcount p - |sub| is in `levels`. Any
-    subset of the free users is allowed, so every state of such a p is
-    reached. Returns the dense next-stage values and, per popcount p, the
-    states in ascending mask order with the subset each one took.
+    the sizes in plan[p]. Returns the dense next-stage values and, per
+    popcount p, the states in ascending mask order with the subset each one
+    took.
     """
-    sizes: dict[int, list[int]] = {}  # state popcount -> subset sizes, descending
-    for c in sorted(levels):
-        for s in range(max(0, k - c - room), min(mux, k - c) + 1):
-            sizes.setdefault(c + s, []).append(s)
-    rate = _subset_rates(calc, k, {s for r in sizes.values() for s in r})
+    rate = _subset_rates(calc, k, set().union(*plan.values()))
     nxt = np.full(1 << k, -np.inf)
     back = {}
-    for p, size_list in sorted(sizes.items()):
+    for p, size_list in plan.items():
         targets = np.flatnonzero(popcount == p)
         members = np.concatenate([_members_descending(p, s) for s in size_list], axis=1)
         step = max(1, _DP_CHUNK // members.shape[1])
@@ -353,29 +361,19 @@ def check_exact_budget(k: int, n_rbs: int, mux: int) -> None:
         )
 
 
-def _estimate_transitions(k: int, n_rbs: int, mux: int) -> float:
+def _estimate_transitions(k: int, n_rbs: int, mux: int) -> int:
     """Count the (state, subset) pairs the DP will visit, plus
     _TABLE_ROW_COST for each of the s^2 pair-term rows that each stage's
-    rate table gathers per size-s subset.
-
-    States with c users placed are bounded by C(k, c); subset sizes are
-    constrained so the remaining users still fit the remaining RBs.
+    rate table gathers per size-s subset. Each stage visits every state of
+    a popcount p in its plan, with each of its size-s subsets for s in
+    plan[p].
     """
-    total = 0.0
-    levels = {0}
-    for r in range(n_rbs):
-        nxt: set[int] = set()
-        sizes: set[int] = set()
-        for c in levels:
-            free = k - c
-            lo = max(0, free - (n_rbs - r - 1) * mux)
-            hi = min(mux, free)
-            for size in range(lo, hi + 1):
-                total += math.comb(k, c) * math.comb(free, size)
-                nxt.add(c + size)
-                sizes.add(size)
+    total = 0
+    for plan in _stage_plan(k, n_rbs, mux):
+        for p, sizes in plan.items():
+            total += math.comb(k, p) * sum(math.comb(p, s) for s in sizes)
+        sizes = set().union(*plan.values())
         total += _TABLE_ROW_COST * sum(math.comb(k, s) * s * s for s in sizes)
-        levels = nxt
     return total
 
 

@@ -1,5 +1,8 @@
 import importlib.util
+import contextlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,7 +11,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pilotadapt import channel, experiments
@@ -19,7 +22,6 @@ from pilotadapt.experiments import (
     ExperimentConfig,
     config_from_dict,
     load_config,
-    parse_flat_config,
     replay_row,
     rows_to_csv,
     run_sweep,
@@ -28,6 +30,8 @@ from pilotadapt.experiments import (
     trial_seed,
 )
 from pilotadapt.scheduling import RbRateCalculator
+
+ROOT = Path(__file__).resolve().parent.parent
 
 QUICK = dict(
     m_list=(8, 16),
@@ -154,7 +158,7 @@ def test_one_direction_greedy_builds_rbs_for_the_rated_users(monkeypatch):
 def test_benchmark_trace_points_exist(monkeypatch):
     """The per-layer benchmark wraps these names; a rename would blank its spans."""
     monkeypatch.setattr(sys, "path", list(sys.path))  # the script prepends src/
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "traced_simulate.py"
+    path = ROOT / "perfbench" / "traced_simulate.py"
     spec = importlib.util.spec_from_file_location("_traced_simulate", path)
     traced = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(traced)
@@ -251,32 +255,79 @@ seed = 11
     assert cfg.seed == 11
 
 
-def test_json_config_with_custom_profiles(tmp_path):
-    data = {
-        "m_list": [8],
-        "u_mux_list": [2],
-        "trials": 1,
-        "num_rbs": 2,
-        "scheduler": "greedy",
-        "group_sizes": [2, 2],
-        "profiles": [
-            {"name": "slow", "max_doppler_hz": 5.0, "max_delay_spread_s": 0.4e-6},
-            {
-                "name": "fast",
-                "max_doppler_hz": 300.0,
-                "max_delay_spread_s": 4.69e-6,
-                "taps": [[0.0, 0.6], [2.0e-6, 0.4]],
-            },
-        ],
-    }
-    path = tmp_path / "exp.json"
-    path.write_text(json.dumps(data))
-    cfg = load_config(str(path))
+_CUSTOM_PROFILES = {
+    "m_list": [8],
+    "u_mux_list": [2],
+    "trials": 1,
+    "num_rbs": 2,
+    "scheduler": "greedy",
+    "group_sizes": [2, 2],
+    "fading": {"kind": "lognormal", "spread_db": 3.0},
+    "profiles": [
+        {"name": "slow", "max_doppler_hz": 5.0, "max_delay_spread_s": 0.4e-6},
+        {
+            "name": "fast",
+            "max_doppler_hz": 300.0,
+            "max_delay_spread_s": 4.69e-6,
+            "taps": [[0.0, 0.6], [2.0e-6, 0.4]],
+        },
+    ],
+}
+# the same config in TOML: the tables follow the top-level keys
+_CUSTOM_PROFILES_TOML = """
+m_list = [8]
+u_mux_list = [2]
+trials = 1
+num_rbs = 2
+scheduler = "greedy"
+group_sizes = [2, 2]
+
+[fading]
+kind = "lognormal"
+spread_db = 3.0
+
+[[profiles]]
+name = "slow"
+max_doppler_hz = 5.0
+max_delay_spread_s = 0.4e-6
+
+[[profiles]]
+name = "fast"
+max_doppler_hz = 300.0
+max_delay_spread_s = 4.69e-6
+taps = [[0.0, 0.6], [2.0e-6, 0.4]]
+"""
+
+
+@pytest.mark.parametrize("suffix", ["json", "toml"])
+def test_json_config_with_custom_profiles(tmp_path, suffix):
+    (tmp_path / "exp.json").write_text(json.dumps(_CUSTOM_PROFILES))
+    (tmp_path / "exp.toml").write_text(_CUSTOM_PROFILES_TOML)
+    cfg = load_config(str(tmp_path / f"exp.{suffix}"))
+    assert cfg == load_config(str(tmp_path / "exp.json"))
     profs = cfg.resolved_profiles()
     assert [p.name for p in profs] == ["slow", "fast"]
     assert profs[1].taps == ((0.0, 0.6), (2.0e-6, 0.4))
+    assert (cfg.fading.kind, cfg.fading.spread_db) == ("lognormal", 3.0)
     rows = run_sweep(cfg)
     assert len(rows) == 1
+
+
+# configs/*.toml: (scheduler, m_list, u_mux_list, trials, seed)
+_COMMITTED_CONFIGS = {
+    "table1.toml": ("exact", (32, 64), (4,), 5, 1),
+    "fig4.toml": ("greedy", (64, 112), (4, 5, 6, 7), 10, 2),
+}
+
+
+def test_committed_configs_load():
+    paths = sorted((ROOT / "configs").glob("*.toml"))
+    assert sorted(p.name for p in paths) == sorted(_COMMITTED_CONFIGS)
+    for path in paths:
+        cfg = load_config(str(path))
+        got = (cfg.scheduler, cfg.m_list, cfg.u_mux_list, cfg.trials, cfg.seed)
+        assert got == _COMMITTED_CONFIGS[path.name]
+        assert (cfg.num_rbs, cfg.direction, cfg.snr_db, cfg.profiles) == (4, "uplink", 10.0, "table1")
 
 
 def test_unknown_config_key_rejected():
@@ -284,41 +335,50 @@ def test_unknown_config_key_rejected():
         config_from_dict({"m_list": [8], "bogus": 1})
 
 
-def test_flat_parser_scalars():
-    parsed = parse_flat_config('a = 1\nb = 2.5\nc = "x"\nd = [1, 2]\ne = true\n')
-    assert parsed == {"a": 1, "b": 2.5, "c": "x", "d": [1, 2], "e": True}
-    # a `#` inside quotes is part of the value; one outside starts a comment
-    parsed = parse_flat_config('out = "rows#1.csv"\ntrials = 3  # "three"\n# whole line\n')
-    assert parsed == {"out": "rows#1.csv", "trials": 3}
+def test_flat_parser_scalars(tmp_path):
+    """load_config reads TOML scalars and lists; a `#` inside quotes is part
+    of the value, one outside starts a comment."""
+    path = tmp_path / "exp.toml"
+    path.write_text(
+        'out = "rows#1.csv"\ntrials = 3  # "three"\n# whole line\n'
+        "snr_db = 2.5\nm_list = [1, 2]  # [3]\n"
+    )
+    cfg = load_config(str(path))
+    assert (cfg.out, cfg.trials, cfg.snr_db, cfg.m_list) == ("rows#1.csv", 3, 2.5, (1, 2))
 
 
 _FLOATS = st.floats(allow_nan=False, allow_infinity=False)
-# (value, its flat-config text)
-_FLAT_VALUES = st.one_of(
-    st.integers(-(10**12), 10**12).map(lambda v: (v, str(v))),
-    _FLOATS.map(lambda v: (v, repr(v))),
-    _FLOATS.map(lambda v: (v, f"{v:.17e}")),
-    st.lists(st.integers(-999, 999), max_size=4).map(
-        lambda v: (v, "[" + ", ".join(map(str, v)) + "]")
-    ),
-    st.text("ab #.=-/_'", max_size=10).map(lambda v: (v, f'"{v}"')),
-    st.booleans().map(lambda v: (v, str(v).lower())),
+_POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+_INT_LISTS = st.lists(st.integers(1, 10**6), min_size=1, max_size=4).map(
+    lambda v: (tuple(v), "[" + ", ".join(map(str, v)) + "]")
 )
+# config key -> strategy of (value, its TOML text)
+_TOML_VALUES = {
+    "m_list": _INT_LISTS,
+    "u_mux_list": _INT_LISTS,
+    "seed": st.integers(0, 2**63 - 1).map(lambda v: (v, str(v))),
+    "noise_power": st.one_of(
+        _POSITIVE.map(lambda v: (v, repr(v))), _POSITIVE.map(lambda v: (v, f"{v:.17e}"))
+    ),
+    "snr_db": st.one_of(
+        _FLOATS.map(lambda v: (v, repr(v))), _FLOATS.map(lambda v: (v, f"{v:.17e}"))
+    ),
+    "out": st.text("ab #.=-/_'", max_size=10).map(lambda v: (v, f'"{v}"')),
+}
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(
-    st.dictionaries(st.from_regex(r"[a-z_][a-z0-9_]{0,9}", fullmatch=True), _FLAT_VALUES),
-    st.text("ab #='\"", max_size=6),
-)
-def test_flat_parser_round_trips(entries, comment):
-    """Written `key = value  # comment` lines parse back to the same values
-    and types: ints, negative and exponent floats, int lists, bools, and
-    quoted strings that contain `#`."""
+@given(st.fixed_dictionaries(_TOML_VALUES), st.text("ab #='\"", max_size=6))
+def test_flat_parser_round_trips(tmp_path_factory, entries, comment):
+    """Written `key = value  # comment` lines load back to the same config:
+    positive int lists, non-negative seeds up to 2^63 - 1, negative and
+    exponent floats in both notations, and quoted strings that contain
+    `#`."""
     text = "".join(f"{key} = {shown}  # {comment}\n" for key, (_, shown) in entries.items())
-    parsed = parse_flat_config(text)
-    assert parsed == {key: value for key, (value, _) in entries.items()}
-    assert [type(v) for v in parsed.values()] == [type(v) for v, _ in entries.values()]
+    path = tmp_path_factory.getbasetemp() / "round_trip.toml"
+    path.write_text(text)
+    cfg = load_config(str(path))
+    assert cfg == ExperimentConfig(**{key: value for key, (value, _) in entries.items()})
 
 
 def test_auto_group_sizes_scale_with_mux():
@@ -388,13 +448,22 @@ def test_cli_asymptotics(tmp_path, capsys):
     assert payload[0]["sinr_bar"] == pytest.approx(want)
 
 
-def test_cli_validate_estimation(tmp_path, capsys):
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_cli_validate_estimation(tmp_path, capsys, fmt):
     cfg = _write_quick_config(tmp_path)
-    assert cli_main(["validate-estimation", "--config", cfg, "--trials", "3"]) == 0
+    argv = ["validate-estimation", "--config", cfg, "--trials", "3", "--format", fmt]
+    assert cli_main(argv) == 0
     out = capsys.readouterr().out
-    lines = out.strip().splitlines()
-    assert lines[0] == "profile,spacing_t,spacing_f,nmse,nmse_db"
-    assert len(lines) == 1 + 2 * 4  # rule and doubled spacing per builtin profile
+    header = "profile,spacing_t,spacing_f,nmse,nmse_db"
+    if fmt == "csv":
+        lines = out.strip().splitlines()
+        assert lines[0] == header
+        records = [dict(zip(header.split(","), line.split(","))) for line in lines[1:]]
+    else:
+        records = json.loads(out)
+        assert all(list(rec) == header.split(",") for rec in records)
+    assert len(records) == 2 * 4  # rule and doubled spacing per builtin profile
+    assert [rec["profile"] for rec in records[:2]] == ["EPA5", "EPA5"]
 
 
 def test_cli_sweep_prints_gain_summary(tmp_path, capsys):
@@ -463,6 +532,8 @@ _PROFILE = {"max_doppler_hz": 5.0, "max_delay_spread_s": 0.4e-6}
             json.dumps({"fading": {"kind": "lognormal", "spread_db": -3}}),
         ),
         ("binary.toml", b"\xff\xfe\x00trials = 1"),
+        ("duplicate_key.toml", "trials = 1\ntrials = 2\n"),
+        ("unquoted_string.toml", "direction = uplink\n"),
     ],
 )
 def test_cli_malformed_config_one_json_line(tmp_path, capsys, filename, text):
@@ -566,6 +637,96 @@ def test_cli_overflowing_power_names_it(tmp_path, capsys, text, key):
     assert key in json.loads(lines[0])["error"]
 
 
+# a downlink power so far below the noise that every rate is 0
+_ZERO_RATE = dict(
+    trials=1, num_rbs=1, direction="downlink", dl_power=1e-300, snr_db=-400.0, symbols_per_rb=2
+)
+_ZERO_RATE_CONFIGS = [
+    {**_ZERO_RATE, "scheduler": "greedy", "m_list": [8], "u_mux_list": [5]},
+    {**_ZERO_RATE, "scheduler": "exact", "m_list": [2], "u_mux_list": [5], "fading": "lognormal:6"},
+]
+
+
+@pytest.mark.parametrize("config", _ZERO_RATE_CONFIGS, ids=["greedy", "exact"])
+def test_cli_zero_conventional_rate_names_power(tmp_path, capsys, config):
+    """A conventional rate of 0 leaves the relative gain undefined: the run
+    ends in the diagnostic, not in a traceback or a nan row."""
+    path = tmp_path / "zero.toml"
+    path.write_text("".join(f"{key} = {json.dumps(value)}\n" for key, value in config.items()))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli_main(["simulate", "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])["error"]
+    assert "dl_power = 1e-300" in error and "noise_power" in error
+
+
+_ANY_FLOAT = st.floats(allow_nan=False, allow_infinity=False)
+_FUZZ_PROFILES = st.lists(
+    st.fixed_dictionaries(
+        {
+            "name": st.sampled_from(["a", "b"]),
+            "max_doppler_hz": st.sampled_from([0.0, 5.0, 70.0, 300.0, 1e5]),
+            "max_delay_spread_s": st.sampled_from([0.0, 0.4e-6, 1e-6, 5e-6, 1e-3]),
+        }
+    ),
+    min_size=1,
+    max_size=3,
+)
+_FUZZ_CONFIGS = st.fixed_dictionaries(
+    {
+        "m_list": st.lists(st.integers(1, 8), min_size=1, max_size=2),
+        "u_mux_list": st.lists(st.integers(1, 5), min_size=1, max_size=2),
+        "num_rbs": st.integers(1, 3),
+        "trials": st.just(1),
+        "direction": st.sampled_from(["uplink", "downlink", "both"]),
+        "scheduler": st.sampled_from(["exact", "greedy"]),
+    },
+    optional={
+        "symbols_per_rb": st.integers(1, 14),
+        "subcarriers_per_rb": st.integers(1, 12),
+        "ul_power": _ANY_FLOAT,
+        "dl_power": _ANY_FLOAT,
+        "snr_db": _ANY_FLOAT,
+        "noise_power": _ANY_FLOAT,
+        "fading": st.sampled_from(["constant", "lognormal:6", "lognormal:40"]),
+        "group_sizes": st.lists(st.integers(0, 4), min_size=1, max_size=5),
+        "profiles": _FUZZ_PROFILES,
+    },
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@example(_ZERO_RATE_CONFIGS[0])
+@example(_ZERO_RATE_CONFIGS[1])
+@given(_FUZZ_CONFIGS)
+def test_cli_simulate_finite_rows_or_one_json_line(tmp_path_factory, config):
+    """Any config of small M and one trial either runs, with every float of
+    every row finite and nothing on stderr, or exits 1 with one JSON line on
+    stderr and nothing on stdout."""
+    path = tmp_path_factory.getbasetemp() / "fuzz.json"
+    path.write_text(json.dumps(config))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli_main(["simulate", "--config", str(path)])
+    if code == 0:
+        assert err.getvalue() == ""
+        header, *rows = out.getvalue().splitlines()
+        assert header == CSV_HEADER and rows
+        for row in rows:
+            rec = dict(zip(CSV_HEADER.split(","), row.split(",")))
+            assert all(math.isfinite(float(rec[k])) for k in ("R_grp", "R_conv", "rel_gain", "bound"))
+    else:
+        assert code == 1 and out.getvalue() == ""
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and set(json.loads(lines[0])) == {"error"}
+
+
 def test_cli_exact_budget_error(tmp_path, capsys):
     path = tmp_path / "big.toml"
     path.write_text('m_list = [8]\nu_mux_list = [7]\ntrials = 1\nscheduler = "exact"\n')
@@ -577,7 +738,7 @@ def test_cli_exact_budget_error(tmp_path, capsys):
 def _child_env() -> dict:
     """The environment with the repository's src/ first on PYTHONPATH, so a
     child interpreter imports this checkout's package."""
-    src = str(Path(__file__).resolve().parent.parent / "src")
+    src = str(ROOT / "src")
     path = os.environ.get("PYTHONPATH")
     return {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
 

@@ -16,6 +16,7 @@ from pilotadapt.channel import (
 )
 from pilotadapt.core import FadingSpec, SystemConfig, build_population
 from pilotadapt.errors import ConfigurationError, ExactSearchBudgetError
+from pilotadapt import scheduling
 from pilotadapt.patterns import PatternRegistry, conventional_pattern, default_registry
 from pilotadapt.scheduling import (
     MAX_DP_USERS,
@@ -210,6 +211,30 @@ def test_exact_budget_counts_subset_tables():
     check_exact_budget(20, 4, 5)
     with pytest.raises(ExactSearchBudgetError, match="greedy"):
         check_exact_budget(24, 2, 15)
+
+
+@pytest.mark.parametrize("k, n_rbs, mux", [(8, 2, 4), (5, 3, 2), (7, 3, 3), (12, 4, 4)])
+def test_exact_budget_counts_the_dp_work(monkeypatch, k, n_rbs, mux):
+    """The budget estimate is the number of (state, candidate) pairs the DP
+    compares, plus _TABLE_ROW_COST per pair-term row its rate tables gather
+    (s^2 per size-s subset)."""
+    compared, rows = [], []
+    pull, rates = scheduling._pull, RbRateCalculator.rates_for_subsets
+
+    def counting_pull(targets, members, *args):
+        compared.append(len(targets) * members.shape[1])
+        return pull(targets, members, *args)
+
+    def counting_rates(calc, subsets):
+        rows.append(len(subsets) * np.shape(subsets)[1] ** 2)
+        return rates(calc, subsets)
+
+    monkeypatch.setattr(scheduling, "_pull", counting_pull)
+    monkeypatch.setattr(RbRateCalculator, "rates_for_subsets", counting_rates)
+    pop, cfg, real, pattern, _ = _instance(7, k=k, n_rbs=n_rbs, mux=mux)
+    conventional_schedule_exact(real, pop, cfg, pattern, "uplink")
+    table_term = scheduling._TABLE_ROW_COST * sum(rows)
+    assert sum(compared) == scheduling._estimate_transitions(k, n_rbs, mux) - table_term
 
 
 def test_greedy_never_beats_exact():
