@@ -1,5 +1,5 @@
-import importlib.util
 import contextlib
+import importlib.util
 import io
 import json
 import math
@@ -664,7 +664,6 @@ def test_cli_zero_conventional_rate_names_power(tmp_path, capsys, config):
     assert "dl_power = 1e-300" in error and "noise_power" in error
 
 
-_ANY_FLOAT = st.floats(allow_nan=False, allow_infinity=False)
 _FUZZ_PROFILES = st.lists(
     st.fixed_dictionaries(
         {
@@ -688,10 +687,10 @@ _FUZZ_CONFIGS = st.fixed_dictionaries(
     optional={
         "symbols_per_rb": st.integers(1, 14),
         "subcarriers_per_rb": st.integers(1, 12),
-        "ul_power": _ANY_FLOAT,
-        "dl_power": _ANY_FLOAT,
-        "snr_db": _ANY_FLOAT,
-        "noise_power": _ANY_FLOAT,
+        "ul_power": _FLOATS,
+        "dl_power": _FLOATS,
+        "snr_db": _FLOATS,
+        "noise_power": _FLOATS,
         "fading": st.sampled_from(["constant", "lognormal:6", "lognormal:40"]),
         "group_sizes": st.lists(st.integers(0, 4), min_size=1, max_size=5),
         "profiles": _FUZZ_PROFILES,
