@@ -6,13 +6,7 @@ perfect CSI, and compares against the fixed worst-case pattern baseline both
 in Monte Carlo and in the large-system limit.
 """
 
-from .asymptotics import (
-    AsymptoticModel,
-    asymptotic_rates,
-    deterministic_sinr,
-    gain_bound,
-    sinr_bar,
-)
+from .asymptotics import asymptotic_rates, deterministic_sinr, gain_bound, sinr_bar
 from .channel import (
     ChannelProfile,
     ChannelRealization,

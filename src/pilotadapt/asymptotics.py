@@ -1,6 +1,9 @@
 """Closed-form large-system limits of the MRC/MRT spectral efficiencies.
 
-With M antennas and U multiplexed users, the per-RE SINR concentrates around
+Every limit reads one sweep point's `SystemConfig`: M antennas
+(`num_antennas`), U multiplexed users (`max_mux`), the power P of the
+direction, the noise power sigma^2 and the REs per RB. With U < M and
+U < REs per RB, the per-RE SINR concentrates around
 
     uplink:    eta_k*P / (sigma^2/M + (U/M) * mean_eta * P)
     downlink:  eta_k*P / (sigma^2/M + (U/M) * eta_k   * P)
@@ -20,92 +23,60 @@ so the relative gain of grouping is bounded by
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 from .core import FadingSpec, SystemConfig
 from .errors import ConfigurationError
 
 
-@dataclass(frozen=True)
-class AsymptoticModel:
-    """Scaling ratios and link parameters for the large-system formulas."""
-
-    alpha: float  # mux users per antenna
-    beta: float  # mux users per resource element
-    gammas: tuple[float, ...]
-    fading: FadingSpec
-    direction: str
-    power: float
-    noise_power: float
-
-    def __post_init__(self):
-        if not (0.0 < self.alpha < 1.0 and 0.0 < self.beta < 1.0):
-            raise ConfigurationError("alpha and beta must lie in (0, 1)")
-        if abs(sum(self.gammas) - 1.0) > 1e-9:
-            raise ConfigurationError("group fractions must sum to 1")
-        if self.direction not in ("uplink", "downlink"):
-            raise ConfigurationError(f"unknown direction {self.direction!r}")
-
-    @classmethod
-    def from_system(
-        cls,
-        cfg: SystemConfig,
-        gammas: Sequence[float],
-        fading: FadingSpec,
-        direction: str,
-        mux: int | None = None,
-    ) -> "AsymptoticModel":
-        u = cfg.max_mux if mux is None else mux
-        return cls(
-            alpha=u / cfg.num_antennas,
-            beta=u / cfg.numerology.res_per_rb,
-            gammas=tuple(gammas),
-            fading=fading,
-            direction=direction,
-            power=cfg.power(direction),
-            noise_power=cfg.noise_power,
-        )
-
-
 def deterministic_sinr(
-    model: AsymptoticModel, eta_k: float, eta_bar: float, m: int, u: int
+    cfg: SystemConfig, direction: str, eta_k: float, eta_bar: float
 ) -> float:
-    """Large-system SINR of a user with gain eta_k among u multiplexed users."""
-    p = model.power
-    if model.direction == "uplink":
-        return eta_k * p / (model.noise_power / m + (u / m) * eta_bar * p)
-    return eta_k * p / (model.noise_power / m + (u / m) * eta_k * p)
+    """Large-system SINR of a user with gain eta_k among cfg.max_mux
+    multiplexed users whose mean gain is eta_bar."""
+    m, u, n_re = cfg.num_antennas, cfg.max_mux, cfg.numerology.res_per_rb
+    if not (u < m and u < n_re):
+        raise ConfigurationError(
+            f"the large-system limits need U < M and U < REs per RB, "
+            f"got U = {u}, M = {m} and {n_re} REs per RB"
+        )
+    p = cfg.power(direction)
+    if direction == "uplink":
+        return eta_k * p / (cfg.noise_power / m + (u / m) * eta_bar * p)
+    return eta_k * p / (cfg.noise_power / m + (u / m) * eta_k * p)
 
 
-def sinr_bar(model: AsymptoticModel, m: int, u: int) -> float:
+def sinr_bar(cfg: SystemConfig, direction: str, fading: FadingSpec) -> float:
     """Effective SINR whose log-rate equals the fading-averaged log-rate.
 
     2**E[log2(1 + sinr_det(eta))] - 1; equals the deterministic SINR exactly
     for a constant fading distribution.
     """
-    eta_bar = model.fading.mean()
-    mean_log = model.fading.expect(
-        lambda eta: math.log2(1.0 + deterministic_sinr(model, eta, eta_bar, m, u))
+    eta_bar = fading.mean()
+    mean_log = fading.expect(
+        lambda eta: math.log2(1.0 + deterministic_sinr(cfg, direction, eta, eta_bar))
     )
     return 2.0**mean_log - 1.0
 
 
 def asymptotic_rates(
-    model: AsymptoticModel,
+    cfg: SystemConfig,
+    direction: str,
+    fading: FadingSpec,
+    gammas: Sequence[float],
     pattern_sizes: Sequence[int],
-    n_re: int,
-    m: int,
-    u: int,
 ) -> tuple[float, float]:
     """(grouping, conventional) spectral-efficiency limits per multiplexed user."""
-    if len(pattern_sizes) != len(model.gammas):
+    if len(pattern_sizes) != len(gammas):
         raise ConfigurationError("one pattern size per group required")
+    if abs(sum(gammas) - 1.0) > 1e-9:
+        raise ConfigurationError("group fractions must sum to 1")
+    n_re = cfg.numerology.res_per_rb
     if max(pattern_sizes) >= n_re:
         raise ConfigurationError("pattern sizes must leave data room")
-    log_term = math.log2(1.0 + sinr_bar(model, m, u))
+    log_term = math.log2(1.0 + sinr_bar(cfg, direction, fading))
     rho = [s / n_re for s in pattern_sizes]
-    r_grp = sum(g * (1.0 - r) for g, r in zip(model.gammas, rho)) * log_term
+    r_grp = sum(g * (1.0 - r) for g, r in zip(gammas, rho)) * log_term
     r_conv = (1.0 - max(rho)) * log_term
     return r_grp, r_conv
 
@@ -121,4 +92,3 @@ def gain_bound(gammas: Sequence[float], overhead_ratios: Sequence[float]) -> flo
     num = sum(g * (1.0 - r) for g, r in zip(gammas, overhead_ratios))
     den = 1.0 - max(overhead_ratios)
     return num / den - 1.0
-

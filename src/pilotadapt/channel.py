@@ -27,8 +27,10 @@ per (symbol, subcarrier) of the frequency response, which only
 request its held build does not cover, for the requested users and the
 users the caller said that RB must cover, and the new build replaces the
 held one. A user's channels depend only on (seed, user, RB), so a Gram over
-fewer users is the full one's sub-block up to rounding. A realization
-caches its builds unlocked: one trial uses it, on one thread.
+fewer users is the full one's sub-block up to rounding. Per draw only each
+user's factors (Doppler basis and mix) are held; a build forms the
+tap-pair weights conj(mix_k) mix_j of its own users. A realization caches
+its builds unlocked: one trial uses it, on one thread.
 """
 
 from __future__ import annotations
@@ -263,7 +265,7 @@ class _TapSource:
 
     Called as `ChannelRealization`'s `build`, it returns RB rb's Gram for
     the users asked for and include[rb] (no extra users when include is
-    None)."""
+    None), with tap-pair weights formed from those users' mix rows."""
 
     def __init__(
         self,
@@ -291,13 +293,6 @@ class _TapSource:
         self.num_users = pop.num_users
         self.seed, self.num_antennas, self.include = seed, cfg.num_antennas, include
 
-    @functools.cached_property
-    def weights(self) -> np.ndarray:
-        """Tap-pair weights (K, K, L*L, N): conj(mix[k, n, l]) * mix[j, n, l']."""
-        per_tap = self.mix.transpose(0, 2, 1)  # (K, L, N)
-        k, n = self.num_users, per_tap.shape[2]
-        return (per_tap.conj()[:, None, :, None] * per_tap[None, :, None]).reshape(k, k, -1, n)
-
     def __call__(self, rb: int, users: np.ndarray):
         # a mask, not np.union1d: np.unique imports numpy.ma (~15 ms)
         chosen = np.zeros(self.num_users, dtype=bool)
@@ -306,7 +301,10 @@ class _TapSource:
             chosen[list(self.include[rb])] = True
         users = np.flatnonzero(chosen)
         rows = np.where(chosen, np.cumsum(chosen) - 1, -1)
-        pair = self.weights if chosen.all() else self.weights[np.ix_(users, users)]
+        # tap-pair weights (U, U, L*L, N): conj(mix[k, n, l]) * mix[j, n, l']
+        per_tap = self.mix[users].transpose(0, 2, 1)  # (U, L, N)
+        u, n = len(users), per_tap.shape[2]
+        pair = (per_tap.conj()[:, None, :, None] * per_tap[None, :, None]).reshape(u, u, -1, n)
         return rows, *_accumulate_gram(_antenna_blocks(self, rb, users), pair)
 
 
@@ -360,8 +358,7 @@ def _antenna_blocks(source: _TapSource, rb: int, users: np.ndarray):
 
 def _accumulate_gram(blocks, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(cross, norms) of one RB from its tap blocks (T, K, L, a) and the
-    tap-pair weights (K, K, L*L, N) of `_TapSource.weights`, restricted to
-    the block's users."""
+    tap-pair weights (K, K, L*L, N) of the blocks' users."""
     gram = None  # G_t[(k, l), (j, l')], summed over antenna blocks
     for block in blocks:
         t, k, n_taps, _ = block.shape

@@ -12,9 +12,8 @@ import math
 import sys
 from dataclasses import replace
 
-from .asymptotics import AsymptoticModel, deterministic_sinr, gain_bound, sinr_bar
+from .asymptotics import deterministic_sinr, sinr_bar
 from .channel import PilotSpacing, max_spacing
-from .core import group_fractions, build_population
 from .errors import PilotAdaptError
 from .estimation import interpolation_nmse
 from .experiments import (
@@ -25,7 +24,7 @@ from .experiments import (
     run_sweep,
     summarize_gains,
 )
-from .patterns import conventional_pattern, default_registry, group_overheads, pattern_to_dict
+from .patterns import conventional_pattern, default_registry, pattern_to_dict
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
@@ -58,14 +57,14 @@ def _emit(text: str, cfg: ExperimentConfig) -> None:
 
 
 def _cmd_patterns(args) -> int:
-    # text grid maps by default; --format json/csv for structured output
+    # text grid maps unless the config or --format names csv or json
     cfg = _load(args)
     profiles = cfg.resolved_profiles()
     mux = cfg.u_mux_list[0]
     registry = default_registry(profiles, cfg.numerology, mux)
     conv = conventional_pattern(profiles, cfg.numerology, mux)
 
-    if args.format == "json":
+    if cfg.format == "json":
         payload = {
             "mux_order": mux,
             "registry": [pattern_to_dict(p) for p in registry.patterns],
@@ -74,7 +73,7 @@ def _cmd_patterns(args) -> int:
         _emit(json.dumps(payload, indent=2) + "\n", cfg)
         return 0
 
-    if args.format == "csv":
+    if cfg.format == "csv":
         lines = ["kind,spacing_t,spacing_f,size,overhead_ratio"]
         for pat in registry.patterns:
             sp = pat.spacing
@@ -112,7 +111,7 @@ def _cmd_patterns(args) -> int:
 def _cmd_simulate(args) -> int:
     cfg = _load(args)
     rows = run_sweep(cfg)
-    _emit(rows_to_csv(rows) if cfg.format == "csv" else rows_to_json(rows), cfg)
+    _emit(rows_to_json(rows) if cfg.format == "json" else rows_to_csv(rows), cfg)
     if args.command != "sweep":
         return 0
     for entry in summarize_gains(rows):
@@ -126,21 +125,15 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_asymptotics(args) -> int:
     cfg = _load(args)
-    profiles = cfg.resolved_profiles()
+    eta_bar = cfg.fading.mean()
     entries = []
     for mux in cfg.u_mux_list:
-        sizes = cfg.sizes_for(mux)
-        pop = build_population(sizes, cfg.fading, seed=cfg.seed)
-        gammas = group_fractions(pop)
-        registry = default_registry(profiles, cfg.numerology, mux)
-        bound = gain_bound(gammas, group_overheads(registry, profiles, cfg.numerology))
+        bound = cfg.gain_bound(mux)
         for m in cfg.m_list:
             sys_cfg = cfg.system_config(m, mux)
             for direction in cfg.directions():
-                model = AsymptoticModel.from_system(sys_cfg, gammas, cfg.fading, direction)
-                eta_bar = cfg.fading.mean()
-                det = deterministic_sinr(model, eta_bar, eta_bar, m, mux)
-                bar = sinr_bar(model, m, mux)
+                det = deterministic_sinr(sys_cfg, direction, eta_bar, eta_bar)
+                bar = sinr_bar(sys_cfg, direction, cfg.fading)
                 entries.append(
                     {
                         "direction": direction,

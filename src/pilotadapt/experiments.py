@@ -18,7 +18,7 @@ import numpy as np
 
 from .asymptotics import gain_bound
 from .channel import ChannelProfile, builtin_profiles, generate_realization
-from .core import FadingSpec, Numerology, SystemConfig, build_population, group_fractions, lte_numerology
+from .core import FadingSpec, Numerology, SystemConfig, build_population, lte_numerology
 from .errors import ConfigurationError, ExactSearchBudgetError
 from .patterns import conventional_pattern, default_registry, group_overheads
 from .scheduling import (
@@ -56,7 +56,7 @@ class ExperimentConfig:
     numerology: Numerology = field(default_factory=lte_numerology)
     seed: int = 0
     out: str | None = None
-    format: str = "csv"
+    format: str | None = None  # None: each command's own default
 
     def __post_init__(self):
         if not self.m_list or not self.u_mux_list:
@@ -72,17 +72,22 @@ class ExperimentConfig:
             raise ConfigurationError(f"unknown direction {self.direction!r}")
         if self.scheduler not in ("exact", "greedy"):
             raise ConfigurationError(f"unknown scheduler {self.scheduler!r}")
-        if self.format not in ("csv", "json"):
+        if self.format not in (None, "csv", "json"):
             raise ConfigurationError(f"unknown output format {self.format!r}")
         if self.picker not in ("random", "round_robin"):
             raise ConfigurationError(f"unknown user picker {self.picker!r}")
         if self.seed < 0:
             raise ConfigurationError("seed must be non-negative")
-        groups, profiles = len(self.sizes_for(1)), len(self.resolved_profiles())
+        sizes = self.sizes_for(1)
+        groups, profiles = len(sizes), len(self.resolved_profiles())
         if groups != profiles:
             raise ConfigurationError(
                 f"group_sizes gives {groups} sizes but profiles has {profiles} entries; "
                 "give one group size per profile"
+            )
+        if min(sizes) < 0 or sum(sizes) < 1:
+            raise ConfigurationError(
+                f"group_sizes must be non-negative with at least one user, got {sizes}"
             )
         noise = self.derived_noise_power()
         if not (math.isfinite(noise) and noise > 0.0):
@@ -124,6 +129,18 @@ class ExperimentConfig:
             dl_power=self.dl_power,
             noise_power=self.derived_noise_power(),
             numerology=self.numerology,
+        )
+
+    def gain_bound(self, mux: int) -> float:
+        """Large-system gain bound of the sweep points at mux order `mux`:
+        each group's share of `sizes_for(mux)` against the overhead of the
+        registry pattern it is given."""
+        profiles = self.resolved_profiles()
+        registry = default_registry(profiles, self.numerology, mux)
+        sizes = self.sizes_for(mux)
+        k = sum(sizes)
+        return gain_bound(
+            [size / k for size in sizes], group_overheads(registry, profiles, self.numerology)
         )
 
     def directions(self) -> list[str]:
@@ -200,9 +217,7 @@ def run_trial(
         pop, profiles, sys_cfg, seed=seed, include=assignment.rb_users
     )
     fadings = pop.fadings()
-    bound = gain_bound(
-        group_fractions(pop), group_overheads(registry, profiles, cfg.numerology)
-    )
+    bound = cfg.gain_bound(mux)
 
     rows = []
     for direction in cfg.directions():
@@ -421,6 +436,9 @@ def _parse_profiles(key: str, value):
             raise ConfigurationError(
                 f"each profile needs {', '.join(sorted(_PROFILE_KEYS))}, got {entry!r}"
             )
+        unknown = set(entry) - _PROFILE_KEYS - {"taps"}
+        if unknown:
+            raise ConfigurationError(f"unknown profile keys {sorted(unknown)}")
         taps = entry.get("taps", [])
         if not isinstance(taps, list) or not all(
             isinstance(t, list) and len(t) == 2 for t in taps

@@ -503,12 +503,10 @@ def evaluate_schedule(
     assignment: ScheduleAssignment,
     cfg: SystemConfig,
     direction: str,
-    fadings: np.ndarray | None = None,
+    fadings: np.ndarray,
 ) -> float:
-    """Mean per-RB spectral efficiency of an assignment; `fadings` defaults
-    to unit gains."""
-    if fadings is None:
-        fadings = np.ones(realization.num_users)
+    """Mean per-RB spectral efficiency of an assignment, with the
+    population's large-scale gains `fadings`."""
     rates = []
     for rb, (users, pattern) in enumerate(zip(assignment.rb_users, assignment.rb_patterns)):
         if len(users) > cfg.max_mux:

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.special import j0
 from scipy.stats import binomtest
 
-from pilotadapt.asymptotics import AsymptoticModel, deterministic_sinr, gain_bound
+from pilotadapt.asymptotics import deterministic_sinr, gain_bound
 from pilotadapt.channel import (
     ChannelProfile,
     ChannelRealization,
@@ -138,11 +138,7 @@ def test_criterion_3_deterministic_equivalent_convergence():
         eta = [1.0] * u
         for direction in ("uplink", "downlink"):
             samples = kernel_sinr(h, eta, cfg, direction)
-            model = AsymptoticModel(
-                alpha=u / m, beta=u / 168, gammas=(1.0,), fading=FadingSpec(),
-                direction=direction, power=1.0, noise_power=sigma2,
-            )
-            det = deterministic_sinr(model, 1.0, 1.0, m, u)
+            det = deterministic_sinr(cfg, direction, 1.0, 1.0)
             mean_db = float(np.mean(10.0 * np.log10(samples)))
             det_db = 10.0 * math.log10(det)
             errors[(direction, m)] = abs(mean_db - det_db) / abs(det_db)

@@ -4,87 +4,76 @@ import numpy as np
 import pytest
 
 from pilotadapt.asymptotics import (
-    AsymptoticModel,
     asymptotic_rates,
     deterministic_sinr,
     gain_bound,
     sinr_bar,
 )
-from pilotadapt.core import FadingSpec
+from pilotadapt.core import FadingSpec, Numerology, SystemConfig
 from pilotadapt.errors import ConfigurationError
 
 
-def _model(direction="uplink", fading=None, power=1.0, noise=1.0, gammas=(1.0,)):
-    return AsymptoticModel(
-        alpha=0.1,
-        beta=0.05,
-        gammas=gammas,
-        fading=fading or FadingSpec(),
-        direction=direction,
-        power=power,
-        noise_power=noise,
+def _cfg(m=100, u=10, power=1.0, noise=1.0, **kwargs):
+    return SystemConfig(
+        num_rbs=1, num_antennas=m, max_mux=u,
+        ul_power=power, dl_power=power, noise_power=noise, **kwargs,
     )
 
 
 def test_deterministic_sinr_hand_example():
     # P = 1, sigma2 = 1, M = 100, U = 10, eta = 1 -> 1/(0.01 + 0.1)
-    model = _model()
-    got = deterministic_sinr(model, 1.0, 1.0, 100, 10)
+    got = deterministic_sinr(_cfg(), "uplink", 1.0, 1.0)
     assert got == pytest.approx(1.0 / 0.11)
 
 
 def test_deterministic_sinr_directions_agree_at_equal_eta():
-    ul = deterministic_sinr(_model("uplink"), 1.0, 1.0, 100, 10)
-    dl = deterministic_sinr(_model("downlink"), 1.0, 1.0, 100, 10)
+    ul = deterministic_sinr(_cfg(), "uplink", 1.0, 1.0)
+    dl = deterministic_sinr(_cfg(), "downlink", 1.0, 1.0)
     assert ul == pytest.approx(dl)
 
 
 def test_deterministic_sinr_noise_free_limit():
-    model = _model(noise=1e-300)
-    assert deterministic_sinr(model, 1.0, 1.0, 50, 10) == pytest.approx(5.0)
+    cfg = _cfg(m=50, noise=1e-300)
+    assert deterministic_sinr(cfg, "uplink", 1.0, 1.0) == pytest.approx(5.0)
 
 
 def test_sinr_bar_point_mass_identity():
-    model = _model(fading=FadingSpec(kind="constant", value=1.0))
-    det = deterministic_sinr(model, 1.0, 1.0, 100, 10)
-    assert abs(sinr_bar(model, 100, 10) - det) < 1e-12
+    det = deterministic_sinr(_cfg(), "uplink", 1.0, 1.0)
+    bar = sinr_bar(_cfg(), "uplink", FadingSpec(kind="constant", value=1.0))
+    assert abs(bar - det) < 1e-12
 
 
 def test_sinr_bar_two_point_fading():
     # straight-line evaluation of the exponential-of-expected-log form
     spec = FadingSpec(kind="explicit", values=(0.5, 2.0))
-    model = _model(fading=spec)
     eta_bar = 1.25
     den = 1.0 / 100 + (10 / 100) * eta_bar
     expect_log = 0.5 * (math.log2(1.0 + 0.5 / den) + math.log2(1.0 + 2.0 / den))
     want = 2.0**expect_log - 1.0
-    assert sinr_bar(model, 100, 10) == pytest.approx(want, rel=1e-12)
+    assert sinr_bar(_cfg(), "uplink", spec) == pytest.approx(want, rel=1e-12)
 
 
 def test_sinr_bar_jensen_direction():
     spec = FadingSpec(kind="explicit", values=(0.25, 0.5, 1.0, 2.5))
-    model = _model(fading=spec)
-    bar = sinr_bar(model, 100, 10)
+    bar = sinr_bar(_cfg(), "uplink", spec)
     mean_det = np.mean(
-        [deterministic_sinr(model, e, spec.mean(), 100, 10) for e in spec.values]
+        [deterministic_sinr(_cfg(), "uplink", e, spec.mean()) for e in spec.values]
     )
     assert bar <= mean_det
 
 
 def test_asymptotic_rates_single_group_equal():
-    model = _model(gammas=(1.0,))
-    grp, conv = asymptotic_rates(model, [32], 168, 64, 4)
+    grp, conv = asymptotic_rates(_cfg(64, 4), "uplink", FadingSpec(), (1.0,), [32])
     assert grp == pytest.approx(conv)
 
 
 def test_asymptotic_rates_straight_line_oracle():
     gammas = (0.25, 0.25, 0.25, 0.25)
-    model = _model(gammas=gammas)
+    cfg = _cfg(64, 4)
     sizes = [4, 8, 16, 32]
     n_re = 168
-    m, u = 64, 4
-    grp, conv = asymptotic_rates(model, sizes, n_re, m, u)
-    log_term = math.log2(1.0 + sinr_bar(model, m, u))
+    grp, conv = asymptotic_rates(cfg, "uplink", FadingSpec(), gammas, sizes)
+    log_term = math.log2(1.0 + sinr_bar(cfg, "uplink", FadingSpec()))
     want_grp = sum(0.25 * (1.0 - s / n_re) for s in sizes) * log_term
     want_conv = (1.0 - 32 / n_re) * log_term
     assert grp == pytest.approx(want_grp, rel=1e-12)
@@ -93,8 +82,8 @@ def test_asymptotic_rates_straight_line_oracle():
 
 
 def test_asymptotic_rates_vanish_with_sinr():
-    model = _model(noise=1e12)  # sinr_bar ~ 0
-    grp, conv = asymptotic_rates(model, [4], 168, 64, 4)
+    cfg = _cfg(64, 4, noise=1e12)  # sinr_bar ~ 0
+    grp, conv = asymptotic_rates(cfg, "uplink", FadingSpec(), (1.0,), [4])
     assert grp == pytest.approx(0.0, abs=1e-9)
     assert conv == pytest.approx(0.0, abs=1e-9)
 
@@ -125,30 +114,48 @@ def test_gain_bound_nonnegative_randomized():
 
 
 def test_model_validations():
-    with pytest.raises(ConfigurationError):
-        AsymptoticModel(1.5, 0.1, (1.0,), FadingSpec(), "uplink", 1.0, 1.0)
-    with pytest.raises(ConfigurationError):
-        AsymptoticModel(0.1, 0.1, (0.5, 0.2), FadingSpec(), "uplink", 1.0, 1.0)
+    """The limits refuse U >= M, U >= REs per RB and fractions off 1."""
+    with pytest.raises(ConfigurationError, match="U = 64, M = 64 and 168 REs"):
+        deterministic_sinr(_cfg(m=64, u=64), "uplink", 1.0, 1.0)
+    with pytest.raises(ConfigurationError, match="U = 8, M = 2"):
+        sinr_bar(_cfg(m=2, u=8), "downlink", FadingSpec(kind="lognormal", spread_db=3.0))
+    small_rb = Numerology(1e-3 / 14, 15e3, 2, 2)
+    with pytest.raises(ConfigurationError, match="U = 4, M = 64 and 4 REs"):
+        deterministic_sinr(_cfg(m=64, u=4, numerology=small_rb), "uplink", 1.0, 1.0)
+    with pytest.raises(ConfigurationError, match="U = 10, M = 10"):
+        asymptotic_rates(_cfg(m=10), "uplink", FadingSpec(), (1.0,), [4])
+    with pytest.raises(ConfigurationError, match="sum to 1"):
+        asymptotic_rates(_cfg(), "uplink", FadingSpec(), (0.5, 0.2), [4, 8])
+    with pytest.raises(ConfigurationError, match="sum to 1"):
+        gain_bound((0.5, 0.2), (0.1, 0.2))
+    with pytest.raises(ConfigurationError, match="direction"):
+        deterministic_sinr(_cfg(), "sideways", 1.0, 1.0)
 
 
 def test_model_from_system():
-    from pilotadapt.core import SystemConfig
-
+    """M, U, each direction's power, the noise and the REs per RB all come
+    from the SystemConfig."""
     cfg = SystemConfig(
         num_rbs=4, num_antennas=64, max_mux=4,
         ul_power=1.0, dl_power=2.0, noise_power=0.1,
     )
-    model = AsymptoticModel.from_system(cfg, (0.25,) * 4, FadingSpec(), "downlink")
-    assert model.alpha == pytest.approx(4 / 64)
-    assert model.beta == pytest.approx(4 / 168)
-    assert model.power == 2.0
-    assert model.noise_power == 0.1
+    dl = deterministic_sinr(cfg, "downlink", 1.0, 1.0)
+    assert dl == 2.0 / (0.1 / 64 + (4 / 64) * 1.0 * 2.0)
+    ul = deterministic_sinr(cfg, "uplink", 1.0, 1.0)
+    assert ul == 1.0 / (0.1 / 64 + (4 / 64) * 1.0 * 1.0)
+    assert sinr_bar(cfg, "downlink", FadingSpec()) == pytest.approx(dl, rel=1e-12)
+    half_rb = SystemConfig(
+        num_rbs=4, num_antennas=64, max_mux=4, ul_power=1.0, dl_power=2.0,
+        noise_power=0.1, numerology=Numerology(1e-3 / 14, 15e3, 7, 12),
+    )
+    grp, conv = asymptotic_rates(half_rb, "downlink", FadingSpec(), (0.5, 0.5), [21, 42])
+    log_term = math.log2(1.0 + dl)
+    assert conv == pytest.approx(0.5 * log_term, rel=1e-12)
+    assert grp == pytest.approx(0.625 * log_term, rel=1e-12)
 
 
 def test_mrc_sinr_approaches_deterministic_equivalent():
     """Mean uplink SINR (dB scale) closes in on the closed form as M grows."""
-    from pilotadapt.core import SystemConfig
-
     from conftest import kernel_sinr, random_channels
 
     u, sigma2, n_re = 8, 0.1, 300
@@ -161,8 +168,7 @@ def test_mrc_sinr_approaches_deterministic_equivalent():
         )
         h = random_channels(rng, n_re, u, m)
         samples = kernel_sinr(h, [1.0] * u, cfg, "uplink")
-        model = _model(noise=sigma2)
-        det_db = 10.0 * np.log10(deterministic_sinr(model, 1.0, 1.0, m, u))
+        det_db = 10.0 * np.log10(deterministic_sinr(cfg, "uplink", 1.0, 1.0))
         mean_db = np.mean(10.0 * np.log10(samples))
         errs.append(abs(mean_db - det_db) / abs(det_db))
     assert errs[0] > errs[1] > errs[2]

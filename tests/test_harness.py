@@ -333,6 +333,9 @@ def test_committed_configs_load():
 def test_unknown_config_key_rejected():
     with pytest.raises(ConfigurationError, match="unknown config key"):
         config_from_dict({"m_list": [8], "bogus": 1})
+    profile = {"name": "a", "max_doppler_hz": 5.0, "max_delay_spread_s": 0.4e-6}
+    with pytest.raises(ConfigurationError, match="unknown profile keys \\['tapz'\\]"):
+        config_from_dict({"profiles": [{**profile, "tapz": [[0.0, 1.0]]}]})
 
 
 def test_flat_parser_scalars(tmp_path):
@@ -448,6 +451,29 @@ def test_cli_asymptotics(tmp_path, capsys):
     assert payload[0]["sinr_bar"] == pytest.approx(want)
 
 
+@pytest.mark.parametrize(
+    "config", ["configs/table1.toml", "configs/fig4.toml", "tests/data/asymptotics_lognormal.toml"]
+)
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_cli_asymptotics_matches_pinned_output(capsys, config, fmt):
+    """`asymptotics` writes the committed CSV and JSON byte for byte."""
+    name = Path(config).stem.removeprefix("asymptotics_")
+    assert cli_main(["asymptotics", "--config", str(ROOT / config), "--format", fmt]) == 0
+    pinned = ROOT / "tests" / "data" / f"asymptotics_{name}.{fmt}"
+    assert capsys.readouterr().out.encode() == pinned.read_bytes()
+
+
+def test_cli_asymptotics_refuses_mux_at_antenna_count(tmp_path, capsys):
+    path = tmp_path / "m4.toml"
+    path.write_text("m_list = [4]\nu_mux_list = [4]\n")
+    assert cli_main(["asymptotics", "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert set(json.loads(lines[0])) == {"error"}
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_cli_validate_estimation(tmp_path, capsys, fmt):
     cfg = _write_quick_config(tmp_path)
@@ -475,6 +501,16 @@ def test_cli_sweep_prints_gain_summary(tmp_path, capsys):
     assert "gain" in captured.err and "bound" in captured.err
     assert cli_main(["simulate", "--config", cfg]) == 0
     assert capsys.readouterr() == (captured.out, "")
+
+
+def test_cli_patterns_honours_config_format(tmp_path, capsys):
+    path = tmp_path / "json.toml"
+    path.write_text('u_mux_list = [4]\nformat = "json"\n')
+    assert cli_main(["patterns", "--config", str(path)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert [p["size"] for p in payload["registry"]] == [4, 8, 16, 32]
+    assert cli_main(["patterns", "--config", str(path), "--format", "csv"]) == 0
+    assert capsys.readouterr().out.startswith("kind,spacing_t,spacing_f,size,overhead_ratio\n")
 
 
 def test_cli_patterns_csv_summary(tmp_path, capsys):
@@ -526,6 +562,10 @@ _PROFILE = {"max_doppler_hz": 5.0, "max_delay_spread_s": 0.4e-6}
         ("profile_not_dict.json", json.dumps({"profiles": ["EPA5"]})),
         ("profiles_empty.json", json.dumps({"profiles": []})),
         ("taps_bad.json", json.dumps({"profiles": [{**_PROFILE, "name": "a", "taps": [1]}]})),
+        (
+            "profile_unknown_key.json",
+            json.dumps({"profiles": [{**_PROFILE, "name": "a", "tapz": [[0.0, 1.0]]}]}),
+        ),
         ("fading_dict_bad.json", json.dumps({"fading": {"kind": "constant", "value": "x"}})),
         (
             "fading_dict_negative_spread.json",

@@ -201,7 +201,7 @@ def test_rb_rate_rejects_overloaded_set():
         rb_users=((0, 1, 2),), rb_patterns=(None,), rb_groups=(None,), mode="conventional"
     )
     with pytest.raises(ValueError):
-        evaluate_schedule(real, overfull, cfg, "uplink")
+        evaluate_schedule(real, overfull, cfg, "uplink", fadings=np.ones(3))
 
 
 def test_degenerate_channel_raises():
