@@ -4,65 +4,82 @@ Builds pilot patterns from channel second-order statistics, schedules users
 under the grouping constraint, evaluates MRC/MRT spectral efficiency with
 perfect CSI, and compares against the fixed worst-case pattern baseline both
 in Monte Carlo and in the large-system limit.
+
+The names below load on first use (PEP 562), so importing the package, or
+one of its modules, does not import every module.
 """
 
-from .asymptotics import asymptotic_rates, deterministic_sinr, gain_bound, sinr_bar
-from .channel import (
-    ChannelProfile,
-    ChannelRealization,
-    PilotSpacing,
-    builtin_profiles,
-    draw_channels,
-    generate_realization,
-    generate_single_grid,
-    max_spacing,
-)
-from .core import (
-    FadingSpec,
-    Numerology,
-    SystemConfig,
-    User,
-    UserPopulation,
-    build_population,
-    group_fractions,
-    lte_numerology,
-)
-from .errors import (
-    ConfigurationError,
-    DegenerateChannelError,
-    ExactSearchBudgetError,
-    InfeasibleRegistryError,
-    NoDataRoomError,
-    PilotAdaptError,
-    UnsupportableProfileError,
-)
-from .estimation import EstimationReport, interpolation_nmse
-from .experiments import (
-    ExperimentConfig,
-    ResultRow,
-    load_config,
-    replay_row,
-    run_sweep,
-    summarize_gains,
-)
-from .patterns import (
-    PatternRegistry,
-    PilotPattern,
-    build_pattern,
-    conventional_pattern,
-    default_registry,
-    group_overheads,
-    select_pattern_for_group,
-)
-from .phy import pair_terms, subset_sinr
-from .scheduling import (
-    RbRateCalculator,
-    ScheduleAssignment,
-    conventional_schedule_exact,
-    conventional_schedule_greedy,
-    evaluate_schedule,
-    group_rb_ownership,
-    grouping_schedule,
-)
+import importlib
 
+# module -> the public names it provides
+_EXPORTS = {
+    "asymptotics": ("asymptotic_rates", "deterministic_sinr", "gain_bound", "sinr_bar"),
+    "channel": (
+        "ChannelProfile",
+        "ChannelRealization",
+        "PilotSpacing",
+        "builtin_profiles",
+        "draw_channels",
+        "generate_realization",
+        "generate_single_grid",
+        "max_spacing",
+    ),
+    "config": ("ExperimentConfig", "load_config"),
+    "core": (
+        "FadingSpec",
+        "Numerology",
+        "SystemConfig",
+        "User",
+        "UserPopulation",
+        "build_population",
+        "group_fractions",
+        "lte_numerology",
+    ),
+    "errors": (
+        "ConfigurationError",
+        "DegenerateChannelError",
+        "ExactSearchBudgetError",
+        "InfeasibleRegistryError",
+        "NoDataRoomError",
+        "PilotAdaptError",
+        "UnsupportableProfileError",
+    ),
+    "estimation": ("EstimationReport", "interpolation_nmse"),
+    "experiments": ("ResultRow", "replay_row", "run_sweep", "summarize_gains"),
+    "patterns": (
+        "PatternRegistry",
+        "PilotPattern",
+        "build_pattern",
+        "conventional_pattern",
+        "default_registry",
+        "group_overheads",
+        "select_pattern_for_group",
+    ),
+    "phy": ("pair_terms", "subset_sinr"),
+    "scheduling": (
+        "RbRateCalculator",
+        "ScheduleAssignment",
+        "conventional_schedule_exact",
+        "conventional_schedule_greedy",
+        "evaluate_schedule",
+        "group_rb_ownership",
+        "grouping_schedule",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

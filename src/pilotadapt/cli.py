@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Subcommands: patterns, simulate, sweep, asymptotics, validate-estimation.
-Errors print a one-line JSON diagnostic to stderr and exit nonzero.
+Errors print a one-line JSON diagnostic to stderr and exit nonzero. Each
+command imports the modules only it runs, so a process starts on what its
+command needs.
 """
 
 from __future__ import annotations
@@ -12,18 +14,9 @@ import math
 import sys
 from dataclasses import replace
 
-from .asymptotics import deterministic_sinr, sinr_bar
 from .channel import PilotSpacing, max_spacing
+from .config import ExperimentConfig, load_config
 from .errors import PilotAdaptError
-from .estimation import interpolation_nmse
-from .experiments import (
-    ExperimentConfig,
-    load_config,
-    rows_to_csv,
-    rows_to_json,
-    run_sweep,
-    summarize_gains,
-)
 from .patterns import conventional_pattern, default_registry, pattern_to_dict
 
 
@@ -109,6 +102,8 @@ def _cmd_patterns(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from .experiments import rows_to_csv, rows_to_json, run_sweep, summarize_gains
+
     cfg = _load(args)
     rows = run_sweep(cfg)
     _emit(rows_to_json(rows) if cfg.format == "json" else rows_to_csv(rows), cfg)
@@ -124,6 +119,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_asymptotics(args) -> int:
+    from .asymptotics import deterministic_sinr, sinr_bar
+
     cfg = _load(args)
     eta_bar = cfg.fading.mean()
     entries = []
@@ -160,6 +157,8 @@ def _cmd_asymptotics(args) -> int:
 
 
 def _cmd_validate_estimation(args) -> int:
+    from .estimation import interpolation_nmse
+
     cfg = _load(args)
     header = ("profile", "spacing_t", "spacing_f", "nmse", "nmse_db")
     rows = []

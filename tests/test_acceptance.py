@@ -28,10 +28,11 @@ from pilotadapt.channel import (
     generate_realization,
     max_spacing,
 )
+from pilotadapt.config import ExperimentConfig
 from pilotadapt.core import FadingSpec, SystemConfig, build_population, lte_numerology
 from pilotadapt.errors import NoDataRoomError
 from pilotadapt.estimation import interpolation_nmse
-from pilotadapt.experiments import ExperimentConfig, rows_to_csv, run_sweep
+from pilotadapt.experiments import rows_to_csv, run_sweep
 from pilotadapt.patterns import (
     build_pattern,
     conventional_pattern,

@@ -21,7 +21,8 @@ import pytest
 
 from pilotadapt.channel import generate_realization
 from pilotadapt.core import build_population
-from pilotadapt.experiments import CSV_HEADER, config_from_dict, rows_to_csv, run_sweep
+from pilotadapt.config import config_from_dict
+from pilotadapt.experiments import CSV_HEADER, rows_to_csv, run_sweep
 from pilotadapt.patterns import conventional_pattern
 from pilotadapt.scheduling import conventional_schedule_exact, conventional_schedule_greedy
 

@@ -16,12 +16,10 @@ from hypothesis import strategies as st
 
 from pilotadapt import channel, experiments
 from pilotadapt.cli import main as cli_main
+from pilotadapt.config import ExperimentConfig, config_from_dict, load_config
 from pilotadapt.errors import ConfigurationError, ExactSearchBudgetError
 from pilotadapt.experiments import (
     CSV_HEADER,
-    ExperimentConfig,
-    config_from_dict,
-    load_config,
     replay_row,
     rows_to_csv,
     run_sweep,
@@ -219,6 +217,14 @@ def test_group_count_mismatch_refused_before_any_trial(monkeypatch, sizes):
     with pytest.raises(ConfigurationError, match="group_sizes .* profiles"):
         run_sweep(ExperimentConfig(**{**QUICK, "group_sizes": sizes}))
     assert started == []
+
+
+@pytest.mark.parametrize("sizes", ["auto", ()])
+def test_empty_profiles_refused(sizes):
+    """An empty profile list is refused, naming `profiles`, before the
+    group sizes are derived from it."""
+    with pytest.raises(ConfigurationError, match="profiles"):
+        ExperimentConfig(profiles=(), group_sizes=sizes)
 
 
 def test_fig4_rows_carry_bound_and_summary():
@@ -831,3 +837,103 @@ def test_exact_sweep_does_not_import_numpy_ma(tmp_path):
     assert (tmp_path / "rows.csv").read_text().count("\n") == 2
     assert (tmp_path / "g.csv").read_text().count("\n") == 3
     assert proc.stdout.split() == ["False", "False", "False"]
+
+
+_TINY_CONFIG = 'm_list = [8]\nu_mux_list = [2]\ntrials = 1\nnum_rbs = 2\nscheduler = "greedy"\n'
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["patterns"], ["simulate"], ["sweep"], ["asymptotics"],
+     ["validate-estimation", "--trials", "2"]],
+    ids=lambda command: command[0],
+)
+def test_cli_command_runs_in_fresh_process(tmp_path, command):
+    """The CLI imports each command's modules inside the command, so each
+    runs in a process of its own: an in-process test would miss a missing
+    import, since an earlier test has usually loaded the module."""
+    config = tmp_path / "tiny.toml"
+    config.write_text(_TINY_CONFIG)
+    proc = subprocess.run(
+        [sys.executable, "-m", "pilotadapt.cli", *command, "--config", str(config)],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout
+
+
+def test_commands_import_only_what_they_run(tmp_path):
+    """`patterns` loads no scheduling, sweep or estimation code and no
+    thread pool; a one-worker `simulate` loads neither estimation nor the
+    pool. The package's names load on first use, and the benchmark
+    tracer's own import works."""
+    config = tmp_path / "tiny.toml"
+    config.write_text(_TINY_CONFIG)
+    unwanted = ["pilotadapt.scheduling", "pilotadapt.experiments", "pilotadapt.estimation",
+                "concurrent.futures"]
+    code = (
+        "import sys\n"
+        "from pilotadapt.cli import main\n"
+        f"main(['patterns', '--config', {str(config)!r}, '--out', {str(tmp_path / 'p.txt')!r}])\n"
+        f"print([m for m in {unwanted!r} if m in sys.modules])\n"
+        f"main(['simulate', '--config', {str(config)!r}, '--out', {str(tmp_path / 'rows.csv')!r}])\n"
+        f"print([m for m in {unwanted[2:]!r} if m in sys.modules])\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**_child_env(), experiments.WORKERS_ENV_VAR: "1"},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "[]"]
+    assert (tmp_path / "rows.csv").read_text().count("\n") == 2
+
+    code = (
+        "import pilotadapt\n"
+        "names = [n for n in pilotadapt.__all__ if getattr(pilotadapt, n, None) is None]\n"
+        "print(names, sorted(set(pilotadapt.__all__) - set(dir(pilotadapt))))\n"
+        "try:\n"
+        "    pilotadapt.no_such_name\n"
+        "except AttributeError:\n"
+        "    print('AttributeError')\n"
+        "from pilotadapt import cli, experiments, scheduling\n"
+        "print(cli.main is not None, experiments.run_trial is not None, scheduling.__name__)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_child_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "[] []", "AttributeError", "True True pilotadapt.scheduling"
+    ]
+
+
+def test_package_exports_every_public_name():
+    """The package exports the same public names as when it imported every
+    module eagerly, and each resolves to its module's object."""
+    import pilotadapt
+
+    exported = {
+        "asymptotic_rates", "deterministic_sinr", "gain_bound", "sinr_bar",
+        "ChannelProfile", "ChannelRealization", "PilotSpacing", "builtin_profiles",
+        "draw_channels", "generate_realization", "generate_single_grid", "max_spacing",
+        "FadingSpec", "Numerology", "SystemConfig", "User", "UserPopulation",
+        "build_population", "group_fractions", "lte_numerology",
+        "ConfigurationError", "DegenerateChannelError", "ExactSearchBudgetError",
+        "InfeasibleRegistryError", "NoDataRoomError", "PilotAdaptError",
+        "UnsupportableProfileError", "EstimationReport", "interpolation_nmse",
+        "ExperimentConfig", "ResultRow", "load_config", "replay_row", "run_sweep",
+        "summarize_gains", "PatternRegistry", "PilotPattern", "build_pattern",
+        "conventional_pattern", "default_registry", "group_overheads",
+        "select_pattern_for_group", "pair_terms", "subset_sinr", "RbRateCalculator",
+        "ScheduleAssignment", "conventional_schedule_exact",
+        "conventional_schedule_greedy", "evaluate_schedule", "group_rb_ownership",
+        "grouping_schedule",
+    }
+    assert set(pilotadapt.__all__) == exported
+    assert pilotadapt.ExperimentConfig is ExperimentConfig
+    assert pilotadapt.run_sweep is run_sweep
+    assert pilotadapt.__version__
