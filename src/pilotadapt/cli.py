@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Subcommands: patterns, simulate, sweep, asymptotics, validate-estimation.
-Errors print a one-line JSON diagnostic to stderr and exit nonzero. Each
-command imports the modules only it runs, so a process starts on what its
-command needs.
+Errors print a one-line JSON diagnostic to stderr and exit nonzero. A
+module that only some commands run is imported inside those commands, so a
+process loads only what its command needs.
 """
 
 from __future__ import annotations

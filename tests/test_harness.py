@@ -219,7 +219,7 @@ def test_group_count_mismatch_refused_before_any_trial(monkeypatch, sizes):
     assert started == []
 
 
-@pytest.mark.parametrize("sizes", ["auto", ()])
+@pytest.mark.parametrize("sizes", ["auto", ()], ids=["auto", "empty"])
 def test_empty_profiles_refused(sizes):
     """An empty profile list is refused, naming `profiles`, before the
     group sizes are derived from it."""
