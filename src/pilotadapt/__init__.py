@@ -13,13 +13,12 @@ import importlib
 
 # module -> the public names it provides
 _EXPORTS = {
-    "asymptotics": ("asymptotic_rates", "deterministic_sinr", "gain_bound", "sinr_bar"),
+    "asymptotics": ("deterministic_sinr", "gain_bound", "sinr_bar"),
     "channel": (
         "ChannelProfile",
         "ChannelRealization",
         "PilotSpacing",
         "builtin_profiles",
-        "draw_channels",
         "generate_realization",
         "generate_single_grid",
         "max_spacing",
@@ -32,7 +31,6 @@ _EXPORTS = {
         "User",
         "UserPopulation",
         "build_population",
-        "group_fractions",
         "lte_numerology",
     ),
     "errors": (
@@ -45,7 +43,7 @@ _EXPORTS = {
         "UnsupportableProfileError",
     ),
     "estimation": ("EstimationReport", "interpolation_nmse"),
-    "experiments": ("ResultRow", "replay_row", "run_sweep", "summarize_gains"),
+    "experiments": ("ResultRow", "run_sweep", "summarize_gains"),
     "patterns": (
         "PatternRegistry",
         "PilotPattern",

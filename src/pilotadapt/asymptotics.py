@@ -59,28 +59,6 @@ def sinr_bar(cfg: SystemConfig, direction: str, fading: FadingSpec) -> float:
     return 2.0**mean_log - 1.0
 
 
-def asymptotic_rates(
-    cfg: SystemConfig,
-    direction: str,
-    fading: FadingSpec,
-    gammas: Sequence[float],
-    pattern_sizes: Sequence[int],
-) -> tuple[float, float]:
-    """(grouping, conventional) spectral-efficiency limits per multiplexed user."""
-    if len(pattern_sizes) != len(gammas):
-        raise ConfigurationError("one pattern size per group required")
-    if abs(sum(gammas) - 1.0) > 1e-9:
-        raise ConfigurationError("group fractions must sum to 1")
-    n_re = cfg.numerology.res_per_rb
-    if max(pattern_sizes) >= n_re:
-        raise ConfigurationError("pattern sizes must leave data room")
-    log_term = math.log2(1.0 + sinr_bar(cfg, direction, fading))
-    rho = [s / n_re for s in pattern_sizes]
-    r_grp = sum(g * (1.0 - r) for g, r in zip(gammas, rho)) * log_term
-    r_conv = (1.0 - max(rho)) * log_term
-    return r_grp, r_conv
-
-
 def gain_bound(gammas: Sequence[float], overhead_ratios: Sequence[float]) -> float:
     """Limit of the relative gain of grouping over the fixed worst-case pattern."""
     if len(gammas) != len(overhead_ratios):

@@ -20,8 +20,8 @@ need only the per-RB Gram, which is therefore built in the tap domain,
 
 with G_t, a (K L) x (K L) product per symbol, summed over antenna blocks.
 That is N / L^2 times fewer flops (3 at N = 12, L = 2) than a K x K product
-per (symbol, subcarrier) of the frequency response, which only
-`draw_channels` forms.
+per (symbol, subcarrier) of the frequency response, which the library never
+forms.
 
 `generate_realization` builds nothing up front. An RB is built on a
 request its held build does not cover, for the requested users and the
@@ -104,8 +104,9 @@ class ChannelRealization:
     (U, T, N) with norms[a] = ||h_{users[a]}||^2, for channels h of unit
     per-entry power (large-scale gains are applied in the SINR
     computation). Both arrays are read-only. Every rate reads only these,
-    so the channels themselves are never held; `draw_channels` redraws one
-    RB's when they are needed.
+    so the channels themselves are never held. User k's channels on RB rb
+    are `generate_single_grid` of its profile with the realization's
+    antenna count, drawn from a generator seeded by (seed, k, rb).
 
     `build(rb, users)` builds a superset of `users` and returns each
     user's row in its Gram (-1 for users it did not build) and the Gram. A
@@ -377,28 +378,6 @@ def _accumulate_gram(blocks, weights: np.ndarray) -> tuple[np.ndarray, np.ndarra
     cross += np.square(inner.imag, out=inner.imag)  # inner is spent after this
     cross.flags.writeable = norms.flags.writeable = False
     return cross, norms
-
-
-def draw_channels(
-    pop: UserPopulation,
-    profiles: list[ChannelProfile],
-    cfg: SystemConfig,
-    seed: int,
-    rb: int,
-) -> np.ndarray:
-    """The channels (K, T, N, M) of one RB of `generate_realization`'s draw."""
-    num = cfg.numerology
-    source = _TapSource(pop, profiles, cfg, seed)
-    h = np.empty(
-        (pop.num_users, num.symbols_per_rb, num.subcarriers_per_rb, cfg.num_antennas),
-        dtype=np.complex128,
-    )
-    start = 0
-    for block in _antenna_blocks(source, rb, np.arange(pop.num_users)):
-        stop = start + block.shape[-1]
-        np.matmul(source.mix[:, None], block.transpose(1, 0, 2, 3), out=h[..., start:stop])
-        start = stop
-    return h
 
 
 def generate_realization(

@@ -207,8 +207,3 @@ def build_population(
         groups.append(tuple(members))
     return UserPopulation(users=tuple(users), groups=tuple(groups))
 
-
-def group_fractions(pop: UserPopulation) -> tuple[float, ...]:
-    """Share of users per group; sums to 1."""
-    k = pop.num_users
-    return tuple(len(g) / k for g in pop.groups)

@@ -19,11 +19,6 @@ import numpy as np
 from .channel import ChannelProfile, PilotSpacing, generate_single_grid
 from .core import Numerology
 from .errors import ConfigurationError
-from .patterns import PilotPattern
-
-# NMSE accepted for a pattern at the rule-derived spacing; calibrated as twice
-# the measured ETU300 NMSE at its own maximum spacing (0.042, about -13.8 dB).
-DEFAULT_NMSE_THRESHOLD = 0.084
 
 
 @dataclass(frozen=True)
@@ -33,8 +28,6 @@ class EstimationReport:
     spacing: PilotSpacing
     nmse: float
     trials: int
-    grid_symbols: int
-    grid_subcarriers: int
     nearest_neighbor_axes: tuple[str, ...] = ()
 
     @property
@@ -62,19 +55,16 @@ def _interp_axis(values: np.ndarray, anchors: np.ndarray, extent: int) -> np.nda
 
 def interpolation_nmse(
     profile: ChannelProfile,
-    pattern: PilotPattern | PilotSpacing,
+    spacing: PilotSpacing,
     num: Numerology,
     trials: int = 100,
     seed: int = 0,
     grid_rbs: tuple[int, int] = (4, 4),
 ) -> EstimationReport:
-    """Mean NMSE of linear interpolation from the anchor lattice of `pattern`.
-
-    `pattern` may be a full pilot pattern (its spacing is used) or a bare
-    spacing, which is how spacings wider than one block are exercised.
-    `grid_rbs` sets the sampled extent in (time, frequency) blocks.
+    """Mean NMSE of linear interpolation from the anchor lattice of
+    `spacing`, which may exceed one block. `grid_rbs` sets the sampled
+    extent in (time, frequency) blocks.
     """
-    spacing = pattern.spacing if isinstance(pattern, PilotPattern) else pattern
     if trials < 1:
         raise ConfigurationError("need at least one trial")
     n_t = num.symbols_per_rb * grid_rbs[0]
@@ -107,7 +97,5 @@ def interpolation_nmse(
         # every RE an anchor leaves nothing to interpolate: zero error
         nmse=err / power if power > 0.0 else 0.0,
         trials=trials,
-        grid_symbols=n_t,
-        grid_subcarriers=n_f,
         nearest_neighbor_axes=tuple(fallback),
     )

@@ -174,14 +174,6 @@ def run_sweep(cfg: ExperimentConfig) -> list[ResultRow]:
     return rows
 
 
-def replay_row(cfg: ExperimentConfig, row: ResultRow) -> ResultRow:
-    """Recompute a row of a sweep of `cfg` from its own seed. The trial
-    reruns under the sweep's own config, so it makes the same Gram
-    requests and the row is equal to the original bit for bit."""
-    rows = run_trial(cfg, row.m, row.u_mux, row.trial, row.seed)
-    return next(r for r in rows if r.direction == row.direction)
-
-
 def summarize_gains(rows: list[ResultRow]) -> list[dict]:
     """Mean relative gain and standard error per (direction, M, U_mux)."""
     keys = sorted({(r.direction, r.m, r.u_mux) for r in rows})

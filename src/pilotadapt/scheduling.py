@@ -33,13 +33,14 @@ from .phy import pair_terms, subset_sinr
 
 # cost cap for the exact DP, in (state, subset) transitions, where one row
 # a subset-rate table gathers counts as _TABLE_ROW_COST transitions; K=16
-# balanced on 4 RBs costs ~1.8e6, K=20 on 4 RBs x 5 layers ~1.1e8
+# balanced on 4 RBs costs ~3.2e6 and K=20 on 4 RBs x 5 layers ~1.12e8, which
+# fits, while K=16 on 3 RBs x 10 layers (~1.7e8) does not
 MAX_DP_TRANSITIONS = 130_000_000
-# ~270 ns per gathered pair-term row (168 REs at most) against ~16 ns per
-# transition, the slowest of each measured on 2-core x86 at K = 14..22; the
-# weight is below that ratio, so table-heavy calls are the slowest feasible
-# ones (~3 s)
-_TABLE_ROW_COST = 8
+# in the table-heavy calls near the cap a gathered pair-term row took 150-195
+# ns (159 pooled) against 12-14 ns (12.7) per transition, on 2-core x86 at
+# K = 14..20; rows of smaller subsets cost more each (~570 ns at 3 users),
+# but their tables are small
+_TABLE_ROW_COST = 12
 # user cap for the exact DP: each stage holds three dense 2^K float64 arrays
 # and a 2^K-byte popcount table, ~400 MiB at K = 24, however few transitions
 # the instance has

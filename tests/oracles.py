@@ -85,6 +85,25 @@ def oracle_single_grid(profile, num_symbols, num_subcarriers, num, rng, num_ante
     return np.einsum("alt,nl->tna", taps, mix)
 
 
+def draw_channels(pop, profiles, cfg, seed, rb):
+    """The channels (K, T, N, M) of one RB of `generate_realization`'s draw:
+    each user's `generate_single_grid`, from its own generator seeded by
+    (seed, user id, rb)."""
+    import numpy as np
+
+    from pilotadapt.channel import generate_single_grid
+
+    num = cfg.numerology
+    grids = []
+    for user in pop.users:
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, user.id, rb))))
+        grids.append(generate_single_grid(
+            profiles[user.group_id], num.symbols_per_rb, num.subcarriers_per_rb, num, rng,
+            num_antennas=cfg.num_antennas,
+        ))
+    return np.stack(grids)
+
+
 def oracle_grams(h):
     """Per-RB (cross, norms) of explicit channels h (K, RBs, T, N, M): the
     inner products h_k^H h_j over all antennas in the frequency domain, one

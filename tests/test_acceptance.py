@@ -24,7 +24,6 @@ from pilotadapt.channel import (
     ChannelRealization,
     PilotSpacing,
     builtin_profiles,
-    draw_channels,
     generate_realization,
     max_spacing,
 )
@@ -47,7 +46,7 @@ from pilotadapt.scheduling import (
 )
 
 from conftest import kernel_sinr, random_channels, rb_rate, tiny_numerology
-from oracles import oracle_grams, oracle_rb_rate
+from oracles import draw_channels, oracle_grams, oracle_rb_rate
 from test_scheduler import exhaustive_best
 
 

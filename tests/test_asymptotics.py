@@ -3,12 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from pilotadapt.asymptotics import (
-    asymptotic_rates,
-    deterministic_sinr,
-    gain_bound,
-    sinr_bar,
-)
+from pilotadapt.asymptotics import deterministic_sinr, gain_bound, sinr_bar
 from pilotadapt.core import FadingSpec, Numerology, SystemConfig
 from pilotadapt.errors import ConfigurationError
 
@@ -62,32 +57,6 @@ def test_sinr_bar_jensen_direction():
     assert bar <= mean_det
 
 
-def test_asymptotic_rates_single_group_equal():
-    grp, conv = asymptotic_rates(_cfg(64, 4), "uplink", FadingSpec(), (1.0,), [32])
-    assert grp == pytest.approx(conv)
-
-
-def test_asymptotic_rates_straight_line_oracle():
-    gammas = (0.25, 0.25, 0.25, 0.25)
-    cfg = _cfg(64, 4)
-    sizes = [4, 8, 16, 32]
-    n_re = 168
-    grp, conv = asymptotic_rates(cfg, "uplink", FadingSpec(), gammas, sizes)
-    log_term = math.log2(1.0 + sinr_bar(cfg, "uplink", FadingSpec()))
-    want_grp = sum(0.25 * (1.0 - s / n_re) for s in sizes) * log_term
-    want_conv = (1.0 - 32 / n_re) * log_term
-    assert grp == pytest.approx(want_grp, rel=1e-12)
-    assert conv == pytest.approx(want_conv, rel=1e-12)
-    assert grp >= conv
-
-
-def test_asymptotic_rates_vanish_with_sinr():
-    cfg = _cfg(64, 4, noise=1e12)  # sinr_bar ~ 0
-    grp, conv = asymptotic_rates(cfg, "uplink", FadingSpec(), (1.0,), [4])
-    assert grp == pytest.approx(0.0, abs=1e-9)
-    assert conv == pytest.approx(0.0, abs=1e-9)
-
-
 def test_gain_bound_examples():
     assert gain_bound([0.25] * 4, [0.1] * 4) == pytest.approx(0.0)
     got = gain_bound([0.25] * 4, [1 / 24, 1 / 12, 1 / 6, 1 / 3])
@@ -122,10 +91,6 @@ def test_model_validations():
     small_rb = Numerology(1e-3 / 14, 15e3, 2, 2)
     with pytest.raises(ConfigurationError, match="U = 4, M = 64 and 4 REs"):
         deterministic_sinr(_cfg(m=64, u=4, numerology=small_rb), "uplink", 1.0, 1.0)
-    with pytest.raises(ConfigurationError, match="U = 10, M = 10"):
-        asymptotic_rates(_cfg(m=10), "uplink", FadingSpec(), (1.0,), [4])
-    with pytest.raises(ConfigurationError, match="sum to 1"):
-        asymptotic_rates(_cfg(), "uplink", FadingSpec(), (0.5, 0.2), [4, 8])
     with pytest.raises(ConfigurationError, match="sum to 1"):
         gain_bound((0.5, 0.2), (0.1, 0.2))
     with pytest.raises(ConfigurationError, match="direction"):
@@ -133,8 +98,8 @@ def test_model_validations():
 
 
 def test_model_from_system():
-    """M, U, each direction's power, the noise and the REs per RB all come
-    from the SystemConfig."""
+    """M, U, each direction's power and the noise all come from the
+    SystemConfig; test_model_validations checks its REs per RB."""
     cfg = SystemConfig(
         num_rbs=4, num_antennas=64, max_mux=4,
         ul_power=1.0, dl_power=2.0, noise_power=0.1,
@@ -144,14 +109,6 @@ def test_model_from_system():
     ul = deterministic_sinr(cfg, "uplink", 1.0, 1.0)
     assert ul == 1.0 / (0.1 / 64 + (4 / 64) * 1.0 * 1.0)
     assert sinr_bar(cfg, "downlink", FadingSpec()) == pytest.approx(dl, rel=1e-12)
-    half_rb = SystemConfig(
-        num_rbs=4, num_antennas=64, max_mux=4, ul_power=1.0, dl_power=2.0,
-        noise_power=0.1, numerology=Numerology(1e-3 / 14, 15e3, 7, 12),
-    )
-    grp, conv = asymptotic_rates(half_rb, "downlink", FadingSpec(), (0.5, 0.5), [21, 42])
-    log_term = math.log2(1.0 + dl)
-    assert conv == pytest.approx(0.5 * log_term, rel=1e-12)
-    assert grp == pytest.approx(0.625 * log_term, rel=1e-12)
 
 
 def test_mrc_sinr_approaches_deterministic_equivalent():

@@ -14,7 +14,6 @@ from pilotadapt.channel import (
     ChannelRealization,
     PilotSpacing,
     builtin_profiles,
-    draw_channels,
     generate_realization,
     generate_single_grid,
     max_spacing,
@@ -23,7 +22,7 @@ from pilotadapt.channel import (
 from pilotadapt.core import FadingSpec, Numerology, SystemConfig, build_population
 from pilotadapt.errors import ConfigurationError, UnsupportableProfileError
 
-from oracles import oracle_grams, oracle_single_grid
+from oracles import draw_channels, oracle_grams, oracle_single_grid
 
 
 def test_max_spacing_etu300(num):
@@ -261,12 +260,16 @@ def test_gram_of_users_matches_the_full_build(case):
 
 def test_gram_matches_direct_inner_products():
     """The tap-domain Gram accumulated over antenna blocks equals the
-    frequency-domain Gram of the same RB's channels. One-, two- and
-    three-tap users share the blocks, so the padded taps are exercised, and
-    M = 70 is not a multiple of the block size."""
+    frequency-domain Gram of the same RB's channels, each user's drawn in
+    one `generate_single_grid` call from its (seed, user, RB) generator.
+    One-, two- and three-tap users share the blocks, so the padded taps are
+    exercised. M = 70 and M = 130 (five blocks, the last of 2 antennas) are
+    not multiples of the block size, so each user's stream must continue
+    across blocks."""
     profs = [ONE_TAP, THREE_TAP, builtin_profiles()[1]]
     pop = build_population([2, 1, 2], FadingSpec(), seed=0)
-    for m in (5, 70):
+    assert 130 % channel._ANTENNA_CHUNK == 2
+    for m in (5, 70, 130):
         cfg = _cfg(2, m)
         real = generate_realization(pop, profs, cfg, seed=3)
         assert real.num_users == 5
@@ -296,21 +299,6 @@ def test_single_grid_matches_einsum_oracle(num, profile, shape):
     want = oracle_single_grid(profile, t, n, num, np.random.default_rng(7), num_antennas=a)
     assert got.shape == want.shape == shape
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-
-
-def test_drawn_blocks_continue_one_stream(num):
-    """M = 130 is drawn in several blocks, yet each user's channels equal one
-    draw of all 130 antennas from that user's (seed, user, RB) generator."""
-    profs = [ONE_TAP, THREE_TAP]
-    pop = build_population([1, 2], FadingSpec(), seed=0)
-    cfg = _cfg(2, 130)
-    assert cfg.num_antennas % channel._ANTENNA_CHUNK != 0
-    for rb in range(cfg.num_rbs):
-        h = draw_channels(pop, profs, cfg, 11, rb)
-        for user in pop.users:
-            rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((11, user.id, rb))))
-            want = oracle_single_grid(profs[user.group_id], 14, 12, num, rng, num_antennas=130)
-            assert np.max(np.abs(h[user.id] - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_fewer_antennas_draw_the_leading_antennas(profiles):

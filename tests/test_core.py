@@ -5,7 +5,6 @@ from pilotadapt.core import (
     FadingSpec,
     Numerology,
     build_population,
-    group_fractions,
     lte_numerology,
 )
 from pilotadapt.errors import ConfigurationError
@@ -34,22 +33,8 @@ def test_equal_group_population():
 
 def test_single_user_population():
     pop = build_population([1], FadingSpec(), seed=0)
-    assert group_fractions(pop) == (1.0,)
-
-
-def test_group_fractions_hand_example():
-    pop = build_population([6, 3, 3], FadingSpec(), seed=0)
-    assert group_fractions(pop) == (0.5, 0.25, 0.25)
-
-
-def test_group_fractions_sum_to_one():
-    rng = np.random.default_rng(9)
-    for _ in range(50):
-        sizes = rng.integers(1, 9, size=rng.integers(1, 6)).tolist()
-        pop = build_population(sizes, FadingSpec(), seed=1)
-        fr = group_fractions(pop)
-        assert all(f >= 0 for f in fr)
-        assert abs(sum(fr) - 1.0) < 1e-12
+    assert pop.num_users == pop.num_groups == 1
+    assert pop.groups == ((0,),)
 
 
 def test_partition_property():

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from pilotadapt.channel import (
     ChannelRealization,
     builtin_profiles,
-    draw_channels,
     generate_realization,
     max_spacing,
 )
@@ -31,7 +30,7 @@ from pilotadapt.scheduling import (
 )
 
 from conftest import rb_rate
-from oracles import oracle_exact_partition, oracle_grams
+from oracles import draw_channels, oracle_exact_partition, oracle_grams
 
 
 def _instance(seed, k=8, n_rbs=2, m=4, mux=4, sigma2=0.1):
@@ -205,10 +204,13 @@ def test_exact_refuses_dense_tables_beyond_user_cap():
 
 
 def test_exact_budget_counts_subset_tables():
-    """K = 20 on 4 RBs x 5 layers fits the budget. K = 24 on 2 RBs x 15
-    layers visits fewer DP transitions, but its subset-rate tables gather
-    ~4e9 pair-term rows, so it is refused."""
+    """K = 20 on 4 RBs x 5 layers fits the budget. K = 16 on 3 RBs x 10
+    layers visits fewer DP transitions (4.3e7 against 9.3e7), but its
+    subset-rate tables gather 1.1e7 pair-term rows, so it is refused; so is
+    K = 24 on 2 RBs x 15 layers, whose tables gather ~4e9."""
     check_exact_budget(20, 4, 5)
+    with pytest.raises(ExactSearchBudgetError, match="greedy"):
+        check_exact_budget(16, 3, 10)
     with pytest.raises(ExactSearchBudgetError, match="greedy"):
         check_exact_budget(24, 2, 15)
 
