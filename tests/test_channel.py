@@ -301,6 +301,32 @@ def test_single_grid_matches_einsum_oracle(num, profile, shape):
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+def test_drawn_blocks_continue_one_stream(num):
+    """M = 130 is drawn in several blocks, yet each RB's Gram equals the Gram
+    of one einsum-oracle draw of all 130 antennas per user from that user's
+    (seed, user, RB) generator."""
+    profs = [ONE_TAP, THREE_TAP]
+    pop = build_population([1, 2], FadingSpec(), seed=0)
+    cfg = _cfg(2, 130)
+    assert cfg.num_antennas % channel._ANTENNA_CHUNK != 0
+    real = generate_realization(pop, profs, cfg, seed=11)
+    h = np.stack([
+        np.stack([
+            oracle_single_grid(
+                profs[user.group_id], 14, 12, num,
+                np.random.Generator(np.random.PCG64(np.random.SeedSequence((11, user.id, rb)))),
+                num_antennas=130,
+            )
+            for rb in range(cfg.num_rbs)
+        ])
+        for user in pop.users
+    ])
+    for rb, (want_cross, want_norms) in enumerate(oracle_grams(h)):
+        cross, norms = real.gram(rb)
+        assert np.allclose(cross, want_cross, rtol=1e-12, atol=0.0)
+        assert np.allclose(norms, want_norms, rtol=1e-12, atol=0.0)
+
+
 def test_fewer_antennas_draw_the_leading_antennas(profiles):
     """Common random numbers across M: the M = 64 draw is the first 64
     antennas of the M = 112 draw with the same seed."""
