@@ -23,12 +23,13 @@ That is N / L^2 times fewer flops (3 at N = 12, L = 2) than a K x K product
 per (symbol, subcarrier) of the frequency response, which the library never
 forms.
 
-`generate_realization` builds nothing up front. An RB is built on a
+A `ChannelRealization`, made only from a population, its profiles and a
+seed (`generate_realization`), builds nothing up front: per draw it holds
+only each user's factors (Doppler basis and mix). An RB is built on a
 request its held build does not cover, for the requested users and the
 users the caller said that RB must cover, and the new build replaces the
 held one. A user's channels depend only on (seed, user, RB), so a Gram over
-fewer users is the full one's sub-block up to rounding. Per draw only each
-user's factors (Doppler basis and mix) are held; a build forms the
+fewer users is the full one's sub-block up to rounding. A build forms the
 tap-pair weights conj(mix_k) mix_j of its own users. A realization caches
 its builds unlocked: one trial uses it, on one thread.
 """
@@ -95,94 +96,27 @@ class PilotSpacing:
             raise ConfigurationError("pilot spacings must be at least 1")
 
 
-class ChannelRealization:
-    """Per-RB cross powers of one small-scale fading draw.
-
-    `gram(rb, users)` is RB rb's (cross, norms) over `users` (every user
-    when None), in the order given: cross of shape (U, U, T, N) with
-    cross[a, b] = |h_{users[a]}^H h_{users[b]}|^2 and norms of shape
-    (U, T, N) with norms[a] = ||h_{users[a]}||^2, for channels h of unit
-    per-entry power (large-scale gains are applied in the SINR
-    computation). Both arrays are read-only. Every rate reads only these,
-    so the channels themselves are never held. User k's channels on RB rb
-    are `generate_single_grid` of its profile with the realization's
-    antenna count, drawn from a generator seeded by (seed, k, rb).
-
-    `build(rb, users)` builds a superset of `users` and returns each
-    user's row in its Gram (-1 for users it did not build) and the Gram. A
-    request is sliced from the RB's held build when that build covers it;
-    otherwise the RB is built for the request and the new build replaces
-    the held one. Given explicit `grams` (each RB's (cross, norms) over all
-    users in id order) and no `build`, every build returns the stored full
-    Gram. Builds are cached without a lock: a realization serves one trial
-    on one thread.
-    """
-
-    __slots__ = ("_numerology", "_num_users", "_built", "_build")
-
-    def __init__(self, grams, numerology: Numerology, build=None):
-        self._numerology = numerology
-        self._built = [None] * len(grams)
-        if build is None:
-            stored = [(np.arange(len(g[1])), *map(_read_only, g)) for g in grams]
-            self._num_users = len(grams[0][1])
-            self._build = lambda rb, users: stored[rb]
-        else:
-            self._num_users, self._build = build.num_users, build
-
-    @property
-    def numerology(self) -> Numerology:
-        return self._numerology
-
-    @property
-    def num_users(self) -> int:
-        return self._num_users
-
-    def gram(self, rb: int, users=None) -> tuple[np.ndarray, np.ndarray]:
-        want = np.arange(self._num_users) if users is None else np.asarray(users, dtype=np.intp)
-        if not want.size:  # nothing to build
-            grid = (self._numerology.symbols_per_rb, self._numerology.subcarriers_per_rb)
-            return _read_only(np.zeros((0, 0, *grid))), _read_only(np.zeros((0, *grid)))
-        if want.min() < 0 or want.max() >= self._num_users:
-            raise ValueError(f"users {want.tolist()} outside the {self._num_users} of the draw")
-        built = self._built[rb]
-        if built is None or (built[0][want] < 0).any():
-            built = self._built[rb] = self._build(rb, want)
-        rows_of, cross, norms = built
-        rows = rows_of[want]
-        if np.array_equal(rows, np.arange(len(norms))):
-            return cross, norms
-        return _read_only(cross[rows[:, None], rows]), _read_only(norms[rows])
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    view = a.view()
-    view.flags.writeable = False
-    return view
-
-
-def _floor_with_roundoff_guard(x: float) -> int:
+def _spacing_limit(product: float, grid: int) -> int:
+    """floor(1 / product), at most `grid`. A product that underflows to zero
+    or to a subnormal whose inverse is infinite tolerates the whole grid, as
+    any product below 1 / grid does."""
+    x = min(1.0 / product, grid) if product else grid
     # values landing on integers up to float error must not fall one short
     return int(math.floor(x * (1.0 + 1e-12) + 1e-12))
 
 
 def max_spacing(profile: ChannelProfile, num: Numerology) -> PilotSpacing:
     """Largest pilot spacing the profile tolerates, clamped to the grid."""
-    raw_t = _floor_with_roundoff_guard(
-        1.0 / (4.0 * profile.max_doppler_hz * num.symbol_duration_s)
+    t = _spacing_limit(4.0 * profile.max_doppler_hz * num.symbol_duration_s, num.symbols_per_rb)
+    f = _spacing_limit(
+        4.0 * profile.max_delay_spread_s * num.subcarrier_spacing_hz, num.subcarriers_per_rb
     )
-    raw_f = _floor_with_roundoff_guard(
-        1.0 / (4.0 * profile.max_delay_spread_s * num.subcarrier_spacing_hz)
-    )
-    if raw_t < 1 or raw_f < 1:
+    if t < 1 or f < 1:
         raise UnsupportableProfileError(
             f"profile {profile.name!r} varies faster than one symbol/subcarrier "
-            f"of the numerology (raw spacings {raw_t}, {raw_f})"
+            f"of the numerology (spacings {t}, {f})"
         )
-    return PilotSpacing(
-        time_spacing_symbols=min(raw_t, num.symbols_per_rb),
-        freq_spacing_subcarriers=min(raw_f, num.subcarriers_per_rb),
-    )
+    return PilotSpacing(time_spacing_symbols=t, freq_spacing_subcarriers=f)
 
 
 def builtin_profiles() -> list[ChannelProfile]:
@@ -257,16 +191,39 @@ def generate_single_grid(
     return np.matmul(mix, taps.transpose(2, 1, 0))  # (T, N, A)
 
 
-class _TapSource:
-    """A population's tap processes on any RB, from factors built once per
-    draw: each user's generator id (ids), own tap count (counts) and stacked
-    `_grid_bases`, bases (K, 32, T) and mix (K, N, L) with L the largest tap
-    count. A user with fewer taps gets zero mix columns for the missing
-    ones.
+def _read_only(a: np.ndarray) -> np.ndarray:
+    view = a.view()
+    view.flags.writeable = False
+    return view
 
-    Called as `ChannelRealization`'s `build`, it returns RB rb's Gram for
-    the users asked for and include[rb] (no extra users when include is
-    None), with tap-pair weights formed from those users' mix rows."""
+
+class ChannelRealization:
+    """Per-RB cross powers of one small-scale fading draw.
+
+    `gram(rb, users)` is RB rb's (cross, norms) over `users` (every user
+    when None), in the order given: cross of shape (U, U, T, N) with
+    cross[a, b] = |h_{users[a]}^H h_{users[b]}|^2 and norms of shape
+    (U, T, N) with norms[a] = ||h_{users[a]}||^2, for channels h of unit
+    per-entry power (large-scale gains are applied in the SINR
+    computation). Both arrays are read-only. Every rate reads only these,
+    so the channels themselves are never held. User k's channels on RB rb
+    are `generate_single_grid` of its profile with the realization's
+    antenna count, drawn from a generator seeded by (seed, k, rb).
+
+    Per draw it holds each user's generator id (ids), own tap count
+    (counts) and stacked `_grid_bases`, bases (K, 32, T) and mix (K, N, L)
+    with L the largest tap count; a user with fewer taps gets zero mix
+    columns for the missing ones. A request is sliced from the RB's held
+    build when that build covers it; otherwise the RB is built for the
+    request and include[rb] (no extra users when include is None), and the
+    new build replaces the held one. Builds are cached without a lock: a
+    realization serves one trial on one thread.
+    """
+
+    __slots__ = (
+        "_numerology", "_num_users", "_built", "mix", "bases", "counts", "ids",
+        "seed", "num_antennas", "include",
+    )
 
     def __init__(
         self,
@@ -280,7 +237,7 @@ class _TapSource:
             raise ConfigurationError(
                 f"{pop.num_groups} groups but only {len(profiles)} channel profiles"
             )
-        num = cfg.numerology
+        num = self._numerology = cfg.numerology
         t, n = num.symbols_per_rb, num.subcarriers_per_rb
         factors = [_grid_bases(profiles[user.group_id], t, n, num) for user in pop.users]
         self.mix = np.zeros(
@@ -291,12 +248,40 @@ class _TapSource:
         self.bases = np.stack([basis for basis, _ in factors])
         self.counts = [m.shape[1] for _, m in factors]
         self.ids = [user.id for user in pop.users]
-        self.num_users = pop.num_users
+        self._num_users = pop.num_users
+        self._built = [None] * cfg.num_rbs
         self.seed, self.num_antennas, self.include = seed, cfg.num_antennas, include
 
-    def __call__(self, rb: int, users: np.ndarray):
+    @property
+    def numerology(self) -> Numerology:
+        return self._numerology
+
+    @property
+    def num_users(self) -> int:
+        return self._num_users
+
+    def gram(self, rb: int, users=None) -> tuple[np.ndarray, np.ndarray]:
+        want = np.arange(self._num_users) if users is None else np.asarray(users, dtype=np.intp)
+        if not want.size:  # nothing to build
+            grid = (self._numerology.symbols_per_rb, self._numerology.subcarriers_per_rb)
+            return _read_only(np.zeros((0, 0, *grid))), _read_only(np.zeros((0, *grid)))
+        if want.min() < 0 or want.max() >= self._num_users:
+            raise ValueError(f"users {want.tolist()} outside the {self._num_users} of the draw")
+        built = self._built[rb]
+        if built is None or (built[0][want] < 0).any():
+            built = self._built[rb] = self._build(rb, want)
+        rows_of, cross, norms = built
+        rows = rows_of[want]
+        if np.array_equal(rows, np.arange(len(norms))):
+            return cross, norms
+        return _read_only(cross[rows[:, None], rows]), _read_only(norms[rows])
+
+    def _build(self, rb: int, users: np.ndarray):
+        """Each user's row in a new build of RB rb (-1 for users it leaves
+        out), and the build's Gram: `users` and include[rb], with tap-pair
+        weights formed from their mix rows."""
         # a mask, not np.union1d: np.unique imports numpy.ma (~15 ms)
-        chosen = np.zeros(self.num_users, dtype=bool)
+        chosen = np.zeros(self._num_users, dtype=bool)
         chosen[users] = True
         if self.include is not None:
             chosen[list(self.include[rb])] = True
@@ -317,11 +302,11 @@ class _TapSource:
 _ANTENNA_CHUNK = 32
 
 
-def _antenna_blocks(source: _TapSource, rb: int, users: np.ndarray):
+def _antenna_blocks(real: ChannelRealization, rb: int, users: np.ndarray):
     """The tap processes of `users` (indices into the population) on one
     RB, in blocks of at most _ANTENNA_CHUNK antennas: yields (T, U, L, a)
     arrays, each overwritten by the next. User k's channels are
-    source.mix[k] applied over the L axis, so its taps beyond its own count
+    real.mix[k] applied over the L axis, so its taps beyond its own count
     carry zero weight.
 
     Each (user, RB) pair draws its phases from its own generator seeded by
@@ -331,13 +316,13 @@ def _antenna_blocks(source: _TapSource, rb: int, users: np.ndarray):
     users' phases of a block become taps in one phasor call and one batched
     matmul.
     """
-    bases = source.bases[users]
-    k, n_taps, m = len(users), source.mix.shape[2], source.num_antennas
+    bases = real.bases[users]
+    k, n_taps, m = len(users), real.mix.shape[2], real.num_antennas
     chunk = min(m, _ANTENNA_CHUNK)
-    counts = [source.counts[u] for u in users]
+    counts = [real.counts[u] for u in users]
     rngs = [
         np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence((source.seed, source.ids[u], rb)))
+            np.random.PCG64(np.random.SeedSequence((real.seed, real.ids[u], rb)))
         )
         for u in users
     ]
@@ -396,5 +381,4 @@ def generate_realization(
     is accumulated in the tap domain from antenna blocks, so memory stays
     bounded by one block whatever the antenna count.
     """
-    source = _TapSource(pop, profiles, cfg, seed, include)
-    return ChannelRealization([None] * cfg.num_rbs, cfg.numerology, source)
+    return ChannelRealization(pop, profiles, cfg, seed, include)

@@ -55,7 +55,7 @@ def _cmd_patterns(args) -> int:
     profiles = cfg.resolved_profiles()
     mux = cfg.u_mux_list[0]
     registry = default_registry(profiles, cfg.numerology, mux)
-    conv = conventional_pattern(profiles, cfg.numerology, mux)
+    conv = conventional_pattern(registry)
 
     if cfg.format == "json":
         payload = {
@@ -124,8 +124,9 @@ def _cmd_asymptotics(args) -> int:
     cfg = _load(args)
     eta_bar = cfg.fading.mean()
     entries = []
+    profiles = cfg.resolved_profiles()
     for mux in cfg.u_mux_list:
-        bound = cfg.gain_bound(mux)
+        bound = cfg.gain_bound(mux, default_registry(profiles, cfg.numerology, mux))
         for m in cfg.m_list:
             sys_cfg = cfg.system_config(m, mux)
             for direction in cfg.directions():

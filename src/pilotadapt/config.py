@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 from .channel import ChannelProfile, builtin_profiles
 from .core import FadingSpec, Numerology, SystemConfig, lte_numerology
 from .errors import ConfigurationError
-from .patterns import PatternRegistry, default_registry, group_overheads
+from .patterns import PatternRegistry, group_overheads
 
 
 @dataclass(frozen=True)
@@ -117,15 +117,11 @@ class ExperimentConfig:
             numerology=self.numerology,
         )
 
-    def gain_bound(self, mux: int) -> float:
-        """Large-system gain bound of the sweep points at mux order `mux`."""
-        registry = default_registry(self.resolved_profiles(), self.numerology, mux)
-        return self.registry_gain_bound(mux, registry)
-
-    def registry_gain_bound(self, mux: int, registry: PatternRegistry) -> float:
-        """The gain bound at mux order `mux` for the `default_registry` of
-        that order: each group's share of `sizes_for(mux)` against the
-        overhead of the registry pattern it is given."""
+    def gain_bound(self, mux: int, registry: PatternRegistry) -> float:
+        """The gain bound at mux order `mux` for `registry`, the
+        `default_registry` of that order: each group's share of
+        `sizes_for(mux)` against the overhead of the registry pattern it is
+        given."""
         from .asymptotics import gain_bound
 
         sizes = self.sizes_for(mux)

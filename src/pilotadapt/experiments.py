@@ -94,14 +94,14 @@ def run_trial(
     pop = build_population(cfg.sizes_for(mux), cfg.fading, seed=seed)
     sys_cfg = cfg.system_config(m, mux)
     registry = default_registry(profiles, cfg.numerology, mux)
-    pattern = conventional_pattern(profiles, cfg.numerology, mux)
+    pattern = conventional_pattern(registry)
     picker_rng = np.random.default_rng(np.random.SeedSequence((seed, 1)))
     assignment = grouping_schedule(pop, sys_cfg, registry, profiles, cfg.picker, picker_rng)
     realization = generate_realization(
         pop, profiles, sys_cfg, seed=seed, include=assignment.rb_users
     )
     fadings = pop.fadings()
-    bound = cfg.registry_gain_bound(mux, registry)
+    bound = cfg.gain_bound(mux, registry)
 
     rows = []
     for direction in cfg.directions():

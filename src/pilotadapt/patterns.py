@@ -129,24 +129,13 @@ def build_pattern(spacing: PilotSpacing, num: Numerology, mux: int) -> PilotPatt
     )
 
 
-def conventional_pattern(
-    profiles: list[ChannelProfile], num: Numerology, mux: int
-) -> PilotPattern:
-    """Fixed worst-case pattern sized for the densest profile requirement.
-
-    Ties between equally sized candidates break toward the smaller time
-    spacing, then the smaller frequency spacing.
-    """
-    if not profiles:
-        raise ConfigurationError("need at least one channel profile")
-    best = None
-    for prof in profiles:
-        sp = max_spacing(prof, num)
-        count = len(_anchor_positions(sp, num)) * mux
-        key = (-count, sp.time_spacing_symbols, sp.freq_spacing_subcarriers)
-        if best is None or key < best[0]:
-            best = (key, sp)
-    return build_pattern(best[1], num, mux)
+def conventional_pattern(registry: PatternRegistry) -> PilotPattern:
+    """Fixed worst-case pattern: the registry's densest, the last under
+    `_sparsest_first`. Ties between equally sized patterns break toward the
+    smaller time spacing, then the smaller frequency spacing."""
+    if not registry.patterns:
+        raise InfeasibleRegistryError("registry is empty")
+    return max(registry.patterns, key=_sparsest_first)
 
 
 def default_registry(

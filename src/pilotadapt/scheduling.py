@@ -81,10 +81,11 @@ class ScheduleAssignment:
 
 class RbRateCalculator:
     """Per-RB spectral efficiency of user subsets, from the realization's
-    Gram: log2(1 + SINR) of every scheduled user summed over the
-    data REs (those outside `pattern`; all of them when it is None) and
-    divided by the block's full RE count. The RB's pair terms are built
-    once, so each subset costs one gather-sum.
+    Gram: log2(1 + SINR) of every scheduled user summed over the data
+    REs (those outside `pattern`) and divided by the block's full RE
+    count. The RB's pair terms are built once, so each subset costs one
+    gather-sum. It reads only the realization's `numerology`, `num_users`
+    and `gram`.
 
     `users` restricts the pair terms to the users that subsets may contain
     (all of them when None); subsets still name users by id.
@@ -95,7 +96,7 @@ class RbRateCalculator:
         realization: ChannelRealization,
         rb: int,
         cfg: SystemConfig,
-        pattern: PilotPattern | None,
+        pattern: PilotPattern,
         direction: str,
         fadings: np.ndarray,
         users: Sequence[int] | None = None,
@@ -145,13 +146,12 @@ def power_error(cfg: SystemConfig, direction: str, problem: str, fix: str = "low
     )
 
 
-def _data_mask(pattern: PilotPattern | None, n_s: int, n_sc: int) -> np.ndarray:
+def _data_mask(pattern: PilotPattern, n_s: int, n_sc: int) -> np.ndarray:
     mask = np.ones((n_s, n_sc), dtype=bool)
-    if pattern is not None:
-        for t, n in pattern.positions:
-            mask[t, n] = False
-        if not mask.any():
-            raise NoDataRoomError("pattern covers every RE of the block")
+    for t, n in pattern.positions:
+        mask[t, n] = False
+    if not mask.any():
+        raise NoDataRoomError("pattern covers every RE of the block")
     return mask
 
 

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from pilotadapt.channel import ChannelRealization, builtin_profiles
+from pilotadapt.channel import PilotSpacing, builtin_profiles
 from pilotadapt.core import FadingSpec, Numerology, SystemConfig, build_population, lte_numerology
+from pilotadapt.patterns import PilotPattern
 from pilotadapt.phy import pair_terms, subset_sinr
 from pilotadapt.scheduling import RbRateCalculator
 
-from oracles import oracle_grams
+from oracles import StoredGrams, oracle_grams
 
 
 @pytest.fixture(scope="session")
@@ -41,6 +42,12 @@ def tiny_numerology(n_s: int, n_sc: int) -> Numerology:
     )
 
 
+def no_pilots(num: Numerology) -> PilotPattern:
+    """A pattern with no pilot REs: every RE of the block carries data."""
+    n_s, n_sc = num.symbols_per_rb, num.subcarriers_per_rb
+    return PilotPattern(PilotSpacing(n_s, n_sc), (), 1, n_s, n_sc)
+
+
 def random_channels(rng: np.random.Generator, *shape) -> np.ndarray:
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
 
@@ -58,7 +65,7 @@ def kernel_sinr(h, fadings, cfg, direction):
     h = np.asarray(h)
     n_re, u = h.shape[:2]
     channels = h.transpose(1, 0, 2)[:, None, :, None, :]
-    real = ChannelRealization(oracle_grams(channels), tiny_numerology(n_re, 1))
+    real = StoredGrams(oracle_grams(channels), tiny_numerology(n_re, 1))
     data = np.ones((n_re, 1), dtype=bool)
     terms = pair_terms(*real.gram(0), fadings, cfg, direction, data)
     return subset_sinr(terms, np.arange(u)[None])[0]

@@ -145,3 +145,48 @@ def oracle_exact_partition(rate, k, n_rbs, mux):
         layer = nxt
     value, parts = layer[(1 << k) - 1]
     return parts, value
+
+
+class StoredGrams:
+    """A stand-in for `ChannelRealization` over given Grams: each RB's
+    (cross, norms) over all users in id order, as `oracle_grams` returns
+    them. It serves what `RbRateCalculator` reads, `numerology`,
+    `num_users` and `gram(rb, users)`, the last as read-only copies of the
+    rows and columns asked for, in the order asked; the given arrays stay
+    writable."""
+
+    def __init__(self, grams, numerology):
+        self.numerology = numerology
+        self.num_users = len(grams[0][1])
+        self._grams = grams
+
+    def gram(self, rb, users=None):
+        import numpy as np
+
+        rows = np.arange(self.num_users) if users is None else np.asarray(users, dtype=np.intp)
+        cross, norms = self._grams[rb]
+        out = (cross[np.ix_(rows, rows)], norms[rows])
+        for arr in out:
+            arr.flags.writeable = False
+        return out
+
+
+def oracle_conventional_pattern(profiles, num, mux):
+    """The fixed worst-case pattern by its own rule: the profile spacing
+    with the most pilot REs, ties toward the smaller time spacing, then the
+    smaller frequency spacing, each count from the anchor-lattice formula."""
+    from pilotadapt.channel import max_spacing
+    from pilotadapt.errors import ConfigurationError
+    from pilotadapt.patterns import build_pattern
+
+    if not profiles:
+        raise ConfigurationError("need at least one channel profile")
+    best = None
+    for prof in profiles:
+        sp = max_spacing(prof, num)
+        t, f = sp.time_spacing_symbols, sp.freq_spacing_subcarriers
+        count = -(-num.symbols_per_rb // t) * -(-num.subcarriers_per_rb // f) * mux
+        key = (-count, t, f)
+        if best is None or key < best[0]:
+            best = (key, sp)
+    return build_pattern(best[1], num, mux)

@@ -21,7 +21,6 @@ from scipy.stats import binomtest
 from pilotadapt.asymptotics import deterministic_sinr, gain_bound
 from pilotadapt.channel import (
     ChannelProfile,
-    ChannelRealization,
     PilotSpacing,
     builtin_profiles,
     generate_realization,
@@ -45,8 +44,8 @@ from pilotadapt.scheduling import (
     grouping_schedule,
 )
 
-from conftest import kernel_sinr, random_channels, rb_rate, tiny_numerology
-from oracles import draw_channels, oracle_grams, oracle_rb_rate
+from conftest import kernel_sinr, no_pilots, random_channels, rb_rate, tiny_numerology
+from oracles import StoredGrams, draw_channels, oracle_grams, oracle_rb_rate
 from test_scheduler import exhaustive_best
 
 
@@ -71,22 +70,23 @@ def test_criterion_1_formula_fidelity():
         h = random_channels(rng, u, 1, n_s, n_sc, m)
         eta = rng.uniform(0.5, 2.0, u)
         sigma2 = float(rng.uniform(0.05, 2.0))
-        real = ChannelRealization(oracle_grams(h), num)
+        real = StoredGrams(oracle_grams(h), num)
         cfg = SystemConfig(
             num_rbs=1, num_antennas=m, max_mux=4,
             ul_power=1.0, dl_power=1.0, noise_power=sigma2,
         )
         if i % 3 == 0:
-            pattern, positions = None, ()
+            pattern = no_pilots(num)
         else:
             spacing = PilotSpacing(int(rng.integers(1, n_s + 1)), int(rng.integers(1, n_sc + 1)))
             try:
                 pattern = build_pattern(spacing, num, 1)
             except NoDataRoomError:
-                pattern = None
-            positions = pattern.positions if pattern else ()
+                pattern = no_pilots(num)
         got = rb_rate(real, 0, list(range(u)), pattern, cfg, direction, fadings=eta)
-        want = oracle_rb_rate(h[:, 0].tolist(), list(eta), positions, 1.0, sigma2, direction)
+        want = oracle_rb_rate(
+            h[:, 0].tolist(), list(eta), pattern.positions, 1.0, sigma2, direction
+        )
         if want != 0.0:
             worst = max(worst, abs(got - want) / abs(want))
     ok = worst <= 1e-10
@@ -105,7 +105,7 @@ def test_criterion_2_scheduler_exactness():
             ul_power=1.0, dl_power=1.0, noise_power=0.1,
         )
         real = generate_realization(pop, profiles, cfg, seed=1000 + seed)
-        pattern = conventional_pattern(profiles, cfg.numerology, 4)
+        pattern = conventional_pattern(default_registry(profiles, cfg.numerology, 4))
         direction = "uplink" if seed % 2 == 0 else "downlink"
         _, dp = conventional_schedule_exact(real, pop, cfg, pattern, direction)
         bf = exhaustive_best(real, pop, cfg, pattern, direction)
@@ -167,7 +167,7 @@ def test_criterion_4_superiority_vs_exact_baseline():
         ul_power=1.0, dl_power=1.0, noise_power=0.1,
     )
     registry = default_registry(profiles, num, 4)
-    pattern = conventional_pattern(profiles, num, 4)
+    pattern = conventional_pattern(registry)
     fadings = pop.fadings()
 
     grp, conv = [], []
@@ -209,7 +209,7 @@ def test_criterion_5_gain_behavior():
     pop = build_population([7, 7, 7, 7], FadingSpec(), seed=0)
     fadings = pop.fadings()
     registry = default_registry(profiles, num, mux)
-    pattern = conventional_pattern(profiles, num, mux)
+    pattern = conventional_pattern(registry)
     gammas = (0.25,) * 4
     rhos = [
         select_pattern_for_group(registry, p, num).overhead_ratio for p in profiles

@@ -11,7 +11,6 @@ from scipy.special import j0
 from pilotadapt import channel
 from pilotadapt.channel import (
     ChannelProfile,
-    ChannelRealization,
     PilotSpacing,
     builtin_profiles,
     generate_realization,
@@ -22,12 +21,33 @@ from pilotadapt.channel import (
 from pilotadapt.core import FadingSpec, Numerology, SystemConfig, build_population
 from pilotadapt.errors import ConfigurationError, UnsupportableProfileError
 
-from oracles import draw_channels, oracle_grams, oracle_single_grid
+from oracles import StoredGrams, draw_channels, oracle_grams, oracle_single_grid
 
 
 def test_max_spacing_etu300(num):
     sp = max_spacing(ChannelProfile("ETU300", 300.0, 4.69e-6), num)
     assert (sp.time_spacing_symbols, sp.freq_spacing_subcarriers) == (11, 3)
+
+
+@pytest.mark.parametrize(
+    "doppler, delay, duration",
+    [
+        (1e-300, 1e-300, None),
+        (1e-310, 1e-300, None),  # 4 f T is subnormal: its inverse is inf
+        (5e-324, 1e-300, None),  # 4 f T underflows to zero
+        (1e-300, 5e-324, None),
+        (5e-324, 5e-324, None),
+        (70.0, 1e-300, 1e-320),
+        (70.0, 1e-300, 1e-300),
+    ],
+)
+def test_max_spacing_full_grid_for_tiny_rates(num, doppler, delay, duration):
+    """A Doppler, delay spread or symbol time small enough that 4 f T or
+    4 tau df underflows tolerates the whole grid, as 1e-300 does."""
+    if duration is not None:
+        num = Numerology(duration, num.subcarrier_spacing_hz, 14, 12)
+    sp = max_spacing(ChannelProfile("tiny", doppler, delay), num)
+    assert (sp.time_spacing_symbols, sp.freq_spacing_subcarriers) == (14, 12)
 
 
 def test_max_spacing_epa5_clamps_to_grid(num):
@@ -182,17 +202,13 @@ def test_realization_immutable(num, profiles):
 
 
 def test_gram_arrays_are_read_only(profiles):
-    """Builds with and without include sets, their slices and explicit
-    Grams all come back read-only; the caller's explicit arrays stay
-    writable."""
+    """Builds with and without include sets and their slices all come back
+    read-only."""
     pop = build_population([2, 2, 2, 2], FadingSpec(), seed=0)
     cfg = _cfg(2, 4)
-    h = np.stack([draw_channels(pop, profiles, cfg, 1, rb) for rb in range(2)], axis=1)
-    explicit = oracle_grams(h)
     reals = [
         generate_realization(pop, profiles, cfg, seed=1),
         generate_realization(pop, profiles, cfg, seed=1, include=((0, 1), (6,))),
-        ChannelRealization(explicit, cfg.numerology),
     ]
     for real in reals:
         for users in (None, [5, 1, 6], [3]):
@@ -200,7 +216,6 @@ def test_gram_arrays_are_read_only(profiles):
                 assert not arr.flags.writeable
                 with pytest.raises(ValueError):
                     arr[0, 0] = 0.0
-    assert explicit[1][0].flags.writeable
     with pytest.raises(ValueError, match="outside"):
         reals[1].gram(0, [8])
 
@@ -231,12 +246,14 @@ def gram_requests(draw):
 @example((5, ((), ()), [(0, [0]), (0, [1]), (0, [0])]))  # a union would keep user 0
 def test_gram_of_users_matches_the_full_build(case):
     """A realization serves any users of an RB, in the order asked, as the
-    matching sub-block of the full build within rounding. An RB is drawn on
-    its first request and again only when a request leaves its built set,
-    each time for the request and include[rb] alone; a last request for
-    every user forces that rebuild."""
+    matching sub-block of the full build within rounding; the test stand-in
+    `StoredGrams` over the full build must slice it the same way. An RB is
+    drawn on its first request and again only when a request leaves its
+    built set, each time for the request and include[rb] alone; a last
+    request for every user forces that rebuild."""
     m, include, requests = case
     full = _full_build(m)
+    stored = StoredGrams(full, _cfg(2, m).numerology)
     real = generate_realization(SUBSET_POP, SUBSET_PROFILES, _cfg(2, m), seed=3, include=include)
     built: dict[int, set] = {}
     want_builds = 0
@@ -247,11 +264,11 @@ def test_gram_of_users_matches_the_full_build(case):
                 built[rb] = asked | set(include[rb])
                 want_builds += 1
             cross, norms = real.gram(rb, users)
-            rows = np.arange(SUBSET_POP.num_users) if users is None else np.array(users, dtype=int)
-            want_cross, want_norms = full[rb]
-            assert cross.shape == (len(rows), len(rows), 14, 12)
-            assert np.allclose(cross, want_cross[np.ix_(rows, rows)], rtol=1e-12, atol=0.0)
-            assert np.allclose(norms, want_norms[rows], rtol=1e-12, atol=0.0)
+            want_cross, want_norms = stored.gram(rb, users)
+            n = SUBSET_POP.num_users if users is None else len(users)
+            assert cross.shape == want_cross.shape == (n, n, 14, 12)
+            assert np.allclose(cross, want_cross, rtol=1e-12, atol=0.0)
+            assert np.allclose(norms, want_norms, rtol=1e-12, atol=0.0)
     assert draws.call_count == want_builds
     # the last two requests built both RBs for every user, as the full build does
     for rb in range(2):

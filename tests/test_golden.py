@@ -23,7 +23,7 @@ from pilotadapt.channel import generate_realization
 from pilotadapt.core import build_population
 from pilotadapt.config import config_from_dict
 from pilotadapt.experiments import CSV_HEADER, rows_to_csv, run_sweep
-from pilotadapt.patterns import conventional_pattern
+from pilotadapt.patterns import conventional_pattern, default_registry
 from pilotadapt.scheduling import conventional_schedule_exact, conventional_schedule_greedy
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -65,7 +65,7 @@ def _partitions(cfg, rows) -> list[dict]:
         pop = build_population(cfg.sizes_for(row.u_mux), cfg.fading, seed=row.seed)
         sys_cfg = cfg.system_config(row.m, row.u_mux)
         real = generate_realization(pop, profiles, sys_cfg, seed=row.seed)
-        pattern = conventional_pattern(profiles, cfg.numerology, row.u_mux)
+        pattern = conventional_pattern(default_registry(profiles, cfg.numerology, row.u_mux))
         assign, _ = schedule(real, pop, sys_cfg, pattern, row.direction)
         out.append(
             {

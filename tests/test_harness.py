@@ -715,8 +715,11 @@ _FUZZ_PROFILES = st.lists(
     st.fixed_dictionaries(
         {
             "name": st.sampled_from(["a", "b"]),
-            "max_doppler_hz": st.sampled_from([0.0, 5.0, 70.0, 300.0, 1e5]),
-            "max_delay_spread_s": st.sampled_from([0.0, 0.4e-6, 1e-6, 5e-6, 1e-3]),
+            # subnormal rates: 4 f T and 4 tau df underflow
+            "max_doppler_hz": st.sampled_from([0.0, 5e-324, 1e-310, 5.0, 70.0, 300.0, 1e5]),
+            "max_delay_spread_s": st.sampled_from(
+                [0.0, 5e-324, 1e-310, 0.4e-6, 1e-6, 5e-6, 1e-3]
+            ),
         }
     ),
     min_size=1,
@@ -745,9 +748,27 @@ _FUZZ_CONFIGS = st.fixed_dictionaries(
 )
 
 
+_SUBNORMAL_CONFIGS = [
+    {
+        "m_list": [2], "u_mux_list": [2], "num_rbs": 2, "trials": 1, "direction": "both",
+        "scheduler": scheduler,
+        "profiles": [
+            {"name": "a", "max_doppler_hz": doppler, "max_delay_spread_s": delay},
+            {"name": "b", "max_doppler_hz": 70.0, "max_delay_spread_s": 1e-6},
+        ],
+    }
+    for scheduler, doppler, delay in [
+        ("exact", 1e-310, 1e-6), ("greedy", 5e-324, 1e-6), ("exact", 70.0, 5e-324),
+    ]
+]
+
+
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @example(_ZERO_RATE_CONFIGS[0])
 @example(_ZERO_RATE_CONFIGS[1])
+@example(_SUBNORMAL_CONFIGS[0])
+@example(_SUBNORMAL_CONFIGS[1])
+@example(_SUBNORMAL_CONFIGS[2])
 @given(_FUZZ_CONFIGS)
 def test_cli_simulate_finite_rows_or_one_json_line(tmp_path_factory, config):
     """Any config of small M and one trial either runs, with every float of

@@ -1,10 +1,16 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pilotadapt.channel import ChannelProfile, PilotSpacing, max_spacing
-from pilotadapt.errors import ConfigurationError, InfeasibleRegistryError, NoDataRoomError
+from pilotadapt.core import Numerology, lte_numerology
+from pilotadapt.errors import (
+    ConfigurationError,
+    InfeasibleRegistryError,
+    NoDataRoomError,
+    PilotAdaptError,
+)
 from pilotadapt.patterns import (
     PatternRegistry,
     build_pattern,
@@ -15,6 +21,7 @@ from pilotadapt.patterns import (
 )
 
 from conftest import tiny_numerology
+from oracles import oracle_conventional_pattern
 
 
 def expected_count(spacing, num, mux):
@@ -79,18 +86,70 @@ def test_build_pattern_no_data_room():
 
 
 def test_conventional_pattern_table1(num, profiles):
-    pat = conventional_pattern(profiles, num, 4)
+    pat = conventional_pattern(default_registry(profiles, num, 4))
     assert pat.size == 32
     sp = pat.spacing
     assert (sp.time_spacing_symbols, sp.freq_spacing_subcarriers) == (11, 3)
-    assert conventional_pattern(profiles, num, 7).size == 56
+    assert conventional_pattern(default_registry(profiles, num, 7)).size == 56
 
 
 def test_conventional_pattern_singleton(num, profiles):
     prof = profiles[1]
-    pat = conventional_pattern([prof], num, 4)
+    pat = conventional_pattern(default_registry([prof], num, 4))
     ref = build_pattern(max_spacing(prof, num), num, 4)
     assert pat == ref
+
+
+_RULE_NUMEROLOGIES = [
+    lte_numerology(),
+    tiny_numerology(2, 2),
+    tiny_numerology(7, 6),
+    Numerology(1e-3 / 28, 30e3, 14, 12),
+]
+
+
+@st.composite
+def conventional_cases(draw):
+    """1-5 profiles, one of four numerologies and a mux order. On the LTE
+    grid (7, 6) ties (14, 3) and (5, 12) ties (14, 4) in pilot count; 100 us
+    fits no grid, and large orders fill the small ones."""
+    profiles = [
+        ChannelProfile(
+            f"p{i}",
+            draw(st.sampled_from([5.0, 300.0, 500.0, 600.0, 1000.0])),
+            draw(st.sampled_from([0.41e-6, 2.7e-6, 4e-6, 4.69e-6, 8e-6, 1e-4])),
+        )
+        for i in range(draw(st.integers(1, 5)))
+    ]
+    return profiles, draw(st.sampled_from(_RULE_NUMEROLOGIES)), draw(st.integers(1, 8))
+
+
+_TIED = [ChannelProfile("a", 500.0, 2.7e-6), ChannelProfile("b", 5.0, 4.69e-6)]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(conventional_cases())
+@example((_TIED, lte_numerology(), 2))  # (7, 6) and (14, 3): 4 anchors each
+@example((_TIED[::-1], lte_numerology(), 2))
+def test_conventional_pattern_is_the_worst_case_rule(case):
+    """The registry's densest pattern is the one the worst-case rule picks
+    from the profiles themselves: the most pilot REs, ties toward the
+    smaller time spacing, then the smaller frequency spacing. Where the rule
+    refuses the inputs, registry and pattern refuse them with the same
+    error type."""
+    profiles, num, mux = case
+    try:
+        want = oracle_conventional_pattern(profiles, num, mux)
+    except PilotAdaptError as exc:
+        with pytest.raises(type(exc)):
+            conventional_pattern(default_registry(profiles, num, mux))
+        return
+    assert conventional_pattern(default_registry(profiles, num, mux)) == want
+
+
+def test_conventional_pattern_of_empty_registry():
+    with pytest.raises(InfeasibleRegistryError):
+        conventional_pattern(PatternRegistry(patterns=()))
 
 
 def test_default_registry_table1(num, profiles):
@@ -122,7 +181,7 @@ def test_select_pattern_for_group(num, profiles):
     assert (epa.spacing.time_spacing_symbols, epa.spacing.freq_spacing_subcarriers) == (14, 12)
     assert epa.size == 4
     etu300 = select_pattern_for_group(reg, profiles[3], num)
-    assert etu300 == conventional_pattern(profiles, num, 4)
+    assert etu300 == conventional_pattern(default_registry(profiles, num, 4))
 
 
 def test_select_pattern_forced_choice(num, profiles):

@@ -3,15 +3,21 @@ import itertools
 import numpy as np
 import pytest
 
-from pilotadapt.channel import ChannelRealization, PilotSpacing
+from pilotadapt.channel import PilotSpacing
 from pilotadapt.core import SystemConfig
 from pilotadapt.errors import DegenerateChannelError
 from pilotadapt.patterns import build_pattern
 from pilotadapt.phy import pair_terms, subset_sinr
 from pilotadapt.scheduling import RbRateCalculator, ScheduleAssignment, evaluate_schedule
 
-from conftest import kernel_sinr, random_channels, rb_rate, tiny_numerology
-from oracles import oracle_downlink_sinr, oracle_grams, oracle_rb_rate, oracle_uplink_sinr
+from conftest import kernel_sinr, no_pilots, random_channels, rb_rate, tiny_numerology
+from oracles import (
+    StoredGrams,
+    oracle_downlink_sinr,
+    oracle_grams,
+    oracle_rb_rate,
+    oracle_uplink_sinr,
+)
 
 
 def _cfg(m, sigma2=1.0, n_rbs=1, mux=4):
@@ -141,7 +147,7 @@ def test_subset_rates_match_per_re_oracles_on_data_res():
 
 def _realization_from_array(h, n_s, n_sc):
     num = tiny_numerology(n_s, n_sc)
-    return ChannelRealization(oracle_grams(h), num)
+    return StoredGrams(oracle_grams(h), num)
 
 
 def test_rb_rate_unit_sinr_cases():
@@ -150,7 +156,7 @@ def test_rb_rate_unit_sinr_cases():
     h = np.ones((1, 1, n_s, n_sc, 1), dtype=complex)
     real = _realization_from_array(h, n_s, n_sc)
     cfg = _cfg(1, sigma2=1.0)
-    assert rb_rate(real, 0, [0], None, cfg, "uplink") == pytest.approx(1.0)
+    assert rb_rate(real, 0, [0], no_pilots(real.numerology), cfg, "uplink") == pytest.approx(1.0)
     # a pattern covering half the REs halves the rate
     num = tiny_numerology(n_s, n_sc)
     half = build_pattern(PilotSpacing(2, 1), num, 1)
@@ -188,7 +194,7 @@ def test_rb_rate_overhead_monotonicity():
     assert big.size > small.size
     r_small = rb_rate(real, 0, [0, 1], small, cfg, "uplink")
     r_big = rb_rate(real, 0, [0, 1], big, cfg, "uplink")
-    r_none = rb_rate(real, 0, [0, 1], None, cfg, "uplink")
+    r_none = rb_rate(real, 0, [0, 1], no_pilots(real.numerology), cfg, "uplink")
     assert r_none > r_small > r_big
 
 
@@ -212,7 +218,7 @@ def test_degenerate_channel_raises():
     real = _realization_from_array(h, 2, 2)
     cfg = _cfg(3, mux=2)
     for direction in ("uplink", "downlink"):
-        calc = RbRateCalculator(real, 0, cfg, None, direction, np.ones(2))
+        calc = RbRateCalculator(real, 0, cfg, no_pilots(real.numerology), direction, np.ones(2))
         assert calc.rates_for_subsets([[0]])[0] > 0.0
         with pytest.raises(DegenerateChannelError):
             calc.rates_for_subsets([[0, 1]])

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pilotadapt.channel import (
-    ChannelRealization,
     builtin_profiles,
     generate_realization,
     max_spacing,
@@ -30,7 +29,7 @@ from pilotadapt.scheduling import (
 )
 
 from conftest import rb_rate
-from oracles import draw_channels, oracle_exact_partition, oracle_grams
+from oracles import StoredGrams, draw_channels, oracle_exact_partition, oracle_grams
 
 
 def _instance(seed, k=8, n_rbs=2, m=4, mux=4, sigma2=0.1):
@@ -42,7 +41,7 @@ def _instance(seed, k=8, n_rbs=2, m=4, mux=4, sigma2=0.1):
         ul_power=1.0, dl_power=1.0, noise_power=sigma2,
     )
     real = generate_realization(pop, profiles, cfg, seed=seed)
-    pattern = conventional_pattern(profiles, cfg.numerology, mux)
+    pattern = conventional_pattern(default_registry(profiles, cfg.numerology, mux))
     return pop, cfg, real, pattern, profiles
 
 
@@ -91,7 +90,8 @@ def small_instances(draw):
     )
     profiles = builtin_profiles()
     real = generate_realization(pop, profiles[:1], cfg, seed=seed)
-    return pop, cfg, real, conventional_pattern(profiles, cfg.numerology, mux), direction
+    pattern = conventional_pattern(default_registry(profiles, cfg.numerology, mux))
+    return pop, cfg, real, pattern, direction
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -137,7 +137,7 @@ def test_exact_tie_rule(k, n_rbs, mux, expected):
     fills the RBs with the lowest user ids first. The per-transition dict DP
     of `oracle_exact_partition` chooses the same partitions."""
     pop, cfg, real, pattern, _ = _instance(50, k=k, n_rbs=n_rbs, mux=mux)
-    same = ChannelRealization(
+    same = StoredGrams(
         oracle_grams(np.ones((k, n_rbs, 14, 12, cfg.num_antennas))), real.numerology
     )
     for direction in ("uplink", "downlink"):
@@ -155,7 +155,7 @@ def test_greedy_tie_rule():
     rate, so the greedy's lowest-id tie rule fills the RBs with the lowest
     user ids first."""
     pop, cfg, real, pattern, _ = _instance(50, k=6, n_rbs=3, mux=2)
-    same = ChannelRealization(
+    same = StoredGrams(
         oracle_grams(np.ones((6, 3, 14, 12, cfg.num_antennas))), real.numerology
     )
     for direction in ("uplink", "downlink"):
@@ -346,7 +346,7 @@ def test_grouping_dominated_by_exact_when_collapsed():
     profiles = [builtin_profiles()[3]]
     pop = build_population([8], FadingSpec(), seed=1)
     cfg = SystemConfig(num_rbs=2, num_antennas=4, max_mux=4, ul_power=1.0, dl_power=1.0, noise_power=0.1)
-    pattern = conventional_pattern(profiles, cfg.numerology, 4)
+    pattern = conventional_pattern(default_registry(profiles, cfg.numerology, 4))
     registry = PatternRegistry(patterns=(pattern,))
     real = generate_realization(pop, profiles, cfg, seed=4)
     _, exact = conventional_schedule_exact(real, pop, cfg, pattern, "uplink")
@@ -382,7 +382,7 @@ def test_identical_rbs_contribute_equally():
     pop, cfg, real, pattern, profiles = _instance(32, k=4, n_rbs=2)
     h0 = draw_channels(pop, profiles, cfg, 32, 0)
     # RB 1 = RB 0
-    dup = ChannelRealization(oracle_grams(np.stack([h0, h0], axis=1)), real.numerology)
+    dup = StoredGrams(oracle_grams(np.stack([h0, h0], axis=1)), real.numerology)
     assign = ScheduleAssignment(
         rb_users=((0, 1), (0, 1)),
         rb_patterns=(pattern, pattern),
@@ -433,7 +433,7 @@ def test_grouping_gain_vs_exact_rises_with_antennas():
     pop = build_population([4, 4, 4, 4], FadingSpec(), seed=0)
     num = lte_numerology()
     registry = default_registry(profiles, num, mux)
-    pattern = conventional_pattern(profiles, num, mux)
+    pattern = conventional_pattern(registry)
     gains = {}
     for m in (64, 256):
         cfg = SystemConfig(num_rbs=num_rb, num_antennas=m, max_mux=mux, ul_power=1.0, dl_power=1.0, noise_power=0.1)
