@@ -50,6 +50,13 @@ from .errors import ConfigurationError, UnsupportableProfileError
 # for any Doppler this grid supports.
 NUM_ARRIVAL_ANGLES = 32
 
+# Antennas drawn per block while an RB's Gram is accumulated. A block holds
+# the (K, chunk, L, 32) phases, their phasors and the (T, K, L, chunk) taps
+# (2.2 MB at K = 28, L = 2), so generation memory does not grow with M. At
+# K = 28, blocks of 64 generated as fast at M = 512 and 9% faster at M = 112
+# for 3 MB more peak memory; 16 was 7-14% slower and 128 60-75% slower.
+_ANTENNA_CHUNK = 32
+
 
 @dataclass(frozen=True)
 class ChannelProfile:
@@ -278,8 +285,18 @@ class ChannelRealization:
 
     def _build(self, rb: int, users: np.ndarray):
         """Each user's row in a new build of RB rb (-1 for users it leaves
-        out), and the build's Gram: `users` and include[rb], with tap-pair
-        weights formed from their mix rows."""
+        out), and the build's Gram (cross, norms) over `users` and
+        include[rb]. One call is one RB build.
+
+        Each (user, RB) pair draws its phases from its own generator seeded
+        by (seed, user id, rb), in `generate_single_grid`'s antenna-major
+        order, so a user's channels do not depend on the block size, on
+        which other users are drawn with it, or on how generation is
+        parallelized or ordered. Per block of at most _ANTENNA_CHUNK
+        antennas, all users' phases become (T, U, L, a) taps in one phasor
+        call and one batched matmul, and the block's G_t is added to their
+        sum. User k's taps beyond its own count carry zero mix weight.
+        """
         # a mask, not np.union1d: np.unique imports numpy.ma (~15 ms)
         chosen = np.zeros(self._num_users, dtype=bool)
         chosen[users] = True
@@ -289,80 +306,43 @@ class ChannelRealization:
         rows = np.where(chosen, np.cumsum(chosen) - 1, -1)
         # tap-pair weights (U, U, L*L, N): conj(mix[k, n, l]) * mix[j, n, l']
         per_tap = self.mix[users].transpose(0, 2, 1)  # (U, L, N)
-        u, n = len(users), per_tap.shape[2]
-        pair = (per_tap.conj()[:, None, :, None] * per_tap[None, :, None]).reshape(u, u, -1, n)
-        return rows, *_accumulate_gram(_antenna_blocks(self, rb, users), pair)
-
-
-# Antennas drawn per block while an RB's Gram is accumulated. A block holds
-# the (K, chunk, L, 32) phases, their phasors and the (T, K, L, chunk) taps
-# (2.2 MB at K = 28, L = 2), so generation memory does not grow with M. At
-# K = 28, blocks of 64 generated as fast at M = 512 and 9% faster at M = 112
-# for 3 MB more peak memory; 16 was 7-14% slower and 128 60-75% slower.
-_ANTENNA_CHUNK = 32
-
-
-def _antenna_blocks(real: ChannelRealization, rb: int, users: np.ndarray):
-    """The tap processes of `users` (indices into the population) on one
-    RB, in blocks of at most _ANTENNA_CHUNK antennas: yields (T, U, L, a)
-    arrays, each overwritten by the next. User k's channels are
-    real.mix[k] applied over the L axis, so its taps beyond its own count
-    carry zero weight.
-
-    Each (user, RB) pair draws its phases from its own generator seeded by
-    (seed, user id, rb), in `generate_single_grid`'s antenna-major order, so
-    a user's channels do not depend on the block size, on which other users
-    are drawn with it, or on how generation is parallelized or ordered. All
-    users' phases of a block become taps in one phasor call and one batched
-    matmul.
-    """
-    bases = real.bases[users]
-    k, n_taps, m = len(users), real.mix.shape[2], real.num_antennas
-    chunk = min(m, _ANTENNA_CHUNK)
-    counts = [real.counts[u] for u in users]
-    rngs = [
-        np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence((real.seed, real.ids[u], rb)))
-        )
-        for u in users
-    ]
-    # padded taps keep phase 0: finite taps that the zero mix columns cancel
-    phases = np.zeros((k, chunk, n_taps, NUM_ARRIVAL_ANGLES))
-    block = np.empty((bases.shape[2], k, n_taps, chunk), dtype=np.complex128)
-    for start in range(0, m, chunk):
-        a = min(chunk, m - start)
-        for row, count, rng in zip(phases, counts, rngs):
-            row[:a, :count] = rng.uniform(
-                0.0, 2.0 * math.pi, size=(a, count, NUM_ARRIVAL_ANGLES)
-            )
-        taps = np.matmul(unit_phasors(phases[:, :a]).reshape(k, a * n_taps, -1), bases)
-        out = block[..., :a]
-        out[...] = taps.reshape(k, a, n_taps, -1).transpose(3, 0, 2, 1)
-        del taps  # not held while the consumer works on the block
-        yield out
-
-
-def _accumulate_gram(blocks, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(cross, norms) of one RB from its tap blocks (T, K, L, a) and the
-    tap-pair weights (K, K, L*L, N) of the blocks' users."""
-    gram = None  # G_t[(k, l), (j, l')], summed over antenna blocks
-    for block in blocks:
-        t, k, n_taps, _ = block.shape
-        x = block.reshape(t, k * n_taps, -1)
-        if gram is None:
-            gram = np.zeros((t, k * n_taps, k * n_taps), dtype=np.complex128)
-        gram += np.matmul(x.conj(), x.swapaxes(1, 2))
-    # one (T, L*L) @ (L*L, N) product per user pair expands the taps to
-    # subcarriers, writing h_k^H h_j straight into its (K, K, T, N) layout
-    gram = gram.reshape(t, k, n_taps, k, n_taps).transpose(1, 3, 0, 2, 4)
-    gram = gram.reshape(k, k, t, n_taps * n_taps)
-    inner = np.matmul(gram, weights)
-    del gram
-    norms = np.einsum("kktn->ktn", inner).real.copy()
-    cross = np.square(inner.real)
-    cross += np.square(inner.imag, out=inner.imag)  # inner is spent after this
-    cross.flags.writeable = norms.flags.writeable = False
-    return cross, norms
+        k, n_taps, n = per_tap.shape
+        pair = (per_tap.conj()[:, None, :, None] * per_tap[None, :, None]).reshape(k, k, -1, n)
+        bases = self.bases[users]
+        t, m = bases.shape[2], self.num_antennas
+        chunk = min(m, _ANTENNA_CHUNK)
+        counts = [self.counts[u] for u in users]
+        rngs = [np.random.default_rng((self.seed, self.ids[u], rb)) for u in users]
+        # padded taps keep phase 0: finite taps that the zero mix columns cancel
+        phases = np.zeros((k, chunk, n_taps, NUM_ARRIVAL_ANGLES))
+        block = np.empty((t, k, n_taps, chunk), dtype=np.complex128)
+        gram = None  # G_t[(k, l), (j, l')], summed over antenna blocks
+        for start in range(0, m, chunk):
+            a = min(chunk, m - start)
+            for row, count, rng in zip(phases, counts, rngs):
+                row[:a, :count] = rng.uniform(
+                    0.0, 2.0 * math.pi, size=(a, count, NUM_ARRIVAL_ANGLES)
+                )
+            taps = np.matmul(unit_phasors(phases[:, :a]).reshape(k, a * n_taps, -1), bases)
+            x = block[..., :a]
+            x[...] = taps.reshape(k, a, n_taps, -1).transpose(3, 0, 2, 1)
+            del taps  # freed before G_t is allocated or added to
+            x = x.reshape(t, k * n_taps, -1)
+            if gram is None:
+                gram = np.zeros((t, k * n_taps, k * n_taps), dtype=np.complex128)
+            gram += np.matmul(x.conj(), x.swapaxes(1, 2))
+        del phases, bases  # not held while the Gram expands
+        # one (T, L*L) @ (L*L, N) product per user pair expands the taps to
+        # subcarriers, writing h_k^H h_j straight into its (K, K, T, N) layout
+        gram = gram.reshape(t, k, n_taps, k, n_taps).transpose(1, 3, 0, 2, 4)
+        gram = gram.reshape(k, k, t, n_taps * n_taps)
+        inner = np.matmul(gram, pair)
+        del gram
+        norms = np.einsum("kktn->ktn", inner).real.copy()
+        cross = np.square(inner.real)
+        cross += np.square(inner.imag, out=inner.imag)  # inner is spent after this
+        cross.flags.writeable = norms.flags.writeable = False
+        return rows, cross, norms
 
 
 def generate_realization(

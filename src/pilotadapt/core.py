@@ -14,6 +14,9 @@ import numpy as np
 
 from .errors import ConfigurationError
 
+# Gauss-Hermite nodes of `FadingSpec.expect` over a lognormal fading spread
+_QUAD_POINTS = 96
+
 
 @dataclass(frozen=True)
 class Numerology:
@@ -115,13 +118,13 @@ class FadingSpec:
         s = self.spread_db * math.log(10.0) / 10.0
         return self.value * math.exp(0.5 * s * s)
 
-    def expect(self, func, quad_points: int = 96) -> float:
+    def expect(self, func) -> float:
         """E[func(eta)] via quadrature (lognormal) or direct averaging."""
         if self.kind == "constant":
             return float(func(self.value))
         if self.kind == "explicit":
             return float(np.mean([func(v) for v in self.values]))
-        nodes, weights = np.polynomial.hermite_e.hermegauss(quad_points)
+        nodes, weights = np.polynomial.hermite_e.hermegauss(_QUAD_POINTS)
         s = self.spread_db * math.log(10.0) / 10.0
         etas = self.value * np.exp(s * nodes)
         vals = np.array([func(e) for e in etas])

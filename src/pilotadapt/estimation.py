@@ -20,6 +20,9 @@ from .channel import ChannelProfile, PilotSpacing, generate_single_grid
 from .core import Numerology
 from .errors import ConfigurationError
 
+# sampled extent in (time, frequency) resource blocks
+_GRID_RBS = (4, 4)
+
 
 @dataclass(frozen=True)
 class EstimationReport:
@@ -59,16 +62,14 @@ def interpolation_nmse(
     num: Numerology,
     trials: int = 100,
     seed: int = 0,
-    grid_rbs: tuple[int, int] = (4, 4),
 ) -> EstimationReport:
     """Mean NMSE of linear interpolation from the anchor lattice of
-    `spacing`, which may exceed one block. `grid_rbs` sets the sampled
-    extent in (time, frequency) blocks.
+    `spacing`, which may exceed one block, over a grid of _GRID_RBS blocks.
     """
     if trials < 1:
         raise ConfigurationError("need at least one trial")
-    n_t = num.symbols_per_rb * grid_rbs[0]
-    n_f = num.subcarriers_per_rb * grid_rbs[1]
+    n_t = num.symbols_per_rb * _GRID_RBS[0]
+    n_f = num.subcarriers_per_rb * _GRID_RBS[1]
     t_anchors = _anchor_grid(n_t, spacing.time_spacing_symbols)
     f_anchors = _anchor_grid(n_f, spacing.freq_spacing_subcarriers)
 

@@ -256,20 +256,27 @@ def test_gram_of_users_matches_the_full_build(case):
     stored = StoredGrams(full, _cfg(2, m).numerology)
     real = generate_realization(SUBSET_POP, SUBSET_PROFILES, _cfg(2, m), seed=3, include=include)
     built: dict[int, set] = {}
-    want_builds = 0
-    with mock.patch.object(channel, "_antenna_blocks", wraps=channel._antenna_blocks) as draws:
+    builds, want_builds = [], []
+    build = channel.ChannelRealization._build
+
+    def counting_build(source, rb, users):
+        rows, *gram = build(source, rb, users)
+        builds.append((rb, set(np.flatnonzero(rows >= 0).tolist())))
+        return rows, *gram
+
+    with mock.patch.object(channel.ChannelRealization, "_build", counting_build):
         for rb, users in requests + [(0, None), (1, None)]:
             asked = set(range(SUBSET_POP.num_users) if users is None else users)
             if asked and (rb not in built or not asked <= built[rb]):
                 built[rb] = asked | set(include[rb])
-                want_builds += 1
+                want_builds.append((rb, built[rb]))
             cross, norms = real.gram(rb, users)
             want_cross, want_norms = stored.gram(rb, users)
             n = SUBSET_POP.num_users if users is None else len(users)
             assert cross.shape == want_cross.shape == (n, n, 14, 12)
             assert np.allclose(cross, want_cross, rtol=1e-12, atol=0.0)
             assert np.allclose(norms, want_norms, rtol=1e-12, atol=0.0)
-    assert draws.call_count == want_builds
+    assert builds == want_builds
     # the last two requests built both RBs for every user, as the full build does
     for rb in range(2):
         assert all(np.array_equal(a, b) for a, b in zip(real.gram(rb), full[rb]))

@@ -54,18 +54,15 @@ def test_monotone_in_each_spacing_axis(num):
 
 def test_nearest_neighbor_fallback_reported(num):
     prof = builtin_profiles()[0]
-    report = interpolation_nmse(
-        prof, PilotSpacing(14, 12), num, trials=2, seed=0, grid_rbs=(1, 1)
-    )
+    # one anchor per axis on the 56 x 48 grid of 4 x 4 blocks
+    report = interpolation_nmse(prof, PilotSpacing(56, 48), num, trials=2, seed=0)
     assert report.nearest_neighbor_axes == ("time", "frequency")
 
 
 def test_spacing_beyond_grid_falls_back(num):
     # one anchor per axis: nearest-neighbor everywhere, reported in the output
     prof = builtin_profiles()[0]
-    report = interpolation_nmse(
-        prof, PilotSpacing(100, 3), num, trials=1, seed=0, grid_rbs=(1, 1)
-    )
+    report = interpolation_nmse(prof, PilotSpacing(100, 3), num, trials=1, seed=0)
     assert "time" in report.nearest_neighbor_axes
     assert report.nmse >= 0.0
 

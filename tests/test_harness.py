@@ -11,6 +11,7 @@ import warnings
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -91,15 +92,18 @@ def test_replay_row_round_trip():
 
 
 def _count_builds(monkeypatch):
-    """Record the users of every RB build, keyed by (seed, RB)."""
+    """Record the users of every RB build, keyed by (seed, RB): one
+    `ChannelRealization._build` call is one build, and its rows >= 0 are
+    the users it built."""
     builds = {}
-    draw = channel._antenna_blocks
+    build = channel.ChannelRealization._build
 
-    def counting_draw(source, rb, users):
-        builds.setdefault((source.seed, rb), []).append(tuple(users.tolist()))
-        return draw(source, rb, users)
+    def counting_build(real, rb, users):
+        rows, *gram = build(real, rb, users)
+        builds.setdefault((real.seed, rb), []).append(tuple(np.flatnonzero(rows >= 0).tolist()))
+        return rows, *gram
 
-    monkeypatch.setattr(channel, "_antenna_blocks", counting_draw)
+    monkeypatch.setattr(channel.ChannelRealization, "_build", counting_build)
     return builds
 
 
