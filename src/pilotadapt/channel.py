@@ -319,8 +319,8 @@ class ChannelRealization:
         gram = None  # G_t[(k, l), (j, l')], summed over antenna blocks
         for start in range(0, m, chunk):
             a = min(chunk, m - start)
-            for row, count, rng in zip(phases, counts, rngs):
-                row[:a, :count] = rng.uniform(
+            for j, (count, rng) in enumerate(zip(counts, rngs)):
+                phases[j, :a, :count] = rng.uniform(
                     0.0, 2.0 * math.pi, size=(a, count, NUM_ARRIVAL_ANGLES)
                 )
             taps = np.matmul(unit_phasors(phases[:, :a]).reshape(k, a * n_taps, -1), bases)
