@@ -28,7 +28,6 @@ _EXPORTS = {
         "FadingSpec",
         "Numerology",
         "SystemConfig",
-        "User",
         "UserPopulation",
         "build_population",
         "lte_numerology",

@@ -217,19 +217,19 @@ class ChannelRealization:
     are `generate_single_grid` of its profile with the realization's
     antenna count, drawn from a generator seeded by (seed, k, rb).
 
-    Per draw it holds each user's generator id (ids), own tap count
-    (counts) and stacked `_grid_bases`, bases (K, 32, T) and mix (K, N, L)
-    with L the largest tap count; a user with fewer taps gets zero mix
-    columns for the missing ones. A request is sliced from the RB's held
-    build when that build covers it; otherwise the RB is built for the
-    request and include[rb] (no extra users when include is None), and the
-    new build replaces the held one. Builds are cached without a lock: a
-    realization serves one trial on one thread.
+    A user's profile is that of the group that lists it. Per draw it holds
+    each user's own tap count (counts) and stacked `_grid_bases`, bases
+    (K, 32, T) and mix (K, N, L) with L the largest tap count; a user with
+    fewer taps gets zero mix columns for the missing ones. A request is
+    sliced from the RB's held build when that build covers it; otherwise
+    the RB is built for the request and include[rb] (no extra users when
+    include is None), and the new build replaces the held one. Builds are
+    cached without a lock: a realization serves one trial on one thread.
     """
 
     __slots__ = (
-        "_numerology", "_num_users", "_built", "mix", "bases", "counts", "ids",
-        "seed", "num_antennas", "include",
+        "_numerology", "_num_users", "_built", "mix", "bases", "counts", "seed",
+        "num_antennas", "include",
     )
 
     def __init__(
@@ -246,7 +246,8 @@ class ChannelRealization:
             )
         num = self._numerology = cfg.numerology
         t, n = num.symbols_per_rb, num.subcarriers_per_rb
-        factors = [_grid_bases(profiles[user.group_id], t, n, num) for user in pop.users]
+        profile_of = {k: profiles[g] for g, members in enumerate(pop.groups) for k in members}
+        factors = [_grid_bases(profile_of[k], t, n, num) for k in range(pop.num_users)]
         self.mix = np.zeros(
             (pop.num_users, n, max(m.shape[1] for _, m in factors)), dtype=np.complex128
         )
@@ -254,7 +255,6 @@ class ChannelRealization:
             self.mix[k, :, : m.shape[1]] = m
         self.bases = np.stack([basis for basis, _ in factors])
         self.counts = [m.shape[1] for _, m in factors]
-        self.ids = [user.id for user in pop.users]
         self._num_users = pop.num_users
         self._built = [None] * cfg.num_rbs
         self.seed, self.num_antennas, self.include = seed, cfg.num_antennas, include
@@ -289,7 +289,7 @@ class ChannelRealization:
         include[rb]. One call is one RB build.
 
         Each (user, RB) pair draws its phases from its own generator seeded
-        by (seed, user id, rb), in `generate_single_grid`'s antenna-major
+        by (seed, user, rb), in `generate_single_grid`'s antenna-major
         order, so a user's channels do not depend on the block size, on
         which other users are drawn with it, or on how generation is
         parallelized or ordered. Per block of at most _ANTENNA_CHUNK
@@ -312,7 +312,7 @@ class ChannelRealization:
         t, m = bases.shape[2], self.num_antennas
         chunk = min(m, _ANTENNA_CHUNK)
         counts = [self.counts[u] for u in users]
-        rngs = [np.random.default_rng((self.seed, self.ids[u], rb)) for u in users]
+        rngs = [np.random.default_rng((self.seed, int(u), rb)) for u in users]
         # padded taps keep phase 0: finite taps that the zero mix columns cancel
         phases = np.zeros((k, chunk, n_taps, NUM_ARRIVAL_ANGLES))
         block = np.empty((t, k, n_taps, chunk), dtype=np.complex128)

@@ -50,7 +50,8 @@ def _emit(text: str, cfg: ExperimentConfig) -> None:
 
 
 def _cmd_patterns(args) -> int:
-    # text grid maps unless the config or --format names csv or json
+    # text grid maps unless the config or --format names csv or json, for the
+    # first u_mux_list entry only; a note on stderr names the others
     cfg = _load(args)
     profiles = cfg.resolved_profiles()
     mux = cfg.u_mux_list[0]
@@ -63,10 +64,8 @@ def _cmd_patterns(args) -> int:
             "registry": [pattern_to_dict(p) for p in registry.patterns],
             "conventional": pattern_to_dict(conv),
         }
-        _emit(json.dumps(payload, indent=2) + "\n", cfg)
-        return 0
-
-    if cfg.format == "csv":
+        text = json.dumps(payload, indent=2) + "\n"
+    elif cfg.format == "csv":
         lines = ["kind,spacing_t,spacing_f,size,overhead_ratio"]
         for pat in registry.patterns:
             sp = pat.spacing
@@ -79,25 +78,31 @@ def _cmd_patterns(args) -> int:
             f"conventional,{sp.time_spacing_symbols},{sp.freq_spacing_subcarriers},"
             f"{conv.size},{conv.overhead_ratio}"
         )
-        _emit("\n".join(lines) + "\n", cfg)
-        return 0
-
-    lines = [f"pattern registry at mux order {mux} "
-             f"({cfg.numerology.symbols_per_rb}x{cfg.numerology.subcarriers_per_rb} grid)"]
-    for pat in registry.patterns:
-        sp = pat.spacing
+        text = "\n".join(lines) + "\n"
+    else:
+        lines = [f"pattern registry at mux order {mux} "
+                 f"({cfg.numerology.symbols_per_rb}x{cfg.numerology.subcarriers_per_rb} grid)"]
+        for pat in registry.patterns:
+            sp = pat.spacing
+            lines.append(
+                f"\nspacing ({sp.time_spacing_symbols}, {sp.freq_spacing_subcarriers}): "
+                f"{pat.size} pilot REs, overhead {pat.overhead_ratio:.4f}"
+            )
+            lines.append(pat.grid_string())
+        sp = conv.spacing
         lines.append(
-            f"\nspacing ({sp.time_spacing_symbols}, {sp.freq_spacing_subcarriers}): "
-            f"{pat.size} pilot REs, overhead {pat.overhead_ratio:.4f}"
+            f"\nconventional (worst case): spacing ({sp.time_spacing_symbols}, "
+            f"{sp.freq_spacing_subcarriers}), {conv.size} pilot REs, "
+            f"overhead {conv.overhead_ratio:.4f}"
         )
-        lines.append(pat.grid_string())
-    sp = conv.spacing
-    lines.append(
-        f"\nconventional (worst case): spacing ({sp.time_spacing_symbols}, "
-        f"{sp.freq_spacing_subcarriers}), {conv.size} pilot REs, "
-        f"overhead {conv.overhead_ratio:.4f}"
-    )
-    _emit("\n".join(lines) + "\n", cfg)
+        text = "\n".join(lines) + "\n"
+    _emit(text, cfg)
+    omitted = sorted(set(cfg.u_mux_list) - {mux})
+    if omitted:
+        sys.stderr.write(
+            f"# patterns shows mux order {mux} only; mux orders "
+            f"{', '.join(map(str, omitted))} of u_mux_list are omitted\n"
+        )
     return 0
 
 

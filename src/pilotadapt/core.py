@@ -6,6 +6,7 @@ parallel workers.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -95,10 +96,12 @@ class FadingSpec:
         if self.kind not in ("constant", "lognormal", "explicit"):
             raise ConfigurationError(f"unknown fading kind {self.kind!r}")
         if self.kind == "explicit":
-            if not self.values or min(self.values) <= 0:
-                raise ConfigurationError("explicit fading needs positive values")
-        elif self.value <= 0:
-            raise ConfigurationError("fading gain must be positive")
+            if not self.values or not all(v > 0 and math.isfinite(v) for v in self.values):
+                raise ConfigurationError(
+                    f"explicit fading values must be finite and positive, got {self.values}"
+                )
+        elif not (self.value > 0 and math.isfinite(self.value)):
+            raise ConfigurationError(f"fading value must be finite and positive, got {self.value}")
         if not self.spread_db >= 0.0:
             raise ConfigurationError(f"fading spread_db must be non-negative, got {self.spread_db}")
         try:
@@ -142,42 +145,34 @@ class FadingSpec:
 
 
 @dataclass(frozen=True)
-class User:
-    id: int
-    group_id: int
-    large_scale_fading: float
-
-    def __post_init__(self):
-        if self.large_scale_fading <= 0:
-            raise ConfigurationError("large-scale fading must be positive")
-
-
-@dataclass(frozen=True)
 class UserPopulation:
-    """All users of the cell, partitioned into statistics groups."""
+    """Users 0..K-1 of the cell: the statistics groups that partition them
+    and each user's large-scale fading gain (linear power units)."""
 
-    users: tuple[User, ...]
     groups: tuple[tuple[int, ...], ...]
+    gains: tuple[float, ...]
 
     def __post_init__(self):
-        ids = [u.id for u in self.users]
-        if len(set(ids)) != len(ids):
-            raise ConfigurationError("duplicate user ids")
-        flat = [k for g in self.groups for k in g]
-        if sorted(flat) != sorted(ids):
-            raise ConfigurationError("groups must partition the user set")
+        k = len(self.gains)
+        if k < 1:
+            raise ConfigurationError("population must contain at least one user")
+        if sorted(u for g in self.groups for u in g) != list(range(k)):
+            raise ConfigurationError(f"groups {self.groups} must partition users 0..{k - 1}")
+        bad = [g for g in self.gains if not (g > 0 and math.isfinite(g))]
+        if bad:
+            raise ConfigurationError(f"large-scale gains must be finite and positive, got {bad}")
 
     @property
     def num_users(self) -> int:
-        return len(self.users)
+        return len(self.gains)
 
     @property
     def num_groups(self) -> int:
         return len(self.groups)
 
     def fadings(self) -> np.ndarray:
-        """Large-scale gains indexed by user id order in `users`."""
-        return np.array([u.large_scale_fading for u in self.users])
+        """Large-scale gains of users 0..K-1."""
+        return np.array(self.gains)
 
 
 def build_population(
@@ -185,28 +180,13 @@ def build_population(
     fading_spec: FadingSpec,
     seed: int = 0,
 ) -> UserPopulation:
-    """Create users with group labels and large-scale fading gains.
-
-    User ids are 0..K-1, assigned group by group in order.
-    """
-    if not group_sizes or any(s < 0 for s in group_sizes):
-        raise ConfigurationError("group sizes must be non-negative and non-empty")
-    total = int(sum(group_sizes))
-    if total < 1:
-        raise ConfigurationError("population must contain at least one user")
-
+    """Users 0..K-1, numbered group by group in order, with large-scale
+    fading gains drawn from `fading_spec`."""
+    if any(s < 0 for s in group_sizes):
+        raise ConfigurationError(f"group sizes must be non-negative, got {list(group_sizes)}")
+    ends = list(itertools.accumulate(group_sizes, initial=0))
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    etas = fading_spec.sample(total, rng)
-
-    users = []
-    groups = []
-    uid = 0
-    for g, size in enumerate(group_sizes):
-        members = []
-        for _ in range(size):
-            users.append(User(id=uid, group_id=g, large_scale_fading=float(etas[uid])))
-            members.append(uid)
-            uid += 1
-        groups.append(tuple(members))
-    return UserPopulation(users=tuple(users), groups=tuple(groups))
-
+    return UserPopulation(
+        groups=tuple(tuple(range(a, b)) for a, b in zip(ends, ends[1:])),
+        gains=tuple(map(float, fading_spec.sample(ends[-1], rng))),
+    )

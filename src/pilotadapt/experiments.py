@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -29,6 +29,7 @@ from .scheduling import (
     power_error,
 )
 
+# one column per `ResultRow` field, in field order
 CSV_HEADER = "M,U_mux,trial,direction,R_grp,R_conv,rel_gain,bound,scheduler,seed"
 WORKERS_ENV_VAR = "PILOTADAPT_WORKERS"
 
@@ -45,20 +46,6 @@ class ResultRow:
     bound: float
     scheduler: str
     seed: int
-
-    def as_record(self) -> dict:
-        return {
-            "M": self.m,
-            "U_mux": self.u_mux,
-            "trial": self.trial,
-            "direction": self.direction,
-            "R_grp": self.r_grp,
-            "R_conv": self.r_conv,
-            "rel_gain": self.rel_gain,
-            "bound": self.bound,
-            "scheduler": self.scheduler,
-            "seed": self.seed,
-        }
 
 
 def trial_seed(master_seed: int, m_index: int, u_index: int, trial: int) -> int:
@@ -197,14 +184,10 @@ def summarize_gains(rows: list[ResultRow]) -> list[dict]:
 
 
 def rows_to_csv(rows: list[ResultRow]) -> str:
-    lines = [CSV_HEADER]
-    for r in rows:
-        rec = r.as_record()
-        lines.append(
-            ",".join(str(rec[k]) for k in CSV_HEADER.split(","))
-        )
+    lines = [CSV_HEADER, *(",".join(map(str, astuple(r))) for r in rows)]
     return "\n".join(lines) + "\n"
 
 
 def rows_to_json(rows: list[ResultRow]) -> str:
-    return json.dumps([r.as_record() for r in rows], indent=2) + "\n"
+    columns = CSV_HEADER.split(",")
+    return json.dumps([dict(zip(columns, astuple(r))) for r in rows], indent=2) + "\n"

@@ -195,8 +195,6 @@ def conventional_schedule_exact(
     k = pop.num_users
     n_rbs, mux = cfg.num_rbs, cfg.max_mux
     check_users_fit(k, n_rbs, mux)
-    if k < 1:
-        raise ConfigurationError("need at least one user")
     check_exact_budget(k, n_rbs, mux)
 
     fadings = pop.fadings()

@@ -88,19 +88,20 @@ def oracle_single_grid(profile, num_symbols, num_subcarriers, num, rng, num_ante
 def draw_channels(pop, profiles, cfg, seed, rb):
     """The channels (K, T, N, M) of one RB of `generate_realization`'s draw:
     each user's `generate_single_grid`, from its own generator seeded by
-    (seed, user id, rb)."""
+    (seed, user, rb), with the profile of the group that lists the user."""
     import numpy as np
 
     from pilotadapt.channel import generate_single_grid
 
     num = cfg.numerology
-    grids = []
-    for user in pop.users:
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, user.id, rb))))
-        grids.append(generate_single_grid(
-            profiles[user.group_id], num.symbols_per_rb, num.subcarriers_per_rb, num, rng,
-            num_antennas=cfg.num_antennas,
-        ))
+    grids = [None] * pop.num_users
+    for g, members in enumerate(pop.groups):
+        for k in members:
+            rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, k, rb))))
+            grids[k] = generate_single_grid(
+                profiles[g], num.symbols_per_rb, num.subcarriers_per_rb, num, rng,
+                num_antennas=cfg.num_antennas,
+            )
     return np.stack(grids)
 
 

@@ -337,13 +337,14 @@ def test_drawn_blocks_continue_one_stream(num):
     h = np.stack([
         np.stack([
             oracle_single_grid(
-                profs[user.group_id], 14, 12, num,
-                np.random.Generator(np.random.PCG64(np.random.SeedSequence((11, user.id, rb)))),
+                profs[g], 14, 12, num,
+                np.random.Generator(np.random.PCG64(np.random.SeedSequence((11, k, rb)))),
                 num_antennas=130,
             )
             for rb in range(cfg.num_rbs)
         ])
-        for user in pop.users
+        for g, members in enumerate(pop.groups)
+        for k in members
     ])
     for rb, (want_cross, want_norms) in enumerate(oracle_grams(h)):
         cross, norms = real.gram(rb)

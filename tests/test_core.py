@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from pilotadapt.core import (
     FadingSpec,
     Numerology,
+    UserPopulation,
     build_population,
     lte_numerology,
 )
@@ -39,10 +42,26 @@ def test_single_user_population():
 
 def test_partition_property():
     pop = build_population([3, 5, 2], FadingSpec(kind="lognormal", spread_db=4.0), seed=2)
-    seen = [k for g in pop.groups for k in g]
-    assert sorted(seen) == [u.id for u in pop.users]
-    for user in pop.users:
-        assert user.id in pop.groups[user.group_id]
+    assert pop.groups == ((0, 1, 2), (3, 4, 5, 6, 7), (8, 9))
+    assert pop.num_users == len(pop.fadings()) == 10
+    assert len(set(pop.fadings())) == 10
+
+
+@pytest.mark.parametrize(
+    "groups, gains",
+    [
+        (((7, 3, 5),), (1.0, 1.0, 1.0)),  # users must be 0..K-1
+        (((0, 1), (1,)), (1.0, 1.0)),  # user 1 in two groups
+        (((0,),), (1.0, 1.0)),  # user 1 in none
+        (((0,), (1,)), (1.0, math.nan)),
+        (((0, 1),), (1.0, math.inf)),
+        (((0, 1),), (0.0, 1.0)),
+        ((), ()),  # K = 0
+    ],
+)
+def test_population_refuses_bad_groups_and_gains(groups, gains):
+    with pytest.raises(ConfigurationError):
+        UserPopulation(groups=groups, gains=gains)
 
 
 def test_population_reproducible():
@@ -57,6 +76,19 @@ def test_empty_population_rejected():
         build_population([], FadingSpec(), seed=0)
     with pytest.raises(ConfigurationError):
         build_population([0, 0], FadingSpec(), seed=0)
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"value": math.nan}, "fading value must be finite and positive"),
+        ({"value": math.inf}, "fading value must be finite and positive"),
+        ({"kind": "explicit", "values": (1.0, math.nan)}, "fading values must be finite"),
+    ],
+)
+def test_fading_spec_names_the_bad_field(kwargs, message):
+    with pytest.raises(ConfigurationError, match=message):
+        FadingSpec(**kwargs)
 
 
 def test_fading_spec_means():

@@ -890,6 +890,40 @@ def test_cli_command_runs_in_fresh_process(tmp_path, command):
     assert proc.stdout
 
 
+@pytest.mark.parametrize(
+    "config, omitted", [("configs/fig4.toml", "5, 6, 7"), ("configs/table1.toml", None)]
+)
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_cli_patterns_notes_omitted_mux_orders(capsys, config, omitted, fmt):
+    """`patterns` shows the first u_mux_list entry; one `# ` line on stderr
+    names the mux orders it leaves out, and stdout is as without it."""
+    argv = ["patterns", "--config", str(ROOT / config)]
+    assert cli_main(argv + ([] if fmt == "text" else ["--format", fmt])) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith({"text": "pattern registry at mux order 4", "csv": "kind,",
+                           "json": '{\n  "mux_order": 4,'}[fmt])
+    if omitted is None:
+        assert err == ""
+    else:
+        assert len(err.splitlines()) == 1 and err.startswith("# ")
+        assert f"mux orders {omitted} " in err
+
+
+def test_readme_library_example_runs():
+    """The README's library example runs as written in a fresh process and
+    prints two finite rates."""
+    readme = (ROOT / "README.md").read_text()
+    section = readme[readme.index("## Library use"):]
+    code = section[section.index("```python\n") + len("```python\n"):]
+    code = code[:code.index("```")]
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_child_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    rates = [float(word) for word in proc.stdout.split()]
+    assert len(rates) == 2 and all(math.isfinite(r) for r in rates)
+
+
 def test_commands_import_only_what_they_run(tmp_path):
     """`patterns` loads no scheduling, sweep or estimation code and no
     thread pool; a one-worker `simulate` loads neither estimation nor the
@@ -946,7 +980,7 @@ def test_package_exports_every_public_name():
         "deterministic_sinr", "gain_bound", "sinr_bar",
         "ChannelProfile", "ChannelRealization", "PilotSpacing", "builtin_profiles",
         "generate_realization", "generate_single_grid", "max_spacing",
-        "FadingSpec", "Numerology", "SystemConfig", "User", "UserPopulation",
+        "FadingSpec", "Numerology", "SystemConfig", "UserPopulation",
         "build_population", "lte_numerology",
         "ConfigurationError", "DegenerateChannelError", "ExactSearchBudgetError",
         "InfeasibleRegistryError", "NoDataRoomError", "PilotAdaptError",
