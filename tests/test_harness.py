@@ -895,8 +895,8 @@ def test_cli_command_runs_in_fresh_process(tmp_path, command):
 )
 @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
 def test_cli_patterns_notes_omitted_mux_orders(capsys, config, omitted, fmt):
-    """`patterns` shows the first u_mux_list entry; one `# ` line on stderr
-    names the mux orders it leaves out, and stdout is as without it."""
+    """`patterns` shows the first u_mux_list entry on stdout, and one `# `
+    line on stderr names the mux orders it leaves out."""
     argv = ["patterns", "--config", str(ROOT / config)]
     assert cli_main(argv + ([] if fmt == "text" else ["--format", fmt])) == 0
     out, err = capsys.readouterr()
