@@ -14,15 +14,7 @@ import importlib
 # module -> the public names it provides
 _EXPORTS = {
     "asymptotics": ("deterministic_sinr", "gain_bound", "sinr_bar"),
-    "channel": (
-        "ChannelProfile",
-        "ChannelRealization",
-        "PilotSpacing",
-        "builtin_profiles",
-        "generate_realization",
-        "generate_single_grid",
-        "max_spacing",
-    ),
+    "channel": ("ChannelRealization", "generate_realization", "generate_single_grid"),
     "config": ("ExperimentConfig", "load_config"),
     "core": (
         "FadingSpec",
@@ -44,12 +36,16 @@ _EXPORTS = {
     "estimation": ("EstimationReport", "interpolation_nmse"),
     "experiments": ("ResultRow", "run_sweep", "summarize_gains"),
     "patterns": (
+        "ChannelProfile",
         "PatternRegistry",
         "PilotPattern",
+        "PilotSpacing",
         "build_pattern",
+        "builtin_profiles",
         "conventional_pattern",
         "default_registry",
         "group_overheads",
+        "max_spacing",
         "select_pattern_for_group",
     ),
     "phy": ("pair_terms", "subset_sinr"),

@@ -1,15 +1,8 @@
-"""Statistical channel profiles and small-scale fading generation.
+"""Small-scale fading generation for the statistics profiles of `patterns`.
 
-A profile is a (max Doppler, max delay spread) class with a power-delay
-profile. The densest pilot spacing a profile tolerates follows the 2x-Nyquist
-rule for band-limited WSS processes:
-
-    spacing_time = floor(1 / (4 * f_doppler * T_symbol))
-    spacing_freq = floor(1 / (4 * tau_max  * delta_f))
-
-each clamped to the resource-block grid. Realizations are tapped-delay-line:
-per-tap complex processes with classical Jakes time autocorrelation
-J0(2*pi*f*T_s*lag), i.i.d. across antennas and taps.
+Realizations are tapped-delay-line: per-tap complex processes with classical
+Jakes time autocorrelation J0(2*pi*f*T_s*lag), i.i.d. across antennas and
+taps.
 
 On one RB, user k's channel is h_k[t, n, m] = sum_l mix_k[n, l] taps_k[m, l, t]:
 its tap processes, each rotated per subcarrier by the tap's delay. The rates
@@ -38,12 +31,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .core import Numerology, SystemConfig, UserPopulation
-from .errors import ConfigurationError, UnsupportableProfileError
+from .errors import ConfigurationError
+from .patterns import ChannelProfile
 
 # Arrival angles per sum-of-sinusoids tap process. 32 equally spaced angles
 # keep the quadrature error of the J0 autocorrelation far below test tolerances
@@ -56,84 +49,6 @@ NUM_ARRIVAL_ANGLES = 32
 # K = 28, blocks of 64 generated as fast at M = 512 and 9% faster at M = 112
 # for 3 MB more peak memory; 16 was 7-14% slower and 128 60-75% slower.
 _ANTENNA_CHUNK = 32
-
-
-@dataclass(frozen=True)
-class ChannelProfile:
-    """Second-order statistics class: Doppler, delay spread, power-delay profile."""
-
-    name: str
-    max_doppler_hz: float
-    max_delay_spread_s: float
-    taps: tuple[tuple[float, float], ...] = ()
-
-    def __post_init__(self):
-        if self.max_doppler_hz <= 0 or self.max_delay_spread_s <= 0:
-            raise ConfigurationError("Doppler and delay spread must be positive")
-        taps = self.taps
-        if not taps:
-            # bracket PDP: equal-power taps at the delay-support endpoints
-            taps = ((0.0, 0.5), (self.max_delay_spread_s, 0.5))
-            object.__setattr__(self, "taps", taps)
-        total = sum(p for _, p in taps)
-        if abs(total - 1.0) > 1e-9:
-            raise ConfigurationError("tap powers must sum to 1")
-        for delay, power in taps:
-            if delay < 0 or delay > self.max_delay_spread_s + 1e-15:
-                raise ConfigurationError("tap delays must lie in [0, max_delay_spread]")
-            if power < 0:
-                raise ConfigurationError("tap powers must be non-negative")
-
-    def tap_delays(self) -> np.ndarray:
-        return np.array([d for d, _ in self.taps])
-
-    def tap_powers(self) -> np.ndarray:
-        return np.array([p for _, p in self.taps])
-
-
-@dataclass(frozen=True)
-class PilotSpacing:
-    """Regular pilot spacing in OFDM symbols and subcarriers."""
-
-    time_spacing_symbols: int
-    freq_spacing_subcarriers: int
-
-    def __post_init__(self):
-        if self.time_spacing_symbols < 1 or self.freq_spacing_subcarriers < 1:
-            raise ConfigurationError("pilot spacings must be at least 1")
-
-
-def _spacing_limit(product: float, grid: int) -> int:
-    """floor(1 / product), at most `grid`. A product that underflows to zero
-    or to a subnormal whose inverse is infinite tolerates the whole grid, as
-    any product below 1 / grid does."""
-    x = min(1.0 / product, grid) if product else grid
-    # values landing on integers up to float error must not fall one short
-    return int(math.floor(x * (1.0 + 1e-12) + 1e-12))
-
-
-def max_spacing(profile: ChannelProfile, num: Numerology) -> PilotSpacing:
-    """Largest pilot spacing the profile tolerates, clamped to the grid."""
-    t = _spacing_limit(4.0 * profile.max_doppler_hz * num.symbol_duration_s, num.symbols_per_rb)
-    f = _spacing_limit(
-        4.0 * profile.max_delay_spread_s * num.subcarrier_spacing_hz, num.subcarriers_per_rb
-    )
-    if t < 1 or f < 1:
-        raise UnsupportableProfileError(
-            f"profile {profile.name!r} varies faster than one symbol/subcarrier "
-            f"of the numerology (spacings {t}, {f})"
-        )
-    return PilotSpacing(time_spacing_symbols=t, freq_spacing_subcarriers=f)
-
-
-def builtin_profiles() -> list[ChannelProfile]:
-    """The four standard mobility/dispersion classes used throughout."""
-    return [
-        ChannelProfile("EPA5", 5.0, 0.41e-6),
-        ChannelProfile("EVA70", 70.0, 2.51e-6),
-        ChannelProfile("ETU70", 70.0, 4.69e-6),
-        ChannelProfile("ETU300", 300.0, 4.69e-6),
-    ]
 
 
 @functools.lru_cache(maxsize=64)
@@ -151,9 +66,10 @@ def _grid_bases(
     freqs = profile.max_doppler_hz * np.cos(angles)
     times = np.arange(num_symbols) * num.symbol_duration_s
     basis = np.exp(2j * math.pi * np.outer(freqs, times))
+    delays, powers = np.array(profile.taps, dtype=float).T
     sc = np.arange(num_subcarriers) * num.subcarrier_spacing_hz
-    mix = np.exp(-2j * math.pi * np.outer(sc, profile.tap_delays()))
-    mix *= np.sqrt(profile.tap_powers() / n)
+    mix = np.exp(-2j * math.pi * np.outer(sc, delays))
+    mix *= np.sqrt(powers / n)
     basis.flags.writeable = mix.flags.writeable = False
     return basis, mix
 

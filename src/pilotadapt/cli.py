@@ -14,10 +14,11 @@ import math
 import sys
 from dataclasses import replace
 
-from .channel import PilotSpacing, max_spacing
 from .config import ExperimentConfig, load_config
 from .errors import PilotAdaptError
-from .patterns import conventional_pattern, default_registry, pattern_to_dict
+from .patterns import (
+    PilotSpacing, conventional_pattern, default_registry, max_spacing, pattern_to_dict
+)
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:

@@ -13,10 +13,9 @@ import math
 import tomllib
 from dataclasses import dataclass, field, replace
 
-from .channel import ChannelProfile, builtin_profiles
 from .core import FadingSpec, Numerology, SystemConfig, lte_numerology
 from .errors import ConfigurationError
-from .patterns import PatternRegistry, group_overheads
+from .patterns import ChannelProfile, PatternRegistry, builtin_profiles, group_overheads
 
 
 @dataclass(frozen=True)

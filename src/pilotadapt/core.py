@@ -11,8 +11,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
-import numpy as np
-
 from .errors import ConfigurationError
 
 # Gauss-Hermite nodes of `FadingSpec.expect` over a lognormal fading spread
@@ -106,17 +104,23 @@ class FadingSpec:
             raise ConfigurationError(f"fading spread_db must be non-negative, got {self.spread_db}")
         try:
             finite = math.isfinite(self.mean())
-        except OverflowError:
+        except (OverflowError, FloatingPointError):
             finite = False
         if not finite:
-            raise ConfigurationError(f"fading spread_db {self.spread_db} makes the mean gain overflow")
+            source = "values" if self.kind == "explicit" else "spread_db"
+            raise ConfigurationError(
+                f"the mean gain of fading {source} {getattr(self, source)} overflows"
+            )
 
     def mean(self) -> float:
         """E[eta] in linear units."""
         if self.kind == "constant":
             return self.value
         if self.kind == "explicit":
-            return float(np.mean(self.values))
+            import numpy as np
+
+            with np.errstate(over="raise"):
+                return float(np.mean(self.values))
         # lognormal: eta = value * 10^(spread_db*Z/10)
         s = self.spread_db * math.log(10.0) / 10.0
         return self.value * math.exp(0.5 * s * s)
@@ -125,6 +129,8 @@ class FadingSpec:
         """E[func(eta)] via quadrature (lognormal) or direct averaging."""
         if self.kind == "constant":
             return float(func(self.value))
+        import numpy as np
+
         if self.kind == "explicit":
             return float(np.mean([func(v) for v in self.values]))
         nodes, weights = np.polynomial.hermite_e.hermegauss(_QUAD_POINTS)
@@ -132,16 +138,6 @@ class FadingSpec:
         etas = self.value * np.exp(s * nodes)
         vals = np.array([func(e) for e in etas])
         return float(np.sum(weights * vals) / math.sqrt(2.0 * math.pi))
-
-    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        if self.kind == "constant":
-            return np.full(n, self.value)
-        if self.kind == "explicit":
-            if len(self.values) == n:
-                return np.asarray(self.values, dtype=float)
-            return rng.choice(np.asarray(self.values, dtype=float), size=n, replace=True)
-        db = rng.normal(0.0, self.spread_db, size=n)
-        return self.value * 10.0 ** (db / 10.0)
 
 
 @dataclass(frozen=True)
@@ -170,8 +166,10 @@ class UserPopulation:
     def num_groups(self) -> int:
         return len(self.groups)
 
-    def fadings(self) -> np.ndarray:
-        """Large-scale gains of users 0..K-1."""
+    def fadings(self):
+        """Large-scale gains of users 0..K-1, as a numpy array."""
+        import numpy as np
+
         return np.array(self.gains)
 
 
@@ -182,11 +180,22 @@ def build_population(
 ) -> UserPopulation:
     """Users 0..K-1, numbered group by group in order, with large-scale
     fading gains drawn from `fading_spec`."""
+    import numpy as np
+
     if any(s < 0 for s in group_sizes):
         raise ConfigurationError(f"group sizes must be non-negative, got {list(group_sizes)}")
     ends = list(itertools.accumulate(group_sizes, initial=0))
+    k, kind = ends[-1], fading_spec.kind
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    if kind == "constant":
+        gains = np.full(k, fading_spec.value)
+    elif kind == "explicit":
+        values = np.asarray(fading_spec.values, dtype=float)
+        gains = values if len(values) == k else rng.choice(values, size=k, replace=True)
+    else:
+        db = rng.normal(0.0, fading_spec.spread_db, size=k)
+        gains = fading_spec.value * 10.0 ** (db / 10.0)
     return UserPopulation(
         groups=tuple(tuple(range(a, b)) for a, b in zip(ends, ends[1:])),
-        gains=tuple(map(float, fading_spec.sample(ends[-1], rng))),
+        gains=tuple(map(float, gains)),
     )

@@ -16,9 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelProfile, PilotSpacing, generate_single_grid
+from .channel import generate_single_grid
 from .core import Numerology
 from .errors import ConfigurationError
+from .patterns import ChannelProfile, PilotSpacing
 
 # sampled extent in (time, frequency) resource blocks
 _GRID_RBS = (4, 4)

@@ -25,10 +25,10 @@ from itertools import combinations
 
 import numpy as np
 
-from .channel import ChannelProfile, ChannelRealization
+from .channel import ChannelRealization
 from .core import SystemConfig, UserPopulation
 from .errors import ConfigurationError, ExactSearchBudgetError, NoDataRoomError
-from .patterns import PatternRegistry, PilotPattern, select_pattern_for_group
+from .patterns import ChannelProfile, PatternRegistry, PilotPattern, select_pattern_for_group
 from .phy import pair_terms, subset_sinr
 
 # cost cap for the exact DP, in (state, subset) transitions, where one row

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from pilotadapt.channel import PilotSpacing, builtin_profiles
 from pilotadapt.core import FadingSpec, Numerology, SystemConfig, build_population, lte_numerology
-from pilotadapt.patterns import PilotPattern
+from pilotadapt.patterns import PilotPattern, PilotSpacing, builtin_profiles
 from pilotadapt.phy import pair_terms, subset_sinr
 from pilotadapt.scheduling import RbRateCalculator
 

@@ -75,11 +75,11 @@ def oracle_single_grid(profile, num_symbols, num_subcarriers, num, rng, num_ante
     angles = 2.0 * math.pi * (np.arange(n) + 0.5) / n
     freqs = profile.max_doppler_hz * np.cos(angles)
     times = np.arange(num_symbols) * num.symbol_duration_s
-    delays = profile.tap_delays()
+    delays, powers = np.array(profile.taps, dtype=float).T
     phases = rng.uniform(0.0, 2.0 * math.pi, size=(num_antennas, len(delays), n))
     basis = np.exp(1j * 2.0 * math.pi * np.outer(freqs, times))  # (n, T)
     taps = np.exp(1j * phases) @ basis / math.sqrt(n)  # (A, L, T)
-    taps = taps * np.sqrt(profile.tap_powers())[None, :, None]
+    taps = taps * np.sqrt(powers)[None, :, None]
     sc = np.arange(num_subcarriers) * num.subcarrier_spacing_hz
     mix = np.exp(-2j * math.pi * np.outer(sc, delays))  # (N, L)
     return np.einsum("alt,nl->tna", taps, mix)
@@ -176,9 +176,8 @@ def oracle_conventional_pattern(profiles, num, mux):
     """The fixed worst-case pattern by its own rule: the profile spacing
     with the most pilot REs, ties toward the smaller time spacing, then the
     smaller frequency spacing, each count from the anchor-lattice formula."""
-    from pilotadapt.channel import max_spacing
     from pilotadapt.errors import ConfigurationError
-    from pilotadapt.patterns import build_pattern
+    from pilotadapt.patterns import build_pattern, max_spacing
 
     if not profiles:
         raise ConfigurationError("need at least one channel profile")

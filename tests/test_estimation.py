@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from scipy.stats import binomtest
 
-from pilotadapt.channel import ChannelProfile, PilotSpacing, builtin_profiles
 from pilotadapt.estimation import interpolation_nmse
+from pilotadapt.patterns import ChannelProfile, PilotSpacing, builtin_profiles
 
 # NMSE accepted at the rule-derived spacing: twice the measured ETU300 NMSE
 # at its own maximum spacing (0.042, about -13.8 dB).

@@ -665,6 +665,23 @@ def test_cli_lognormal_mean_overflow_names_spread(tmp_path, capsys, command):
         assert "spread_db" in json.loads(capsys.readouterr().err)["error"]
 
 
+def test_cli_explicit_mean_overflow_names_values(tmp_path):
+    """Explicit fading values whose mean overflows end in one JSON line that
+    names them, with no numpy warning before it."""
+    path = tmp_path / "explicit.toml"
+    path.write_text('fading = "explicit:1e308,1e308"\n')
+    proc = subprocess.run(
+        [sys.executable, "-m", "pilotadapt.cli", "simulate", "--config", str(path)],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+    )
+    assert proc.returncode == 1 and proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    assert "values (1e+308, 1e+308)" in json.loads(lines[0])["error"]
+
+
 @pytest.mark.parametrize(
     "text, key",
     [
@@ -925,10 +942,11 @@ def test_readme_library_example_runs():
 
 
 def test_commands_import_only_what_they_run(tmp_path):
-    """`patterns` loads no scheduling, sweep or estimation code and no
-    thread pool; a one-worker `simulate` loads neither estimation nor the
-    pool. The package's names load on first use, and the benchmark
-    tracer's own import works."""
+    """`patterns` loads no scheduling, sweep or estimation code, no thread
+    pool and no numpy, and neither does `asymptotics` at constant fading; a
+    one-worker `simulate` loads neither estimation nor the pool. The
+    package's names load on first use, and the benchmark tracer's own
+    import works."""
     config = tmp_path / "tiny.toml"
     config.write_text(_TINY_CONFIG)
     unwanted = ["pilotadapt.scheduling", "pilotadapt.experiments", "pilotadapt.estimation",
@@ -938,6 +956,10 @@ def test_commands_import_only_what_they_run(tmp_path):
         "from pilotadapt.cli import main\n"
         f"main(['patterns', '--config', {str(config)!r}, '--out', {str(tmp_path / 'p.txt')!r}])\n"
         f"print([m for m in {unwanted!r} if m in sys.modules])\n"
+        "print('numpy' in sys.modules)\n"
+        f"main(['asymptotics', '--config', {str(config)!r}, '--out', {str(tmp_path / 'a.csv')!r}])\n"
+        f"print([m for m in {unwanted!r} if m in sys.modules])\n"
+        "print('numpy' in sys.modules)\n"
         f"main(['simulate', '--config', {str(config)!r}, '--out', {str(tmp_path / 'rows.csv')!r}])\n"
         f"print([m for m in {unwanted[2:]!r} if m in sys.modules])\n"
     )
@@ -948,7 +970,7 @@ def test_commands_import_only_what_they_run(tmp_path):
         env={**_child_env(), experiments.WORKERS_ENV_VAR: "1"},
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["[]", "[]"]
+    assert proc.stdout.splitlines() == ["[]", "False", "[]", "False", "[]"]
     assert (tmp_path / "rows.csv").read_text().count("\n") == 2
 
     code = (

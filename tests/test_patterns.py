@@ -3,7 +3,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pilotadapt.channel import ChannelProfile, PilotSpacing, max_spacing
 from pilotadapt.core import Numerology, lte_numerology
 from pilotadapt.errors import (
     ConfigurationError,
@@ -12,10 +11,13 @@ from pilotadapt.errors import (
     PilotAdaptError,
 )
 from pilotadapt.patterns import (
+    ChannelProfile,
     PatternRegistry,
+    PilotSpacing,
     build_pattern,
     conventional_pattern,
     default_registry,
+    max_spacing,
     pattern_to_dict,
     select_pattern_for_group,
 )

@@ -3,10 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
-from pilotadapt.channel import PilotSpacing
 from pilotadapt.core import SystemConfig
 from pilotadapt.errors import DegenerateChannelError
-from pilotadapt.patterns import build_pattern
+from pilotadapt.patterns import PilotSpacing, build_pattern
 from pilotadapt.phy import pair_terms, subset_sinr
 from pilotadapt.scheduling import RbRateCalculator, ScheduleAssignment, evaluate_schedule
 

@@ -7,15 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pilotadapt.channel import (
-    builtin_profiles,
-    generate_realization,
-    max_spacing,
-)
+from pilotadapt.channel import generate_realization
 from pilotadapt.core import FadingSpec, SystemConfig, build_population
 from pilotadapt.errors import ConfigurationError, ExactSearchBudgetError
 from pilotadapt import scheduling
-from pilotadapt.patterns import PatternRegistry, conventional_pattern, default_registry
+from pilotadapt.patterns import (
+    PatternRegistry,
+    builtin_profiles,
+    conventional_pattern,
+    default_registry,
+    max_spacing,
+)
 from pilotadapt.scheduling import (
     MAX_DP_USERS,
     RbRateCalculator,
