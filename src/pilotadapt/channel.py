@@ -31,12 +31,15 @@ from __future__ import annotations
 
 import functools
 import math
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .core import Numerology, SystemConfig, UserPopulation
 from .errors import ConfigurationError
-from .patterns import ChannelProfile
+
+if TYPE_CHECKING:  # annotations only: the profiles live in `patterns`
+    from .patterns import ChannelProfile
 
 # Arrival angles per sum-of-sinusoids tap process. 32 equally spaced angles
 # keep the quadrature error of the J0 autocorrelation far below test tolerances

@@ -1,7 +1,8 @@
 """System-wide configuration, user population, and link-budget data.
 
 All types here are immutable after construction and safe to share across
-parallel workers.
+parallel workers. numpy is imported only inside the code that computes with
+it, so `patterns`, and `asymptotics` at constant fading, never load it.
 """
 
 from __future__ import annotations
