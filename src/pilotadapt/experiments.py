@@ -71,11 +71,13 @@ def run_trial(
     """Evaluate one realization: grouping vs conventional, per direction.
 
     Both directions share the realization and one grouping assignment,
-    which does not depend on the channel. Each RB's Gram is built on
-    request for the users the scheduler rates there and the grouping's,
-    and rebuilt only when a request leaves that set: once per RB for the
-    exact DP (every user) and a greedy run in one direction, at most once
-    per RB and direction for greedy runs in both.
+    which does not depend on the channel. The conventional scheduler picks
+    its assignment per direction, and `evaluate_schedule` rates both
+    assignments, so R_grp and R_conv come from one function. Each RB's Gram
+    is built on request for the users the scheduler rates there and the
+    grouping's, and rebuilt only when a request leaves that set: once per
+    RB for the exact DP (every user) and a greedy run in one direction, at
+    most once per RB and direction for greedy runs in both.
     """
     profiles = cfg.resolved_profiles()
     pop = build_population(cfg.sizes_for(mux), cfg.fading, seed=seed)
@@ -90,19 +92,15 @@ def run_trial(
     fadings = pop.fadings()
     bound = cfg.gain_bound(mux, registry)
 
+    # looked up per call, so that wrappers installed on the module are used
+    schedule = (
+        conventional_schedule_exact if cfg.scheduler == "exact" else conventional_schedule_greedy
+    )
     rows = []
     for direction in cfg.directions():
-        if cfg.scheduler == "exact":
-            _, r_conv = conventional_schedule_exact(
-                realization, pop, sys_cfg, pattern, direction
-            )
-        else:
-            _, r_conv = conventional_schedule_greedy(
-                realization, pop, sys_cfg, pattern, direction
-            )
-        r_grp = evaluate_schedule(
-            realization, assignment, sys_cfg, direction, fadings=fadings
-        )
+        conventional = schedule(realization, sys_cfg, pattern, direction, fadings)
+        r_conv = evaluate_schedule(realization, conventional, sys_cfg, direction, fadings)
+        r_grp = evaluate_schedule(realization, assignment, sys_cfg, direction, fadings)
         rel_gain = r_grp / r_conv - 1.0 if r_conv > 0.0 else math.nan
         if not math.isfinite(rel_gain):
             problem = f"rates R_grp = {r_grp!r} and R_conv = {r_conv!r} give no finite gain"

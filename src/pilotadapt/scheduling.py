@@ -1,5 +1,8 @@
 """User-to-RB scheduling: conventional exact/greedy baselines and grouping mode.
 
+Every scheduler returns a `ScheduleAssignment`, and `evaluate_schedule`
+rates any of them: it is the one function that gives a schedule's rate.
+
 The conventional baseline partitions all users into per-RB sets of size at
 most max_mux and maximizes the mean per-RB spectral efficiency under the fixed
 worst-case pilot pattern. The exact optimizer is a dynamic program over user
@@ -55,16 +58,18 @@ _DP_CHUNK = 16_384
 
 @dataclass(frozen=True)
 class ScheduleAssignment:
-    """Per-RB user sets, pilot patterns, and (in grouping mode) group labels."""
+    """Per-RB user sets, pilot patterns and group labels. A conventional
+    schedule labels every RB None; a grouping schedule names each RB's
+    owning group."""
 
     rb_users: tuple[tuple[int, ...], ...]
     rb_patterns: tuple[PilotPattern, ...]
     rb_groups: tuple[int | None, ...]
-    mode: str
 
     def to_dict(self) -> dict:
+        conventional = all(g is None for g in self.rb_groups)
         return {
-            "mode": self.mode,
+            "mode": "conventional" if conventional else "grouping",
             "rbs": [
                 {
                     "group": g,
@@ -168,12 +173,13 @@ def _partition_sizes(k: int, n_rbs: int, mux: int) -> list[int]:
 
 def conventional_schedule_exact(
     realization: ChannelRealization,
-    pop: UserPopulation,
     cfg: SystemConfig,
     pattern: PilotPattern,
     direction: str,
-) -> tuple[ScheduleAssignment, float]:
-    """Optimal user partition under the fixed pattern, by a dense subset DP.
+    fadings: np.ndarray,
+) -> ScheduleAssignment:
+    """Optimal partition of the realization's users under the fixed
+    pattern, with large-scale gains `fadings`, by a dense subset DP.
 
     Stage r places users on RB r; a state is the bitmask of users placed so
     far. Each stage holds dense length-2^K arrays (the RB's subset rates and
@@ -192,12 +198,11 @@ def conventional_schedule_exact(
     Raises ExactSearchBudgetError when the instance exceeds the transition
     budget; callers must switch to the greedy scheduler explicitly.
     """
-    k = pop.num_users
+    k = realization.num_users
     n_rbs, mux = cfg.num_rbs, cfg.max_mux
     check_users_fit(k, n_rbs, mux)
     check_exact_budget(k, n_rbs, mux)
 
-    fadings = pop.fadings()
     popcount = _popcounts(k)
     value = np.full(1 << k, -np.inf)
     value[0] = 0.0
@@ -208,20 +213,21 @@ def conventional_schedule_exact(
         value, back = _dp_stage(value, plan, popcount, calc, k)
         backs.append(back)
 
-    mask = full = (1 << k) - 1
+    mask = (1 << k) - 1
     chosen = []
     for back in reversed(backs):
         states, subs = back[int(popcount[mask])]
         sub = int(subs[np.searchsorted(states, mask)])
         chosen.append(tuple(u for u in range(k) if (sub >> u) & 1))
         mask ^= sub
-    assignment = ScheduleAssignment(
-        rb_users=tuple(reversed(chosen)),
-        rb_patterns=tuple([pattern] * n_rbs),
-        rb_groups=tuple([None] * n_rbs),
-        mode="conventional",
-    )
-    return assignment, float(value[full]) / n_rbs
+    return _conventional(chosen[::-1], pattern)
+
+
+def _conventional(rb_users: list[tuple[int, ...]], pattern: PilotPattern) -> ScheduleAssignment:
+    """The conventional schedule of per-RB user sets: `pattern` and no
+    group on every RB."""
+    n_rbs = len(rb_users)
+    return ScheduleAssignment(tuple(rb_users), (pattern,) * n_rbs, (None,) * n_rbs)
 
 
 def _stage_plan(k: int, n_rbs: int, mux: int) -> list[dict[int, list[int]]]:
@@ -378,45 +384,33 @@ def _estimate_transitions(k: int, n_rbs: int, mux: int) -> int:
 
 def conventional_schedule_greedy(
     realization: ChannelRealization,
-    pop: UserPopulation,
     cfg: SystemConfig,
     pattern: PilotPattern,
     direction: str,
-) -> tuple[ScheduleAssignment, float]:
+    fadings: np.ndarray,
+) -> ScheduleAssignment:
     """Deterministic greedy baseline: fill RBs in order, best marginal user first.
 
-    Ties break toward the lowest user id. The rate never exceeds the exact
-    optimum.
+    Ties break toward the lowest user id. The schedule's rate never exceeds
+    the exact optimum's.
     """
-    k = pop.num_users
+    k = realization.num_users
     n_rbs, mux = cfg.num_rbs, cfg.max_mux
     check_users_fit(k, n_rbs, mux)
-    fadings = pop.fadings()
     sizes = _partition_sizes(k, n_rbs, mux)
 
     remaining = list(range(k))
     chosen: list[tuple[int, ...]] = []
-    total = 0.0
     for rb in range(n_rbs):
         # only the users still unscheduled can join this RB
         calc = RbRateCalculator(realization, rb, cfg, pattern, direction, fadings, remaining)
         current: tuple[int, ...] = ()
-        current_rate = 0.0
         for _ in range(sizes[rb]):
             cands = calc.rates_for_subsets([current + (u,) for u in remaining])
-            best = int(np.argmax(cands - current_rate))  # first maximum: lowest id
+            best = int(np.argmax(cands))  # first maximum: lowest id
             current = tuple(sorted(current + (remaining.pop(best),)))
-            current_rate = float(cands[best])
         chosen.append(current)
-        total += current_rate
-
-    assignment = ScheduleAssignment(
-        rb_users=tuple(chosen),
-        rb_patterns=tuple([pattern] * n_rbs),
-        rb_groups=tuple([None] * n_rbs),
-        mode="conventional",
-    )
-    return assignment, total / n_rbs
+    return _conventional(chosen, pattern)
 
 
 def group_rb_ownership(pop: UserPopulation, num_rbs: int) -> list[int]:
@@ -481,12 +475,7 @@ def grouping_schedule(
         rb_users.append(tuple(sorted(picked)))
         rb_patterns.append(select_pattern_for_group(registry, profiles[g], num))
 
-    return ScheduleAssignment(
-        rb_users=tuple(rb_users),
-        rb_patterns=tuple(rb_patterns),
-        rb_groups=tuple(owners),
-        mode="grouping",
-    )
+    return ScheduleAssignment(tuple(rb_users), tuple(rb_patterns), tuple(owners))
 
 
 def _shuffled(members: list[int], picker: str, rng) -> list[int]:
@@ -504,8 +493,8 @@ def evaluate_schedule(
     direction: str,
     fadings: np.ndarray,
 ) -> float:
-    """Mean per-RB spectral efficiency of an assignment, with the
-    population's large-scale gains `fadings`."""
+    """Mean per-RB spectral efficiency of an assignment, conventional or
+    grouping, with the population's large-scale gains `fadings`."""
     rates = []
     for rb, (users, pattern) in enumerate(zip(assignment.rb_users, assignment.rb_patterns)):
         if len(users) > cfg.max_mux:

@@ -44,7 +44,7 @@ from pilotadapt.scheduling import (
 
 from conftest import kernel_sinr, no_pilots, random_channels, rb_rate, tiny_numerology
 from oracles import StoredGrams, draw_channels, oracle_grams, oracle_rb_rate
-from test_scheduler import exhaustive_best
+from test_scheduler import exhaustive_best, rated
 
 
 def _report(criterion: int, ok: bool, detail: str) -> None:
@@ -105,7 +105,7 @@ def test_criterion_2_scheduler_exactness():
         real = generate_realization(pop, profiles, cfg, seed=1000 + seed)
         pattern = conventional_pattern(default_registry(profiles, cfg.numerology, 4))
         direction = "uplink" if seed % 2 == 0 else "downlink"
-        _, dp = conventional_schedule_exact(real, pop, cfg, pattern, direction)
+        _, dp = rated(conventional_schedule_exact, real, pop, cfg, pattern, direction)
         bf = exhaustive_best(real, pop, cfg, pattern, direction)
         worst = max(worst, abs(dp - bf))
     ok = worst <= 1e-12
@@ -171,7 +171,7 @@ def test_criterion_4_superiority_vs_exact_baseline():
     grp, conv = [], []
     for trial in range(10):
         real = generate_realization(pop, profiles, cfg, seed=4000 + trial)
-        _, r_conv = conventional_schedule_exact(real, pop, cfg, pattern, "uplink")
+        _, r_conv = rated(conventional_schedule_exact, real, pop, cfg, pattern, "uplink")
         assign = grouping_schedule(
             pop, cfg, registry, profiles, "random", np.random.default_rng(trial)
         )
@@ -224,16 +224,22 @@ def test_criterion_5_gain_behavior():
     )
     gains = {64: [], 112: []}
     for trial in range(trials):
+        # the grouping does not depend on M or the channel; drawn first, its
+        # users are built with the greedy's, so each RB is built once
+        assign = grouping_schedule(
+            pop, cfg64, registry, profiles, "random", np.random.default_rng(trial)
+        )
         # common random numbers: the M=64 system is the first 64 antennas of
         # the M=112 one, because antennas are drawn in order from one
         # generator per (seed, user, RB)
-        real112 = generate_realization(pop, profiles, cfg112, seed=5000 + trial)
-        real64 = generate_realization(pop, profiles, cfg64, seed=5000 + trial)
+        real112 = generate_realization(
+            pop, profiles, cfg112, seed=5000 + trial, include=assign.rb_users
+        )
+        real64 = generate_realization(
+            pop, profiles, cfg64, seed=5000 + trial, include=assign.rb_users
+        )
         for m, real, cfg in ((64, real64, cfg64), (112, real112, cfg112)):
-            _, r_conv = conventional_schedule_greedy(real, pop, cfg, pattern, "uplink")
-            assign = grouping_schedule(
-                pop, cfg, registry, profiles, "random", np.random.default_rng(trial)
-            )
+            _, r_conv = rated(conventional_schedule_greedy, real, pop, cfg, pattern, "uplink")
             r_grp = evaluate_schedule(real, assign, cfg, "uplink", fadings=fadings)
             gains[m].append(r_grp / r_conv - 1.0)
 

@@ -203,7 +203,7 @@ def test_rb_rate_rejects_overloaded_set():
     real = _realization_from_array(h, 2, 2)
     cfg = _cfg(2, mux=2)
     overfull = ScheduleAssignment(
-        rb_users=((0, 1, 2),), rb_patterns=(None,), rb_groups=(None,), mode="conventional"
+        rb_users=((0, 1, 2),), rb_patterns=(None,), rb_groups=(None,)
     )
     with pytest.raises(ValueError):
         evaluate_schedule(real, overfull, cfg, "uplink", fadings=np.ones(3))

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 import tracemalloc
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pilotadapt.channel import generate_realization
-from pilotadapt.core import FadingSpec, SystemConfig, build_population
+from pilotadapt.core import FadingSpec, SystemConfig, UserPopulation, build_population
 from pilotadapt.errors import ConfigurationError, ExactSearchBudgetError
 from pilotadapt import scheduling
 from pilotadapt.patterns import (
@@ -47,11 +48,17 @@ def _instance(seed, k=8, n_rbs=2, m=4, mux=4, sigma2=0.1):
     return pop, cfg, real, pattern, profiles
 
 
+def rated(schedule, real, pop, cfg, pattern, direction):
+    """A conventional scheduler's assignment and its `evaluate_schedule` rate."""
+    assign = schedule(real, cfg, pattern, direction, pop.fadings())
+    return assign, evaluate_schedule(real, assign, cfg, direction, pop.fadings())
+
+
 def test_exact_matches_brute_force():
     for seed in range(5):
         pop, cfg, real, pattern, _ = _instance(seed)
         for direction in ("uplink", "downlink"):
-            _, dp = conventional_schedule_exact(real, pop, cfg, pattern, direction)
+            _, dp = rated(conventional_schedule_exact, real, pop, cfg, pattern, direction)
             bf = exhaustive_best(real, pop, cfg, pattern, direction)
             assert dp == pytest.approx(bf, abs=1e-12)
 
@@ -103,22 +110,58 @@ def test_exact_matches_exhaustive_search(instance):
     partition, not only the rate, is that of a per-transition dict DP with
     the documented tie order."""
     pop, cfg, real, pattern, direction = instance
-    assign, dp = conventional_schedule_exact(real, pop, cfg, pattern, direction)
+    assign, dp = rated(conventional_schedule_exact, real, pop, cfg, pattern, direction)
     assert dp == pytest.approx(exhaustive_best(real, pop, cfg, pattern, direction), abs=1e-12)
     rate = rb_rates(real, pop, cfg, pattern, direction)
-    users, total = oracle_exact_partition(rate, pop.num_users, cfg.num_rbs, cfg.max_mux)
+    users, _ = oracle_exact_partition(rate, pop.num_users, cfg.num_rbs, cfg.max_mux)
     assert assign.rb_users == users
-    assert dp == total / cfg.num_rbs
 
     placed = [u for users in assign.rb_users for u in users]
     assert sorted(placed) == list(range(pop.num_users))
     assert len(assign.rb_users) == cfg.num_rbs
     assert all(len(users) <= cfg.max_mux for users in assign.rb_users)
-    achieved = evaluate_schedule(real, assign, cfg, direction, fadings=pop.fadings())
-    assert achieved == pytest.approx(dp, abs=1e-12)
 
-    _, greedy = conventional_schedule_greedy(real, pop, cfg, pattern, direction)
+    _, greedy = rated(conventional_schedule_greedy, real, pop, cfg, pattern, direction)
     assert greedy <= dp + 1e-12
+
+
+@st.composite
+def filled_group_instances(draw):
+    """Groups of exactly max_mux users, one RB each, so the grouping
+    partition is forced; the users are dealt to the groups in a drawn order."""
+    mux = draw(st.integers(1, 4))
+    n_rbs = draw(st.integers(1, min(4, 12 // mux)))
+    order = draw(st.permutations(range(n_rbs * mux)))
+    seed = draw(st.integers(0, 2**16))
+    direction = draw(st.sampled_from(["uplink", "downlink"]))
+    fading = FadingSpec(kind="lognormal", spread_db=6.0)
+    gains = build_population([n_rbs * mux], fading, seed=seed).gains
+    groups = tuple(tuple(sorted(order[g * mux : (g + 1) * mux])) for g in range(n_rbs))
+    pop = UserPopulation(groups=groups, gains=gains)
+    cfg = SystemConfig(
+        num_rbs=n_rbs, num_antennas=4, max_mux=mux,
+        ul_power=1.0, dl_power=1.0, noise_power=0.1,
+    )
+    profiles = builtin_profiles()
+    real = generate_realization(pop, profiles, cfg, seed=seed)
+    return pop, cfg, real, profiles, direction
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(filled_group_instances())
+def test_exact_beats_the_group_partition(instance):
+    """The exact DP searches every partition, the grouping's among them, so
+    the grouping partition rated under the conventional pattern (R_fix)
+    never beats R_conv. No such bound holds for the greedy."""
+    pop, cfg, real, profiles, direction = instance
+    registry = default_registry(profiles, cfg.numerology, cfg.max_mux)
+    pattern = conventional_pattern(registry)
+    grouping = grouping_schedule(pop, cfg, registry, profiles, "random", np.random.default_rng(0))
+    assert grouping.rb_users == pop.groups
+    fixed = dataclasses.replace(grouping, rb_patterns=(pattern,) * cfg.num_rbs)
+    r_fix = evaluate_schedule(real, fixed, cfg, direction, pop.fadings())
+    _, r_conv = rated(conventional_schedule_exact, real, pop, cfg, pattern, direction)
+    assert r_fix <= r_conv * (1 + 1e-12)
 
 
 @pytest.mark.parametrize(
@@ -146,7 +189,7 @@ def test_exact_tie_rule(k, n_rbs, mux, expected):
         calc = RbRateCalculator(same, 0, cfg, pattern, direction, pop.fadings())
         rates = calc.rates_for_subsets(np.array(list(itertools.combinations(range(k), mux))))
         assert np.all(rates == rates[0])
-        assign, _ = conventional_schedule_exact(same, pop, cfg, pattern, direction)
+        assign = conventional_schedule_exact(same, cfg, pattern, direction, pop.fadings())
         assert assign.rb_users == expected
         rate = rb_rates(same, pop, cfg, pattern, direction)
         assert oracle_exact_partition(rate, k, n_rbs, mux)[0] == expected
@@ -161,7 +204,7 @@ def test_greedy_tie_rule():
         oracle_grams(np.ones((6, 3, 14, 12, cfg.num_antennas))), real.numerology
     )
     for direction in ("uplink", "downlink"):
-        assign, _ = conventional_schedule_greedy(same, pop, cfg, pattern, direction)
+        assign = conventional_schedule_greedy(same, cfg, pattern, direction, pop.fadings())
         assert assign.rb_users == ((0, 1), (2, 3), (4, 5))
 
 
@@ -173,10 +216,10 @@ def test_exact_dp_memory_is_per_stage():
     k = n_rbs = 16
     pop, cfg, real, pattern, _ = _instance(60, k=k, n_rbs=n_rbs, m=2, mux=1)
     # the first call builds the Grams and finishes numpy's lazy imports
-    conventional_schedule_exact(real, pop, cfg, pattern, "uplink")
+    conventional_schedule_exact(real, cfg, pattern, "uplink", pop.fadings())
     tracemalloc.start()
     try:
-        conventional_schedule_exact(real, pop, cfg, pattern, "uplink")
+        conventional_schedule_exact(real, cfg, pattern, "uplink", pop.fadings())
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -185,7 +228,7 @@ def test_exact_dp_memory_is_per_stage():
 
 def test_exact_single_rb_is_forced():
     pop, cfg, real, pattern, _ = _instance(3, k=4, n_rbs=1)
-    assign, rate = conventional_schedule_exact(real, pop, cfg, pattern, "uplink")
+    assign, rate = rated(conventional_schedule_exact, real, pop, cfg, pattern, "uplink")
     assert assign.rb_users == ((0, 1, 2, 3),)
     calc = RbRateCalculator(real, 0, cfg, pattern, "uplink", pop.fadings())
     assert rate == pytest.approx(calc.rates_for_subsets([(0, 1, 2, 3)])[0])
@@ -194,7 +237,7 @@ def test_exact_single_rb_is_forced():
 def test_exact_rejects_oversized_instance():
     pop, cfg, real, pattern, _ = _instance(1, k=28, n_rbs=4, mux=7)
     with pytest.raises(ExactSearchBudgetError, match="greedy"):
-        conventional_schedule_exact(real, pop, cfg, pattern, "uplink")
+        conventional_schedule_exact(real, cfg, pattern, "uplink", pop.fadings())
 
 
 def test_exact_refuses_dense_tables_beyond_user_cap():
@@ -236,7 +279,7 @@ def test_exact_budget_counts_the_dp_work(monkeypatch, k, n_rbs, mux):
     monkeypatch.setattr(scheduling, "_pull", counting_pull)
     monkeypatch.setattr(RbRateCalculator, "rates_for_subsets", counting_rates)
     pop, cfg, real, pattern, _ = _instance(7, k=k, n_rbs=n_rbs, mux=mux)
-    conventional_schedule_exact(real, pop, cfg, pattern, "uplink")
+    conventional_schedule_exact(real, cfg, pattern, "uplink", pop.fadings())
     table_term = scheduling._TABLE_ROW_COST * sum(rows)
     assert sum(compared) == scheduling._estimate_transitions(k, n_rbs, mux) - table_term
 
@@ -244,22 +287,22 @@ def test_exact_budget_counts_the_dp_work(monkeypatch, k, n_rbs, mux):
 def test_greedy_never_beats_exact():
     for seed in range(4):
         pop, cfg, real, pattern, _ = _instance(10 + seed)
-        _, exact = conventional_schedule_exact(real, pop, cfg, pattern, "uplink")
-        _, greedy = conventional_schedule_greedy(real, pop, cfg, pattern, "uplink")
+        _, exact = rated(conventional_schedule_exact, real, pop, cfg, pattern, "uplink")
+        _, greedy = rated(conventional_schedule_greedy, real, pop, cfg, pattern, "uplink")
         assert greedy <= exact + 1e-12
 
 
 def test_greedy_equals_exact_when_forced():
     pop, cfg, real, pattern, _ = _instance(2, k=4, n_rbs=1)
-    _, exact = conventional_schedule_exact(real, pop, cfg, pattern, "uplink")
-    _, greedy = conventional_schedule_greedy(real, pop, cfg, pattern, "uplink")
+    _, exact = rated(conventional_schedule_exact, real, pop, cfg, pattern, "uplink")
+    _, greedy = rated(conventional_schedule_greedy, real, pop, cfg, pattern, "uplink")
     assert greedy == pytest.approx(exact, abs=1e-12)
 
 
 def test_greedy_logs_gap_to_exact():
     pop, cfg, real, pattern, _ = _instance(20)
-    _, exact = conventional_schedule_exact(real, pop, cfg, pattern, "uplink")
-    _, greedy = conventional_schedule_greedy(real, pop, cfg, pattern, "uplink")
+    _, exact = rated(conventional_schedule_exact, real, pop, cfg, pattern, "uplink")
+    _, greedy = rated(conventional_schedule_greedy, real, pop, cfg, pattern, "uplink")
     # no fixed constant asserted; record the measured ratio
     print(f"greedy/exact ratio on seed-20 instance: {greedy / exact:.4f}")
     assert 0.0 < greedy <= exact + 1e-12
@@ -294,7 +337,6 @@ def test_grouping_schedule_equal_groups():
     cfg = SystemConfig(num_rbs=4, num_antennas=8, max_mux=4, ul_power=1.0, dl_power=1.0, noise_power=0.1)
     registry = default_registry(profiles, cfg.numerology, 4)
     assign = grouping_schedule(pop, cfg, registry, profiles, "round_robin")
-    assert assign.mode == "grouping"
     assert assign.rb_groups == (0, 1, 2, 3)
     # forced sets: each group's four users on its own RB
     assert assign.rb_users == tuple(pop.groups)
@@ -351,7 +393,7 @@ def test_grouping_dominated_by_exact_when_collapsed():
     pattern = conventional_pattern(default_registry(profiles, cfg.numerology, 4))
     registry = PatternRegistry(patterns=(pattern,))
     real = generate_realization(pop, profiles, cfg, seed=4)
-    _, exact = conventional_schedule_exact(real, pop, cfg, pattern, "uplink")
+    _, exact = rated(conventional_schedule_exact, real, pop, cfg, pattern, "uplink")
     for picker_seed in range(5):
         assign = grouping_schedule(
             pop, cfg, registry, profiles, "random", np.random.default_rng(picker_seed)
@@ -361,10 +403,14 @@ def test_grouping_dominated_by_exact_when_collapsed():
 
 
 def test_evaluate_schedule_consistency():
+    """Rating each RB's users alone matches rating them among all users."""
     pop, cfg, real, pattern, _ = _instance(30)
-    assign, rate = conventional_schedule_exact(real, pop, cfg, pattern, "uplink")
-    ev = evaluate_schedule(real, assign, cfg, "uplink", fadings=pop.fadings())
-    assert ev == pytest.approx(rate, abs=1e-12)
+    assign, ev = rated(conventional_schedule_exact, real, pop, cfg, pattern, "uplink")
+    rates = [
+        rb_rate(real, rb, users, pattern, cfg, "uplink", fadings=pop.fadings())
+        for rb, users in enumerate(assign.rb_users)
+    ]
+    assert ev == pytest.approx(np.mean(rates), abs=1e-12)
 
 
 def test_evaluate_schedule_empty_rb_contributes_zero():
@@ -373,7 +419,6 @@ def test_evaluate_schedule_empty_rb_contributes_zero():
         rb_users=((0, 1, 2, 3), ()),
         rb_patterns=(pattern, pattern),
         rb_groups=(None, None),
-        mode="conventional",
     )
     rate = evaluate_schedule(real, only_first, cfg, "uplink", fadings=pop.fadings())
     solo = rb_rate(real, 0, [0, 1, 2, 3], pattern, cfg, "uplink", fadings=pop.fadings())
@@ -389,11 +434,12 @@ def test_identical_rbs_contribute_equally():
         rb_users=((0, 1), (0, 1)),
         rb_patterns=(pattern, pattern),
         rb_groups=(None, None),
-        mode="grouping",
     )
     r0 = rb_rate(dup, 0, [0, 1], pattern, cfg, "uplink", fadings=pop.fadings())
     r1 = rb_rate(dup, 1, [0, 1], pattern, cfg, "uplink", fadings=pop.fadings())
     assert r0 == pytest.approx(r1, abs=1e-15)
+    rate = evaluate_schedule(dup, assign, cfg, "uplink", fadings=pop.fadings())
+    assert rate == pytest.approx(r0, abs=1e-15)
 
 
 def test_grouping_empty_group_with_rbs_rejected():
@@ -409,7 +455,7 @@ def test_grouping_empty_group_with_rbs_rejected():
 def test_conventional_rejects_overflow():
     pop, cfg, real, pattern, _ = _instance(33, k=8, n_rbs=2, mux=3)
     with pytest.raises(ConfigurationError):
-        conventional_schedule_exact(real, pop, cfg, pattern, "uplink")
+        conventional_schedule_exact(real, cfg, pattern, "uplink", pop.fadings())
 
 
 def test_assignment_json_dump():
@@ -423,6 +469,9 @@ def test_assignment_json_dump():
     assert [rb["group"] for rb in dump["rbs"]] == [0, 1, 2, 3]
     assert dump["rbs"][0]["spacing"] == [14, 12]
     assert dump["rbs"][0]["users"] == [0, 1, 2, 3]
+    pattern = conventional_pattern(registry)
+    conventional = ScheduleAssignment(((0, 1), (2, 3)), (pattern, pattern), (None, None))
+    assert conventional.to_dict()["mode"] == "conventional"
 
 
 def test_grouping_gain_vs_exact_rises_with_antennas():
@@ -442,7 +491,7 @@ def test_grouping_gain_vs_exact_rises_with_antennas():
         vals = []
         for trial in range(2):
             real = generate_realization(pop, profiles, cfg, seed=600 + trial)
-            _, r_conv = conventional_schedule_exact(real, pop, cfg, pattern, "uplink")
+            _, r_conv = rated(conventional_schedule_exact, real, pop, cfg, pattern, "uplink")
             assign = grouping_schedule(pop, cfg, registry, profiles, "random", np.random.default_rng(trial))
             r_grp = evaluate_schedule(real, assign, cfg, "uplink", fadings=pop.fadings())
             vals.append(r_grp / r_conv - 1.0)
