@@ -44,7 +44,6 @@ _EXPORTS = {
         "builtin_profiles",
         "conventional_pattern",
         "default_registry",
-        "group_overheads",
         "max_spacing",
         "select_pattern_for_group",
     ),

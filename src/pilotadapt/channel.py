@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Sequence
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -154,7 +155,7 @@ class ChannelRealization:
     def __init__(
         self,
         pop: UserPopulation,
-        profiles: list[ChannelProfile],
+        profiles: Sequence[ChannelProfile],
         cfg: SystemConfig,
         seed: int,
         include=None,
@@ -266,7 +267,7 @@ class ChannelRealization:
 
 def generate_realization(
     pop: UserPopulation,
-    profiles: list[ChannelProfile],
+    profiles: Sequence[ChannelProfile],
     cfg: SystemConfig,
     seed: int = 0,
     include=None,

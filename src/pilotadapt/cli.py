@@ -54,9 +54,8 @@ def _cmd_patterns(args) -> int:
     # text grid maps unless the config or --format names csv or json, for the
     # first u_mux_list entry only; a note on stderr names the others
     cfg = _load(args)
-    profiles = cfg.resolved_profiles()
     mux = cfg.u_mux_list[0]
-    registry = default_registry(profiles, cfg.numerology, mux)
+    registry = default_registry(cfg.profiles, cfg.numerology, mux)
     conv = conventional_pattern(registry)
 
     if cfg.format == "json":
@@ -68,17 +67,12 @@ def _cmd_patterns(args) -> int:
         text = json.dumps(payload, indent=2) + "\n"
     elif cfg.format == "csv":
         lines = ["kind,spacing_t,spacing_f,size,overhead_ratio"]
-        for pat in registry.patterns:
+        for kind, pat in [*(("registry", p) for p in registry.patterns), ("conventional", conv)]:
             sp = pat.spacing
             lines.append(
-                f"registry,{sp.time_spacing_symbols},{sp.freq_spacing_subcarriers},"
+                f"{kind},{sp.time_spacing_symbols},{sp.freq_spacing_subcarriers},"
                 f"{pat.size},{pat.overhead_ratio}"
             )
-        sp = conv.spacing
-        lines.append(
-            f"conventional,{sp.time_spacing_symbols},{sp.freq_spacing_subcarriers},"
-            f"{conv.size},{conv.overhead_ratio}"
-        )
         text = "\n".join(lines) + "\n"
     else:
         lines = [f"pattern registry at mux order {mux} "
@@ -130,9 +124,8 @@ def _cmd_asymptotics(args) -> int:
     cfg = _load(args)
     eta_bar = cfg.fading.mean()
     entries = []
-    profiles = cfg.resolved_profiles()
     for mux in cfg.u_mux_list:
-        bound = cfg.gain_bound(mux, default_registry(profiles, cfg.numerology, mux))
+        bound = cfg.gain_bound(mux, default_registry(cfg.profiles, cfg.numerology, mux))
         for m in cfg.m_list:
             sys_cfg = cfg.system_config(m, mux)
             for direction in cfg.directions():
@@ -169,7 +162,7 @@ def _cmd_validate_estimation(args) -> int:
     cfg = _load(args)
     header = ("profile", "spacing_t", "spacing_f", "nmse", "nmse_db")
     rows = []
-    for prof in cfg.resolved_profiles():
+    for prof in cfg.profiles:
         base = max_spacing(prof, cfg.numerology)
         doubled = PilotSpacing(
             base.time_spacing_symbols * 2, base.freq_spacing_subcarriers * 2
@@ -189,36 +182,28 @@ def _cmd_validate_estimation(args) -> int:
     return 0
 
 
+# (subcommand, handler, help), in the order --help lists them
+_COMMANDS = (
+    ("patterns", _cmd_patterns, "print the pattern registry and grid maps"),
+    ("simulate", _cmd_simulate, "spectral-efficiency runs over the sweep grid"),
+    ("sweep", _cmd_simulate, "relative-gain sweep with the asymptotic bound"),
+    ("asymptotics", _cmd_asymptotics, "print closed-form limits and the gain bound"),
+    ("validate-estimation", _cmd_validate_estimation,
+     "interpolation NMSE at rule and doubled spacings"),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pilotadapt",
         description="Pilot pattern adaptation simulator for multi-user MIMO OFDM",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("patterns", help="print the pattern registry and grid maps")
-    _add_common(p)
-    p.set_defaults(func=_cmd_patterns)
-
-    p = subs.add_parser("simulate", help="spectral-efficiency runs over the sweep grid")
-    _add_common(p)
-    p.set_defaults(func=_cmd_simulate)
-
-    p = subs.add_parser("sweep", help="relative-gain sweep with the asymptotic bound")
-    _add_common(p)
-    p.set_defaults(func=_cmd_simulate)
-
-    p = subs.add_parser("asymptotics", help="print closed-form limits and the gain bound")
-    _add_common(p)
-    p.set_defaults(func=_cmd_asymptotics)
-
-    p = subs.add_parser(
-        "validate-estimation", help="interpolation NMSE at rule and doubled spacings"
-    )
-    _add_common(p)
-    p.add_argument("--trials", type=int, default=100)
-    p.set_defaults(func=_cmd_validate_estimation)
-
+    for name, func, help_text in _COMMANDS:
+        p = subs.add_parser(name, help=help_text)
+        _add_common(p)
+        p.set_defaults(func=func)
+    subs.choices["validate-estimation"].add_argument("--trials", type=int, default=100)
     return parser
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 from .core import FadingSpec, Numerology, SystemConfig, lte_numerology
 from .errors import ConfigurationError
-from .patterns import ChannelProfile, PatternRegistry, builtin_profiles, group_overheads
+from .patterns import ChannelProfile, PatternRegistry, builtin_profiles, select_pattern_for_group
 
 
 @dataclass(frozen=True)
@@ -34,7 +34,7 @@ class ExperimentConfig:
     dl_power: float = 1.0
     noise_power: float | None = None  # derived from snr_db when omitted
     group_sizes: str | tuple[int, ...] = "auto"
-    profiles: str | tuple[ChannelProfile, ...] = "table1"
+    profiles: str | tuple[ChannelProfile, ...] = "table1"  # "table1": builtin_profiles()
     fading: FadingSpec = field(default_factory=FadingSpec)
     numerology: Numerology = field(default_factory=lte_numerology)
     seed: int = 0
@@ -42,6 +42,8 @@ class ExperimentConfig:
     format: str | None = None  # None: each command's own default
 
     def __post_init__(self):
+        if self.profiles == "table1":
+            object.__setattr__(self, "profiles", tuple(builtin_profiles()))
         if not self.m_list or not self.u_mux_list:
             raise ConfigurationError("m_list and u_mux_list must be non-empty")
         for key in ("m_list", "u_mux_list"):
@@ -61,10 +63,10 @@ class ExperimentConfig:
             raise ConfigurationError(f"unknown user picker {self.picker!r}")
         if self.seed < 0:
             raise ConfigurationError("seed must be non-negative")
-        if not self.resolved_profiles():
+        if not self.profiles:
             raise ConfigurationError("profiles must hold at least one profile")
         sizes = self.sizes_for(1)
-        groups, profiles = len(sizes), len(self.resolved_profiles())
+        groups, profiles = len(sizes), len(self.profiles)
         if groups != profiles:
             raise ConfigurationError(
                 f"group_sizes gives {groups} sizes but profiles has {profiles} entries; "
@@ -81,11 +83,6 @@ class ExperimentConfig:
                 f"(snr_db = {self.snr_db}, noise_power = {self.noise_power})"
             )
 
-    def resolved_profiles(self) -> list[ChannelProfile]:
-        if self.profiles == "table1":
-            return builtin_profiles()
-        return list(self.profiles)
-
     def derived_noise_power(self) -> float:
         if self.noise_power is not None:
             return self.noise_power
@@ -100,7 +97,7 @@ class ExperimentConfig:
             return list(self.group_sizes)
         # auto sizing: K = N_RB * U_mux users, split evenly over the groups
         k = self.num_rbs * mux
-        g = len(self.resolved_profiles())
+        g = len(self.profiles)
         base, extra = divmod(k, g)
         return [base + (1 if i < extra else 0) for i in range(g)]
 
@@ -127,7 +124,10 @@ class ExperimentConfig:
         k = sum(sizes)
         return gain_bound(
             [size / k for size in sizes],
-            group_overheads(registry, self.resolved_profiles(), self.numerology),
+            [
+                select_pattern_for_group(registry, p, self.numerology).overhead_ratio
+                for p in self.profiles
+            ],
         )
 
     def directions(self) -> list[str]:

@@ -82,8 +82,8 @@ class FadingSpec:
         "constant"  -- every user gets `value`.
         "lognormal" -- gain in dB is Gaussian with mean 10*log10(value) and
                        standard deviation `spread_db`.
-        "explicit"  -- gains drawn uniformly from `values` (or cycled when a
-                       population is built with as many users as values).
+        "explicit"  -- gains drawn uniformly from `values`, or `values` in
+                       order when a population has as many users as values.
     """
 
     kind: str = "constant"
@@ -105,7 +105,7 @@ class FadingSpec:
             raise ConfigurationError(f"fading spread_db must be non-negative, got {self.spread_db}")
         try:
             finite = math.isfinite(self.mean())
-        except (OverflowError, FloatingPointError):
+        except OverflowError:
             finite = False
         if not finite:
             source = "values" if self.kind == "explicit" else "spread_db"
@@ -118,10 +118,7 @@ class FadingSpec:
         if self.kind == "constant":
             return self.value
         if self.kind == "explicit":
-            import numpy as np
-
-            with np.errstate(over="raise"):
-                return float(np.mean(self.values))
+            return math.fsum(self.values) / len(self.values)
         # lognormal: eta = value * 10^(spread_db*Z/10)
         s = self.spread_db * math.log(10.0) / 10.0
         return self.value * math.exp(0.5 * s * s)
@@ -166,12 +163,6 @@ class UserPopulation:
     @property
     def num_groups(self) -> int:
         return len(self.groups)
-
-    def fadings(self):
-        """Large-scale gains of users 0..K-1, as a numpy array."""
-        import numpy as np
-
-        return np.array(self.gains)
 
 
 def build_population(

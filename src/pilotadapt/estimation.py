@@ -41,10 +41,6 @@ class EstimationReport:
         return 10.0 * math.log10(self.nmse)
 
 
-def _anchor_grid(extent: int, spacing: int) -> np.ndarray:
-    return np.arange(0, extent, spacing)
-
-
 def _interp_axis(values: np.ndarray, anchors: np.ndarray, extent: int) -> np.ndarray:
     """Linear interpolation along axis 0 from anchor rows to all rows."""
     targets = np.arange(extent)
@@ -71,8 +67,8 @@ def interpolation_nmse(
         raise ConfigurationError("need at least one trial")
     n_t = num.symbols_per_rb * _GRID_RBS[0]
     n_f = num.subcarriers_per_rb * _GRID_RBS[1]
-    t_anchors = _anchor_grid(n_t, spacing.time_spacing_symbols)
-    f_anchors = _anchor_grid(n_f, spacing.freq_spacing_subcarriers)
+    t_anchors = np.arange(0, n_t, spacing.time_spacing_symbols)
+    f_anchors = np.arange(0, n_f, spacing.freq_spacing_subcarriers)
 
     fallback = []
     if len(t_anchors) < 2:

@@ -79,17 +79,17 @@ def run_trial(
     RB for the exact DP (every user) and a greedy run in one direction, at
     most once per RB and direction for greedy runs in both.
     """
-    profiles = cfg.resolved_profiles()
     pop = build_population(cfg.sizes_for(mux), cfg.fading, seed=seed)
     sys_cfg = cfg.system_config(m, mux)
-    registry = default_registry(profiles, cfg.numerology, mux)
+    registry = default_registry(cfg.profiles, cfg.numerology, mux)
     pattern = conventional_pattern(registry)
     picker_rng = np.random.default_rng(np.random.SeedSequence((seed, 1)))
-    assignment = grouping_schedule(pop, sys_cfg, registry, profiles, cfg.picker, picker_rng)
-    realization = generate_realization(
-        pop, profiles, sys_cfg, seed=seed, include=assignment.rb_users
+    assignment = grouping_schedule(
+        pop, sys_cfg, registry, cfg.profiles, cfg.picker, picker_rng
     )
-    fadings = pop.fadings()
+    realization = generate_realization(
+        pop, cfg.profiles, sys_cfg, seed=seed, include=assignment.rb_users
+    )
     bound = cfg.gain_bound(mux, registry)
 
     # looked up per call, so that wrappers installed on the module are used
@@ -98,9 +98,9 @@ def run_trial(
     )
     rows = []
     for direction in cfg.directions():
-        conventional = schedule(realization, sys_cfg, pattern, direction, fadings)
-        r_conv = evaluate_schedule(realization, conventional, sys_cfg, direction, fadings)
-        r_grp = evaluate_schedule(realization, assignment, sys_cfg, direction, fadings)
+        conventional = schedule(realization, sys_cfg, pattern, direction, pop.gains)
+        r_conv = evaluate_schedule(realization, conventional, sys_cfg, direction, pop.gains)
+        r_grp = evaluate_schedule(realization, assignment, sys_cfg, direction, pop.gains)
         rel_gain = r_grp / r_conv - 1.0 if r_conv > 0.0 else math.nan
         if not math.isfinite(rel_gain):
             problem = f"rates R_grp = {r_grp!r} and R_conv = {r_conv!r} give no finite gain"

@@ -30,6 +30,7 @@ Both are constructible here; the registry defaults to the rule-derived one.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .core import Numerology
@@ -128,12 +129,9 @@ class PilotPattern:
     def overhead_ratio(self) -> float:
         return self.size / (self.num_symbols * self.num_subcarriers)
 
-    def position_set(self) -> frozenset[tuple[int, int]]:
-        return frozenset(self.positions)
-
     def grid_string(self) -> str:
         """Text map, rows = subcarriers (low index on top), columns = symbols."""
-        ps = self.position_set()
+        ps = set(self.positions)
         rows = []
         for n in range(self.num_subcarriers):
             rows.append(
@@ -152,10 +150,6 @@ class PatternRegistry:
         spacings = [p.spacing for p in self.patterns]
         if len(set(spacings)) != len(spacings):
             raise ConfigurationError("registry patterns must have distinct spacings")
-
-    @property
-    def size(self) -> int:
-        return len(self.patterns)
 
 
 def _anchor_positions(spacing: PilotSpacing, num: Numerology) -> list[tuple[int, int]]:
@@ -223,7 +217,7 @@ def conventional_pattern(registry: PatternRegistry) -> PilotPattern:
 
 
 def default_registry(
-    profiles: list[ChannelProfile], num: Numerology, mux: int
+    profiles: Sequence[ChannelProfile], num: Numerology, mux: int
 ) -> PatternRegistry:
     """One pattern per distinct per-profile spacing, sparsest first."""
     if not profiles:
@@ -260,13 +254,6 @@ def select_pattern_for_group(
             f"no registry pattern is feasible for profile {group_profile.name!r}"
         )
     return min(feasible, key=_sparsest_first)
-
-
-def group_overheads(
-    registry: PatternRegistry, profiles: list[ChannelProfile], num: Numerology
-) -> list[float]:
-    """Pilot overhead ratio of each group's selected pattern, in profile order."""
-    return [select_pattern_for_group(registry, p, num).overhead_ratio for p in profiles]
 
 
 def pattern_to_dict(pattern: PilotPattern) -> dict:

@@ -103,7 +103,7 @@ class RbRateCalculator:
         cfg: SystemConfig,
         pattern: PilotPattern,
         direction: str,
-        fadings: np.ndarray,
+        fadings: Sequence[float],
         users: Sequence[int] | None = None,
     ):
         num = realization.numerology
@@ -176,7 +176,7 @@ def conventional_schedule_exact(
     cfg: SystemConfig,
     pattern: PilotPattern,
     direction: str,
-    fadings: np.ndarray,
+    fadings: Sequence[float],
 ) -> ScheduleAssignment:
     """Optimal partition of the realization's users under the fixed
     pattern, with large-scale gains `fadings`, by a dense subset DP.
@@ -301,9 +301,8 @@ def _popcounts(k: int) -> np.ndarray:
 
 
 def _combinations(n: int, size: int) -> np.ndarray:
-    """All size-subsets of range(n) in lexicographic order, one per row."""
-    if size == 0:
-        return np.zeros((1, 0), dtype=np.intp)  # one empty subset
+    """All size-subsets of range(n) in lexicographic order, one per row;
+    size 0 gives one empty row."""
     return np.array(list(combinations(range(n), size)), dtype=np.intp)
 
 
@@ -387,7 +386,7 @@ def conventional_schedule_greedy(
     cfg: SystemConfig,
     pattern: PilotPattern,
     direction: str,
-    fadings: np.ndarray,
+    fadings: Sequence[float],
 ) -> ScheduleAssignment:
     """Deterministic greedy baseline: fill RBs in order, best marginal user first.
 
@@ -414,20 +413,18 @@ def conventional_schedule_greedy(
 
 
 def group_rb_ownership(pop: UserPopulation, num_rbs: int) -> list[int]:
-    """Group label per RB index under the fixed fair pre-assignment."""
+    """Group label per RB index under the fixed fair pre-assignment.
+
+    The labels are non-decreasing, and the last bound ceil(num_rbs * K / K)
+    is num_rbs, so they cover every RB. A group with no users repeats the
+    bound before it and owns no RB.
+    """
     k = pop.num_users
-    owners = []
+    owners: list[int] = []
     cum = 0
-    bounds = []
-    for g in range(pop.num_groups):
-        cum += len(pop.groups[g])
-        bounds.append(math.ceil(num_rbs * cum / k))
-    prev = 0
-    for g, b in enumerate(bounds):
-        owners.extend([g] * (b - prev))
-        prev = b
-    if len(owners) != num_rbs:
-        raise ConfigurationError("RB pre-assignment did not cover all RBs")
+    for g, members in enumerate(pop.groups):
+        cum += len(members)
+        owners.extend([g] * (math.ceil(num_rbs * cum / k) - len(owners)))
     return owners
 
 
@@ -435,7 +432,7 @@ def grouping_schedule(
     pop: UserPopulation,
     cfg: SystemConfig,
     registry: PatternRegistry,
-    profiles: list[ChannelProfile],
+    profiles: Sequence[ChannelProfile],
     user_picker: str = "random",
     rng: np.random.Generator | None = None,
 ) -> ScheduleAssignment:
@@ -458,10 +455,8 @@ def grouping_schedule(
     rb_users: list[tuple[int, ...]] = []
     rb_patterns: list[PilotPattern] = []
     pools: dict[int, list[int]] = {}
-    for rb, g in enumerate(owners):
-        members = list(pop.groups[g])
-        if not members:
-            raise ConfigurationError(f"group {g} owns RB {rb} but has no users")
+    for g in owners:
+        members = list(pop.groups[g])  # non-empty: a group with no users owns no RB
         take = min(cfg.max_mux, len(members))
         if g not in pools:
             pools[g] = _shuffled(members, user_picker, rng)
@@ -491,7 +486,7 @@ def evaluate_schedule(
     assignment: ScheduleAssignment,
     cfg: SystemConfig,
     direction: str,
-    fadings: np.ndarray,
+    fadings: Sequence[float],
 ) -> float:
     """Mean per-RB spectral efficiency of an assignment, conventional or
     grouping, with the population's large-scale gains `fadings`."""

@@ -166,7 +166,7 @@ def test_criterion_4_superiority_vs_exact_baseline():
     )
     registry = default_registry(profiles, num, 4)
     pattern = conventional_pattern(registry)
-    fadings = pop.fadings()
+    fadings = pop.gains
 
     grp, conv = [], []
     for trial in range(10):
@@ -205,7 +205,7 @@ def test_criterion_5_gain_behavior():
     num = lte_numerology()
     mux, trials = 7, 200
     pop = build_population([7, 7, 7, 7], FadingSpec(), seed=0)
-    fadings = pop.fadings()
+    fadings = pop.gains
     registry = default_registry(profiles, num, mux)
     pattern = conventional_pattern(registry)
     gammas = (0.25,) * 4
@@ -281,8 +281,8 @@ def test_criterion_6_pattern_algebra():
             registry = default_registry(profs, num, mux)
         except NoDataRoomError:
             continue
-        assert len({p.spacing for p in registry.patterns}) == registry.size
-        assert registry.size <= len(profs)
+        assert len({p.spacing for p in registry.patterns}) == len(registry.patterns)
+        assert len(registry.patterns) <= len(profs)
         for pat in registry.patterns:
             want = (
                 math.ceil(n_s / pat.spacing.time_spacing_symbols)

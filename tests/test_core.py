@@ -31,7 +31,7 @@ def test_equal_group_population():
     pop = build_population([4, 4, 4, 4], FadingSpec(kind="constant", value=1.0), seed=3)
     assert pop.num_users == 16
     assert [len(g) for g in pop.groups] == [4, 4, 4, 4]
-    assert np.all(pop.fadings() == 1.0)
+    assert pop.gains == (1.0,) * 16
 
 
 def test_single_user_population():
@@ -43,8 +43,8 @@ def test_single_user_population():
 def test_partition_property():
     pop = build_population([3, 5, 2], FadingSpec(kind="lognormal", spread_db=4.0), seed=2)
     assert pop.groups == ((0, 1, 2), (3, 4, 5, 6, 7), (8, 9))
-    assert pop.num_users == len(pop.fadings()) == 10
-    assert len(set(pop.fadings())) == 10
+    assert pop.num_users == len(pop.gains) == 10
+    assert len(set(pop.gains)) == 10
 
 
 @pytest.mark.parametrize(
@@ -68,7 +68,7 @@ def test_population_reproducible():
     spec = FadingSpec(kind="lognormal", spread_db=6.0)
     a = build_population([4, 4], spec, seed=11)
     b = build_population([4, 4], spec, seed=11)
-    assert np.array_equal(a.fadings(), b.fadings())
+    assert a.gains == b.gains
 
 
 def test_empty_population_rejected():
@@ -105,4 +105,4 @@ def test_fading_spec_means():
 def test_explicit_fading_assigns_values_in_order():
     spec = FadingSpec(kind="explicit", values=(0.5, 1.0, 2.0))
     pop = build_population([3], spec, seed=0)
-    assert tuple(pop.fadings()) == (0.5, 1.0, 2.0)
+    assert pop.gains == (0.5, 1.0, 2.0)

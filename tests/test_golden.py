@@ -56,7 +56,7 @@ GRIDS = {
 
 def _partitions(cfg, rows) -> list[dict]:
     """Conventional per-RB user sets for every row, from the row's own seed."""
-    profiles = cfg.resolved_profiles()
+    profiles = cfg.profiles
     schedule = (
         conventional_schedule_exact if cfg.scheduler == "exact" else conventional_schedule_greedy
     )
@@ -66,7 +66,7 @@ def _partitions(cfg, rows) -> list[dict]:
         sys_cfg = cfg.system_config(row.m, row.u_mux)
         real = generate_realization(pop, profiles, sys_cfg, seed=row.seed)
         pattern = conventional_pattern(default_registry(profiles, cfg.numerology, row.u_mux))
-        assign = schedule(real, sys_cfg, pattern, row.direction, pop.fadings())
+        assign = schedule(real, sys_cfg, pattern, row.direction, pop.gains)
         out.append(
             {
                 "M": row.m,

@@ -28,6 +28,7 @@ from pilotadapt.experiments import (
     summarize_gains,
     trial_seed,
 )
+from pilotadapt.patterns import builtin_profiles
 from pilotadapt.scheduling import RbRateCalculator
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -316,7 +317,7 @@ def test_json_config_with_custom_profiles(tmp_path, suffix):
     (tmp_path / "exp.toml").write_text(_CUSTOM_PROFILES_TOML)
     cfg = load_config(str(tmp_path / f"exp.{suffix}"))
     assert cfg == load_config(str(tmp_path / "exp.json"))
-    profs = cfg.resolved_profiles()
+    profs = cfg.profiles
     assert [p.name for p in profs] == ["slow", "fast"]
     assert profs[1].taps == ((0.0, 0.6), (2.0e-6, 0.4))
     assert (cfg.fading.kind, cfg.fading.spread_db) == ("lognormal", 3.0)
@@ -338,7 +339,26 @@ def test_committed_configs_load():
         cfg = load_config(str(path))
         got = (cfg.scheduler, cfg.m_list, cfg.u_mux_list, cfg.trials, cfg.seed)
         assert got == _COMMITTED_CONFIGS[path.name]
-        assert (cfg.num_rbs, cfg.direction, cfg.snr_db, cfg.profiles) == (4, "uplink", 10.0, "table1")
+        assert (cfg.num_rbs, cfg.direction, cfg.snr_db) == (4, "uplink", 10.0)
+        assert cfg.profiles == tuple(builtin_profiles())
+
+
+def test_table1_profiles_resolve_to_the_builtin_profiles(tmp_path):
+    """The "table1" profile set becomes the builtin profiles when a config
+    is built: by default, from the constructor, through replace and from a
+    file."""
+    path = tmp_path / "exp.toml"
+    path.write_text('profiles = "table1"\n')
+    custom = ExperimentConfig(profiles=tuple(builtin_profiles()[:2]), group_sizes=(1, 1))
+    configs = [
+        ExperimentConfig(),
+        ExperimentConfig(profiles="table1"),
+        replace(custom, profiles="table1", group_sizes="auto"),
+        load_config(str(path)),
+    ]
+    for cfg in configs:
+        assert cfg.profiles == tuple(builtin_profiles())
+    assert len(set(configs)) == 1
 
 
 def test_unknown_config_key_rejected():
@@ -943,12 +963,14 @@ def test_readme_library_example_runs():
 
 def test_commands_import_only_what_they_run(tmp_path):
     """`patterns` loads no scheduling, sweep or estimation code, no thread
-    pool and no numpy, and neither does `asymptotics` at constant fading; a
-    one-worker `simulate` loads neither estimation nor the pool. The
-    package's names load on first use, and the benchmark tracer's own
-    import works."""
+    pool and no numpy, at explicit fading too, and neither does
+    `asymptotics` at constant fading; a one-worker `simulate` loads neither
+    estimation nor the pool. The package's names load on first use, and the
+    benchmark tracer's own import works."""
     config = tmp_path / "tiny.toml"
     config.write_text(_TINY_CONFIG)
+    explicit = tmp_path / "explicit.toml"
+    explicit.write_text(_TINY_CONFIG + 'fading = "explicit:0.3,0.7,1.9"\n')
     unwanted = ["pilotadapt.scheduling", "pilotadapt.experiments", "pilotadapt.estimation",
                 "concurrent.futures"]
     code = (
@@ -956,6 +978,8 @@ def test_commands_import_only_what_they_run(tmp_path):
         "from pilotadapt.cli import main\n"
         f"main(['patterns', '--config', {str(config)!r}, '--out', {str(tmp_path / 'p.txt')!r}])\n"
         f"print([m for m in {unwanted!r} if m in sys.modules])\n"
+        "print('numpy' in sys.modules)\n"
+        f"main(['patterns', '--config', {str(explicit)!r}, '--out', {str(tmp_path / 'e.txt')!r}])\n"
         "print('numpy' in sys.modules)\n"
         f"main(['asymptotics', '--config', {str(config)!r}, '--out', {str(tmp_path / 'a.csv')!r}])\n"
         f"print([m for m in {unwanted!r} if m in sys.modules])\n"
@@ -970,7 +994,7 @@ def test_commands_import_only_what_they_run(tmp_path):
         env={**_child_env(), experiments.WORKERS_ENV_VAR: "1"},
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["[]", "False", "[]", "False", "[]"]
+    assert proc.stdout.splitlines() == ["[]", "False", "False", "[]", "False", "[]"]
     assert (tmp_path / "rows.csv").read_text().count("\n") == 2
 
     code = (
@@ -1009,7 +1033,7 @@ def test_package_exports_every_public_name():
         "UnsupportableProfileError", "EstimationReport", "interpolation_nmse",
         "ExperimentConfig", "ResultRow", "load_config", "run_sweep",
         "summarize_gains", "PatternRegistry", "PilotPattern", "build_pattern",
-        "conventional_pattern", "default_registry", "group_overheads",
+        "conventional_pattern", "default_registry",
         "select_pattern_for_group", "pair_terms", "subset_sinr", "RbRateCalculator",
         "ScheduleAssignment", "conventional_schedule_exact",
         "conventional_schedule_greedy", "evaluate_schedule", "group_rb_ownership",

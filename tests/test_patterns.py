@@ -156,10 +156,10 @@ def test_conventional_pattern_of_empty_registry():
 
 def test_default_registry_table1(num, profiles):
     reg = default_registry(profiles, num, 4)
-    assert reg.size == 4
+    assert len(reg.patterns) == 4
     assert [p.size for p in reg.patterns] == [4, 8, 16, 32]
     reg1 = default_registry([profiles[0]], num, 4)
-    assert reg1.size == 1
+    assert len(reg1.patterns) == 1
 
 
 def test_registry_dedups_identical_spacings(num):
@@ -168,7 +168,7 @@ def test_registry_dedups_identical_spacings(num):
     b = ChannelProfile("b", 6.0, 0.40e-6)
     assert max_spacing(a, num) == max_spacing(b, num)
     reg = default_registry([a, b], num, 4)
-    assert reg.size == 1
+    assert len(reg.patterns) == 1
 
 
 def test_registry_rejects_duplicate_spacing(num):
@@ -225,8 +225,8 @@ def test_pattern_algebra_randomized(num):
         except NoDataRoomError:
             continue
         # distinct spacings, bounded size
-        assert len({p.spacing for p in reg.patterns}) == reg.size
-        assert reg.size <= len(profs)
+        assert len({p.spacing for p in reg.patterns}) == len(reg.patterns)
+        assert len(reg.patterns) <= len(profs)
         for pat in reg.patterns:
             assert pat.size == expected_count(pat.spacing, grid, mux)
             assert 0.0 < pat.overhead_ratio < 1.0

@@ -50,8 +50,8 @@ def _instance(seed, k=8, n_rbs=2, m=4, mux=4, sigma2=0.1):
 
 def rated(schedule, real, pop, cfg, pattern, direction):
     """A conventional scheduler's assignment and its `evaluate_schedule` rate."""
-    assign = schedule(real, cfg, pattern, direction, pop.fadings())
-    return assign, evaluate_schedule(real, assign, cfg, direction, pop.fadings())
+    assign = schedule(real, cfg, pattern, direction, pop.gains)
+    return assign, evaluate_schedule(real, assign, cfg, direction, pop.gains)
 
 
 def test_exact_matches_brute_force():
@@ -66,7 +66,7 @@ def test_exact_matches_brute_force():
 def rb_rates(real, pop, cfg, pattern, direction):
     """Cached rate(rb, users) of one sorted user tuple on one RB."""
     calcs = [
-        RbRateCalculator(real, rb, cfg, pattern, direction, pop.fadings())
+        RbRateCalculator(real, rb, cfg, pattern, direction, pop.gains)
         for rb in range(cfg.num_rbs)
     ]
     return functools.cache(lambda rb, users: calcs[rb].rates_for_subsets([users])[0])
@@ -159,7 +159,7 @@ def test_exact_beats_the_group_partition(instance):
     grouping = grouping_schedule(pop, cfg, registry, profiles, "random", np.random.default_rng(0))
     assert grouping.rb_users == pop.groups
     fixed = dataclasses.replace(grouping, rb_patterns=(pattern,) * cfg.num_rbs)
-    r_fix = evaluate_schedule(real, fixed, cfg, direction, pop.fadings())
+    r_fix = evaluate_schedule(real, fixed, cfg, direction, pop.gains)
     _, r_conv = rated(conventional_schedule_exact, real, pop, cfg, pattern, direction)
     assert r_fix <= r_conv * (1 + 1e-12)
 
@@ -186,10 +186,10 @@ def test_exact_tie_rule(k, n_rbs, mux, expected):
         oracle_grams(np.ones((k, n_rbs, 14, 12, cfg.num_antennas))), real.numerology
     )
     for direction in ("uplink", "downlink"):
-        calc = RbRateCalculator(same, 0, cfg, pattern, direction, pop.fadings())
+        calc = RbRateCalculator(same, 0, cfg, pattern, direction, pop.gains)
         rates = calc.rates_for_subsets(np.array(list(itertools.combinations(range(k), mux))))
         assert np.all(rates == rates[0])
-        assign = conventional_schedule_exact(same, cfg, pattern, direction, pop.fadings())
+        assign = conventional_schedule_exact(same, cfg, pattern, direction, pop.gains)
         assert assign.rb_users == expected
         rate = rb_rates(same, pop, cfg, pattern, direction)
         assert oracle_exact_partition(rate, k, n_rbs, mux)[0] == expected
@@ -204,7 +204,7 @@ def test_greedy_tie_rule():
         oracle_grams(np.ones((6, 3, 14, 12, cfg.num_antennas))), real.numerology
     )
     for direction in ("uplink", "downlink"):
-        assign = conventional_schedule_greedy(same, cfg, pattern, direction, pop.fadings())
+        assign = conventional_schedule_greedy(same, cfg, pattern, direction, pop.gains)
         assert assign.rb_users == ((0, 1), (2, 3), (4, 5))
 
 
@@ -216,10 +216,10 @@ def test_exact_dp_memory_is_per_stage():
     k = n_rbs = 16
     pop, cfg, real, pattern, _ = _instance(60, k=k, n_rbs=n_rbs, m=2, mux=1)
     # the first call builds the Grams and finishes numpy's lazy imports
-    conventional_schedule_exact(real, cfg, pattern, "uplink", pop.fadings())
+    conventional_schedule_exact(real, cfg, pattern, "uplink", pop.gains)
     tracemalloc.start()
     try:
-        conventional_schedule_exact(real, cfg, pattern, "uplink", pop.fadings())
+        conventional_schedule_exact(real, cfg, pattern, "uplink", pop.gains)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -230,14 +230,14 @@ def test_exact_single_rb_is_forced():
     pop, cfg, real, pattern, _ = _instance(3, k=4, n_rbs=1)
     assign, rate = rated(conventional_schedule_exact, real, pop, cfg, pattern, "uplink")
     assert assign.rb_users == ((0, 1, 2, 3),)
-    calc = RbRateCalculator(real, 0, cfg, pattern, "uplink", pop.fadings())
+    calc = RbRateCalculator(real, 0, cfg, pattern, "uplink", pop.gains)
     assert rate == pytest.approx(calc.rates_for_subsets([(0, 1, 2, 3)])[0])
 
 
 def test_exact_rejects_oversized_instance():
     pop, cfg, real, pattern, _ = _instance(1, k=28, n_rbs=4, mux=7)
     with pytest.raises(ExactSearchBudgetError, match="greedy"):
-        conventional_schedule_exact(real, cfg, pattern, "uplink", pop.fadings())
+        conventional_schedule_exact(real, cfg, pattern, "uplink", pop.gains)
 
 
 def test_exact_refuses_dense_tables_beyond_user_cap():
@@ -279,7 +279,7 @@ def test_exact_budget_counts_the_dp_work(monkeypatch, k, n_rbs, mux):
     monkeypatch.setattr(scheduling, "_pull", counting_pull)
     monkeypatch.setattr(RbRateCalculator, "rates_for_subsets", counting_rates)
     pop, cfg, real, pattern, _ = _instance(7, k=k, n_rbs=n_rbs, mux=mux)
-    conventional_schedule_exact(real, cfg, pattern, "uplink", pop.fadings())
+    conventional_schedule_exact(real, cfg, pattern, "uplink", pop.gains)
     table_term = scheduling._TABLE_ROW_COST * sum(rows)
     assert sum(compared) == scheduling._estimate_transitions(k, n_rbs, mux) - table_term
 
@@ -329,6 +329,27 @@ def test_rb_ownership_fairness():
             share = owners.count(g) / n_rbs
             gamma = len(group) / k
             assert abs(share - gamma) < 1.0 / n_rbs + 1e-12
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(
+    sizes=st.lists(st.integers(0, 12), min_size=1, max_size=6).filter(lambda s: sum(s) >= 1),
+    n_rbs=st.integers(1, 40),
+)
+def test_rb_ownership_covers_every_rb_with_nonempty_groups(sizes, n_rbs):
+    """The fair mapping labels every RB, in group order, and only groups
+    with users own RBs: group g owns ceil(N cum_g / K) - ceil(N cum_(g-1) / K)
+    of them, which is 0 for an empty group and sums to N."""
+    pop = build_population(sizes, FadingSpec(), seed=0)
+    owners = group_rb_ownership(pop, n_rbs)
+    assert len(owners) == n_rbs
+    assert owners == sorted(owners)
+    assert all(pop.groups[g] for g in owners)
+    k = sum(sizes)
+    # ceil(N cum_g / K) in exact integer arithmetic, for g = 0..G
+    bounds = [-(-n_rbs * cum // k) for cum in itertools.accumulate(sizes, initial=0)]
+    for g in range(len(sizes)):
+        assert owners.count(g) == bounds[g + 1] - bounds[g]
 
 
 def test_grouping_schedule_equal_groups():
@@ -398,7 +419,7 @@ def test_grouping_dominated_by_exact_when_collapsed():
         assign = grouping_schedule(
             pop, cfg, registry, profiles, "random", np.random.default_rng(picker_seed)
         )
-        rate = evaluate_schedule(real, assign, cfg, "uplink", fadings=pop.fadings())
+        rate = evaluate_schedule(real, assign, cfg, "uplink", fadings=pop.gains)
         assert rate <= exact + 1e-12
 
 
@@ -407,7 +428,7 @@ def test_evaluate_schedule_consistency():
     pop, cfg, real, pattern, _ = _instance(30)
     assign, ev = rated(conventional_schedule_exact, real, pop, cfg, pattern, "uplink")
     rates = [
-        rb_rate(real, rb, users, pattern, cfg, "uplink", fadings=pop.fadings())
+        rb_rate(real, rb, users, pattern, cfg, "uplink", fadings=pop.gains)
         for rb, users in enumerate(assign.rb_users)
     ]
     assert ev == pytest.approx(np.mean(rates), abs=1e-12)
@@ -420,8 +441,8 @@ def test_evaluate_schedule_empty_rb_contributes_zero():
         rb_patterns=(pattern, pattern),
         rb_groups=(None, None),
     )
-    rate = evaluate_schedule(real, only_first, cfg, "uplink", fadings=pop.fadings())
-    solo = rb_rate(real, 0, [0, 1, 2, 3], pattern, cfg, "uplink", fadings=pop.fadings())
+    rate = evaluate_schedule(real, only_first, cfg, "uplink", fadings=pop.gains)
+    solo = rb_rate(real, 0, [0, 1, 2, 3], pattern, cfg, "uplink", fadings=pop.gains)
     assert rate == pytest.approx(solo / 2.0)
 
 
@@ -435,10 +456,10 @@ def test_identical_rbs_contribute_equally():
         rb_patterns=(pattern, pattern),
         rb_groups=(None, None),
     )
-    r0 = rb_rate(dup, 0, [0, 1], pattern, cfg, "uplink", fadings=pop.fadings())
-    r1 = rb_rate(dup, 1, [0, 1], pattern, cfg, "uplink", fadings=pop.fadings())
+    r0 = rb_rate(dup, 0, [0, 1], pattern, cfg, "uplink", fadings=pop.gains)
+    r1 = rb_rate(dup, 1, [0, 1], pattern, cfg, "uplink", fadings=pop.gains)
     assert r0 == pytest.approx(r1, abs=1e-15)
-    rate = evaluate_schedule(dup, assign, cfg, "uplink", fadings=pop.fadings())
+    rate = evaluate_schedule(dup, assign, cfg, "uplink", fadings=pop.gains)
     assert rate == pytest.approx(r0, abs=1e-15)
 
 
@@ -455,7 +476,7 @@ def test_grouping_empty_group_with_rbs_rejected():
 def test_conventional_rejects_overflow():
     pop, cfg, real, pattern, _ = _instance(33, k=8, n_rbs=2, mux=3)
     with pytest.raises(ConfigurationError):
-        conventional_schedule_exact(real, cfg, pattern, "uplink", pop.fadings())
+        conventional_schedule_exact(real, cfg, pattern, "uplink", pop.gains)
 
 
 def test_assignment_json_dump():
@@ -493,7 +514,7 @@ def test_grouping_gain_vs_exact_rises_with_antennas():
             real = generate_realization(pop, profiles, cfg, seed=600 + trial)
             _, r_conv = rated(conventional_schedule_exact, real, pop, cfg, pattern, "uplink")
             assign = grouping_schedule(pop, cfg, registry, profiles, "random", np.random.default_rng(trial))
-            r_grp = evaluate_schedule(real, assign, cfg, "uplink", fadings=pop.fadings())
+            r_grp = evaluate_schedule(real, assign, cfg, "uplink", fadings=pop.gains)
             vals.append(r_grp / r_conv - 1.0)
         gains[m] = np.mean(vals)
     assert gains[256] > gains[64]
@@ -506,8 +527,8 @@ def test_calculator_over_some_users_matches_all_users(direction):
     pop, cfg, real, pattern, _ = _instance(33, k=8, n_rbs=2)
     users = [6, 1, 4, 3]
     for rb in range(cfg.num_rbs):
-        full = RbRateCalculator(real, rb, cfg, pattern, direction, pop.fadings())
-        some = RbRateCalculator(real, rb, cfg, pattern, direction, pop.fadings(), users)
+        full = RbRateCalculator(real, rb, cfg, pattern, direction, pop.gains)
+        some = RbRateCalculator(real, rb, cfg, pattern, direction, pop.gains, users)
         for size in range(len(users) + 1):
             subsets = np.array(list(itertools.combinations(users, size)), dtype=np.intp)
             assert np.array_equal(some.rates_for_subsets(subsets), full.rates_for_subsets(subsets))
