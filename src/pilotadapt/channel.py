@@ -16,14 +16,14 @@ That is N / L^2 times fewer flops (3 at N = 12, L = 2) than a K x K product
 per (symbol, subcarrier) of the frequency response, which the library never
 forms.
 
-A `ChannelRealization`, made only from a population, its profiles and a
-seed (`generate_realization`), builds nothing up front: per draw it holds
-only each user's factors (Doppler basis and mix). An RB is built on a
-request its held build does not cover, for the requested users and the
-users the caller said that RB must cover, and the new build replaces the
-held one. A user's channels depend only on (seed, user, RB), so a Gram over
-fewer users is the full one's sub-block up to rounding. A build forms the
-tap-pair weights conj(mix_k) mix_j of its own users. A realization caches
+A `ChannelRealization`, made only from a population, its profiles, the cell
+config and a seed (`generate_realization`), builds nothing up front: per draw
+it holds the config, the gains and each user's factors (Doppler basis and mix).
+An RB is built on a request its held build does not cover, for the requested
+users and the users the caller said that RB must cover, and the new build
+replaces the held one. A user's channels depend only on (seed, user, RB), so a
+Gram over fewer users is the full one's sub-block up to rounding. A build forms
+the tap-pair weights conj(mix_k) mix_j of its own users. A realization caches
 its builds unlocked: one trial uses it, on one thread.
 """
 
@@ -125,32 +125,31 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 
 class ChannelRealization:
-    """Per-RB cross powers of one small-scale fading draw.
+    """Per-RB cross powers of one small-scale fading draw, with the cell
+    `cfg` and the population's large-scale `gains` it was drawn for.
 
     `gram(rb, users)` is RB rb's (cross, norms) over `users` (every user
     when None), in the order given: cross of shape (U, U, T, N) with
     cross[a, b] = |h_{users[a]}^H h_{users[b]}|^2 and norms of shape
     (U, T, N) with norms[a] = ||h_{users[a]}||^2, for channels h of unit
-    per-entry power (large-scale gains are applied in the SINR
-    computation). Both arrays are read-only. Every rate reads only these,
-    so the channels themselves are never held. User k's channels on RB rb
-    are `generate_single_grid` of its profile with the realization's
-    antenna count, drawn from a generator seeded by (seed, k, rb).
+    per-entry power (the SINR computation applies `gains`). Both arrays
+    are read-only. Every rate reads only these, so the channels themselves
+    are never held. User k's channels on RB rb are `generate_single_grid`
+    of its profile with cfg's antenna count, drawn from a generator seeded
+    by (seed, k, rb).
 
     A user's profile is that of the group that lists it. Per draw it holds
     each user's own tap count (counts) and stacked `_grid_bases`, bases
     (K, 32, T) and mix (K, N, L) with L the largest tap count; a user with
     fewer taps gets zero mix columns for the missing ones. A request is
     sliced from the RB's held build when that build covers it; otherwise
-    the RB is built for the request and include[rb] (no extra users when
-    include is None), and the new build replaces the held one. Builds are
-    cached without a lock: a realization serves one trial on one thread.
+    the RB is built for the request and include[rb] (include gives one
+    set of users 0..K-1 per RB, or is None for no extra users), and the
+    new build replaces the held one. Builds are cached without a lock: a
+    realization serves one trial on one thread.
     """
 
-    __slots__ = (
-        "_numerology", "_num_users", "_built", "mix", "bases", "counts", "seed",
-        "num_antennas", "include",
-    )
+    __slots__ = ("cfg", "gains", "_built", "mix", "bases", "counts", "seed", "include")
 
     def __init__(
         self,
@@ -164,36 +163,36 @@ class ChannelRealization:
             raise ConfigurationError(
                 f"{pop.num_groups} groups but only {len(profiles)} channel profiles"
             )
-        num = self._numerology = cfg.numerology
+        users = range(pop.num_users)
+        if include is not None and len(include) != cfg.num_rbs:
+            raise ConfigurationError(f"include has {len(include)} user sets for {cfg.num_rbs} RBs")
+        if include is not None and not all(u in users for us in include for u in us):
+            raise ConfigurationError(f"include {include} names users outside 0..{users[-1]}")
+        num = cfg.numerology
         t, n = num.symbols_per_rb, num.subcarriers_per_rb
         profile_of = {k: profiles[g] for g, members in enumerate(pop.groups) for k in members}
-        factors = [_grid_bases(profile_of[k], t, n, num) for k in range(pop.num_users)]
-        self.mix = np.zeros(
-            (pop.num_users, n, max(m.shape[1] for _, m in factors)), dtype=np.complex128
-        )
+        factors = [_grid_bases(profile_of[k], t, n, num) for k in users]
+        taps = max(m.shape[1] for _, m in factors)
+        self.mix = np.zeros((len(users), n, taps), dtype=np.complex128)
         for k, (_, m) in enumerate(factors):
             self.mix[k, :, : m.shape[1]] = m
         self.bases = np.stack([basis for basis, _ in factors])
         self.counts = [m.shape[1] for _, m in factors]
-        self._num_users = pop.num_users
         self._built = [None] * cfg.num_rbs
-        self.seed, self.num_antennas, self.include = seed, cfg.num_antennas, include
-
-    @property
-    def numerology(self) -> Numerology:
-        return self._numerology
+        self.cfg, self.gains, self.seed, self.include = cfg, pop.gains, seed, include
 
     @property
     def num_users(self) -> int:
-        return self._num_users
+        return len(self.gains)
 
     def gram(self, rb: int, users=None) -> tuple[np.ndarray, np.ndarray]:
-        want = np.arange(self._num_users) if users is None else np.asarray(users, dtype=np.intp)
+        k = self.num_users
+        want = np.arange(k) if users is None else np.asarray(users, dtype=np.intp)
         if not want.size:  # nothing to build
-            grid = (self._numerology.symbols_per_rb, self._numerology.subcarriers_per_rb)
+            grid = (self.cfg.numerology.symbols_per_rb, self.cfg.numerology.subcarriers_per_rb)
             return _read_only(np.zeros((0, 0, *grid))), _read_only(np.zeros((0, *grid)))
-        if want.min() < 0 or want.max() >= self._num_users:
-            raise ValueError(f"users {want.tolist()} outside the {self._num_users} of the draw")
+        if want.min() < 0 or want.max() >= k:
+            raise ValueError(f"users {want.tolist()} outside the {k} of the draw")
         built = self._built[rb]
         if built is None or (built[0][want] < 0).any():
             built = self._built[rb] = self._build(rb, want)
@@ -218,7 +217,7 @@ class ChannelRealization:
         sum. User k's taps beyond its own count carry zero mix weight.
         """
         # a mask, not np.union1d: np.unique imports numpy.ma (~15 ms)
-        chosen = np.zeros(self._num_users, dtype=bool)
+        chosen = np.zeros(self.num_users, dtype=bool)
         chosen[users] = True
         if self.include is not None:
             chosen[list(self.include[rb])] = True
@@ -229,7 +228,7 @@ class ChannelRealization:
         k, n_taps, n = per_tap.shape
         pair = (per_tap.conj()[:, None, :, None] * per_tap[None, :, None]).reshape(k, k, -1, n)
         bases = self.bases[users]
-        t, m = bases.shape[2], self.num_antennas
+        t, m = bases.shape[2], self.cfg.num_antennas
         chunk = min(m, _ANTENNA_CHUNK)
         counts = [self.counts[u] for u in users]
         rngs = [np.random.default_rng((self.seed, int(u), rb)) for u in users]
@@ -272,7 +271,8 @@ def generate_realization(
     seed: int = 0,
     include=None,
 ) -> ChannelRealization:
-    """The per-user, per-RB fading field, as each RB's Gram on request.
+    """The per-user, per-RB fading field, as each RB's Gram on request,
+    for the cell `cfg` and the gains of `pop`, which it keeps.
 
     Fading is independent across users, RBs, antennas, and taps. Nothing is
     built here: RB r is built when a request is not covered by its held

@@ -63,8 +63,11 @@ class ExperimentConfig:
             raise ConfigurationError(f"unknown user picker {self.picker!r}")
         if self.seed < 0:
             raise ConfigurationError("seed must be non-negative")
-        if not self.profiles:
-            raise ConfigurationError("profiles must hold at least one profile")
+        profs = self.profiles
+        if not (isinstance(profs, (tuple, list)) and profs) or not all(
+            isinstance(p, ChannelProfile) for p in profs
+        ):
+            raise ConfigurationError(f'profiles must be "table1" or ChannelProfiles, got {profs!r}')
         sizes = self.sizes_for(1)
         groups, profiles = len(sizes), len(self.profiles)
         if groups != profiles:

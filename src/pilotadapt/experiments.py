@@ -65,13 +65,12 @@ def _num_workers() -> int:
     return n
 
 
-def run_trial(
-    cfg: ExperimentConfig, m: int, mux: int, trial: int, seed: int
-) -> list[ResultRow]:
+def run_trial(cfg: ExperimentConfig, m: int, mux: int, trial: int, seed: int) -> list[ResultRow]:
     """Evaluate one realization: grouping vs conventional, per direction.
 
     Both directions share the realization and one grouping assignment,
-    which does not depend on the channel. The conventional scheduler picks
+    which does not depend on the channel; every rating reads the cell
+    config and gains from the realization. The conventional scheduler picks
     its assignment per direction, and `evaluate_schedule` rates both
     assignments, so R_grp and R_conv come from one function. Each RB's Gram
     is built on request for the users the scheduler rates there and the
@@ -84,9 +83,7 @@ def run_trial(
     registry = default_registry(cfg.profiles, cfg.numerology, mux)
     pattern = conventional_pattern(registry)
     picker_rng = np.random.default_rng(np.random.SeedSequence((seed, 1)))
-    assignment = grouping_schedule(
-        pop, sys_cfg, registry, cfg.profiles, cfg.picker, picker_rng
-    )
+    assignment = grouping_schedule(pop, sys_cfg, registry, cfg.profiles, cfg.picker, picker_rng)
     realization = generate_realization(
         pop, cfg.profiles, sys_cfg, seed=seed, include=assignment.rb_users
     )
@@ -98,9 +95,9 @@ def run_trial(
     )
     rows = []
     for direction in cfg.directions():
-        conventional = schedule(realization, sys_cfg, pattern, direction, pop.gains)
-        r_conv = evaluate_schedule(realization, conventional, sys_cfg, direction, pop.gains)
-        r_grp = evaluate_schedule(realization, assignment, sys_cfg, direction, pop.gains)
+        conventional = schedule(realization, pattern, direction)
+        r_conv = evaluate_schedule(realization, conventional, direction)
+        r_grp = evaluate_schedule(realization, assignment, direction)
         rel_gain = r_grp / r_conv - 1.0 if r_conv > 0.0 else math.nan
         if not math.isfinite(rel_gain):
             problem = f"rates R_grp = {r_grp!r} and R_conv = {r_conv!r} give no finite gain"

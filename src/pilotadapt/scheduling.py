@@ -66,6 +66,10 @@ class ScheduleAssignment:
     rb_patterns: tuple[PilotPattern, ...]
     rb_groups: tuple[int | None, ...]
 
+    def __post_init__(self):
+        if not len(self.rb_users) == len(self.rb_patterns) == len(self.rb_groups):
+            raise ValueError("rb_users, rb_patterns and rb_groups differ in length")
+
     def to_dict(self) -> dict:
         conventional = all(g is None for g in self.rb_groups)
         return {
@@ -89,8 +93,8 @@ class RbRateCalculator:
     Gram: log2(1 + SINR) of every scheduled user summed over the data
     REs (those outside `pattern`) and divided by the block's full RE
     count. The RB's pair terms are built once, so each subset costs one
-    gather-sum. It reads only the realization's `numerology`, `num_users`
-    and `gram`.
+    gather-sum. It reads only the realization's `cfg` (numerology, powers
+    and noise), `gains`, `num_users` and `gram`.
 
     `users` restricts the pair terms to the users that subsets may contain
     (all of them when None); subsets still name users by id.
@@ -100,18 +104,16 @@ class RbRateCalculator:
         self,
         realization: ChannelRealization,
         rb: int,
-        cfg: SystemConfig,
         pattern: PilotPattern,
         direction: str,
-        fadings: Sequence[float],
         users: Sequence[int] | None = None,
     ):
-        num = realization.numerology
+        cfg, num = realization.cfg, realization.cfg.numerology
         data = _data_mask(pattern, num.symbols_per_rb, num.subcarriers_per_rb)
         k = realization.num_users
         cross, norms = realization.gram(rb, users)
         users = np.arange(k) if users is None else np.asarray(users, dtype=np.intp)
-        fadings = np.asarray(fadings)[users]
+        fadings = np.asarray(realization.gains)[users]
         self._local = np.full(k, -1, dtype=np.intp)  # user id -> row of the pair terms
         self._local[users] = np.arange(len(users))
         self._power = cfg, direction  # named if a rate overflows
@@ -172,14 +174,10 @@ def _partition_sizes(k: int, n_rbs: int, mux: int) -> list[int]:
 
 
 def conventional_schedule_exact(
-    realization: ChannelRealization,
-    cfg: SystemConfig,
-    pattern: PilotPattern,
-    direction: str,
-    fadings: Sequence[float],
+    realization: ChannelRealization, pattern: PilotPattern, direction: str
 ) -> ScheduleAssignment:
-    """Optimal partition of the realization's users under the fixed
-    pattern, with large-scale gains `fadings`, by a dense subset DP.
+    """Optimal partition of the realization's users over its RBs under the
+    fixed pattern, by a dense subset DP.
 
     Stage r places users on RB r; a state is the bitmask of users placed so
     far. Each stage holds dense length-2^K arrays (the RB's subset rates and
@@ -199,7 +197,7 @@ def conventional_schedule_exact(
     budget; callers must switch to the greedy scheduler explicitly.
     """
     k = realization.num_users
-    n_rbs, mux = cfg.num_rbs, cfg.max_mux
+    n_rbs, mux = realization.cfg.num_rbs, realization.cfg.max_mux
     check_users_fit(k, n_rbs, mux)
     check_exact_budget(k, n_rbs, mux)
 
@@ -209,7 +207,7 @@ def conventional_schedule_exact(
     backs = []  # per stage: {popcount: (state masks ascending, chosen subset masks)}
     for stage, plan in enumerate(_stage_plan(k, n_rbs, mux)):
         # one stage's pair terms at a time: each RB's are (K, K, data REs)
-        calc = RbRateCalculator(realization, stage, cfg, pattern, direction, fadings)
+        calc = RbRateCalculator(realization, stage, pattern, direction)
         value, back = _dp_stage(value, plan, popcount, calc, k)
         backs.append(back)
 
@@ -224,8 +222,7 @@ def conventional_schedule_exact(
 
 
 def _conventional(rb_users: list[tuple[int, ...]], pattern: PilotPattern) -> ScheduleAssignment:
-    """The conventional schedule of per-RB user sets: `pattern` and no
-    group on every RB."""
+    """The conventional schedule of per-RB user sets: `pattern`, no group."""
     n_rbs = len(rb_users)
     return ScheduleAssignment(tuple(rb_users), (pattern,) * n_rbs, (None,) * n_rbs)
 
@@ -382,19 +379,16 @@ def _estimate_transitions(k: int, n_rbs: int, mux: int) -> int:
 
 
 def conventional_schedule_greedy(
-    realization: ChannelRealization,
-    cfg: SystemConfig,
-    pattern: PilotPattern,
-    direction: str,
-    fadings: Sequence[float],
+    realization: ChannelRealization, pattern: PilotPattern, direction: str
 ) -> ScheduleAssignment:
-    """Deterministic greedy baseline: fill RBs in order, best marginal user first.
+    """Deterministic greedy baseline: fill the realization's RBs in order,
+    best marginal user first.
 
     Ties break toward the lowest user id. The schedule's rate never exceeds
     the exact optimum's.
     """
     k = realization.num_users
-    n_rbs, mux = cfg.num_rbs, cfg.max_mux
+    n_rbs, mux = realization.cfg.num_rbs, realization.cfg.max_mux
     check_users_fit(k, n_rbs, mux)
     sizes = _partition_sizes(k, n_rbs, mux)
 
@@ -402,7 +396,7 @@ def conventional_schedule_greedy(
     chosen: list[tuple[int, ...]] = []
     for rb in range(n_rbs):
         # only the users still unscheduled can join this RB
-        calc = RbRateCalculator(realization, rb, cfg, pattern, direction, fadings, remaining)
+        calc = RbRateCalculator(realization, rb, pattern, direction, remaining)
         current: tuple[int, ...] = ()
         for _ in range(sizes[rb]):
             cands = calc.rates_for_subsets([current + (u,) for u in remaining])
@@ -482,18 +476,17 @@ def _shuffled(members: list[int], picker: str, rng) -> list[int]:
 
 
 def evaluate_schedule(
-    realization: ChannelRealization,
-    assignment: ScheduleAssignment,
-    cfg: SystemConfig,
-    direction: str,
-    fadings: Sequence[float],
+    realization: ChannelRealization, assignment: ScheduleAssignment, direction: str
 ) -> float:
     """Mean per-RB spectral efficiency of an assignment, conventional or
-    grouping, with the population's large-scale gains `fadings`."""
+    grouping, over the realization's RBs."""
+    cfg = realization.cfg
+    if len(assignment.rb_users) != cfg.num_rbs:
+        raise ValueError(f"{len(assignment.rb_users)} RBs assigned for the {cfg.num_rbs} drawn")
     rates = []
     for rb, (users, pattern) in enumerate(zip(assignment.rb_users, assignment.rb_patterns)):
         if len(users) > cfg.max_mux:
             raise ValueError(f"{len(users)} users exceed the multiplexing cap {cfg.max_mux}")
-        calc = RbRateCalculator(realization, rb, cfg, pattern, direction, fadings, users)
+        calc = RbRateCalculator(realization, rb, pattern, direction, users)
         rates.append(calc.rates_for_subsets([users])[0])
     return float(np.mean(rates))

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -51,10 +53,9 @@ def random_channels(rng: np.random.Generator, *shape) -> np.ndarray:
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
 
 
-def rb_rate(real, rb, users, pattern, cfg, direction, fadings=None):
-    """Spectral efficiency of one RB's user set; unit gains by default."""
-    eta = np.ones(real.num_users) if fadings is None else fadings
-    calc = RbRateCalculator(real, rb, cfg, pattern, direction, eta)
+def rb_rate(real, rb, users, pattern, direction):
+    """Spectral efficiency of one RB's user set, with the realization's gains."""
+    calc = RbRateCalculator(real, rb, pattern, direction)
     return float(calc.rates_for_subsets([users])[0])
 
 
@@ -64,7 +65,8 @@ def kernel_sinr(h, fadings, cfg, direction):
     h = np.asarray(h)
     n_re, u = h.shape[:2]
     channels = h.transpose(1, 0, 2)[:, None, :, None, :]
-    real = StoredGrams(oracle_grams(channels), tiny_numerology(n_re, 1))
+    cfg = replace(cfg, numerology=tiny_numerology(n_re, 1))
+    real = StoredGrams(oracle_grams(channels), cfg, fadings)
     data = np.ones((n_re, 1), dtype=bool)
-    terms = pair_terms(*real.gram(0), fadings, cfg, direction, data)
+    terms = pair_terms(*real.gram(0), real.gains, real.cfg, direction, data)
     return subset_sinr(terms, np.arange(u)[None])[0]

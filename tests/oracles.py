@@ -151,13 +151,13 @@ def oracle_exact_partition(rate, k, n_rbs, mux):
 class StoredGrams:
     """A stand-in for `ChannelRealization` over given Grams: each RB's
     (cross, norms) over all users in id order, as `oracle_grams` returns
-    them. It serves what `RbRateCalculator` reads, `numerology`,
-    `num_users` and `gram(rb, users)`, the last as read-only copies of the
-    rows and columns asked for, in the order asked; the given arrays stay
-    writable."""
+    them, under the cell config `cfg` with large-scale gains `gains`. It
+    serves what `RbRateCalculator` reads, `cfg`, `gains`, `num_users` and
+    `gram(rb, users)`, the last as read-only copies of the rows and columns
+    asked for, in the order asked; the given arrays stay writable."""
 
-    def __init__(self, grams, numerology):
-        self.numerology = numerology
+    def __init__(self, grams, cfg, gains):
+        self.cfg, self.gains = cfg, tuple(gains)
         self.num_users = len(grams[0][1])
         self._grams = grams
 

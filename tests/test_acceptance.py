@@ -68,11 +68,11 @@ def test_criterion_1_formula_fidelity():
         h = random_channels(rng, u, 1, n_s, n_sc, m)
         eta = rng.uniform(0.5, 2.0, u)
         sigma2 = float(rng.uniform(0.05, 2.0))
-        real = StoredGrams(oracle_grams(h), num)
         cfg = SystemConfig(
             num_rbs=1, num_antennas=m, max_mux=4,
-            ul_power=1.0, dl_power=1.0, noise_power=sigma2,
+            ul_power=1.0, dl_power=1.0, noise_power=sigma2, numerology=num,
         )
+        real = StoredGrams(oracle_grams(h), cfg, eta)
         if i % 3 == 0:
             pattern = no_pilots(num)
         else:
@@ -81,7 +81,7 @@ def test_criterion_1_formula_fidelity():
                 pattern = build_pattern(spacing, num, 1)
             except NoDataRoomError:
                 pattern = no_pilots(num)
-        got = rb_rate(real, 0, list(range(u)), pattern, cfg, direction, fadings=eta)
+        got = rb_rate(real, 0, list(range(u)), pattern, direction)
         want = oracle_rb_rate(
             h[:, 0].tolist(), list(eta), pattern.positions, 1.0, sigma2, direction
         )
@@ -105,8 +105,8 @@ def test_criterion_2_scheduler_exactness():
         real = generate_realization(pop, profiles, cfg, seed=1000 + seed)
         pattern = conventional_pattern(default_registry(profiles, cfg.numerology, 4))
         direction = "uplink" if seed % 2 == 0 else "downlink"
-        _, dp = rated(conventional_schedule_exact, real, pop, cfg, pattern, direction)
-        bf = exhaustive_best(real, pop, cfg, pattern, direction)
+        _, dp = rated(conventional_schedule_exact, real, pattern, direction)
+        bf = exhaustive_best(real, pattern, direction)
         worst = max(worst, abs(dp - bf))
     ok = worst <= 1e-12
     _report(2, ok, f"max |DP - brute force| = {worst:.3e} over 50 instances (<= 1e-12)")
@@ -166,16 +166,15 @@ def test_criterion_4_superiority_vs_exact_baseline():
     )
     registry = default_registry(profiles, num, 4)
     pattern = conventional_pattern(registry)
-    fadings = pop.gains
 
     grp, conv = [], []
     for trial in range(10):
         real = generate_realization(pop, profiles, cfg, seed=4000 + trial)
-        _, r_conv = rated(conventional_schedule_exact, real, pop, cfg, pattern, "uplink")
+        _, r_conv = rated(conventional_schedule_exact, real, pattern, "uplink")
         assign = grouping_schedule(
             pop, cfg, registry, profiles, "random", np.random.default_rng(trial)
         )
-        r_grp = evaluate_schedule(real, assign, cfg, "uplink", fadings=fadings)
+        r_grp = evaluate_schedule(real, assign, "uplink")
         grp.append(r_grp)
         conv.append(r_conv)
     diff = np.array(grp) - np.array(conv)
@@ -205,7 +204,6 @@ def test_criterion_5_gain_behavior():
     num = lte_numerology()
     mux, trials = 7, 200
     pop = build_population([7, 7, 7, 7], FadingSpec(), seed=0)
-    fadings = pop.gains
     registry = default_registry(profiles, num, mux)
     pattern = conventional_pattern(registry)
     gammas = (0.25,) * 4
@@ -239,8 +237,8 @@ def test_criterion_5_gain_behavior():
             pop, profiles, cfg64, seed=5000 + trial, include=assign.rb_users
         )
         for m, real, cfg in ((64, real64, cfg64), (112, real112, cfg112)):
-            _, r_conv = rated(conventional_schedule_greedy, real, pop, cfg, pattern, "uplink")
-            r_grp = evaluate_schedule(real, assign, cfg, "uplink", fadings=fadings)
+            _, r_conv = rated(conventional_schedule_greedy, real, pattern, "uplink")
+            r_grp = evaluate_schedule(real, assign, "uplink")
             gains[m].append(r_grp / r_conv - 1.0)
 
     mean64, mean112 = np.mean(gains[64]), np.mean(gains[112])

@@ -211,6 +211,31 @@ def test_gram_arrays_are_read_only(profiles):
         reals[1].gram(0, [8])
 
 
+@pytest.mark.parametrize(
+    "include, match",
+    [
+        (((0, 1),), "1 user sets for 2 RBs"),
+        (((0, 1), (2,), ()), "3 user sets for 2 RBs"),
+        (((0, 1), (8,)), "outside 0..7"),
+        (((-1,), (2,)), "outside 0..7"),
+    ],
+)
+def test_realization_refuses_include_that_does_not_fit_the_draw(profiles, include, match):
+    """include must give one user set per RB of the config, of users 0..K-1."""
+    pop = build_population([2, 2, 2, 2], FadingSpec(), seed=0)
+    with pytest.raises(ConfigurationError, match=match):
+        generate_realization(pop, profiles, _cfg(2, 4), seed=1, include=include)
+
+
+def test_realization_keeps_the_config_and_gains_it_was_drawn_for(profiles):
+    pop = build_population([2, 2], FadingSpec(kind="lognormal", spread_db=6.0), seed=3)
+    cfg = _cfg(2, 4)
+    real = generate_realization(pop, profiles, cfg, seed=1)
+    assert real.cfg is cfg
+    assert real.gains == pop.gains
+    assert real.num_users == pop.num_users == 4
+
+
 SUBSET_POP = build_population([2, 1, 2], FadingSpec(), seed=0)
 SUBSET_PROFILES = [ONE_TAP, THREE_TAP, builtin_profiles()[1]]
 
@@ -244,7 +269,7 @@ def test_gram_of_users_matches_the_full_build(case):
     request for every user forces that rebuild."""
     m, include, requests = case
     full = _full_build(m)
-    stored = StoredGrams(full, _cfg(2, m).numerology)
+    stored = StoredGrams(full, _cfg(2, m), SUBSET_POP.gains)
     real = generate_realization(SUBSET_POP, SUBSET_PROFILES, _cfg(2, m), seed=3, include=include)
     built: dict[int, set] = {}
     builds, want_builds = [], []

@@ -66,7 +66,7 @@ def _partitions(cfg, rows) -> list[dict]:
         sys_cfg = cfg.system_config(row.m, row.u_mux)
         real = generate_realization(pop, profiles, sys_cfg, seed=row.seed)
         pattern = conventional_pattern(default_registry(profiles, cfg.numerology, row.u_mux))
-        assign = schedule(real, sys_cfg, pattern, row.direction, pop.gains)
+        assign = schedule(real, pattern, row.direction)
         out.append(
             {
                 "M": row.m,

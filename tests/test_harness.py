@@ -361,6 +361,15 @@ def test_table1_profiles_resolve_to_the_builtin_profiles(tmp_path):
     assert len(set(configs)) == 1
 
 
+@pytest.mark.parametrize("profiles", ["abc", ("EPA5",), (), 5])
+def test_profiles_that_are_not_channel_profiles_are_refused(profiles):
+    """Library code gets a ConfigurationError naming the value, not an
+    AttributeError at the profiles' first use."""
+    with pytest.raises(ConfigurationError, match="profiles must be") as info:
+        ExperimentConfig(profiles=profiles, group_sizes=(1, 1, 1))
+    assert repr(profiles) in str(info.value)
+
+
 def test_unknown_config_key_rejected():
     with pytest.raises(ConfigurationError, match="unknown config key"):
         config_from_dict({"m_list": [8], "bogus": 1})

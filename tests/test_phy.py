@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -97,7 +98,7 @@ def test_pair_terms_match_per_re_oracles():
     for _ in range(5):
         h = random_channels(rng, u, 1, n_s, n_sc, m)
         eta = rng.uniform(0.3, 3.0, u)
-        gram = _realization_from_array(h, n_s, n_sc).gram(0)
+        gram = _realization_from_array(h, n_s, n_sc, cfg, eta).gram(0)
         for direction in ("uplink", "downlink"):
             terms = pair_terms(*gram, eta, cfg, direction, data)
             got = subset_sinr(terms, subsets).reshape(len(subsets), u, n_s, n_sc)
@@ -129,9 +130,9 @@ def test_subset_rates_match_per_re_oracles_on_data_res():
     for _ in range(3):
         h = random_channels(rng, u, 1, n_s, n_sc, m)
         eta = rng.uniform(0.3, 3.0, u)
-        real = _realization_from_array(h, n_s, n_sc)
+        real = _realization_from_array(h, n_s, n_sc, cfg, eta)
         for direction in ("uplink", "downlink"):
-            calc = RbRateCalculator(real, 0, cfg, pat, direction, eta)
+            calc = RbRateCalculator(real, 0, pat, direction)
             p = cfg.power(direction)
             for size in range(1, mux + 1):
                 subsets = np.array(list(itertools.combinations(range(u), size)))
@@ -144,23 +145,25 @@ def test_subset_rates_match_per_re_oracles_on_data_res():
                     assert rate == pytest.approx(want, rel=1e-12)
 
 
-def _realization_from_array(h, n_s, n_sc):
-    num = tiny_numerology(n_s, n_sc)
-    return StoredGrams(oracle_grams(h), num)
+def _realization_from_array(h, n_s, n_sc, cfg, gains=None):
+    """StoredGrams over h's Grams, under cfg on an n_s x n_sc grid; unit
+    gains by default."""
+    gains = np.ones(len(h)) if gains is None else gains
+    return StoredGrams(oracle_grams(h), replace(cfg, numerology=tiny_numerology(n_s, n_sc)), gains)
 
 
 def test_rb_rate_unit_sinr_cases():
     # one user, |h| = 1 on a single antenna, eta*P = sigma2 -> SINR = 1 everywhere
     n_s, n_sc = 2, 2
     h = np.ones((1, 1, n_s, n_sc, 1), dtype=complex)
-    real = _realization_from_array(h, n_s, n_sc)
     cfg = _cfg(1, sigma2=1.0)
-    assert rb_rate(real, 0, [0], no_pilots(real.numerology), cfg, "uplink") == pytest.approx(1.0)
+    real = _realization_from_array(h, n_s, n_sc, cfg)
+    assert rb_rate(real, 0, [0], no_pilots(real.cfg.numerology), "uplink") == pytest.approx(1.0)
     # a pattern covering half the REs halves the rate
     num = tiny_numerology(n_s, n_sc)
     half = build_pattern(PilotSpacing(2, 1), num, 1)
     assert half.size == n_s * n_sc // 2
-    assert rb_rate(real, 0, [0], half, cfg, "uplink") == pytest.approx(0.5)
+    assert rb_rate(real, 0, [0], half, "uplink") == pytest.approx(0.5)
 
 
 def test_rb_rate_matches_straight_line_oracle():
@@ -170,11 +173,11 @@ def test_rb_rate_matches_straight_line_oracle():
             m, u, n_s, n_sc = 4, 3, 3, 4
             h = random_channels(rng, u, 1, n_s, n_sc, m)
             eta = rng.uniform(0.5, 2.0, u)
-            real = _realization_from_array(h, n_s, n_sc)
             cfg = _cfg(m, sigma2=0.4, mux=4)
+            real = _realization_from_array(h, n_s, n_sc, cfg, eta)
             num = tiny_numerology(n_s, n_sc)
             pat = build_pattern(PilotSpacing(3, 2), num, 1)
-            got = rb_rate(real, 0, [0, 1, 2], pat, cfg, direction, fadings=eta)
+            got = rb_rate(real, 0, [0, 1, 2], pat, direction)
             want = oracle_rb_rate(
                 h[:, 0].tolist(), list(eta), pat.positions, 1.0, 0.4, direction
             )
@@ -185,28 +188,28 @@ def test_rb_rate_overhead_monotonicity():
     rng = np.random.default_rng(6)
     m, u, n_s, n_sc = 4, 2, 4, 4
     h = random_channels(rng, u, 1, n_s, n_sc, m)
-    real = _realization_from_array(h, n_s, n_sc)
     cfg = _cfg(m, sigma2=0.5)
+    real = _realization_from_array(h, n_s, n_sc, cfg)
     num = tiny_numerology(n_s, n_sc)
     small = build_pattern(PilotSpacing(4, 4), num, 1)
     big = build_pattern(PilotSpacing(2, 2), num, 1)
     assert big.size > small.size
-    r_small = rb_rate(real, 0, [0, 1], small, cfg, "uplink")
-    r_big = rb_rate(real, 0, [0, 1], big, cfg, "uplink")
-    r_none = rb_rate(real, 0, [0, 1], no_pilots(real.numerology), cfg, "uplink")
+    r_small = rb_rate(real, 0, [0, 1], small, "uplink")
+    r_big = rb_rate(real, 0, [0, 1], big, "uplink")
+    r_none = rb_rate(real, 0, [0, 1], no_pilots(real.cfg.numerology), "uplink")
     assert r_none > r_small > r_big
 
 
 def test_rb_rate_rejects_overloaded_set():
     rng = np.random.default_rng(7)
     h = random_channels(rng, 3, 1, 2, 2, 2)
-    real = _realization_from_array(h, 2, 2)
     cfg = _cfg(2, mux=2)
+    real = _realization_from_array(h, 2, 2, cfg)
     overfull = ScheduleAssignment(
         rb_users=((0, 1, 2),), rb_patterns=(None,), rb_groups=(None,)
     )
     with pytest.raises(ValueError):
-        evaluate_schedule(real, overfull, cfg, "uplink", fadings=np.ones(3))
+        evaluate_schedule(real, overfull, "uplink")
 
 
 def test_degenerate_channel_raises():
@@ -214,10 +217,10 @@ def test_degenerate_channel_raises():
     rng = np.random.default_rng(9)
     h = random_channels(rng, 2, 1, 2, 2, 3)
     h[1, 0, 1, 0] = 0.0
-    real = _realization_from_array(h, 2, 2)
     cfg = _cfg(3, mux=2)
+    real = _realization_from_array(h, 2, 2, cfg)
     for direction in ("uplink", "downlink"):
-        calc = RbRateCalculator(real, 0, cfg, no_pilots(real.numerology), direction, np.ones(2))
+        calc = RbRateCalculator(real, 0, no_pilots(real.cfg.numerology), direction)
         assert calc.rates_for_subsets([[0]])[0] > 0.0
         with pytest.raises(DegenerateChannelError):
             calc.rates_for_subsets([[0, 1]])
@@ -232,10 +235,10 @@ def test_degenerate_channel_on_pilot_re_raises():
     t, n = pat.positions[0]
     h = random_channels(rng, 3, 1, n_s, n_sc, 3)
     h[1, 0, t, n] = 0.0
-    real = _realization_from_array(h, n_s, n_sc)
     cfg = _cfg(3, mux=2)
+    real = _realization_from_array(h, n_s, n_sc, cfg)
     for direction in ("uplink", "downlink"):
-        calc = RbRateCalculator(real, 0, cfg, pat, direction, np.ones(3))
+        calc = RbRateCalculator(real, 0, pat, direction)
         assert np.all(calc.rates_for_subsets([[0], [2]]) > 0.0)
         assert calc.rates_for_subsets([[0, 2]])[0] > 0.0
         for users in ([1], [0, 1]):

@@ -48,35 +48,33 @@ def _instance(seed, k=8, n_rbs=2, m=4, mux=4, sigma2=0.1):
     return pop, cfg, real, pattern, profiles
 
 
-def rated(schedule, real, pop, cfg, pattern, direction):
+def rated(schedule, real, pattern, direction):
     """A conventional scheduler's assignment and its `evaluate_schedule` rate."""
-    assign = schedule(real, cfg, pattern, direction, pop.gains)
-    return assign, evaluate_schedule(real, assign, cfg, direction, pop.gains)
+    assign = schedule(real, pattern, direction)
+    return assign, evaluate_schedule(real, assign, direction)
 
 
 def test_exact_matches_brute_force():
     for seed in range(5):
         pop, cfg, real, pattern, _ = _instance(seed)
         for direction in ("uplink", "downlink"):
-            _, dp = rated(conventional_schedule_exact, real, pop, cfg, pattern, direction)
-            bf = exhaustive_best(real, pop, cfg, pattern, direction)
+            _, dp = rated(conventional_schedule_exact, real, pattern, direction)
+            bf = exhaustive_best(real, pattern, direction)
             assert dp == pytest.approx(bf, abs=1e-12)
 
 
-def rb_rates(real, pop, cfg, pattern, direction):
+def rb_rates(real, pattern, direction):
     """Cached rate(rb, users) of one sorted user tuple on one RB."""
-    calcs = [
-        RbRateCalculator(real, rb, cfg, pattern, direction, pop.gains)
-        for rb in range(cfg.num_rbs)
-    ]
+    calcs = [RbRateCalculator(real, rb, pattern, direction) for rb in range(real.cfg.num_rbs)]
     return functools.cache(lambda rb, users: calcs[rb].rates_for_subsets([users])[0])
 
 
-def exhaustive_best(real, pop, cfg, pattern, direction):
+def exhaustive_best(real, pattern, direction):
     """Best mean rate over every assignment of users to RBs with at most
     max_mux users per RB, empty RBs included; independent of the DP."""
-    k, n_rbs = pop.num_users, cfg.num_rbs
-    rate = rb_rates(real, pop, cfg, pattern, direction)
+    cfg = real.cfg
+    k, n_rbs = real.num_users, cfg.num_rbs
+    rate = rb_rates(real, pattern, direction)
     best = -np.inf
     for labels in itertools.product(range(n_rbs), repeat=k):
         parts = [tuple(u for u in range(k) if labels[u] == rb) for rb in range(n_rbs)]
@@ -110,9 +108,9 @@ def test_exact_matches_exhaustive_search(instance):
     partition, not only the rate, is that of a per-transition dict DP with
     the documented tie order."""
     pop, cfg, real, pattern, direction = instance
-    assign, dp = rated(conventional_schedule_exact, real, pop, cfg, pattern, direction)
-    assert dp == pytest.approx(exhaustive_best(real, pop, cfg, pattern, direction), abs=1e-12)
-    rate = rb_rates(real, pop, cfg, pattern, direction)
+    assign, dp = rated(conventional_schedule_exact, real, pattern, direction)
+    assert dp == pytest.approx(exhaustive_best(real, pattern, direction), abs=1e-12)
+    rate = rb_rates(real, pattern, direction)
     users, _ = oracle_exact_partition(rate, pop.num_users, cfg.num_rbs, cfg.max_mux)
     assert assign.rb_users == users
 
@@ -121,7 +119,7 @@ def test_exact_matches_exhaustive_search(instance):
     assert len(assign.rb_users) == cfg.num_rbs
     assert all(len(users) <= cfg.max_mux for users in assign.rb_users)
 
-    _, greedy = rated(conventional_schedule_greedy, real, pop, cfg, pattern, direction)
+    _, greedy = rated(conventional_schedule_greedy, real, pattern, direction)
     assert greedy <= dp + 1e-12
 
 
@@ -159,8 +157,8 @@ def test_exact_beats_the_group_partition(instance):
     grouping = grouping_schedule(pop, cfg, registry, profiles, "random", np.random.default_rng(0))
     assert grouping.rb_users == pop.groups
     fixed = dataclasses.replace(grouping, rb_patterns=(pattern,) * cfg.num_rbs)
-    r_fix = evaluate_schedule(real, fixed, cfg, direction, pop.gains)
-    _, r_conv = rated(conventional_schedule_exact, real, pop, cfg, pattern, direction)
+    r_fix = evaluate_schedule(real, fixed, direction)
+    _, r_conv = rated(conventional_schedule_exact, real, pattern, direction)
     assert r_fix <= r_conv * (1 + 1e-12)
 
 
@@ -183,15 +181,15 @@ def test_exact_tie_rule(k, n_rbs, mux, expected):
     of `oracle_exact_partition` chooses the same partitions."""
     pop, cfg, real, pattern, _ = _instance(50, k=k, n_rbs=n_rbs, mux=mux)
     same = StoredGrams(
-        oracle_grams(np.ones((k, n_rbs, 14, 12, cfg.num_antennas))), real.numerology
+        oracle_grams(np.ones((k, n_rbs, 14, 12, cfg.num_antennas))), real.cfg, pop.gains
     )
     for direction in ("uplink", "downlink"):
-        calc = RbRateCalculator(same, 0, cfg, pattern, direction, pop.gains)
+        calc = RbRateCalculator(same, 0, pattern, direction)
         rates = calc.rates_for_subsets(np.array(list(itertools.combinations(range(k), mux))))
         assert np.all(rates == rates[0])
-        assign = conventional_schedule_exact(same, cfg, pattern, direction, pop.gains)
+        assign = conventional_schedule_exact(same, pattern, direction)
         assert assign.rb_users == expected
-        rate = rb_rates(same, pop, cfg, pattern, direction)
+        rate = rb_rates(same, pattern, direction)
         assert oracle_exact_partition(rate, k, n_rbs, mux)[0] == expected
 
 
@@ -201,10 +199,10 @@ def test_greedy_tie_rule():
     user ids first."""
     pop, cfg, real, pattern, _ = _instance(50, k=6, n_rbs=3, mux=2)
     same = StoredGrams(
-        oracle_grams(np.ones((6, 3, 14, 12, cfg.num_antennas))), real.numerology
+        oracle_grams(np.ones((6, 3, 14, 12, cfg.num_antennas))), real.cfg, pop.gains
     )
     for direction in ("uplink", "downlink"):
-        assign = conventional_schedule_greedy(same, cfg, pattern, direction, pop.gains)
+        assign = conventional_schedule_greedy(same, pattern, direction)
         assert assign.rb_users == ((0, 1), (2, 3), (4, 5))
 
 
@@ -216,10 +214,10 @@ def test_exact_dp_memory_is_per_stage():
     k = n_rbs = 16
     pop, cfg, real, pattern, _ = _instance(60, k=k, n_rbs=n_rbs, m=2, mux=1)
     # the first call builds the Grams and finishes numpy's lazy imports
-    conventional_schedule_exact(real, cfg, pattern, "uplink", pop.gains)
+    conventional_schedule_exact(real, pattern, "uplink")
     tracemalloc.start()
     try:
-        conventional_schedule_exact(real, cfg, pattern, "uplink", pop.gains)
+        conventional_schedule_exact(real, pattern, "uplink")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -228,16 +226,16 @@ def test_exact_dp_memory_is_per_stage():
 
 def test_exact_single_rb_is_forced():
     pop, cfg, real, pattern, _ = _instance(3, k=4, n_rbs=1)
-    assign, rate = rated(conventional_schedule_exact, real, pop, cfg, pattern, "uplink")
+    assign, rate = rated(conventional_schedule_exact, real, pattern, "uplink")
     assert assign.rb_users == ((0, 1, 2, 3),)
-    calc = RbRateCalculator(real, 0, cfg, pattern, "uplink", pop.gains)
+    calc = RbRateCalculator(real, 0, pattern, "uplink")
     assert rate == pytest.approx(calc.rates_for_subsets([(0, 1, 2, 3)])[0])
 
 
 def test_exact_rejects_oversized_instance():
     pop, cfg, real, pattern, _ = _instance(1, k=28, n_rbs=4, mux=7)
     with pytest.raises(ExactSearchBudgetError, match="greedy"):
-        conventional_schedule_exact(real, cfg, pattern, "uplink", pop.gains)
+        conventional_schedule_exact(real, pattern, "uplink")
 
 
 def test_exact_refuses_dense_tables_beyond_user_cap():
@@ -279,7 +277,7 @@ def test_exact_budget_counts_the_dp_work(monkeypatch, k, n_rbs, mux):
     monkeypatch.setattr(scheduling, "_pull", counting_pull)
     monkeypatch.setattr(RbRateCalculator, "rates_for_subsets", counting_rates)
     pop, cfg, real, pattern, _ = _instance(7, k=k, n_rbs=n_rbs, mux=mux)
-    conventional_schedule_exact(real, cfg, pattern, "uplink", pop.gains)
+    conventional_schedule_exact(real, pattern, "uplink")
     table_term = scheduling._TABLE_ROW_COST * sum(rows)
     assert sum(compared) == scheduling._estimate_transitions(k, n_rbs, mux) - table_term
 
@@ -287,22 +285,22 @@ def test_exact_budget_counts_the_dp_work(monkeypatch, k, n_rbs, mux):
 def test_greedy_never_beats_exact():
     for seed in range(4):
         pop, cfg, real, pattern, _ = _instance(10 + seed)
-        _, exact = rated(conventional_schedule_exact, real, pop, cfg, pattern, "uplink")
-        _, greedy = rated(conventional_schedule_greedy, real, pop, cfg, pattern, "uplink")
+        _, exact = rated(conventional_schedule_exact, real, pattern, "uplink")
+        _, greedy = rated(conventional_schedule_greedy, real, pattern, "uplink")
         assert greedy <= exact + 1e-12
 
 
 def test_greedy_equals_exact_when_forced():
     pop, cfg, real, pattern, _ = _instance(2, k=4, n_rbs=1)
-    _, exact = rated(conventional_schedule_exact, real, pop, cfg, pattern, "uplink")
-    _, greedy = rated(conventional_schedule_greedy, real, pop, cfg, pattern, "uplink")
+    _, exact = rated(conventional_schedule_exact, real, pattern, "uplink")
+    _, greedy = rated(conventional_schedule_greedy, real, pattern, "uplink")
     assert greedy == pytest.approx(exact, abs=1e-12)
 
 
 def test_greedy_logs_gap_to_exact():
     pop, cfg, real, pattern, _ = _instance(20)
-    _, exact = rated(conventional_schedule_exact, real, pop, cfg, pattern, "uplink")
-    _, greedy = rated(conventional_schedule_greedy, real, pop, cfg, pattern, "uplink")
+    _, exact = rated(conventional_schedule_exact, real, pattern, "uplink")
+    _, greedy = rated(conventional_schedule_greedy, real, pattern, "uplink")
     # no fixed constant asserted; record the measured ratio
     print(f"greedy/exact ratio on seed-20 instance: {greedy / exact:.4f}")
     assert 0.0 < greedy <= exact + 1e-12
@@ -414,21 +412,21 @@ def test_grouping_dominated_by_exact_when_collapsed():
     pattern = conventional_pattern(default_registry(profiles, cfg.numerology, 4))
     registry = PatternRegistry(patterns=(pattern,))
     real = generate_realization(pop, profiles, cfg, seed=4)
-    _, exact = rated(conventional_schedule_exact, real, pop, cfg, pattern, "uplink")
+    _, exact = rated(conventional_schedule_exact, real, pattern, "uplink")
     for picker_seed in range(5):
         assign = grouping_schedule(
             pop, cfg, registry, profiles, "random", np.random.default_rng(picker_seed)
         )
-        rate = evaluate_schedule(real, assign, cfg, "uplink", fadings=pop.gains)
+        rate = evaluate_schedule(real, assign, "uplink")
         assert rate <= exact + 1e-12
 
 
 def test_evaluate_schedule_consistency():
     """Rating each RB's users alone matches rating them among all users."""
     pop, cfg, real, pattern, _ = _instance(30)
-    assign, ev = rated(conventional_schedule_exact, real, pop, cfg, pattern, "uplink")
+    assign, ev = rated(conventional_schedule_exact, real, pattern, "uplink")
     rates = [
-        rb_rate(real, rb, users, pattern, cfg, "uplink", fadings=pop.gains)
+        rb_rate(real, rb, users, pattern, "uplink")
         for rb, users in enumerate(assign.rb_users)
     ]
     assert ev == pytest.approx(np.mean(rates), abs=1e-12)
@@ -441,25 +439,46 @@ def test_evaluate_schedule_empty_rb_contributes_zero():
         rb_patterns=(pattern, pattern),
         rb_groups=(None, None),
     )
-    rate = evaluate_schedule(real, only_first, cfg, "uplink", fadings=pop.gains)
-    solo = rb_rate(real, 0, [0, 1, 2, 3], pattern, cfg, "uplink", fadings=pop.gains)
+    rate = evaluate_schedule(real, only_first, "uplink")
+    solo = rb_rate(real, 0, [0, 1, 2, 3], pattern, "uplink")
     assert rate == pytest.approx(solo / 2.0)
+
+
+@pytest.mark.parametrize("n_rbs", [2, 5])
+def test_evaluate_schedule_refuses_another_rb_count(n_rbs):
+    """A 4-RB draw rates only 4-RB assignments: 2 or 5 RBs (the fifth empty)
+    would be rated over 2 or 5 RBs."""
+    pop, cfg, real, pattern, _ = _instance(34, k=8, n_rbs=4, mux=2)
+    users = ((0, 1), (2, 3), (4, 5), (6, 7), ())[:n_rbs]
+    assign = ScheduleAssignment(users, (pattern,) * n_rbs, (None,) * n_rbs)
+    with pytest.raises(ValueError, match=f"{n_rbs} RBs assigned for the 4 drawn"):
+        evaluate_schedule(real, assign, "uplink")
+
+
+def test_schedule_assignment_refuses_fields_of_unequal_length():
+    """One entry per RB in each field; a shorter field would be cut off by
+    the rating's zip."""
+    pattern = _instance(35, k=4, n_rbs=4, mux=1)[3]
+    with pytest.raises(ValueError, match="differ in length"):
+        ScheduleAssignment(((0,), (1,), (2,), (3,)), (pattern,), (None,) * 4)
+    with pytest.raises(ValueError, match="differ in length"):
+        ScheduleAssignment(((0,), (1,)), (pattern,) * 2, (None,))
 
 
 def test_identical_rbs_contribute_equally():
     pop, cfg, real, pattern, profiles = _instance(32, k=4, n_rbs=2)
     h0 = draw_channels(pop, profiles, cfg, 32, 0)
     # RB 1 = RB 0
-    dup = StoredGrams(oracle_grams(np.stack([h0, h0], axis=1)), real.numerology)
+    dup = StoredGrams(oracle_grams(np.stack([h0, h0], axis=1)), real.cfg, pop.gains)
     assign = ScheduleAssignment(
         rb_users=((0, 1), (0, 1)),
         rb_patterns=(pattern, pattern),
         rb_groups=(None, None),
     )
-    r0 = rb_rate(dup, 0, [0, 1], pattern, cfg, "uplink", fadings=pop.gains)
-    r1 = rb_rate(dup, 1, [0, 1], pattern, cfg, "uplink", fadings=pop.gains)
+    r0 = rb_rate(dup, 0, [0, 1], pattern, "uplink")
+    r1 = rb_rate(dup, 1, [0, 1], pattern, "uplink")
     assert r0 == pytest.approx(r1, abs=1e-15)
-    rate = evaluate_schedule(dup, assign, cfg, "uplink", fadings=pop.gains)
+    rate = evaluate_schedule(dup, assign, "uplink")
     assert rate == pytest.approx(r0, abs=1e-15)
 
 
@@ -476,7 +495,7 @@ def test_grouping_empty_group_with_rbs_rejected():
 def test_conventional_rejects_overflow():
     pop, cfg, real, pattern, _ = _instance(33, k=8, n_rbs=2, mux=3)
     with pytest.raises(ConfigurationError):
-        conventional_schedule_exact(real, cfg, pattern, "uplink", pop.gains)
+        conventional_schedule_exact(real, pattern, "uplink")
 
 
 def test_assignment_json_dump():
@@ -512,9 +531,9 @@ def test_grouping_gain_vs_exact_rises_with_antennas():
         vals = []
         for trial in range(2):
             real = generate_realization(pop, profiles, cfg, seed=600 + trial)
-            _, r_conv = rated(conventional_schedule_exact, real, pop, cfg, pattern, "uplink")
+            _, r_conv = rated(conventional_schedule_exact, real, pattern, "uplink")
             assign = grouping_schedule(pop, cfg, registry, profiles, "random", np.random.default_rng(trial))
-            r_grp = evaluate_schedule(real, assign, cfg, "uplink", fadings=pop.gains)
+            r_grp = evaluate_schedule(real, assign, "uplink")
             vals.append(r_grp / r_conv - 1.0)
         gains[m] = np.mean(vals)
     assert gains[256] > gains[64]
@@ -527,8 +546,8 @@ def test_calculator_over_some_users_matches_all_users(direction):
     pop, cfg, real, pattern, _ = _instance(33, k=8, n_rbs=2)
     users = [6, 1, 4, 3]
     for rb in range(cfg.num_rbs):
-        full = RbRateCalculator(real, rb, cfg, pattern, direction, pop.gains)
-        some = RbRateCalculator(real, rb, cfg, pattern, direction, pop.gains, users)
+        full = RbRateCalculator(real, rb, pattern, direction)
+        some = RbRateCalculator(real, rb, pattern, direction, users)
         for size in range(len(users) + 1):
             subsets = np.array(list(itertools.combinations(users, size)), dtype=np.intp)
             assert np.array_equal(some.rates_for_subsets(subsets), full.rates_for_subsets(subsets))
