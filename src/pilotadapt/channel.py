@@ -16,9 +16,9 @@ That is N / L^2 times fewer flops (3 at N = 12, L = 2) than a K x K product
 per (symbol, subcarrier) of the frequency response, which the library never
 forms.
 
-A `ChannelRealization`, made only from a population, its profiles, the cell
-config and a seed (`generate_realization`), builds nothing up front: per draw
-it holds the config, the gains and each user's factors (Doppler basis and mix).
+A `ChannelRealization`, made only from a population (with its profiles), the
+cell config and a seed (`generate_realization`), builds nothing up front: per
+draw it holds the config, the gains and each user's factors (Doppler basis and mix).
 An RB is built on a request its held build does not cover, for the requested
 users and the users the caller said that RB must cover, and the new build
 replaces the held one. A user's channels depend only on (seed, user, RB), so a
@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Sequence
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -138,7 +137,7 @@ class ChannelRealization:
     of its profile with cfg's antenna count, drawn from a generator seeded
     by (seed, k, rb).
 
-    A user's profile is that of the group that lists it. Per draw it holds
+    A user's profile is pop.profiles[g] of its group g. Per draw it holds
     each user's own tap count (counts) and stacked `_grid_bases`, bases
     (K, 32, T) and mix (K, N, L) with L the largest tap count; a user with
     fewer taps gets zero mix columns for the missing ones. A request is
@@ -154,15 +153,10 @@ class ChannelRealization:
     def __init__(
         self,
         pop: UserPopulation,
-        profiles: Sequence[ChannelProfile],
         cfg: SystemConfig,
         seed: int,
         include=None,
     ):
-        if pop.num_groups > len(profiles):
-            raise ConfigurationError(
-                f"{pop.num_groups} groups but only {len(profiles)} channel profiles"
-            )
         users = range(pop.num_users)
         if include is not None and len(include) != cfg.num_rbs:
             raise ConfigurationError(f"include has {len(include)} user sets for {cfg.num_rbs} RBs")
@@ -170,7 +164,7 @@ class ChannelRealization:
             raise ConfigurationError(f"include {include} names users outside 0..{users[-1]}")
         num = cfg.numerology
         t, n = num.symbols_per_rb, num.subcarriers_per_rb
-        profile_of = {k: profiles[g] for g, members in enumerate(pop.groups) for k in members}
+        profile_of = {k: p for p, members in zip(pop.profiles, pop.groups) for k in members}
         factors = [_grid_bases(profile_of[k], t, n, num) for k in users]
         taps = max(m.shape[1] for _, m in factors)
         self.mix = np.zeros((len(users), n, taps), dtype=np.complex128)
@@ -266,13 +260,13 @@ class ChannelRealization:
 
 def generate_realization(
     pop: UserPopulation,
-    profiles: Sequence[ChannelProfile],
     cfg: SystemConfig,
     seed: int = 0,
     include=None,
 ) -> ChannelRealization:
-    """The per-user, per-RB fading field, as each RB's Gram on request,
-    for the cell `cfg` and the gains of `pop`, which it keeps.
+    """The per-user, per-RB fading field of `pop`, each user drawn with its
+    group's profile, as each RB's Gram on request, for the cell `cfg` and
+    the gains of `pop`, which it keeps.
 
     Fading is independent across users, RBs, antennas, and taps. Nothing is
     built here: RB r is built when a request is not covered by its held
@@ -281,4 +275,4 @@ def generate_realization(
     is accumulated in the tap domain from antenna blocks, so memory stays
     bounded by one block whatever the antenna count.
     """
-    return ChannelRealization(pop, profiles, cfg, seed, include)
+    return ChannelRealization(pop, cfg, seed, include)

@@ -13,7 +13,7 @@ import math
 import tomllib
 from dataclasses import dataclass, field, replace
 
-from .core import FadingSpec, Numerology, SystemConfig, lte_numerology
+from .core import FadingSpec, Numerology, SystemConfig, balanced_sizes, lte_numerology
 from .errors import ConfigurationError
 from .patterns import ChannelProfile, PatternRegistry, builtin_profiles, select_pattern_for_group
 
@@ -79,6 +79,9 @@ class ExperimentConfig:
             raise ConfigurationError(
                 f"group_sizes must be non-negative with at least one user, got {sizes}"
             )
+        for key in ("ul_power", "dl_power"):
+            if not 0 < (value := getattr(self, key)) < math.inf:
+                raise ConfigurationError(f"{key} must be finite and positive, got {value!r}")
         noise = self.derived_noise_power()
         if not (math.isfinite(noise) and noise > 0.0):
             raise ConfigurationError(
@@ -99,10 +102,7 @@ class ExperimentConfig:
         if self.group_sizes != "auto":
             return list(self.group_sizes)
         # auto sizing: K = N_RB * U_mux users, split evenly over the groups
-        k = self.num_rbs * mux
-        g = len(self.profiles)
-        base, extra = divmod(k, g)
-        return [base + (1 if i < extra else 0) for i in range(g)]
+        return balanced_sizes(self.num_rbs * mux, len(self.profiles))
 
     def system_config(self, m: int, mux: int) -> SystemConfig:
         """Cell parameters of the sweep point with M antennas and mux order U."""

@@ -10,9 +10,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import ConfigurationError
+
+if TYPE_CHECKING:  # annotations only: the profiles live in `patterns`
+    from .patterns import ChannelProfile
 
 # Gauss-Hermite nodes of `FadingSpec.expect` over a lognormal fading spread
 _QUAD_POINTS = 96
@@ -63,8 +66,9 @@ class SystemConfig:
     def __post_init__(self):
         if self.num_rbs < 1 or self.num_antennas < 1 or self.max_mux < 1:
             raise ConfigurationError("num_rbs, num_antennas and max_mux must be at least 1")
-        if min(self.ul_power, self.dl_power, self.noise_power) <= 0:
-            raise ConfigurationError("powers must be strictly positive")
+        for key in ("ul_power", "dl_power", "noise_power"):
+            if not 0 < (value := getattr(self, key)) < math.inf:
+                raise ConfigurationError(f"{key} must be finite and positive, got {value!r}")
 
     def power(self, direction: str) -> float:
         if direction == "uplink":
@@ -140,11 +144,13 @@ class FadingSpec:
 
 @dataclass(frozen=True)
 class UserPopulation:
-    """Users 0..K-1 of the cell: the statistics groups that partition them
-    and each user's large-scale fading gain (linear power units)."""
+    """Users 0..K-1 of the cell: the statistics groups that partition them,
+    each user's large-scale fading gain (linear power units), and group g's
+    channel profile profiles[g]."""
 
     groups: tuple[tuple[int, ...], ...]
     gains: tuple[float, ...]
+    profiles: tuple[ChannelProfile, ...]
 
     def __post_init__(self):
         k = len(self.gains)
@@ -152,6 +158,8 @@ class UserPopulation:
             raise ConfigurationError("population must contain at least one user")
         if sorted(u for g in self.groups for u in g) != list(range(k)):
             raise ConfigurationError(f"groups {self.groups} must partition users 0..{k - 1}")
+        if len(self.profiles) != len(self.groups):
+            raise ConfigurationError(f"{len(self.groups)} groups but {len(self.profiles)} profiles")
         bad = [g for g in self.gains if not (g > 0 and math.isfinite(g))]
         if bad:
             raise ConfigurationError(f"large-scale gains must be finite and positive, got {bad}")
@@ -160,18 +168,21 @@ class UserPopulation:
     def num_users(self) -> int:
         return len(self.gains)
 
-    @property
-    def num_groups(self) -> int:
-        return len(self.groups)
+
+def balanced_sizes(total: int, parts: int) -> list[int]:
+    """`total` split into `parts` sizes within one of each other, larger first."""
+    base, extra = divmod(total, parts)
+    return [base + (1 if i < extra else 0) for i in range(parts)]
 
 
 def build_population(
     group_sizes: Sequence[int],
+    profiles: Sequence[ChannelProfile],
     fading_spec: FadingSpec,
     seed: int = 0,
 ) -> UserPopulation:
     """Users 0..K-1, numbered group by group in order, with large-scale
-    fading gains drawn from `fading_spec`."""
+    fading gains drawn from `fading_spec`; group g has profiles[g]."""
     import numpy as np
 
     if any(s < 0 for s in group_sizes):
@@ -190,4 +201,5 @@ def build_population(
     return UserPopulation(
         groups=tuple(tuple(range(a, b)) for a, b in zip(ends, ends[1:])),
         gains=tuple(map(float, gains)),
+        profiles=tuple(profiles),
     )

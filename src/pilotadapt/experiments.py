@@ -68,25 +68,23 @@ def _num_workers() -> int:
 def run_trial(cfg: ExperimentConfig, m: int, mux: int, trial: int, seed: int) -> list[ResultRow]:
     """Evaluate one realization: grouping vs conventional, per direction.
 
-    Both directions share the realization and one grouping assignment,
-    which does not depend on the channel; every rating reads the cell
-    config and gains from the realization. The conventional scheduler picks
-    its assignment per direction, and `evaluate_schedule` rates both
-    assignments, so R_grp and R_conv come from one function. Each RB's Gram
-    is built on request for the users the scheduler rates there and the
-    grouping's, and rebuilt only when a request leaves that set: once per
-    RB for the exact DP (every user) and a greedy run in one direction, at
-    most once per RB and direction for greedy runs in both.
+    The population carries the profiles that the grouping and the draw read.
+    Both directions share the draw and one grouping assignment, which does not
+    depend on the channel; every rating reads the cell config and gains from the
+    realization. The conventional scheduler picks its assignment per direction,
+    and `evaluate_schedule` rates both, so R_grp and R_conv come from one
+    function. Each RB's Gram is built on request for the users the scheduler
+    rates there and the grouping's, and rebuilt only when a request leaves that
+    set: once per RB for the exact DP (every user) and a greedy run in one
+    direction, at most once per RB and direction for greedy runs in both.
     """
-    pop = build_population(cfg.sizes_for(mux), cfg.fading, seed=seed)
+    pop = build_population(cfg.sizes_for(mux), cfg.profiles, cfg.fading, seed=seed)
     sys_cfg = cfg.system_config(m, mux)
     registry = default_registry(cfg.profiles, cfg.numerology, mux)
     pattern = conventional_pattern(registry)
     picker_rng = np.random.default_rng(np.random.SeedSequence((seed, 1)))
-    assignment = grouping_schedule(pop, sys_cfg, registry, cfg.profiles, cfg.picker, picker_rng)
-    realization = generate_realization(
-        pop, cfg.profiles, sys_cfg, seed=seed, include=assignment.rb_users
-    )
+    assignment = grouping_schedule(pop, sys_cfg, registry, cfg.picker, picker_rng)
+    realization = generate_realization(pop, sys_cfg, seed=seed, include=assignment.rb_users)
     bound = cfg.gain_bound(mux, registry)
 
     # looked up per call, so that wrappers installed on the module are used

@@ -29,9 +29,9 @@ from itertools import combinations
 import numpy as np
 
 from .channel import ChannelRealization
-from .core import SystemConfig, UserPopulation
+from .core import SystemConfig, UserPopulation, balanced_sizes
 from .errors import ConfigurationError, ExactSearchBudgetError, NoDataRoomError
-from .patterns import ChannelProfile, PatternRegistry, PilotPattern, select_pattern_for_group
+from .patterns import PatternRegistry, PilotPattern, select_pattern_for_group
 from .phy import pair_terms, subset_sinr
 
 # cost cap for the exact DP, in (state, subset) transitions, where one row
@@ -160,17 +160,6 @@ def _data_mask(pattern: PilotPattern, n_s: int, n_sc: int) -> np.ndarray:
     if not mask.any():
         raise NoDataRoomError("pattern covers every RE of the block")
     return mask
-
-
-def _partition_sizes(k: int, n_rbs: int, mux: int) -> list[int]:
-    """Balanced target sizes (used by the greedy baseline)."""
-    sizes = []
-    left = k
-    for r in range(n_rbs):
-        take = min(mux, math.ceil(left / (n_rbs - r)))
-        sizes.append(take)
-        left -= take
-    return sizes
 
 
 def conventional_schedule_exact(
@@ -390,7 +379,7 @@ def conventional_schedule_greedy(
     k = realization.num_users
     n_rbs, mux = realization.cfg.num_rbs, realization.cfg.max_mux
     check_users_fit(k, n_rbs, mux)
-    sizes = _partition_sizes(k, n_rbs, mux)
+    sizes = balanced_sizes(k, n_rbs)
 
     remaining = list(range(k))
     chosen: list[tuple[int, ...]] = []
@@ -426,15 +415,15 @@ def grouping_schedule(
     pop: UserPopulation,
     cfg: SystemConfig,
     registry: PatternRegistry,
-    profiles: Sequence[ChannelProfile],
     user_picker: str = "random",
     rng: np.random.Generator | None = None,
 ) -> ScheduleAssignment:
     """Grouping-based pattern adaptation and scheduling.
 
-    Each owned RB takes min(max_mux, group size) users from its group. The
-    random picker deals group members without replacement across the group's
-    RBs (re-drawing from the full group only once its members are exhausted,
+    Each owned RB takes min(max_mux, group size) users from its group and
+    the registry pattern of the group's profile in `pop`. The random picker
+    deals group members without replacement across the group's RBs
+    (re-drawing from the full group only once its members are exhausted,
     never repeating a user within one RB); round_robin cycles members
     deterministically.
     """
@@ -444,7 +433,6 @@ def grouping_schedule(
         rng = np.random.default_rng(0)
 
     owners = group_rb_ownership(pop, cfg.num_rbs)
-    num = cfg.numerology
 
     rb_users: list[tuple[int, ...]] = []
     rb_patterns: list[PilotPattern] = []
@@ -462,7 +450,7 @@ def grouping_schedule(
             if u not in picked:
                 picked.append(u)
         rb_users.append(tuple(sorted(picked)))
-        rb_patterns.append(select_pattern_for_group(registry, profiles[g], num))
+        rb_patterns.append(select_pattern_for_group(registry, pop.profiles[g], cfg.numerology))
 
     return ScheduleAssignment(tuple(rb_users), tuple(rb_patterns), tuple(owners))
 

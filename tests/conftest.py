@@ -30,7 +30,7 @@ def small_cfg():
 
 @pytest.fixture
 def sixteen_user_pop():
-    return build_population([4, 4, 4, 4], FadingSpec(), seed=0)
+    return build_population([4, 4, 4, 4], builtin_profiles(), FadingSpec(), seed=0)
 
 
 def tiny_numerology(n_s: int, n_sc: int) -> Numerology:

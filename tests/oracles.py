@@ -85,7 +85,7 @@ def oracle_single_grid(profile, num_symbols, num_subcarriers, num, rng, num_ante
     return np.einsum("alt,nl->tna", taps, mix)
 
 
-def draw_channels(pop, profiles, cfg, seed, rb):
+def draw_channels(pop, cfg, seed, rb):
     """The channels (K, T, N, M) of one RB of `generate_realization`'s draw:
     each user's `generate_single_grid`, from its own generator seeded by
     (seed, user, rb), with the profile of the group that lists the user."""
@@ -95,11 +95,11 @@ def draw_channels(pop, profiles, cfg, seed, rb):
 
     num = cfg.numerology
     grids = [None] * pop.num_users
-    for g, members in enumerate(pop.groups):
+    for profile, members in zip(pop.profiles, pop.groups):
         for k in members:
             rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, k, rb))))
             grids[k] = generate_single_grid(
-                profiles[g], num.symbols_per_rb, num.subcarriers_per_rb, num, rng,
+                profile, num.symbols_per_rb, num.subcarriers_per_rb, num, rng,
                 num_antennas=cfg.num_antennas,
             )
     return np.stack(grids)

@@ -97,12 +97,12 @@ def test_criterion_2_scheduler_exactness():
     profiles = builtin_profiles()
     worst = 0.0
     for seed in range(50):
-        pop = build_population([2, 2, 2, 2], FadingSpec(), seed=seed)
+        pop = build_population([2, 2, 2, 2], profiles, FadingSpec(), seed=seed)
         cfg = SystemConfig(
             num_rbs=2, num_antennas=4, max_mux=4,
             ul_power=1.0, dl_power=1.0, noise_power=0.1,
         )
-        real = generate_realization(pop, profiles, cfg, seed=1000 + seed)
+        real = generate_realization(pop, cfg, seed=1000 + seed)
         pattern = conventional_pattern(default_registry(profiles, cfg.numerology, 4))
         direction = "uplink" if seed % 2 == 0 else "downlink"
         _, dp = rated(conventional_schedule_exact, real, pattern, direction)
@@ -159,7 +159,7 @@ def test_criterion_4_superiority_vs_exact_baseline():
     """
     profiles = builtin_profiles()
     num = lte_numerology()
-    pop = build_population([4, 4, 4, 4], FadingSpec(), seed=0)
+    pop = build_population([4, 4, 4, 4], profiles, FadingSpec(), seed=0)
     cfg = SystemConfig(
         num_rbs=4, num_antennas=64, max_mux=4,
         ul_power=1.0, dl_power=1.0, noise_power=0.1,
@@ -169,10 +169,10 @@ def test_criterion_4_superiority_vs_exact_baseline():
 
     grp, conv = [], []
     for trial in range(10):
-        real = generate_realization(pop, profiles, cfg, seed=4000 + trial)
+        real = generate_realization(pop, cfg, seed=4000 + trial)
         _, r_conv = rated(conventional_schedule_exact, real, pattern, "uplink")
         assign = grouping_schedule(
-            pop, cfg, registry, profiles, "random", np.random.default_rng(trial)
+            pop, cfg, registry, "random", np.random.default_rng(trial)
         )
         r_grp = evaluate_schedule(real, assign, "uplink")
         grp.append(r_grp)
@@ -203,7 +203,7 @@ def test_criterion_5_gain_behavior():
     profiles = builtin_profiles()
     num = lte_numerology()
     mux, trials = 7, 200
-    pop = build_population([7, 7, 7, 7], FadingSpec(), seed=0)
+    pop = build_population([7, 7, 7, 7], profiles, FadingSpec(), seed=0)
     registry = default_registry(profiles, num, mux)
     pattern = conventional_pattern(registry)
     gammas = (0.25,) * 4
@@ -225,16 +225,16 @@ def test_criterion_5_gain_behavior():
         # the grouping does not depend on M or the channel; drawn first, its
         # users are built with the greedy's, so each RB is built once
         assign = grouping_schedule(
-            pop, cfg64, registry, profiles, "random", np.random.default_rng(trial)
+            pop, cfg64, registry, "random", np.random.default_rng(trial)
         )
         # common random numbers: the M=64 system is the first 64 antennas of
         # the M=112 one, because antennas are drawn in order from one
         # generator per (seed, user, RB)
         real112 = generate_realization(
-            pop, profiles, cfg112, seed=5000 + trial, include=assign.rb_users
+            pop, cfg112, seed=5000 + trial, include=assign.rb_users
         )
         real64 = generate_realization(
-            pop, profiles, cfg64, seed=5000 + trial, include=assign.rb_users
+            pop, cfg64, seed=5000 + trial, include=assign.rb_users
         )
         for m, real, cfg in ((64, real64, cfg64), (112, real112, cfg112)):
             _, r_conv = rated(conventional_schedule_greedy, real, pattern, "uplink")
@@ -303,12 +303,12 @@ def test_criterion_7_channel_statistics():
     num = lte_numerology()
     worst_t, worst_f = 0.0, 0.0
     for prof in builtin_profiles():
-        pop = build_population([1], FadingSpec(), seed=0)
+        pop = build_population([1], [prof], FadingSpec(), seed=0)
         cfg = SystemConfig(
             num_rbs=100, num_antennas=100, max_mux=4,
             ul_power=1.0, dl_power=1.0, noise_power=1.0,
         )
-        h = np.stack([draw_channels(pop, [prof], cfg, 700, rb)[0] for rb in range(cfg.num_rbs)])
+        h = np.stack([draw_channels(pop, cfg, 700, rb)[0] for rb in range(cfg.num_rbs)])
         x = h[:, :, 0, :]  # (rb, t, m): 10^4 series
         denom = np.mean(np.abs(x) ** 2)
         for lag in (1, 3, 7, 13):

@@ -107,9 +107,9 @@ THREE_TAP = ChannelProfile("three-tap", 300.0, 4.69e-6, taps=((0.0, 0.5), (1.5e-
 
 def _one_user_channels(profile, cfg, seed):
     """(RBs, T, N, M) channels of a single user of `profile`."""
-    pop = build_population([1], FadingSpec(), seed=0)
+    pop = build_population([1], [profile], FadingSpec(), seed=0)
     return np.stack(
-        [draw_channels(pop, [profile], cfg, seed, rb)[0] for rb in range(cfg.num_rbs)]
+        [draw_channels(pop, cfg, seed, rb)[0] for rb in range(cfg.num_rbs)]
     )
 
 
@@ -126,16 +126,16 @@ def test_static_flat_channel_constant(num):
 
 
 def test_realization_seed_determinism(num, profiles):
-    pop = build_population([2, 2, 2, 2], FadingSpec(), seed=1)
+    pop = build_population([2, 2, 2, 2], profiles, FadingSpec(), seed=1)
     cfg = _cfg(2, 4)
-    a = generate_realization(pop, profiles, cfg, seed=9)
-    b = generate_realization(pop, profiles, cfg, seed=9)
-    c = generate_realization(pop, profiles, cfg, seed=10)
+    a = generate_realization(pop, cfg, seed=9)
+    b = generate_realization(pop, cfg, seed=9)
+    c = generate_realization(pop, cfg, seed=10)
     for rb in range(cfg.num_rbs):
         assert np.array_equal(a.gram(rb)[0], b.gram(rb)[0])
         assert np.array_equal(a.gram(rb)[1], b.gram(rb)[1])
         assert not np.array_equal(a.gram(rb)[0], c.gram(rb)[0])
-    assert np.array_equal(draw_channels(pop, profiles, cfg, 9, 1), draw_channels(pop, profiles, cfg, 9, 1))
+    assert np.array_equal(draw_channels(pop, cfg, 9, 1), draw_channels(pop, cfg, 9, 1))
 
 
 def test_time_autocorrelation_matches_bessel(num):
@@ -181,8 +181,8 @@ def test_doppler_band_limitation(num):
 
 
 def test_realization_immutable(num, profiles):
-    pop = build_population([1, 1, 1, 1], FadingSpec(), seed=0)
-    real = generate_realization(pop, profiles, _cfg(1, 2), seed=0)
+    pop = build_population([1, 1, 1, 1], profiles, FadingSpec(), seed=0)
+    real = generate_realization(pop, _cfg(1, 2), seed=0)
     cross, norms = real.gram(0)
     for arr in (cross, norms):
         with pytest.raises(ValueError):
@@ -195,11 +195,11 @@ def test_realization_immutable(num, profiles):
 def test_gram_arrays_are_read_only(profiles):
     """Builds with and without include sets and their slices all come back
     read-only."""
-    pop = build_population([2, 2, 2, 2], FadingSpec(), seed=0)
+    pop = build_population([2, 2, 2, 2], profiles, FadingSpec(), seed=0)
     cfg = _cfg(2, 4)
     reals = [
-        generate_realization(pop, profiles, cfg, seed=1),
-        generate_realization(pop, profiles, cfg, seed=1, include=((0, 1), (6,))),
+        generate_realization(pop, cfg, seed=1),
+        generate_realization(pop, cfg, seed=1, include=((0, 1), (6,))),
     ]
     for real in reals:
         for users in (None, [5, 1, 6], [3]):
@@ -222,27 +222,27 @@ def test_gram_arrays_are_read_only(profiles):
 )
 def test_realization_refuses_include_that_does_not_fit_the_draw(profiles, include, match):
     """include must give one user set per RB of the config, of users 0..K-1."""
-    pop = build_population([2, 2, 2, 2], FadingSpec(), seed=0)
+    pop = build_population([2, 2, 2, 2], profiles, FadingSpec(), seed=0)
     with pytest.raises(ConfigurationError, match=match):
-        generate_realization(pop, profiles, _cfg(2, 4), seed=1, include=include)
+        generate_realization(pop, _cfg(2, 4), seed=1, include=include)
 
 
 def test_realization_keeps_the_config_and_gains_it_was_drawn_for(profiles):
-    pop = build_population([2, 2], FadingSpec(kind="lognormal", spread_db=6.0), seed=3)
+    pop = build_population([2, 2], profiles[:2], FadingSpec(kind="lognormal", spread_db=6.0), seed=3)
     cfg = _cfg(2, 4)
-    real = generate_realization(pop, profiles, cfg, seed=1)
+    real = generate_realization(pop, cfg, seed=1)
     assert real.cfg is cfg
     assert real.gains == pop.gains
     assert real.num_users == pop.num_users == 4
 
 
-SUBSET_POP = build_population([2, 1, 2], FadingSpec(), seed=0)
 SUBSET_PROFILES = [ONE_TAP, THREE_TAP, builtin_profiles()[1]]
+SUBSET_POP = build_population([2, 1, 2], SUBSET_PROFILES, FadingSpec(), seed=0)
 
 
 @functools.lru_cache(maxsize=None)
 def _full_build(m):
-    real = generate_realization(SUBSET_POP, SUBSET_PROFILES, _cfg(2, m), seed=3)
+    real = generate_realization(SUBSET_POP, _cfg(2, m), seed=3)
     return [real.gram(rb) for rb in range(2)]
 
 
@@ -270,7 +270,7 @@ def test_gram_of_users_matches_the_full_build(case):
     m, include, requests = case
     full = _full_build(m)
     stored = StoredGrams(full, _cfg(2, m), SUBSET_POP.gains)
-    real = generate_realization(SUBSET_POP, SUBSET_PROFILES, _cfg(2, m), seed=3, include=include)
+    real = generate_realization(SUBSET_POP, _cfg(2, m), seed=3, include=include)
     built: dict[int, set] = {}
     builds, want_builds = [], []
     build = channel.ChannelRealization._build
@@ -307,13 +307,13 @@ def test_gram_matches_direct_inner_products():
     not multiples of the block size, so each user's stream must continue
     across blocks."""
     profs = [ONE_TAP, THREE_TAP, builtin_profiles()[1]]
-    pop = build_population([2, 1, 2], FadingSpec(), seed=0)
+    pop = build_population([2, 1, 2], profs, FadingSpec(), seed=0)
     assert 130 % channel._ANTENNA_CHUNK == 2
     for m in (5, 70, 130):
         cfg = _cfg(2, m)
-        real = generate_realization(pop, profs, cfg, seed=3)
+        real = generate_realization(pop, cfg, seed=3)
         assert real.num_users == 5
-        h = np.stack([draw_channels(pop, profs, cfg, 3, rb) for rb in range(2)], axis=1)
+        h = np.stack([draw_channels(pop, cfg, 3, rb) for rb in range(2)], axis=1)
         for rb, (want_cross, want_norms) in enumerate(oracle_grams(h)):
             cross, norms = real.gram(rb)
             assert np.allclose(cross, want_cross, rtol=1e-12, atol=0.0)
@@ -346,10 +346,10 @@ def test_drawn_blocks_continue_one_stream(num):
     of one einsum-oracle draw of all 130 antennas per user from that user's
     (seed, user, RB) generator."""
     profs = [ONE_TAP, THREE_TAP]
-    pop = build_population([1, 2], FadingSpec(), seed=0)
+    pop = build_population([1, 2], profs, FadingSpec(), seed=0)
     cfg = _cfg(2, 130)
     assert cfg.num_antennas % channel._ANTENNA_CHUNK != 0
-    real = generate_realization(pop, profs, cfg, seed=11)
+    real = generate_realization(pop, cfg, seed=11)
     h = np.stack([
         np.stack([
             oracle_single_grid(
@@ -371,10 +371,10 @@ def test_drawn_blocks_continue_one_stream(num):
 def test_fewer_antennas_draw_the_leading_antennas(profiles):
     """Common random numbers across M: the M = 64 draw is the first 64
     antennas of the M = 112 draw with the same seed."""
-    pop = build_population([2, 2, 2, 2], FadingSpec(), seed=0)
+    pop = build_population([2, 2, 2, 2], profiles, FadingSpec(), seed=0)
     for rb in range(2):
-        h64 = draw_channels(pop, profiles, _cfg(2, 64), 5000, rb)
-        h112 = draw_channels(pop, profiles, _cfg(2, 112), 5000, rb)
+        h64 = draw_channels(pop, _cfg(2, 64), 5000, rb)
+        h112 = draw_channels(pop, _cfg(2, 112), 5000, rb)
         assert np.max(np.abs(h64 - h112[..., :64])) <= 1e-12
 
 
@@ -383,11 +383,11 @@ def test_generation_memory_is_per_block(profiles):
     Gram is accumulated from antenna blocks, so the peak allocation of
     building every RB of a realization stays under half of one RB's
     channels; building any RB's full channel array first would not."""
-    pop = build_population([4, 4, 4, 4], FadingSpec(), seed=0)
+    pop = build_population([4, 4, 4, 4], profiles, FadingSpec(), seed=0)
     cfg = _cfg(4, 256)
 
     def build_every_rb(seed):
-        real = generate_realization(pop, profiles, cfg, seed=seed)
+        real = generate_realization(pop, cfg, seed=seed)
         return [real.gram(rb) for rb in range(cfg.num_rbs)]
 
     build_every_rb(0)  # warm caches and lazy imports

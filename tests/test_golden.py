@@ -62,9 +62,9 @@ def _partitions(cfg, rows) -> list[dict]:
     )
     out = []
     for row in rows:
-        pop = build_population(cfg.sizes_for(row.u_mux), cfg.fading, seed=row.seed)
+        pop = build_population(cfg.sizes_for(row.u_mux), profiles, cfg.fading, seed=row.seed)
         sys_cfg = cfg.system_config(row.m, row.u_mux)
-        real = generate_realization(pop, profiles, sys_cfg, seed=row.seed)
+        real = generate_realization(pop, sys_cfg, seed=row.seed)
         pattern = conventional_pattern(default_registry(profiles, cfg.numerology, row.u_mux))
         assign = schedule(real, pattern, row.direction)
         out.append(

@@ -437,6 +437,24 @@ def test_snr_derives_noise_power():
     assert cfg.derived_noise_power() == 0.25
 
 
+@pytest.mark.parametrize(
+    "kwargs, key, value",
+    [
+        ({"ul_power": -1.0}, "ul_power", -1.0),
+        ({"ul_power": math.nan}, "ul_power", math.nan),
+        ({"dl_power": -1.0, "noise_power": 0.1}, "dl_power", -1.0),
+        ({"dl_power": math.inf}, "dl_power", math.inf),
+        ({"dl_power": 0.0, "direction": "uplink"}, "dl_power", 0.0),
+    ],
+)
+def test_config_names_a_power_that_is_not_finite_and_positive(kwargs, key, value):
+    """A bad ul_power is refused for itself, before the noise is derived
+    from it, and a bad dl_power when the config is built, not at a sweep
+    point; the message names the key and the value."""
+    with pytest.raises(ConfigurationError, match=f"^{key} must be finite and positive, got {value!r}$"):
+        ExperimentConfig(m_list=(8,), u_mux_list=(4,), trials=1, **kwargs)
+
+
 # ---------------------------------------------------------------------------
 # CLI
 

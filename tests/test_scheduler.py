@@ -38,12 +38,12 @@ from oracles import StoredGrams, draw_channels, oracle_exact_partition, oracle_g
 def _instance(seed, k=8, n_rbs=2, m=4, mux=4, sigma2=0.1):
     profiles = builtin_profiles()
     sizes = [k // 4] * 4 if k % 4 == 0 else [k]
-    pop = build_population(sizes, FadingSpec(), seed=seed)
+    pop = build_population(sizes, profiles[: len(sizes)], FadingSpec(), seed=seed)
     cfg = SystemConfig(
         num_rbs=n_rbs, num_antennas=m, max_mux=mux,
         ul_power=1.0, dl_power=1.0, noise_power=sigma2,
     )
-    real = generate_realization(pop, profiles, cfg, seed=seed)
+    real = generate_realization(pop, cfg, seed=seed)
     pattern = conventional_pattern(default_registry(profiles, cfg.numerology, mux))
     return pop, cfg, real, pattern, profiles
 
@@ -90,13 +90,13 @@ def small_instances(draw):
     k = max(1, min(7, n_rbs * mux) - draw(st.integers(0, 3)))  # free layers when > 0
     seed = draw(st.integers(0, 2**16))
     direction = draw(st.sampled_from(["uplink", "downlink"]))
-    pop = build_population([k], FadingSpec(kind="lognormal", spread_db=6.0), seed=seed)
+    profiles = builtin_profiles()
+    pop = build_population([k], profiles[:1], FadingSpec(kind="lognormal", spread_db=6.0), seed=seed)
     cfg = SystemConfig(
         num_rbs=n_rbs, num_antennas=4, max_mux=mux,
         ul_power=1.0, dl_power=1.0, noise_power=0.1,
     )
-    profiles = builtin_profiles()
-    real = generate_realization(pop, profiles[:1], cfg, seed=seed)
+    real = generate_realization(pop, cfg, seed=seed)
     pattern = conventional_pattern(default_registry(profiles, cfg.numerology, mux))
     return pop, cfg, real, pattern, direction
 
@@ -133,15 +133,15 @@ def filled_group_instances(draw):
     seed = draw(st.integers(0, 2**16))
     direction = draw(st.sampled_from(["uplink", "downlink"]))
     fading = FadingSpec(kind="lognormal", spread_db=6.0)
-    gains = build_population([n_rbs * mux], fading, seed=seed).gains
+    profiles = builtin_profiles()
+    gains = build_population([n_rbs * mux], profiles[:1], fading, seed=seed).gains
     groups = tuple(tuple(sorted(order[g * mux : (g + 1) * mux])) for g in range(n_rbs))
-    pop = UserPopulation(groups=groups, gains=gains)
+    pop = UserPopulation(groups=groups, gains=gains, profiles=tuple(profiles[:n_rbs]))
     cfg = SystemConfig(
         num_rbs=n_rbs, num_antennas=4, max_mux=mux,
         ul_power=1.0, dl_power=1.0, noise_power=0.1,
     )
-    profiles = builtin_profiles()
-    real = generate_realization(pop, profiles, cfg, seed=seed)
+    real = generate_realization(pop, cfg, seed=seed)
     return pop, cfg, real, profiles, direction
 
 
@@ -154,7 +154,7 @@ def test_exact_beats_the_group_partition(instance):
     pop, cfg, real, profiles, direction = instance
     registry = default_registry(profiles, cfg.numerology, cfg.max_mux)
     pattern = conventional_pattern(registry)
-    grouping = grouping_schedule(pop, cfg, registry, profiles, "random", np.random.default_rng(0))
+    grouping = grouping_schedule(pop, cfg, registry, "random", np.random.default_rng(0))
     assert grouping.rb_users == pop.groups
     fixed = dataclasses.replace(grouping, rb_patterns=(pattern,) * cfg.num_rbs)
     r_fix = evaluate_schedule(real, fixed, direction)
@@ -307,11 +307,12 @@ def test_greedy_logs_gap_to_exact():
 
 
 def test_rb_ownership_examples():
-    pop = build_population([4, 4, 4, 4], FadingSpec(), seed=0)
+    profiles = builtin_profiles()
+    pop = build_population([4, 4, 4, 4], profiles, FadingSpec(), seed=0)
     assert group_rb_ownership(pop, 4) == [0, 1, 2, 3]
-    pop = build_population([6, 3, 3], FadingSpec(), seed=0)
+    pop = build_population([6, 3, 3], profiles[:3], FadingSpec(), seed=0)
     assert group_rb_ownership(pop, 4) == [0, 0, 1, 2]
-    pop = build_population([5], FadingSpec(), seed=0)
+    pop = build_population([5], profiles[:1], FadingSpec(), seed=0)
     assert group_rb_ownership(pop, 3) == [0, 0, 0]
 
 
@@ -320,7 +321,7 @@ def test_rb_ownership_fairness():
     for _ in range(100):
         sizes = rng.integers(1, 9, size=int(rng.integers(1, 5))).tolist()
         n_rbs = int(rng.integers(len(sizes), 13))
-        pop = build_population(sizes, FadingSpec(), seed=0)
+        pop = build_population(sizes, builtin_profiles()[:1] * len(sizes), FadingSpec(), seed=0)
         owners = group_rb_ownership(pop, n_rbs)
         k = pop.num_users
         for g, group in enumerate(pop.groups):
@@ -338,7 +339,7 @@ def test_rb_ownership_covers_every_rb_with_nonempty_groups(sizes, n_rbs):
     """The fair mapping labels every RB, in group order, and only groups
     with users own RBs: group g owns ceil(N cum_g / K) - ceil(N cum_(g-1) / K)
     of them, which is 0 for an empty group and sums to N."""
-    pop = build_population(sizes, FadingSpec(), seed=0)
+    pop = build_population(sizes, builtin_profiles()[:1] * len(sizes), FadingSpec(), seed=0)
     owners = group_rb_ownership(pop, n_rbs)
     assert len(owners) == n_rbs
     assert owners == sorted(owners)
@@ -352,10 +353,10 @@ def test_rb_ownership_covers_every_rb_with_nonempty_groups(sizes, n_rbs):
 
 def test_grouping_schedule_equal_groups():
     profiles = builtin_profiles()
-    pop = build_population([4, 4, 4, 4], FadingSpec(), seed=0)
+    pop = build_population([4, 4, 4, 4], profiles, FadingSpec(), seed=0)
     cfg = SystemConfig(num_rbs=4, num_antennas=8, max_mux=4, ul_power=1.0, dl_power=1.0, noise_power=0.1)
     registry = default_registry(profiles, cfg.numerology, 4)
-    assign = grouping_schedule(pop, cfg, registry, profiles, "round_robin")
+    assign = grouping_schedule(pop, cfg, registry, "round_robin")
     assert assign.rb_groups == (0, 1, 2, 3)
     # forced sets: each group's four users on its own RB
     assert assign.rb_users == tuple(pop.groups)
@@ -370,11 +371,11 @@ def test_grouping_schedule_equal_groups():
 
 def test_grouping_disjoint_when_groups_large_enough():
     profiles = builtin_profiles()[:2]
-    pop = build_population([8, 8], FadingSpec(), seed=0)
+    pop = build_population([8, 8], profiles, FadingSpec(), seed=0)
     cfg = SystemConfig(num_rbs=4, num_antennas=4, max_mux=4, ul_power=1.0, dl_power=1.0, noise_power=0.1)
     registry = default_registry(profiles, cfg.numerology, 4)
     rng = np.random.default_rng(3)
-    assign = grouping_schedule(pop, cfg, registry, profiles, "random", rng)
+    assign = grouping_schedule(pop, cfg, registry, "random", rng)
     all_users = [u for s in assign.rb_users for u in s]
     assert len(all_users) == len(set(all_users))
     for rb, g in enumerate(assign.rb_groups):
@@ -383,11 +384,11 @@ def test_grouping_disjoint_when_groups_large_enough():
 
 def test_grouping_small_group_reuses_across_rbs_only():
     profiles = builtin_profiles()[:1]
-    pop = build_population([3], FadingSpec(), seed=0)  # 3 users, 2 RBs x 2 layers
+    pop = build_population([3], profiles, FadingSpec(), seed=0)  # 3 users, 2 RBs x 2 layers
     cfg = SystemConfig(num_rbs=2, num_antennas=4, max_mux=2, ul_power=1.0, dl_power=1.0, noise_power=0.1)
     registry = default_registry(profiles, cfg.numerology, 2)
     rng = np.random.default_rng(5)
-    assign = grouping_schedule(pop, cfg, registry, profiles, "random", rng)
+    assign = grouping_schedule(pop, cfg, registry, "random", rng)
     for users in assign.rb_users:
         assert len(users) == 2
         assert len(set(users)) == 2  # never repeats a user within an RB
@@ -395,11 +396,11 @@ def test_grouping_small_group_reuses_across_rbs_only():
 
 def test_grouping_random_picker_seeded():
     profiles = builtin_profiles()
-    pop = build_population([8, 8, 8, 8], FadingSpec(), seed=0)
+    pop = build_population([8, 8, 8, 8], profiles, FadingSpec(), seed=0)
     cfg = SystemConfig(num_rbs=4, num_antennas=4, max_mux=4, ul_power=1.0, dl_power=1.0, noise_power=0.1)
     registry = default_registry(profiles, cfg.numerology, 4)
-    a = grouping_schedule(pop, cfg, registry, profiles, "random", np.random.default_rng(9))
-    b = grouping_schedule(pop, cfg, registry, profiles, "random", np.random.default_rng(9))
+    a = grouping_schedule(pop, cfg, registry, "random", np.random.default_rng(9))
+    b = grouping_schedule(pop, cfg, registry, "random", np.random.default_rng(9))
     assert a == b
 
 
@@ -407,15 +408,15 @@ def test_grouping_dominated_by_exact_when_collapsed():
     # single group, registry collapsed to the worst-case pattern: any grouping
     # schedule is one feasible point of the conventional optimization
     profiles = [builtin_profiles()[3]]
-    pop = build_population([8], FadingSpec(), seed=1)
+    pop = build_population([8], profiles, FadingSpec(), seed=1)
     cfg = SystemConfig(num_rbs=2, num_antennas=4, max_mux=4, ul_power=1.0, dl_power=1.0, noise_power=0.1)
     pattern = conventional_pattern(default_registry(profiles, cfg.numerology, 4))
     registry = PatternRegistry(patterns=(pattern,))
-    real = generate_realization(pop, profiles, cfg, seed=4)
+    real = generate_realization(pop, cfg, seed=4)
     _, exact = rated(conventional_schedule_exact, real, pattern, "uplink")
     for picker_seed in range(5):
         assign = grouping_schedule(
-            pop, cfg, registry, profiles, "random", np.random.default_rng(picker_seed)
+            pop, cfg, registry, "random", np.random.default_rng(picker_seed)
         )
         rate = evaluate_schedule(real, assign, "uplink")
         assert rate <= exact + 1e-12
@@ -467,7 +468,7 @@ def test_schedule_assignment_refuses_fields_of_unequal_length():
 
 def test_identical_rbs_contribute_equally():
     pop, cfg, real, pattern, profiles = _instance(32, k=4, n_rbs=2)
-    h0 = draw_channels(pop, profiles, cfg, 32, 0)
+    h0 = draw_channels(pop, cfg, 32, 0)
     # RB 1 = RB 0
     dup = StoredGrams(oracle_grams(np.stack([h0, h0], axis=1)), real.cfg, pop.gains)
     assign = ScheduleAssignment(
@@ -484,11 +485,11 @@ def test_identical_rbs_contribute_equally():
 
 def test_grouping_empty_group_with_rbs_rejected():
     profiles = builtin_profiles()[:2]
-    pop = build_population([4, 0], FadingSpec(), seed=0)
+    pop = build_population([4, 0], profiles, FadingSpec(), seed=0)
     cfg = SystemConfig(num_rbs=4, num_antennas=4, max_mux=4, ul_power=1.0, dl_power=1.0, noise_power=0.1)
     registry = default_registry(profiles, cfg.numerology, 4)
     # group 1 is empty; the fair mapping gives it no RBs, so this succeeds
-    assign = grouping_schedule(pop, cfg, registry, profiles, "round_robin")
+    assign = grouping_schedule(pop, cfg, registry, "round_robin")
     assert all(g == 0 for g in assign.rb_groups)
 
 
@@ -500,10 +501,10 @@ def test_conventional_rejects_overflow():
 
 def test_assignment_json_dump():
     profiles = builtin_profiles()
-    pop = build_population([4, 4, 4, 4], FadingSpec(), seed=0)
+    pop = build_population([4, 4, 4, 4], profiles, FadingSpec(), seed=0)
     cfg = SystemConfig(num_rbs=4, num_antennas=4, max_mux=4, ul_power=1.0, dl_power=1.0, noise_power=0.1)
     registry = default_registry(profiles, cfg.numerology, 4)
-    assign = grouping_schedule(pop, cfg, registry, profiles, "round_robin")
+    assign = grouping_schedule(pop, cfg, registry, "round_robin")
     dump = assign.to_dict()
     assert dump["mode"] == "grouping"
     assert [rb["group"] for rb in dump["rbs"]] == [0, 1, 2, 3]
@@ -521,7 +522,7 @@ def test_grouping_gain_vs_exact_rises_with_antennas():
 
     profiles = builtin_profiles()
     num_rb, mux = 4, 4
-    pop = build_population([4, 4, 4, 4], FadingSpec(), seed=0)
+    pop = build_population([4, 4, 4, 4], profiles, FadingSpec(), seed=0)
     num = lte_numerology()
     registry = default_registry(profiles, num, mux)
     pattern = conventional_pattern(registry)
@@ -530,9 +531,9 @@ def test_grouping_gain_vs_exact_rises_with_antennas():
         cfg = SystemConfig(num_rbs=num_rb, num_antennas=m, max_mux=mux, ul_power=1.0, dl_power=1.0, noise_power=0.1)
         vals = []
         for trial in range(2):
-            real = generate_realization(pop, profiles, cfg, seed=600 + trial)
+            real = generate_realization(pop, cfg, seed=600 + trial)
             _, r_conv = rated(conventional_schedule_exact, real, pattern, "uplink")
-            assign = grouping_schedule(pop, cfg, registry, profiles, "random", np.random.default_rng(trial))
+            assign = grouping_schedule(pop, cfg, registry, "random", np.random.default_rng(trial))
             r_grp = evaluate_schedule(real, assign, "uplink")
             vals.append(r_grp / r_conv - 1.0)
         gains[m] = np.mean(vals)
