@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands: patterns, simulate, sweep, asymptotics, validate-estimation.
-Errors print a one-line JSON diagnostic to stderr and exit nonzero. A
-module that only some commands run is imported inside those commands, so a
-process loads only what its command needs.
+Every table goes through `table_text`: CSV lines under a header, or JSON
+records keyed by that header. Errors print a one-line JSON diagnostic to
+stderr and exit nonzero. A module that only some commands run is imported
+inside those commands, so a process loads only what its command needs.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 from .config import ExperimentConfig, load_config
 from .errors import PilotAdaptError
@@ -50,6 +51,14 @@ def _emit(text: str, cfg: ExperimentConfig) -> None:
         sys.stdout.write(text)
 
 
+def table_text(header, rows, fmt: str) -> str:
+    """`rows` as JSON records keyed by `header` if `fmt` is "json", else as
+    CSV lines of their `str()` fields under the header."""
+    if fmt == "json":
+        return json.dumps([dict(zip(header, row)) for row in rows], indent=2) + "\n"
+    return "".join(",".join(map(str, row)) + "\n" for row in [header, *rows])
+
+
 def _cmd_patterns(args) -> int:
     # text grid maps unless the config or --format names csv or json, for the
     # first u_mux_list entry only; a note on stderr names the others
@@ -66,14 +75,13 @@ def _cmd_patterns(args) -> int:
         }
         text = json.dumps(payload, indent=2) + "\n"
     elif cfg.format == "csv":
-        lines = ["kind,spacing_t,spacing_f,size,overhead_ratio"]
-        for kind, pat in [*(("registry", p) for p in registry.patterns), ("conventional", conv)]:
-            sp = pat.spacing
-            lines.append(
-                f"{kind},{sp.time_spacing_symbols},{sp.freq_spacing_subcarriers},"
-                f"{pat.size},{pat.overhead_ratio}"
-            )
-        text = "\n".join(lines) + "\n"
+        header = ("kind", "spacing_t", "spacing_f", "size", "overhead_ratio")
+        rows = [
+            (kind, pat.spacing.time_spacing_symbols, pat.spacing.freq_spacing_subcarriers,
+             pat.size, pat.overhead_ratio)
+            for kind, pat in [*(("registry", p) for p in registry.patterns), ("conventional", conv)]
+        ]
+        text = table_text(header, rows, cfg.format)
     else:
         lines = [f"pattern registry at mux order {mux} "
                  f"({cfg.numerology.symbols_per_rb}x{cfg.numerology.subcarriers_per_rb} grid)"]
@@ -102,11 +110,11 @@ def _cmd_patterns(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    from .experiments import rows_to_csv, rows_to_json, run_sweep, summarize_gains
+    from .experiments import CSV_HEADER, run_sweep, summarize_gains
 
     cfg = _load(args)
     rows = run_sweep(cfg)
-    _emit(rows_to_json(rows) if cfg.format == "json" else rows_to_csv(rows), cfg)
+    _emit(table_text(CSV_HEADER.split(","), [astuple(r) for r in rows], cfg.format), cfg)
     if args.command != "sweep":
         return 0
     for entry in summarize_gains(rows):
@@ -123,7 +131,8 @@ def _cmd_asymptotics(args) -> int:
 
     cfg = _load(args)
     eta_bar = cfg.fading.mean()
-    entries = []
+    header = ("direction", "M", "U_mux", "det_sinr", "sinr_bar", "log_rate", "gain_bound")
+    rows = []
     for mux in cfg.u_mux_list:
         bound = cfg.gain_bound(mux, default_registry(cfg.profiles, cfg.numerology, mux))
         for m in cfg.m_list:
@@ -131,28 +140,8 @@ def _cmd_asymptotics(args) -> int:
             for direction in cfg.directions():
                 det = deterministic_sinr(sys_cfg, direction, eta_bar, eta_bar)
                 bar = sinr_bar(sys_cfg, direction, cfg.fading)
-                entries.append(
-                    {
-                        "direction": direction,
-                        "M": m,
-                        "U_mux": mux,
-                        "deterministic_sinr_at_mean_eta": det,
-                        "sinr_bar": bar,
-                        "log_rate": math.log2(1.0 + bar),
-                        "gain_bound": bound,
-                    }
-                )
-    if cfg.format == "json":
-        _emit(json.dumps(entries, indent=2) + "\n", cfg)
-    else:
-        lines = ["direction,M,U_mux,det_sinr,sinr_bar,log_rate,gain_bound"]
-        for e in entries:
-            lines.append(
-                f"{e['direction']},{e['M']},{e['U_mux']},"
-                f"{e['deterministic_sinr_at_mean_eta']},{e['sinr_bar']},"
-                f"{e['log_rate']},{e['gain_bound']}"
-            )
-        _emit("\n".join(lines) + "\n", cfg)
+                rows.append((direction, m, mux, det, bar, math.log2(1.0 + bar), bound))
+    _emit(table_text(header, rows, cfg.format), cfg)
     return 0
 
 
@@ -175,10 +164,7 @@ def _cmd_validate_estimation(args) -> int:
                 (prof.name, spacing.time_spacing_symbols, spacing.freq_spacing_subcarriers,
                  report.nmse, report.nmse_db)
             )
-    if cfg.format == "json":
-        _emit(json.dumps([dict(zip(header, row)) for row in rows], indent=2) + "\n", cfg)
-    else:
-        _emit("\n".join(",".join(map(str, row)) for row in [header, *rows]) + "\n", cfg)
+    _emit(table_text(header, rows, cfg.format), cfg)
     return 0
 
 

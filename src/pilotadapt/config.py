@@ -243,10 +243,10 @@ def _parse_profiles(key: str, value):
         if unknown:
             raise ConfigurationError(f"unknown profile keys {sorted(unknown)}")
         taps = entry.get("taps", [])
-        if not isinstance(taps, list) or not all(
-            isinstance(t, list) and len(t) == 2 for t in taps
-        ):
+        if not isinstance(taps, list) or not all(isinstance(t, list) and len(t) == 2 for t in taps):
             raise ConfigurationError(f"profile taps must be [delay_s, power] rows, got {taps!r}")
+        if "taps" in entry and not taps:
+            raise ConfigurationError(f"profile {entry['name']!r} has an empty tap table")
         profs.append(
             ChannelProfile(
                 name=_str("profile name", entry["name"]),

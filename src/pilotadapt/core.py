@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING, Sequence
 
 from .errors import ConfigurationError
@@ -19,6 +19,12 @@ if TYPE_CHECKING:  # annotations only: the profiles live in `patterns`
 
 # Gauss-Hermite nodes of `FadingSpec.expect` over a lognormal fading spread
 _QUAD_POINTS = 96
+# the `FadingSpec` fields each fading kind reads; the others keep their defaults
+_FADING_READS = {
+    "constant": ("value",),
+    "lognormal": ("value", "spread_db"),
+    "explicit": ("values",),
+}
 
 
 @dataclass(frozen=True)
@@ -88,6 +94,7 @@ class FadingSpec:
                        standard deviation `spread_db`.
         "explicit"  -- gains drawn uniformly from `values`, or `values` in
                        order when a population has as many users as values.
+    A field that the kind does not read must keep its default.
     """
 
     kind: str = "constant"
@@ -96,8 +103,12 @@ class FadingSpec:
     values: tuple[float, ...] = ()
 
     def __post_init__(self):
-        if self.kind not in ("constant", "lognormal", "explicit"):
+        reads = _FADING_READS.get(self.kind)
+        if reads is None:
             raise ConfigurationError(f"unknown fading kind {self.kind!r}")
+        for f in fields(self)[1:]:  # the fields after `kind`
+            if f.name not in reads and (got := getattr(self, f.name)) != f.default:
+                raise ConfigurationError(f"{self.kind} fading does not read {f.name}, got {got}")
         if self.kind == "explicit":
             if not self.values or not all(v > 0 and math.isfinite(v) for v in self.values):
                 raise ConfigurationError(

@@ -1,4 +1,4 @@
-"""Experiment orchestration: seeded sweeps, persistence.
+"""Experiment orchestration: seeded sweeps and their result rows.
 
 One row is produced per (M, mux order, trial, direction). Each trial derives
 its own seed from the master seed and the sweep indices, so trials can run on
@@ -7,10 +7,9 @@ any number of workers and still produce byte-identical output files.
 
 from __future__ import annotations
 
-import json
 import math
 import os
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -174,13 +173,3 @@ def summarize_gains(rows: list[ResultRow]) -> list[dict]:
             }
         )
     return out
-
-
-def rows_to_csv(rows: list[ResultRow]) -> str:
-    lines = [CSV_HEADER, *(",".join(map(str, astuple(r))) for r in rows)]
-    return "\n".join(lines) + "\n"
-
-
-def rows_to_json(rows: list[ResultRow]) -> str:
-    columns = CSV_HEADER.split(",")
-    return json.dumps([dict(zip(columns, astuple(r))) for r in rows], indent=2) + "\n"

@@ -1,9 +1,11 @@
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
 
-from pilotadapt.core import FadingSpec, Numerology, SystemConfig, build_population, lte_numerology
+from pilotadapt.cli import table_text
+from pilotadapt.core import Numerology, SystemConfig, lte_numerology
+from pilotadapt.experiments import CSV_HEADER
 from pilotadapt.patterns import PilotPattern, PilotSpacing, builtin_profiles
 from pilotadapt.phy import pair_terms, subset_sinr
 from pilotadapt.scheduling import RbRateCalculator
@@ -28,9 +30,9 @@ def small_cfg():
     )
 
 
-@pytest.fixture
-def sixteen_user_pop():
-    return build_population([4, 4, 4, 4], builtin_profiles(), FadingSpec(), seed=0)
+def rows_csv(rows) -> str:
+    """Result rows as the CSV that `simulate` writes."""
+    return table_text(CSV_HEADER.split(","), [astuple(r) for r in rows], "csv")
 
 
 def tiny_numerology(n_s: int, n_sc: int) -> Numerology:

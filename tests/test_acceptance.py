@@ -24,7 +24,7 @@ from pilotadapt.config import ExperimentConfig
 from pilotadapt.core import FadingSpec, SystemConfig, build_population, lte_numerology
 from pilotadapt.errors import NoDataRoomError
 from pilotadapt.estimation import interpolation_nmse
-from pilotadapt.experiments import rows_to_csv, run_sweep
+from pilotadapt.experiments import run_sweep
 from pilotadapt.patterns import (
     ChannelProfile,
     PilotSpacing,
@@ -42,7 +42,7 @@ from pilotadapt.scheduling import (
     grouping_schedule,
 )
 
-from conftest import kernel_sinr, no_pilots, random_channels, rb_rate, tiny_numerology
+from conftest import kernel_sinr, no_pilots, random_channels, rb_rate, rows_csv, tiny_numerology
 from oracles import StoredGrams, draw_channels, oracle_grams, oracle_rb_rate
 from test_scheduler import exhaustive_best, rated
 
@@ -363,10 +363,10 @@ def test_criterion_9_reproducibility(monkeypatch):
         direction="both", scheduler="greedy", seed=12,
     )
     monkeypatch.setenv("PILOTADAPT_WORKERS", "1")
-    first = rows_to_csv(run_sweep(cfg))
-    second = rows_to_csv(run_sweep(cfg))
+    first = rows_csv(run_sweep(cfg))
+    second = rows_csv(run_sweep(cfg))
     monkeypatch.setenv("PILOTADAPT_WORKERS", "4")
-    third = rows_to_csv(run_sweep(cfg))
+    third = rows_csv(run_sweep(cfg))
     ok = first == second == third
     _report(9, ok, f"byte-identical CSV across reruns and worker counts ({len(first)} bytes)")
     assert ok

@@ -116,6 +116,28 @@ def test_fading_spec_names_the_bad_field(kwargs, message):
         FadingSpec(**kwargs)
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"spread_db": 6.0}, "constant fading does not read spread_db, got 6.0"),
+        ({"values": (0.5, 2.0)}, r"constant fading does not read values, got \(0.5, 2.0\)"),
+        ({"kind": "lognormal", "spread_db": 3.0, "values": (2.0,)},
+         r"lognormal fading does not read values, got \(2.0,\)"),
+        ({"kind": "explicit", "values": (0.5, 2.0), "value": 7.0},
+         "explicit fading does not read value, got 7.0"),
+        ({"kind": "explicit", "values": (0.5, 2.0), "spread_db": 9.0},
+         "explicit fading does not read spread_db, got 9.0"),
+        ({"kind": "explicit", "values": (0.5, 2.0), "spread_db": 9.0, "value": 7.0},
+         "explicit fading does not read value, got 7.0"),
+    ],
+    ids=["constant-spread_db", "constant-values", "lognormal-values", "explicit-value",
+         "explicit-spread_db", "explicit-value-and-spread_db"],
+)
+def test_fading_spec_refuses_a_field_its_kind_does_not_read(kwargs, message):
+    with pytest.raises(ConfigurationError, match=f"^{message}$"):
+        FadingSpec(**kwargs)
+
+
 def test_fading_spec_means():
     assert FadingSpec(kind="constant", value=2.0).mean() == 2.0
     assert FadingSpec(kind="explicit", values=(0.5, 2.0)).mean() == 1.25

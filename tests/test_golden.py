@@ -22,9 +22,11 @@ import pytest
 from pilotadapt.channel import generate_realization
 from pilotadapt.core import build_population
 from pilotadapt.config import config_from_dict
-from pilotadapt.experiments import CSV_HEADER, rows_to_csv, run_sweep
+from pilotadapt.experiments import CSV_HEADER, run_sweep
 from pilotadapt.patterns import conventional_pattern, default_registry
 from pilotadapt.scheduling import conventional_schedule_exact, conventional_schedule_greedy
+
+from conftest import rows_csv
 
 DATA = Path(__file__).resolve().parent / "data"
 RTOL = 1e-9
@@ -82,7 +84,7 @@ def _partitions(cfg, rows) -> list[dict]:
 def _generate(name: str) -> tuple[str, list[dict]]:
     cfg = config_from_dict(GRIDS[name])
     rows = run_sweep(cfg)
-    return rows_to_csv(rows), _partitions(cfg, rows)
+    return rows_csv(rows), _partitions(cfg, rows)
 
 
 def _csv_records(text: str) -> list[dict]:

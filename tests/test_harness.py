@@ -22,7 +22,6 @@ from pilotadapt.config import ExperimentConfig, config_from_dict, load_config
 from pilotadapt.errors import ConfigurationError, ExactSearchBudgetError
 from pilotadapt.experiments import (
     CSV_HEADER,
-    rows_to_csv,
     run_sweep,
     run_trial,
     summarize_gains,
@@ -30,6 +29,8 @@ from pilotadapt.experiments import (
 )
 from pilotadapt.patterns import builtin_profiles
 from pilotadapt.scheduling import RbRateCalculator
+
+from conftest import rows_csv
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -61,8 +62,8 @@ def test_both_directions_share_realization_seed():
 
 def test_csv_header_and_determinism():
     cfg = ExperimentConfig(**QUICK)
-    a = rows_to_csv(run_sweep(cfg))
-    b = rows_to_csv(run_sweep(cfg))
+    a = rows_csv(run_sweep(cfg))
+    b = rows_csv(run_sweep(cfg))
     assert a == b
     assert a.splitlines()[0] == CSV_HEADER
     assert CSV_HEADER == "M,U_mux,trial,direction,R_grp,R_conv,rel_gain,bound,scheduler,seed"
@@ -71,9 +72,9 @@ def test_csv_header_and_determinism():
 def test_worker_count_invariance(monkeypatch):
     cfg = ExperimentConfig(**QUICK)
     monkeypatch.setenv("PILOTADAPT_WORKERS", "1")
-    a = rows_to_csv(run_sweep(cfg))
+    a = rows_csv(run_sweep(cfg))
     monkeypatch.setenv("PILOTADAPT_WORKERS", "4")
-    b = rows_to_csv(run_sweep(cfg))
+    b = rows_csv(run_sweep(cfg))
     assert a == b
 
 
@@ -505,7 +506,7 @@ def test_cli_asymptotics(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     # constant fading at 10 dB, M = 8, U = 4: eta*P/(sigma2/M + U*eta*P/M)
     want = 1.0 / (0.1 / 8 + 4.0 / 8)
-    assert payload[0]["deterministic_sinr_at_mean_eta"] == pytest.approx(want)
+    assert payload[0]["det_sinr"] == pytest.approx(want)
     assert payload[0]["sinr_bar"] == pytest.approx(want)
 
 
@@ -548,6 +549,54 @@ def test_cli_validate_estimation(tmp_path, capsys, fmt):
         assert all(list(rec) == header.split(",") for rec in records)
     assert len(records) == 2 * 4  # rule and doubled spacing per builtin profile
     assert [rec["profile"] for rec in records[:2]] == ["EPA5", "EPA5"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["simulate"], ["sweep"], ["asymptotics"], ["validate-estimation", "--trials", "2"],
+     ["patterns"]],
+    ids=lambda argv: argv[0],
+)
+def test_cli_json_records_are_keyed_by_the_csv_header(tmp_path, capsys, argv):
+    """Every table command writes JSON records whose keys are its CSV header
+    and whose values print as its CSV fields; `patterns` has no JSON table, so
+    only its CSV lines are checked against the header."""
+    cfg = _write_quick_config(tmp_path)
+    assert cli_main([*argv, "--config", cfg, "--format", "csv"]) == 0
+    header, *lines = capsys.readouterr().out.splitlines()
+    columns = header.split(",")
+    fields = [line.split(",") for line in lines]
+    assert fields and all(len(f) == len(columns) for f in fields)
+    if argv[0] == "patterns":
+        return
+    assert cli_main([*argv, "--config", cfg, "--format", "json"]) == 0
+    records = json.loads(capsys.readouterr().out)
+    assert [list(rec) for rec in records] == [columns] * len(fields)
+    assert [[str(v) for v in rec.values()] for rec in records] == fields
+
+
+def test_cli_fading_key_its_kind_does_not_read_is_refused(tmp_path, capsys):
+    path = tmp_path / "spread.toml"
+    path.write_text("[fading]\nspread_db = 6.0\n")
+    assert cli_main(["asymptotics", "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == '{"error": "constant fading does not read spread_db, got 6.0"}\n'
+
+
+@pytest.mark.parametrize("suffix", ["json", "toml"])
+def test_cli_empty_tap_table_is_refused(tmp_path, capsys, suffix):
+    """A `taps` key with no rows is an error, not the default two-tap bracket."""
+    profile = {"name": "flat", **_PROFILE, "taps": []}
+    (tmp_path / "taps.json").write_text(json.dumps({"profiles": [profile]}))
+    (tmp_path / "taps.toml").write_text(
+        '[[profiles]]\nname = "flat"\nmax_doppler_hz = 5.0\n'
+        "max_delay_spread_s = 0.4e-6\ntaps = []\n"
+    )
+    assert cli_main(["patterns", "--config", str(tmp_path / f"taps.{suffix}")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == '{"error": "profile \'flat\' has an empty tap table"}\n'
 
 
 def test_cli_sweep_prints_gain_summary(tmp_path, capsys):
