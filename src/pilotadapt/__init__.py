@@ -33,7 +33,7 @@ _EXPORTS = {
         "PilotAdaptError",
         "UnsupportableProfileError",
     ),
-    "estimation": ("EstimationReport", "interpolation_nmse"),
+    "estimation": ("interpolation_nmse",),
     "experiments": ("ResultRow", "run_sweep", "summarize_gains"),
     "patterns": (
         "ChannelProfile",

@@ -152,18 +152,13 @@ def _cmd_validate_estimation(args) -> int:
     header = ("profile", "spacing_t", "spacing_f", "nmse", "nmse_db")
     rows = []
     for prof in cfg.profiles:
-        base = max_spacing(prof, cfg.numerology)
-        doubled = PilotSpacing(
-            base.time_spacing_symbols * 2, base.freq_spacing_subcarriers * 2
-        )
-        for spacing in (base, doubled):
-            report = interpolation_nmse(
-                prof, spacing, cfg.numerology, trials=args.trials, seed=cfg.seed
-            )
-            rows.append(
-                (prof.name, spacing.time_spacing_symbols, spacing.freq_spacing_subcarriers,
-                 report.nmse, report.nmse_db)
-            )
+        t, f = astuple(max_spacing(prof, cfg.numerology))
+        spacings = ((t, f), (2 * t, 2 * f))  # the rule spacing and twice it
+        nmses = interpolation_nmse(prof, [PilotSpacing(*sp) for sp in spacings], cfg.numerology,
+                                   args.trials, cfg.seed)
+        # math.log10 raises at 0: a spacing with nothing to interpolate
+        rows += [(prof.name, *sp, nmse, 10.0 * math.log10(nmse) if nmse > 0.0 else -math.inf)
+                 for sp, nmse in zip(spacings, nmses)]
     _emit(table_text(header, rows, cfg.format), cfg)
     return 0
 

@@ -3,16 +3,15 @@
 Spacings at or below the per-profile maximum keep the interpolation error of a
 noiseless piecewise-linear channel estimate small; sparser spacings do not.
 The experiment samples a single-antenna fading grid spanning several resource
-blocks (spacings under test may exceed one block), reads the channel at the
-pilot anchor lattice, reconstructs every RE by separable linear interpolation
-(time axis first, then frequency, clamping to the nearest anchor past the
-edges), and reports the normalized MSE over the non-anchor REs.
+blocks once per trial, reads it at each spacing's pilot anchor lattice,
+reconstructs every RE by separable linear interpolation (time axis first, then
+frequency, clamping to the nearest anchor past the edges), and reports each
+spacing's normalized MSE over its non-anchor REs.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -23,22 +22,6 @@ from .patterns import ChannelProfile, PilotSpacing
 
 # sampled extent in (time, frequency) resource blocks
 _GRID_RBS = (4, 4)
-
-
-@dataclass(frozen=True)
-class EstimationReport:
-    """Interpolation error of one (profile, spacing) combination."""
-
-    spacing: PilotSpacing
-    nmse: float
-    trials: int
-    nearest_neighbor_axes: tuple[str, ...] = ()
-
-    @property
-    def nmse_db(self) -> float:
-        if self.nmse == 0.0:
-            return -math.inf
-        return 10.0 * math.log10(self.nmse)
 
 
 def _interp_axis(values: np.ndarray, anchors: np.ndarray, extent: int) -> np.ndarray:
@@ -55,45 +38,37 @@ def _interp_axis(values: np.ndarray, anchors: np.ndarray, extent: int) -> np.nda
 
 def interpolation_nmse(
     profile: ChannelProfile,
-    spacing: PilotSpacing,
+    spacings: Sequence[PilotSpacing],
     num: Numerology,
     trials: int = 100,
     seed: int = 0,
-) -> EstimationReport:
-    """Mean NMSE of linear interpolation from the anchor lattice of
-    `spacing`, which may exceed one block, over a grid of _GRID_RBS blocks.
+) -> list[float]:
+    """Mean NMSE of linear interpolation from the anchor lattice of each of
+    `spacings`, in order, over a grid of _GRID_RBS blocks. Trial t draws one
+    grid from SeedSequence((seed, t)) and rates every spacing on it.
+
+    A spacing may exceed one block. Where it leaves one anchor on an axis,
+    the estimate falls back to that anchor's value along the whole axis
+    (nearest neighbor); where it leaves no non-anchor RE, its NMSE is 0.0.
     """
     if trials < 1:
         raise ConfigurationError("need at least one trial")
     n_t = num.symbols_per_rb * _GRID_RBS[0]
     n_f = num.subcarriers_per_rb * _GRID_RBS[1]
-    t_anchors = np.arange(0, n_t, spacing.time_spacing_symbols)
-    f_anchors = np.arange(0, n_f, spacing.freq_spacing_subcarriers)
-
-    fallback = []
-    if len(t_anchors) < 2:
-        fallback.append("time")
-    if len(f_anchors) < 2:
-        fallback.append("frequency")
-
-    err = 0.0
-    power = 0.0
+    lattices = []
+    for spacing in spacings:
+        t_anchors = np.arange(0, n_t, spacing.time_spacing_symbols)
+        f_anchors = np.arange(0, n_f, spacing.freq_spacing_subcarriers)
+        mask = np.ones((n_t, n_f), dtype=bool)
+        mask[np.ix_(t_anchors, f_anchors)] = False
+        lattices.append((t_anchors, f_anchors, mask))
+    err, power = np.zeros((2, len(lattices)))
     for trial in range(trials):
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, trial))))
         h = generate_single_grid(profile, n_t, n_f, num, rng)[:, :, 0]
-        pilots = h[np.ix_(t_anchors, f_anchors)]
-        # np.interp with a single anchor returns that anchor everywhere, which
-        # is the nearest-neighbor fallback
-        est_t = _interp_axis(pilots, t_anchors, n_t)
-        est = _interp_axis(est_t.T, f_anchors, n_f).T
-        mask = np.ones((n_t, n_f), dtype=bool)
-        mask[np.ix_(t_anchors, f_anchors)] = False
-        err += float((np.abs(est[mask] - h[mask]) ** 2.0).sum())
-        power += float((np.abs(h[mask]) ** 2.0).sum())
-    return EstimationReport(
-        spacing=spacing,
-        # every RE an anchor leaves nothing to interpolate: zero error
-        nmse=err / power if power > 0.0 else 0.0,
-        trials=trials,
-        nearest_neighbor_axes=tuple(fallback),
-    )
+        for i, (t_anchors, f_anchors, mask) in enumerate(lattices):
+            est_t = _interp_axis(h[np.ix_(t_anchors, f_anchors)], t_anchors, n_t)
+            est = _interp_axis(est_t.T, f_anchors, n_f).T
+            err[i] += float((np.abs(est[mask] - h[mask]) ** 2.0).sum())
+            power[i] += float((np.abs(h[mask]) ** 2.0).sum())
+    return [float(e / p) if p > 0.0 else 0.0 for e, p in zip(err, power)]

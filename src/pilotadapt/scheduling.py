@@ -60,7 +60,7 @@ _DP_CHUNK = 16_384
 class ScheduleAssignment:
     """Per-RB user sets, pilot patterns and group labels. A conventional
     schedule labels every RB None; a grouping schedule names each RB's
-    owning group."""
+    owning group. No RB lists a user twice, but a user may sit on several."""
 
     rb_users: tuple[tuple[int, ...], ...]
     rb_patterns: tuple[PilotPattern, ...]
@@ -69,6 +69,8 @@ class ScheduleAssignment:
     def __post_init__(self):
         if not len(self.rb_users) == len(self.rb_patterns) == len(self.rb_groups):
             raise ValueError("rb_users, rb_patterns and rb_groups differ in length")
+        if any(len(set(users)) < len(users) for users in self.rb_users):
+            raise ValueError(f"an RB lists a user twice: {self.rb_users}")
 
     def to_dict(self) -> dict:
         conventional = all(g is None for g in self.rb_groups)
@@ -94,7 +96,8 @@ class RbRateCalculator:
     REs (those outside `pattern`) and divided by the block's full RE
     count. The RB's pair terms are built once, so each subset costs one
     gather-sum. It reads only the realization's `cfg` (numerology, powers
-    and noise), `gains`, `num_users` and `gram`.
+    and noise), `gains`, `num_users` and `gram`, and refuses a pattern built
+    for another grid than the numerology's before it asks for a Gram.
 
     `users` restricts the pair terms to the users that subsets may contain
     (all of them when None); subsets still name users by id.
@@ -109,7 +112,11 @@ class RbRateCalculator:
         users: Sequence[int] | None = None,
     ):
         cfg, num = realization.cfg, realization.cfg.numerology
-        data = _data_mask(pattern, num.symbols_per_rb, num.subcarriers_per_rb)
+        grid = (num.symbols_per_rb, num.subcarriers_per_rb)
+        if (pattern.num_symbols, pattern.num_subcarriers) != grid:
+            raise ValueError(f"pattern built for a {pattern.num_symbols}x{pattern.num_subcarriers}"
+                             f" grid, but the realization's is {grid[0]}x{grid[1]}")
+        data = _data_mask(pattern)
         k = realization.num_users
         cross, norms = realization.gram(rb, users)
         users = np.arange(k) if users is None else np.asarray(users, dtype=np.intp)
@@ -153,8 +160,8 @@ def power_error(cfg: SystemConfig, direction: str, problem: str, fix: str = "low
     )
 
 
-def _data_mask(pattern: PilotPattern, n_s: int, n_sc: int) -> np.ndarray:
-    mask = np.ones((n_s, n_sc), dtype=bool)
+def _data_mask(pattern: PilotPattern) -> np.ndarray:
+    mask = np.ones((pattern.num_symbols, pattern.num_subcarriers), dtype=bool)
     for t, n in pattern.positions:
         mask[t, n] = False
     if not mask.any():

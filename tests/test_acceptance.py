@@ -340,11 +340,10 @@ def test_criterion_8_sampling_rule_validation():
     trials = 200
     nmse_rule, nmse_doubled, wins = [], [], 0
     for t in range(trials):
-        a = interpolation_nmse(prof, rule, num, trials=1, seed=8000 + t)
-        b = interpolation_nmse(prof, doubled, num, trials=1, seed=8000 + t)
-        nmse_rule.append(a.nmse)
-        nmse_doubled.append(b.nmse)
-        wins += a.nmse < b.nmse
+        a, b = interpolation_nmse(prof, [rule, doubled], num, trials=1, seed=8000 + t)
+        nmse_rule.append(a)
+        nmse_doubled.append(b)
+        wins += a < b
     gap_db = 10.0 * math.log10(np.mean(nmse_doubled) / np.mean(nmse_rule))
     pvalue = binomtest(wins, trials, 0.5, alternative="greater").pvalue
     ok = gap_db >= 3.0 and pvalue < 0.05

@@ -551,6 +551,27 @@ def test_cli_validate_estimation(tmp_path, capsys, fmt):
     assert [rec["profile"] for rec in records[:2]] == ["EPA5", "EPA5"]
 
 
+def test_cli_validate_estimation_matches_pinned_output(capsys):
+    """`validate-estimation` writes the committed CSV byte for byte."""
+    argv = ["validate-estimation", "--config", str(ROOT / "configs/table1.toml"), "--trials", "3"]
+    assert cli_main(argv) == 0
+    pinned = ROOT / "tests" / "data" / "validate_estimation_table1.csv"
+    assert capsys.readouterr().out.encode() == pinned.read_bytes()
+
+
+def test_cli_validate_estimation_zero_nmse_is_minus_inf_db(tmp_path, capsys):
+    """A rule spacing of (1, 1) makes every RE a pilot: NMSE 0, -inf dB."""
+    path = tmp_path / "dense.toml"
+    path.write_text(
+        'group_sizes = [4]\n\n[[profiles]]\nname = "dense"\n'
+        "max_doppler_hz = 3000.0\nmax_delay_spread_s = 12e-6\n"
+    )
+    assert cli_main(["validate-estimation", "--config", str(path), "--trials", "2"]) == 0
+    _, rule, doubled = capsys.readouterr().out.splitlines()
+    assert rule == "dense,1,1,0.0,-inf"
+    assert doubled.startswith("dense,2,2,") and math.isfinite(float(doubled.split(",")[-1]))
+
+
 @pytest.mark.parametrize(
     "argv",
     [["simulate"], ["sweep"], ["asymptotics"], ["validate-estimation", "--trials", "2"],
@@ -1106,7 +1127,7 @@ def test_package_exports_every_public_name():
         "build_population", "lte_numerology",
         "ConfigurationError", "DegenerateChannelError", "ExactSearchBudgetError",
         "InfeasibleRegistryError", "NoDataRoomError", "PilotAdaptError",
-        "UnsupportableProfileError", "EstimationReport", "interpolation_nmse",
+        "UnsupportableProfileError", "interpolation_nmse",
         "ExperimentConfig", "ResultRow", "load_config", "run_sweep",
         "summarize_gains", "PatternRegistry", "PilotPattern", "build_pattern",
         "conventional_pattern", "default_registry",

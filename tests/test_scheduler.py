@@ -14,6 +14,8 @@ from pilotadapt.errors import ConfigurationError, ExactSearchBudgetError
 from pilotadapt import scheduling
 from pilotadapt.patterns import (
     PatternRegistry,
+    PilotSpacing,
+    build_pattern,
     builtin_profiles,
     conventional_pattern,
     default_registry,
@@ -31,7 +33,7 @@ from pilotadapt.scheduling import (
     grouping_schedule,
 )
 
-from conftest import rb_rate
+from conftest import rb_rate, tiny_numerology
 from oracles import StoredGrams, draw_channels, oracle_exact_partition, oracle_grams
 
 
@@ -464,6 +466,47 @@ def test_schedule_assignment_refuses_fields_of_unequal_length():
         ScheduleAssignment(((0,), (1,), (2,), (3,)), (pattern,), (None,) * 4)
     with pytest.raises(ValueError, match="differ in length"):
         ScheduleAssignment(((0,), (1,)), (pattern,) * 2, (None,))
+
+
+def test_schedule_assignment_refuses_a_user_twice_on_one_rb():
+    """A user listed twice on an RB would have its rate counted twice; one
+    user on two RBs stays allowed (the random picker re-deals a group)."""
+    pattern = _instance(35, k=4, n_rbs=2, mux=2)[3]
+    with pytest.raises(ValueError, match="lists a user twice"):
+        ScheduleAssignment(((0, 0), (1,)), (pattern,) * 2, (None,) * 2)
+    ScheduleAssignment(((0, 1), (0,)), (pattern,) * 2, (0, 0))
+
+
+def _grid_instance(n_s, n_sc):
+    """Users 0 and 1 of one EPA5 group on one RB of an n_s x n_sc grid."""
+    profiles = builtin_profiles()
+    pop = build_population([2], profiles[:1], FadingSpec(), seed=0)
+    cfg = SystemConfig(
+        num_rbs=1, num_antennas=8, max_mux=2, ul_power=1.0, dl_power=1.0,
+        noise_power=0.1, numerology=tiny_numerology(n_s, n_sc),
+    )
+    return generate_realization(pop, cfg, seed=0)
+
+
+@pytest.mark.parametrize("drawn, built", [((14, 12), (7, 6)), ((7, 6), (14, 12))])
+def test_pattern_for_another_grid_is_refused(monkeypatch, drawn, built):
+    """A pattern built for another grid than the realization's is refused by
+    the calculator, and so by every rating, before a Gram is built: a
+    smaller one would leave REs out of its mask, a larger one index past
+    the grid."""
+    real = _grid_instance(*drawn)
+    pattern = build_pattern(PilotSpacing(7, 6), tiny_numerology(*built), 2)
+    message = "built for a {}x{} grid, but the realization's is {}x{}".format(*built, *drawn)
+    with pytest.raises(ValueError, match=message):
+        RbRateCalculator(real, 0, pattern, "uplink")
+    with pytest.raises(ValueError, match=message):
+        evaluate_schedule(real, ScheduleAssignment(((0, 1),), (pattern,), (None,)), "uplink")
+    for schedule in (conventional_schedule_exact, conventional_schedule_greedy):
+        with pytest.raises(ValueError, match=message):
+            schedule(real, pattern, "uplink")
+    monkeypatch.setattr(type(real), "gram", lambda *args: pytest.fail("a Gram was asked for"))
+    with pytest.raises(ValueError, match=message):
+        RbRateCalculator(real, 0, pattern, "uplink")
 
 
 def test_identical_rbs_contribute_equally():
