@@ -53,9 +53,15 @@ def _emit(text: str, cfg: ExperimentConfig) -> None:
 
 def table_text(header, rows, fmt: str) -> str:
     """`rows` as JSON records keyed by `header` if `fmt` is "json", else as
-    CSV lines of their `str()` fields under the header."""
+    CSV lines of their `str()` fields under the header. JSON has no
+    infinity or NaN, so a non-finite float is written there as null."""
     if fmt == "json":
-        return json.dumps([dict(zip(header, row)) for row in rows], indent=2) + "\n"
+        records = [
+            {key: None if isinstance(v, float) and not math.isfinite(v) else v
+             for key, v in zip(header, row)}
+            for row in rows
+        ]
+        return json.dumps(records, indent=2) + "\n"
     return "".join(",".join(map(str, row)) + "\n" for row in [header, *rows])
 
 

@@ -142,11 +142,13 @@ class PilotPattern:
 
 @dataclass(frozen=True)
 class PatternRegistry:
-    """The admissible pattern set; spacings are pairwise distinct."""
+    """The admissible pattern set: not empty, spacings pairwise distinct."""
 
     patterns: tuple[PilotPattern, ...]
 
     def __post_init__(self):
+        if not self.patterns:
+            raise InfeasibleRegistryError("registry is empty")
         spacings = [p.spacing for p in self.patterns]
         if len(set(spacings)) != len(spacings):
             raise ConfigurationError("registry patterns must have distinct spacings")
@@ -211,8 +213,6 @@ def conventional_pattern(registry: PatternRegistry) -> PilotPattern:
     """Fixed worst-case pattern: the registry's densest, the last under
     `_sparsest_first`. Ties between equally sized patterns break toward the
     smaller time spacing, then the smaller frequency spacing."""
-    if not registry.patterns:
-        raise InfeasibleRegistryError("registry is empty")
     return max(registry.patterns, key=_sparsest_first)
 
 
@@ -240,8 +240,6 @@ def select_pattern_for_group(
     both axes; among them the fewest pilot REs wins, ties broken by the larger
     time spacing, then the larger frequency spacing.
     """
-    if not registry.patterns:
-        raise InfeasibleRegistryError("registry is empty")
     limit = max_spacing(group_profile, num)
     feasible = [
         p

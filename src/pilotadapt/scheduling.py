@@ -100,7 +100,8 @@ class RbRateCalculator:
     for another grid than the numerology's before it asks for a Gram.
 
     `users` restricts the pair terms to the users that subsets may contain
-    (all of them when None); subsets still name users by id.
+    (all of them when None); subsets still name users by id. Neither
+    `users` nor a subset may name a user twice.
     """
 
     def __init__(
@@ -116,6 +117,8 @@ class RbRateCalculator:
         if (pattern.num_symbols, pattern.num_subcarriers) != grid:
             raise ValueError(f"pattern built for a {pattern.num_symbols}x{pattern.num_subcarriers}"
                              f" grid, but the realization's is {grid[0]}x{grid[1]}")
+        if users is not None and len(set(users)) < len(users):
+            raise ValueError(f"users name a user twice: {list(users)}")
         data = _data_mask(pattern)
         k = realization.num_users
         cross, norms = realization.gram(rb, users)
@@ -140,6 +143,9 @@ class RbRateCalculator:
         subsets = self._local[np.asarray(subsets, dtype=np.intp)]
         if (subsets < 0).any():
             raise ValueError("subset names a user outside the calculator's users")
+        # a row of distinct users equals itself only on the diagonal
+        if np.count_nonzero(subsets[:, :, None] == subsets[:, None, :]) > subsets.size:
+            raise ValueError("a subset names a user twice")
         try:
             with np.errstate(over="raise", invalid="raise"):
                 sinr = subset_sinr(self._terms, subsets)
@@ -252,7 +258,9 @@ def _dp_stage(value, plan, popcount, calc, k):
     back = {}
     for p, size_list in plan.items():
         targets = np.flatnonzero(popcount == p)
-        members = np.concatenate([_members_descending(p, s) for s in size_list], axis=1)
+        # each size's subsets of range(p) as 0/1 columns, in descending mask order
+        masks = np.concatenate([_subset_table(p, s)[1][::-1] for s in size_list])
+        members = (masks >> np.arange(p)[:, None] & 1).astype(float)
         step = max(1, _DP_CHUNK // members.shape[1])
         subs = [
             _pull(targets[lo : lo + step], members, value, rate, nxt)
@@ -293,33 +301,20 @@ def _popcounts(k: int) -> np.ndarray:
     return count
 
 
-def _combinations(n: int, size: int) -> np.ndarray:
-    """All size-subsets of range(n) in lexicographic order, one per row;
-    size 0 gives one empty row."""
-    return np.array(list(combinations(range(n), size)), dtype=np.intp)
-
-
-# the exact DP asks for the same (n, size) tables at every stage of every
-# call; 256 entries hold all of a call's when (K + 1) x (mux + 1) <= 256
+# the exact DP asks for the same (k, size) tables at every stage of every
+# call, for its rate tables and its candidate blocks alike; 256 entries hold
+# all of a call's when (K + 1) x (mux + 1) <= 256
 @functools.lru_cache(maxsize=256)
 def _subset_table(k: int, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """`_combinations(k, size)` and the bitmask of each row, read-only."""
-    subsets = _combinations(k, size)
+    """All size-subsets of range(k), one ascending row each, and the bitmask
+    of each row, read-only and in ascending mask order; size 0 gives one
+    empty row."""
+    subsets = np.array(list(combinations(range(k), size)), dtype=np.intp)
     masks = (1 << np.arange(k))[subsets].sum(axis=1)
+    order = np.argsort(masks)
+    subsets, masks = subsets[order], masks[order]
     subsets.flags.writeable = masks.flags.writeable = False
     return subsets, masks
-
-
-@functools.lru_cache(maxsize=256)
-def _members_descending(n: int, size: int) -> np.ndarray:
-    """Read-only 0/1 matrix (n, C(n, size)) whose columns are the
-    size-subsets of range(n) in descending order of their bitmasks: mirrored
-    lexicographic rows compare the largest members first."""
-    table = n - 1 - _combinations(n, size)
-    members = np.zeros((n, len(table)))
-    members[table, np.arange(len(table))[:, None]] = 1.0
-    members.flags.writeable = False
-    return members
 
 
 def _subset_rates(calc: RbRateCalculator, k: int, sizes: set[int]) -> np.ndarray:

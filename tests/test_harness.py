@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pilotadapt import channel, experiments
-from pilotadapt.cli import main as cli_main
+from pilotadapt.cli import main as cli_main, table_text
 from pilotadapt.config import ExperimentConfig, config_from_dict, load_config
 from pilotadapt.errors import ConfigurationError, ExactSearchBudgetError
 from pilotadapt.experiments import (
@@ -570,6 +570,35 @@ def test_cli_validate_estimation_zero_nmse_is_minus_inf_db(tmp_path, capsys):
     _, rule, doubled = capsys.readouterr().out.splitlines()
     assert rule == "dense,1,1,0.0,-inf"
     assert doubled.startswith("dense,2,2,") and math.isfinite(float(doubled.split(",")[-1]))
+
+
+def _strict_json(text):
+    """json.loads that refuses NaN, Infinity and -Infinity, which are not JSON."""
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_cli_validate_estimation_json_writes_minus_inf_db_as_null(tmp_path, capsys):
+    """JSON has no infinity: the dense profile's -inf dB reads null there,
+    while its CSV keeps -inf and a finite table keeps the plain records."""
+    path = tmp_path / "dense.toml"
+    path.write_text(
+        'group_sizes = [4]\n\n[[profiles]]\nname = "dense"\n'
+        "max_doppler_hz = 3000.0\nmax_delay_spread_s = 12e-6\n"
+    )
+    argv = ["validate-estimation", "--config", str(path), "--trials", "2", "--format", "json"]
+    assert cli_main(argv) == 0
+    rule, doubled = _strict_json(capsys.readouterr().out)
+    assert rule == {"profile": "dense", "spacing_t": 1, "spacing_f": 1, "nmse": 0.0,
+                    "nmse_db": None}
+    assert math.isfinite(doubled["nmse_db"])
+    header, rows = ("a", "b"), [(1, 0.5), ("x", -2.25)]
+    assert table_text(header, rows, "json") == json.dumps(
+        [dict(zip(header, row)) for row in rows], indent=2) + "\n"
+    assert table_text(header, [(-math.inf, math.nan)], "json") == table_text(
+        header, [(None, None)], "json")
+    assert table_text(header, [(-math.inf, 1)], "csv") == "a,b\n-inf,1\n"
 
 
 @pytest.mark.parametrize(

@@ -260,6 +260,20 @@ def test_exact_budget_counts_subset_tables():
         check_exact_budget(24, 2, 15)
 
 
+def test_subset_table_is_mask_ordered():
+    """One table serves the rate tables and the DP's candidate blocks: every
+    size-subset once, each row ascending, its mask the sum of 2^member, the
+    masks strictly ascending, and neither array writable."""
+    for n in range(11):
+        for size in range(n + 1):
+            subsets, masks = scheduling._subset_table(n, size)
+            assert sorted(map(tuple, subsets)) == list(itertools.combinations(range(n), size))
+            assert all(list(row) == sorted(row) for row in subsets)
+            assert list(masks) == [sum(1 << int(u) for u in row) for row in subsets]
+            assert np.all(np.diff(masks) > 0)
+            assert not subsets.flags.writeable and not masks.flags.writeable
+
+
 @pytest.mark.parametrize("k, n_rbs, mux", [(8, 2, 4), (5, 3, 2), (7, 3, 3), (12, 4, 4)])
 def test_exact_budget_counts_the_dp_work(monkeypatch, k, n_rbs, mux):
     """The budget estimate is the number of (state, candidate) pairs the DP
@@ -475,6 +489,21 @@ def test_schedule_assignment_refuses_a_user_twice_on_one_rb():
     with pytest.raises(ValueError, match="lists a user twice"):
         ScheduleAssignment(((0, 0), (1,)), (pattern,) * 2, (None,) * 2)
     ScheduleAssignment(((0, 1), (0,)), (pattern,) * 2, (0, 0))
+
+
+def test_calculator_refuses_a_user_twice():
+    """A user named twice would have its rate counted twice: the calculator
+    refuses it among its `users` and in any row of a subset batch."""
+    real = _grid_instance(14, 12)
+    pattern = build_pattern(PilotSpacing(7, 6), real.cfg.numerology, 2)
+    with pytest.raises(ValueError, match="twice"):
+        RbRateCalculator(real, 0, pattern, "uplink", users=[0, 0])
+    calc = RbRateCalculator(real, 0, pattern, "uplink")
+    for subsets in ([[0, 0]], [[0, 1], [1, 1]], np.array([[1, 0], [0, 0]])):
+        with pytest.raises(ValueError, match="twice"):
+            calc.rates_for_subsets(subsets)
+    pair = calc.rates_for_subsets([[0, 1]])[0]
+    assert calc.rates_for_subsets([[1, 0]])[0] == pytest.approx(pair, rel=1e-12)
 
 
 def _grid_instance(n_s, n_sc):
