@@ -133,9 +133,10 @@ class ChannelRealization:
     (U, T, N) with norms[a] = ||h_{users[a]}||^2, for channels h of unit
     per-entry power (the SINR computation applies `gains`). Both arrays
     are read-only. Every rate reads only these, so the channels themselves
-    are never held. User k's channels on RB rb are `generate_single_grid`
-    of its profile with cfg's antenna count, drawn from a generator seeded
-    by (seed, k, rb).
+    are never held. An RB outside the draw, or a user outside 0..K-1, is
+    refused with a ValueError before anything is built. User k's channels
+    on RB rb are `generate_single_grid` of its profile with cfg's antenna
+    count, drawn from a generator seeded by (seed, k, rb).
 
     A user's profile is pop.profiles[g] of its group g. Per draw it holds
     each user's own tap count (counts) and stacked `_grid_bases`, bases
@@ -180,6 +181,8 @@ class ChannelRealization:
         return len(self.gains)
 
     def gram(self, rb: int, users=None) -> tuple[np.ndarray, np.ndarray]:
+        if not 0 <= rb < len(self._built):
+            raise ValueError(f"RB {rb} outside the {len(self._built)} RBs of the draw")
         k = self.num_users
         want = np.arange(k) if users is None else np.asarray(users, dtype=np.intp)
         if not want.size:  # nothing to build

@@ -123,6 +123,7 @@ class ExperimentConfig:
         given."""
         from .asymptotics import gain_bound
 
+        registry.check_mux_order(mux)
         sizes = self.sizes_for(mux)
         k = sum(sizes)
         return gain_bound(

@@ -16,7 +16,7 @@ import numpy as np
 from .channel import generate_realization
 from .config import ExperimentConfig
 from .core import build_population
-from .errors import ConfigurationError, ExactSearchBudgetError
+from .errors import ConfigurationError
 from .patterns import conventional_pattern, default_registry
 from .scheduling import (
     check_exact_budget,
@@ -128,12 +128,7 @@ def run_sweep(cfg: ExperimentConfig) -> list[ResultRow]:
         k = sum(cfg.sizes_for(mux))
         check_users_fit(k, cfg.num_rbs, mux)
         if cfg.scheduler == "exact":
-            try:
-                check_exact_budget(k, cfg.num_rbs, mux)
-            except ExactSearchBudgetError as exc:
-                raise ExactSearchBudgetError(
-                    f"{exc} (set scheduler = \"greedy\" in the experiment config)"
-                ) from exc
+            check_exact_budget(k, cfg.num_rbs, mux)
     tasks = [
         (m, mux, trial, trial_seed(cfg.seed, mi, ui, trial))
         for mi, m in enumerate(cfg.m_list)

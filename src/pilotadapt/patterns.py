@@ -18,8 +18,10 @@ carries one pilot resource element per multiplexed user, so the total count is
 Cluster REs are packed contiguously along the frequency axis starting at the
 anchor, wrapping into the next symbol column at the grid edge; when clusters
 are wider than the anchor spacing the scan simply continues at the next free
-RE. Only the count and the anchor spacing affect overhead and spectral
-efficiency, so any deterministic packing is equivalent.
+RE. The count alone sets the overhead, but the packing moves the rates, since
+it decides which REs carry data: `build_pattern` fixes it, and every pinned
+output depends on it. A `PilotPattern` refuses positions that repeat or lie
+off its grid, and positions that leave no data RE.
 
 Note on the classic 4-layer LTE-Advanced pattern: its 24 pilot REs correspond
 to spacing (7, 4) on the 14x12 grid; the worst-case spacing rule at
@@ -113,13 +115,21 @@ def builtin_profiles() -> list[ChannelProfile]:
 
 @dataclass(frozen=True)
 class PilotPattern:
-    """A set of pilot RE positions on one resource block."""
+    """Distinct pilot RE positions on one resource block's grid, leaving data room."""
 
     spacing: PilotSpacing
     positions: tuple[tuple[int, int], ...]
     mux_order: int
     num_symbols: int
     num_subcarriers: int
+
+    def __post_init__(self):
+        grid = {(t, n) for t in range(self.num_symbols) for n in range(self.num_subcarriers)}
+        if len(grid.intersection(self.positions)) < self.size:
+            raise ConfigurationError(f"pilot positions must be distinct REs of the "
+                                     f"{self.num_symbols}x{self.num_subcarriers} grid")
+        if self.size == len(grid):
+            raise NoDataRoomError("pattern covers every RE of the block")
 
     @property
     def size(self) -> int:
@@ -152,6 +162,12 @@ class PatternRegistry:
         spacings = [p.spacing for p in self.patterns]
         if len(set(spacings)) != len(spacings):
             raise ConfigurationError("registry patterns must have distinct spacings")
+
+    def check_mux_order(self, mux: int) -> None:
+        """Raise ConfigurationError unless every pattern is built for `mux` users."""
+        orders = sorted({p.mux_order for p in self.patterns})
+        if orders != [mux]:
+            raise ConfigurationError(f"registry built for mux orders {orders}, not {mux}")
 
 
 def _anchor_positions(spacing: PilotSpacing, num: Numerology) -> list[tuple[int, int]]:

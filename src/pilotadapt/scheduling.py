@@ -30,7 +30,7 @@ import numpy as np
 
 from .channel import ChannelRealization
 from .core import SystemConfig, UserPopulation, balanced_sizes
-from .errors import ConfigurationError, ExactSearchBudgetError, NoDataRoomError
+from .errors import ConfigurationError, ExactSearchBudgetError
 from .patterns import PatternRegistry, PilotPattern, select_pattern_for_group
 from .phy import pair_terms, subset_sinr
 
@@ -100,8 +100,8 @@ class RbRateCalculator:
     for another grid than the numerology's before it asks for a Gram.
 
     `users` restricts the pair terms to the users that subsets may contain
-    (all of them when None); subsets still name users by id. Neither
-    `users` nor a subset may name a user twice.
+    (all of them when None); subsets name users by id, and any other id is
+    refused. Neither `users` nor a subset may name a user twice.
     """
 
     def __init__(
@@ -124,7 +124,8 @@ class RbRateCalculator:
         cross, norms = realization.gram(rb, users)
         users = np.arange(k) if users is None else np.asarray(users, dtype=np.intp)
         fadings = np.asarray(realization.gains)[users]
-        self._local = np.full(k, -1, dtype=np.intp)  # user id -> row of the pair terms
+        # user id -> row of the pair terms, and slot k, no row, for other ids
+        self._local = np.full(k + 1, -1, dtype=np.intp)
         self._local[users] = np.arange(len(users))
         self._power = cfg, direction  # named if a rate overflows
         try:
@@ -140,7 +141,10 @@ class RbRateCalculator:
         subsets: integer array (batch, subset_size) of user ids; rows of
         size 0 (empty RBs) rate 0.
         """
-        subsets = self._local[np.asarray(subsets, dtype=np.intp)]
+        # viewed unsigned, a negative id exceeds k, so one minimum sends every id
+        # outside 0..k-1 to slot k
+        ids = np.asarray(subsets, dtype=np.intp).view(np.uintp)
+        subsets = self._local[np.minimum(ids, len(self._local) - 1)]
         if (subsets < 0).any():
             raise ValueError("subset names a user outside the calculator's users")
         # a row of distinct users equals itself only on the diagonal
@@ -170,8 +174,6 @@ def _data_mask(pattern: PilotPattern) -> np.ndarray:
     mask = np.ones((pattern.num_symbols, pattern.num_subcarriers), dtype=bool)
     for t, n in pattern.positions:
         mask[t, n] = False
-    if not mask.any():
-        raise NoDataRoomError("pattern covers every RE of the block")
     return mask
 
 
@@ -341,16 +343,15 @@ def check_exact_budget(k: int, n_rbs: int, mux: int) -> None:
     dense tables for more than MAX_DP_USERS users."""
     est = _estimate_transitions(k, n_rbs, mux)
     if est > MAX_DP_TRANSITIONS:
-        raise ExactSearchBudgetError(
-            f"~{est:.0f} DP transitions (subset-rate tables included) exceed the "
-            f"budget {MAX_DP_TRANSITIONS}; "
-            "use the greedy scheduler"
-        )
-    if k > MAX_DP_USERS:
-        raise ExactSearchBudgetError(
-            f"{k} users need DP tables of 2^{k} entries, above 2^{MAX_DP_USERS}; "
-            "use the greedy scheduler"
-        )
+        problem = (f"~{est:.0f} DP transitions (subset-rate tables included) exceed the "
+                   f"budget {MAX_DP_TRANSITIONS}")
+    elif k > MAX_DP_USERS:
+        problem = f"{k} users need DP tables of 2^{k} entries, above 2^{MAX_DP_USERS}"
+    else:
+        return
+    raise ExactSearchBudgetError(
+        f'{problem}; use the greedy scheduler (set scheduler = "greedy" in the experiment config)'
+    )
 
 
 def _estimate_transitions(k: int, n_rbs: int, mux: int) -> int:
@@ -433,6 +434,7 @@ def grouping_schedule(
         raise ConfigurationError(f"unknown user picker {user_picker!r}")
     if user_picker == "random" and rng is None:
         rng = np.random.default_rng(0)
+    registry.check_mux_order(cfg.max_mux)
 
     owners = group_rb_ownership(pop, cfg.num_rbs)
 

@@ -211,6 +211,22 @@ def test_gram_arrays_are_read_only(profiles):
         reals[1].gram(0, [8])
 
 
+def test_gram_refuses_an_rb_outside_the_draw(profiles, monkeypatch):
+    """RB -1 would serve the held build of the last RB, or fail inside
+    numpy on a fresh draw, and RB num_rbs would index past the builds: each
+    is refused, naming the RB and the RB count, before anything is built."""
+    pop = build_population([2, 1], profiles[:2], FadingSpec(), seed=0)
+    held = generate_realization(pop, _cfg(2, 4), seed=1)
+    held.gram(1)
+    with pytest.raises(ValueError, match="RB -1 outside the 2 RBs of the draw"):
+        held.gram(-1)
+    fresh = generate_realization(pop, _cfg(2, 4), seed=1)
+    monkeypatch.setattr(channel.ChannelRealization, "_build", lambda *args: pytest.fail("built"))
+    for rb in (-1, 2, 3):
+        with pytest.raises(ValueError, match=f"RB {rb} outside the 2 RBs of the draw"):
+            fresh.gram(rb, [0])
+
+
 @pytest.mark.parametrize(
     "include, match",
     [

@@ -28,7 +28,7 @@ from pilotadapt.experiments import (
     trial_seed,
 )
 from pilotadapt.patterns import builtin_profiles
-from pilotadapt.scheduling import RbRateCalculator
+from pilotadapt.scheduling import RbRateCalculator, check_exact_budget
 
 from conftest import rows_csv
 
@@ -198,6 +198,42 @@ def test_exact_budget_refused_before_any_trial(monkeypatch):
     with pytest.raises(ExactSearchBudgetError, match="greedy"):
         run_sweep(cfg)
     assert started == []
+
+
+_GREEDY_FIX = 'use the greedy scheduler (set scheduler = "greedy" in the experiment config)'
+
+
+@pytest.mark.parametrize(
+    "text, instance, problem",
+    [
+        (
+            "m_list = [8]\nu_mux_list = [7]\n",
+            (28, 4, 7),
+            "~278147572560 DP transitions (subset-rate tables included) exceed the budget 130000000",
+        ),
+        (
+            "m_list = [8]\nnum_rbs = 1\nu_mux_list = [25]\n",
+            (25, 1, 25),
+            "25 users need DP tables of 2^25 entries, above 2^24",
+        ),
+    ],
+)
+def test_cli_exact_budget_errors_name_the_config_fix(
+    tmp_path, capsys, monkeypatch, text, instance, problem
+):
+    """Both budget refusals, the transition count and the user cap, end with
+    the config change to make. The budget check words them, and the CLI
+    prints its message as one JSON line before any trial."""
+    with pytest.raises(ExactSearchBudgetError) as refused:
+        check_exact_budget(*instance)
+    assert str(refused.value) == f"{problem}; {_GREEDY_FIX}"
+    monkeypatch.setattr(experiments, "run_trial", lambda *args: pytest.fail("a trial ran"))
+    path = tmp_path / "exact.toml"
+    path.write_text(text + 'scheduler = "exact"\n')
+    assert cli_main(["simulate", "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [json.dumps({"error": f"{problem}; {_GREEDY_FIX}"})]
 
 
 @pytest.mark.parametrize("scheduler", ["greedy", "exact"])

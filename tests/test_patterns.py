@@ -13,6 +13,7 @@ from pilotadapt.errors import (
 from pilotadapt.patterns import (
     ChannelProfile,
     PatternRegistry,
+    PilotPattern,
     PilotSpacing,
     build_pattern,
     conventional_pattern,
@@ -85,6 +86,26 @@ def test_build_pattern_no_data_room():
         build_pattern(PilotSpacing(1, 1), num, 1)  # 4 anchors x 1 = all REs
     with pytest.raises(ConfigurationError):
         build_pattern(PilotSpacing(3, 1), num, 1)  # spacing beyond the grid
+
+
+@pytest.mark.parametrize(
+    "positions",
+    [((14, 0),), ((20, 0),), ((0, 12),), ((-1, 0),), ((0, -1),), ((0, 0), (0, 0)), ((0, 0, 0),)],
+)
+def test_pilot_pattern_refuses_positions_that_are_not_distinct_res_of_its_grid(positions):
+    """An off-grid position would index past the data mask, a negative one
+    would mark the RE it wraps to, and a repeat would count one pilot RE
+    twice in `size` and `overhead_ratio`: each is refused, naming the grid."""
+    with pytest.raises(ConfigurationError, match="distinct REs of the 14x12 grid"):
+        PilotPattern(PilotSpacing(14, 12), positions, 1, 14, 12)
+
+
+def test_pilot_pattern_refuses_covering_every_re():
+    every = tuple((t, n) for t in range(3) for n in range(2))
+    with pytest.raises(NoDataRoomError, match="covers every RE of the block"):
+        PilotPattern(PilotSpacing(1, 1), every, 1, 3, 2)
+    assert PilotPattern(PilotSpacing(1, 1), every[1:], 1, 3, 2).size == 5
+    assert PilotPattern(PilotSpacing(3, 2), (), 1, 3, 2).overhead_ratio == 0.0
 
 
 def test_conventional_pattern_table1(num, profiles):

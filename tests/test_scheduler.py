@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pilotadapt.channel import generate_realization
+from pilotadapt.config import ExperimentConfig
 from pilotadapt.core import FadingSpec, SystemConfig, UserPopulation, build_population
 from pilotadapt.errors import ConfigurationError, ExactSearchBudgetError
 from pilotadapt import scheduling
@@ -504,6 +505,50 @@ def test_calculator_refuses_a_user_twice():
             calc.rates_for_subsets(subsets)
     pair = calc.rates_for_subsets([[0, 1]])[0]
     assert calc.rates_for_subsets([[1, 0]])[0] == pytest.approx(pair, rel=1e-12)
+
+
+@pytest.mark.parametrize("users", [None, [0, 2]])
+def test_calculator_refuses_user_ids_outside_its_users(users):
+    """Ids below 0 would wrap to the last users' rows and ids of K or more
+    would index past them; both are refused as users outside the
+    calculator's, as is a user of the draw left out of `users`."""
+    pop = build_population([3], builtin_profiles()[:1], FadingSpec(), seed=0)
+    cfg = SystemConfig(
+        num_rbs=1, num_antennas=8, max_mux=3, ul_power=1.0, dl_power=1.0, noise_power=0.1
+    )
+    real = generate_realization(pop, cfg, seed=0)
+    pattern = build_pattern(PilotSpacing(7, 6), cfg.numerology, 1)
+    calc = RbRateCalculator(real, 0, pattern, "uplink", users)
+    outside = [[-1], [3], [-4], [10**9], [2, -1], [0, 3]]
+    if users is not None:
+        outside.append([1])
+    for subset in outside:
+        with pytest.raises(ValueError, match="outside the calculator's users"):
+            calc.rates_for_subsets([subset])
+    whole = RbRateCalculator(real, 0, pattern, "uplink")
+    assert calc.rates_for_subsets([[2]])[0] == whole.rates_for_subsets([[2]])[0]
+
+
+@pytest.mark.parametrize("registry_mux", [1, 7])
+def test_registry_of_another_mux_order_is_refused(registry_mux):
+    """Pilot counts scale with the mux order, so a registry built for
+    another order than the cell's would misstate every grouping rate and the
+    gain bound: grouping_schedule and gain_bound refuse it, and take the
+    registry of the cell's own order."""
+    profiles = builtin_profiles()
+    pop = build_population([4, 4, 4, 4], profiles, FadingSpec(), seed=7)
+    cfg = SystemConfig(
+        num_rbs=4, num_antennas=64, max_mux=4, ul_power=1.0, dl_power=1.0, noise_power=0.1
+    )
+    other = default_registry(profiles, cfg.numerology, registry_mux)
+    message = f"registry built for mux orders \\[{registry_mux}\\], not 4"
+    with pytest.raises(ConfigurationError, match=message):
+        grouping_schedule(pop, cfg, other, rng=np.random.default_rng(0))
+    with pytest.raises(ConfigurationError, match=message):
+        ExperimentConfig().gain_bound(4, other)
+    own = default_registry(profiles, cfg.numerology, 4)
+    grouping_schedule(pop, cfg, own, rng=np.random.default_rng(0))
+    assert ExperimentConfig().gain_bound(4, own) == pytest.approx(0.125)
 
 
 def _grid_instance(n_s, n_sc):
