@@ -123,6 +123,16 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return view
 
 
+def integer_ids(users) -> np.ndarray:
+    """`users` as an array of user ids. Ids that are not integers are refused
+    (ValueError), as a float id would be truncated and a bool read as 0 or 1;
+    an empty list passes, whatever its dtype (`[()]` is float64)."""
+    ids = np.asarray(users)
+    if ids.size and ids.dtype.kind not in "iu":
+        raise ValueError(f"user ids {ids.tolist()} are not integers")
+    return ids
+
+
 class ChannelRealization:
     """Per-RB cross powers of one small-scale fading draw, with the cell
     `cfg` and the population's large-scale `gains` it was drawn for.
@@ -133,10 +143,10 @@ class ChannelRealization:
     (U, T, N) with norms[a] = ||h_{users[a]}||^2, for channels h of unit
     per-entry power (the SINR computation applies `gains`). Both arrays
     are read-only. Every rate reads only these, so the channels themselves
-    are never held. An RB outside the draw, or a user outside 0..K-1, is
-    refused with a ValueError before anything is built. User k's channels
-    on RB rb are `generate_single_grid` of its profile with cfg's antenna
-    count, drawn from a generator seeded by (seed, k, rb).
+    are never held. An RB outside the draw, or a user id other than an
+    integer in 0..K-1, is refused with a ValueError before any build. User
+    k's channels on RB rb are `generate_single_grid` of its profile with
+    cfg's antenna count, drawn from a generator seeded by (seed, k, rb).
 
     A user's profile is pop.profiles[g] of its group g. Per draw it holds
     each user's own tap count (counts) and stacked `_grid_bases`, bases
@@ -161,7 +171,9 @@ class ChannelRealization:
         users = range(pop.num_users)
         if include is not None and len(include) != cfg.num_rbs:
             raise ConfigurationError(f"include has {len(include)} user sets for {cfg.num_rbs} RBs")
-        if include is not None and not all(u in users for us in include for u in us):
+        if include is not None and not all(
+            u in users for us in include for u in integer_ids(list(us)).tolist()
+        ):
             raise ConfigurationError(f"include {include} names users outside 0..{users[-1]}")
         num = cfg.numerology
         t, n = num.symbols_per_rb, num.subcarriers_per_rb
@@ -184,7 +196,7 @@ class ChannelRealization:
         if not 0 <= rb < len(self._built):
             raise ValueError(f"RB {rb} outside the {len(self._built)} RBs of the draw")
         k = self.num_users
-        want = np.arange(k) if users is None else np.asarray(users, dtype=np.intp)
+        want = np.arange(k) if users is None else integer_ids(users)
         if not want.size:  # nothing to build
             grid = (self.cfg.numerology.symbols_per_rb, self.cfg.numerology.subcarriers_per_rb)
             return _read_only(np.zeros((0, 0, *grid))), _read_only(np.zeros((0, *grid)))

@@ -200,8 +200,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (PilotAdaptError, OSError) as exc:
-        sys.stderr.write(json.dumps({"error": str(exc)}) + "\n")
-        return 1
+        error = str(exc)
+    except MemoryError as exc:  # a bare MemoryError has an empty message
+        error = f"out of memory: {exc}" if str(exc) else "out of memory"
+    sys.stderr.write(json.dumps({"error": error}) + "\n")
+    return 1
 
 
 if __name__ == "__main__":

@@ -28,7 +28,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .channel import ChannelRealization
+from .channel import ChannelRealization, integer_ids
 from .core import SystemConfig, UserPopulation, balanced_sizes
 from .errors import ConfigurationError, ExactSearchBudgetError
 from .patterns import PatternRegistry, PilotPattern, select_pattern_for_group
@@ -101,7 +101,8 @@ class RbRateCalculator:
 
     `users` restricts the pair terms to the users that subsets may contain
     (all of them when None); subsets name users by id, and any other id is
-    refused. Neither `users` nor a subset may name a user twice.
+    refused, as is an id that is not an integer. Neither `users` nor a subset
+    may name a user twice.
     """
 
     def __init__(
@@ -143,7 +144,7 @@ class RbRateCalculator:
         """
         # viewed unsigned, a negative id exceeds k, so one minimum sends every id
         # outside 0..k-1 to slot k
-        ids = np.asarray(subsets, dtype=np.intp).view(np.uintp)
+        ids = integer_ids(subsets).astype(np.intp, copy=False).view(np.uintp)
         subsets = self._local[np.minimum(ids, len(self._local) - 1)]
         if (subsets < 0).any():
             raise ValueError("subset names a user outside the calculator's users")

@@ -529,6 +529,32 @@ def test_calculator_refuses_user_ids_outside_its_users(users):
     assert calc.rates_for_subsets([[2]])[0] == whole.rates_for_subsets([[2]])[0]
 
 
+def test_user_ids_that_are_not_integers_are_refused():
+    """A float id would be truncated to an integer id, and a bool read as 0
+    or 1, so every place that takes user ids refuses them: a subset batch,
+    a calculator's `users` (through the realization's `gram`) and a
+    realization's `include`. An empty row is still an empty RB."""
+    pop = build_population([3], builtin_profiles()[:1], FadingSpec(), seed=0)
+    cfg = SystemConfig(
+        num_rbs=1, num_antennas=8, max_mux=3, ul_power=1.0, dl_power=1.0, noise_power=0.1
+    )
+    real = generate_realization(pop, cfg, seed=0)
+    pattern = build_pattern(PilotSpacing(7, 6), cfg.numerology, 3)
+    calc = RbRateCalculator(real, 0, pattern, "uplink")
+    for subsets in ([[0.9]], np.array([[1.7]]), [[True]], np.array([[0.0, 2.0]])):
+        with pytest.raises(ValueError, match="are not integers"):
+            calc.rates_for_subsets(subsets)
+    for users in ([0.5, 1.5], np.array([True, False])):
+        with pytest.raises(ValueError, match="are not integers"):
+            RbRateCalculator(real, 0, pattern, "uplink", users)
+    with pytest.raises(ValueError, match="are not integers"):
+        generate_realization(pop, cfg, seed=0, include=[[1.0]])
+    assert calc.rates_for_subsets([()]).tolist() == [0.0]
+    assert calc.rates_for_subsets(np.array([[1]], dtype=np.uint8))[0] == (
+        calc.rates_for_subsets([[1]])[0]
+    )
+
+
 @pytest.mark.parametrize("registry_mux", [1, 7])
 def test_registry_of_another_mux_order_is_refused(registry_mux):
     """Pilot counts scale with the mux order, so a registry built for
