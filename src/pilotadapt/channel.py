@@ -143,10 +143,11 @@ class ChannelRealization:
     (U, T, N) with norms[a] = ||h_{users[a]}||^2, for channels h of unit
     per-entry power (the SINR computation applies `gains`). Both arrays
     are read-only. Every rate reads only these, so the channels themselves
-    are never held. An RB outside the draw, or a user id other than an
-    integer in 0..K-1, is refused with a ValueError before any build. User
-    k's channels on RB rb are `generate_single_grid` of its profile with
-    cfg's antenna count, drawn from a generator seeded by (seed, k, rb).
+    are never held. An RB outside the draw, users that are not a flat list,
+    or a user id other than an integer in 0..K-1, is refused with a
+    ValueError before any build. User k's channels on RB rb are
+    `generate_single_grid` of its profile with cfg's antenna count, drawn
+    from a generator seeded by (seed, k, rb).
 
     A user's profile is pop.profiles[g] of its group g. Per draw it holds
     each user's own tap count (counts) and stacked `_grid_bases`, bases
@@ -197,6 +198,8 @@ class ChannelRealization:
             raise ValueError(f"RB {rb} outside the {len(self._built)} RBs of the draw")
         k = self.num_users
         want = np.arange(k) if users is None else integer_ids(users)
+        if want.ndim != 1:
+            raise ValueError(f"user ids {want.tolist()} are not a flat list")
         if not want.size:  # nothing to build
             grid = (self.cfg.numerology.symbols_per_rb, self.cfg.numerology.subcarriers_per_rb)
             return _read_only(np.zeros((0, 0, *grid))), _read_only(np.zeros((0, *grid)))

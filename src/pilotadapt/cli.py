@@ -72,6 +72,9 @@ def _cmd_patterns(args) -> int:
     mux = cfg.u_mux_list[0]
     registry = default_registry(cfg.profiles, cfg.numerology, mux)
     conv = conventional_pattern(registry)
+    kinds = ["registry"] * len(registry.patterns) + ["conventional"]
+    rows = [(kind, *astuple(p.spacing), p.size, p.overhead_ratio)
+            for kind, p in zip(kinds, [*registry.patterns, conv])]
 
     if cfg.format == "json":
         payload = {
@@ -81,29 +84,16 @@ def _cmd_patterns(args) -> int:
         }
         text = json.dumps(payload, indent=2) + "\n"
     elif cfg.format == "csv":
-        header = ("kind", "spacing_t", "spacing_f", "size", "overhead_ratio")
-        rows = [
-            (kind, pat.spacing.time_spacing_symbols, pat.spacing.freq_spacing_subcarriers,
-             pat.size, pat.overhead_ratio)
-            for kind, pat in [*(("registry", p) for p in registry.patterns), ("conventional", conv)]
-        ]
-        text = table_text(header, rows, cfg.format)
+        text = table_text(("kind", "spacing_t", "spacing_f", "size", "overhead_ratio"), rows, "csv")
     else:
         lines = [f"pattern registry at mux order {mux} "
                  f"({cfg.numerology.symbols_per_rb}x{cfg.numerology.subcarriers_per_rb} grid)"]
-        for pat in registry.patterns:
-            sp = pat.spacing
-            lines.append(
-                f"\nspacing ({sp.time_spacing_symbols}, {sp.freq_spacing_subcarriers}): "
-                f"{pat.size} pilot REs, overhead {pat.overhead_ratio:.4f}"
-            )
-            lines.append(pat.grid_string())
-        sp = conv.spacing
-        lines.append(
-            f"\nconventional (worst case): spacing ({sp.time_spacing_symbols}, "
-            f"{sp.freq_spacing_subcarriers}), {conv.size} pilot REs, "
-            f"overhead {conv.overhead_ratio:.4f}"
-        )
+        for (_, t, f, size, overhead), pat in zip(rows, registry.patterns):
+            lines += [f"\nspacing ({t}, {f}): {size} pilot REs, overhead {overhead:.4f}",
+                      pat.grid_string()]
+        _, t, f, size, overhead = rows[-1]
+        lines.append(f"\nconventional (worst case): spacing ({t}, {f}), {size} pilot REs, "
+                     f"overhead {overhead:.4f}")
         text = "\n".join(lines) + "\n"
     _emit(text, cfg)
     omitted = sorted(set(cfg.u_mux_list) - {mux})

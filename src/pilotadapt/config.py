@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import tomllib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 from .core import FadingSpec, Numerology, SystemConfig, balanced_sizes, lte_numerology
 from .errors import ConfigurationError
@@ -154,20 +154,26 @@ def load_config(path: str) -> ExperimentConfig:
 def config_from_dict(data: dict) -> ExperimentConfig:
     """Validate every key's type and build the config; bad input raises
     ConfigurationError, never a coercion."""
-    if not isinstance(data, dict):
-        raise ConfigurationError("a config must be a mapping of keys to values")
-    kwargs: dict = {}
-    numerology: dict = {}
-    for key, value in data.items():
-        if key in _NUMEROLOGY_KEYS:
-            numerology[key] = _NUMEROLOGY_KEYS[key](key, value)
-        elif key in _KEYS:
-            kwargs[key] = _KEYS[key](key, value)
-        else:
-            raise ConfigurationError(f"unknown config key {key!r}")
+    kwargs = _table("config", data, _KEYS)
+    numerology = {f.name: kwargs.pop(f.name) for f in fields(Numerology) if f.name in kwargs}
     if numerology:
         kwargs["numerology"] = replace(lte_numerology(), **numerology)
     return ExperimentConfig(**kwargs)
+
+
+def _table(name: str, value, parsers: dict, required=()) -> dict:
+    """Each key of the table `value` run through its parser(label, value),
+    with the key as label at the top level and `name key` in a nested
+    table. A value that is not a table, an unknown key and a missing
+    required key are refused; a key left out keeps its dataclass default."""
+    if not isinstance(value, dict):
+        raise ConfigurationError(f"{name} must be a table of keys to values, got {value!r}")
+    if unknown := sorted(set(value) - set(parsers)):
+        raise ConfigurationError(f"unknown {name} keys {unknown}")
+    if missing := [key for key in required if key not in value]:
+        raise ConfigurationError(f"missing {name} keys {missing} in {value!r}")
+    prefix = "" if name == "config" else f"{name} "
+    return {key: parsers[key](prefix + key, v) for key, v in value.items()}
 
 
 def _int(key: str, value) -> int:
@@ -188,10 +194,24 @@ def _str(key: str, value) -> str:
     return value
 
 
-def _int_list(key: str, value) -> tuple[int, ...]:
-    if not isinstance(value, list):
-        raise ConfigurationError(f"{key} must be a list of integers, got {value!r}")
-    return tuple(_int(key, v) for v in value)
+def _tap(key: str, value) -> tuple[float, float]:
+    if not (isinstance(value, list) and len(value) == 2):
+        raise ConfigurationError(f"{key} must be [delay_s, power] rows, got the row {value!r}")
+    return _number("tap delay", value[0]), _number("tap power", value[1])
+
+
+def _list(item, items: str):
+    """The parser of a list whose entries `item` parses; `items` names them."""
+
+    def parse(key: str, value) -> tuple:
+        if not isinstance(value, list):
+            raise ConfigurationError(f"{key} must be a list of {items}, got {value!r}")
+        return tuple(item(key, v) for v in value)
+
+    return parse
+
+
+_int_list = _list(_int, "integers")
 
 
 def _parse_group_sizes(key: str, value):
@@ -199,31 +219,20 @@ def _parse_group_sizes(key: str, value):
 
 
 def _parse_fading(key: str, value) -> FadingSpec:
-    if isinstance(value, dict):
-        unknown = set(value) - {"kind", "value", "spread_db", "values"}
-        if unknown:
-            raise ConfigurationError(f"unknown fading keys {sorted(unknown)}")
-        values = value.get("values", [])
-        if not isinstance(values, list):
-            raise ConfigurationError(f"fading values must be a list, got {values!r}")
-        return FadingSpec(
-            kind=_str("fading kind", value.get("kind", "constant")),
-            value=_number("fading value", value.get("value", 1.0)),
-            spread_db=_number("fading spread_db", value.get("spread_db", 0.0)),
-            values=tuple(_number("fading values", v) for v in values),
-        )
-    if value == "constant":
-        return FadingSpec()
-    kind, _, arg = _str(key, value).partition(":")
-    try:
-        if kind == "lognormal":
-            return FadingSpec(kind="lognormal", spread_db=_number(key, float(arg)))
-        if kind == "explicit":
-            vals = tuple(_number(key, float(v)) for v in arg.split(","))
-            return FadingSpec(kind="explicit", values=vals)
-    except ValueError:
-        pass
-    raise ConfigurationError(f"cannot parse fading spec {value!r}")
+    if isinstance(value, str):  # the table that "constant", "lognormal:6" or "explicit:1,2" spells
+        kind, _, arg = value.partition(":")
+        try:
+            if value == "constant":
+                value = {"kind": kind}
+            elif kind == "lognormal":
+                value = {"kind": kind, "spread_db": float(arg)}
+            elif kind == "explicit":
+                value = {"kind": kind, "values": [float(v) for v in arg.split(",")]}
+            else:
+                raise ValueError
+        except ValueError:
+            raise ConfigurationError(f"cannot parse fading spec {value!r}") from None
+    return FadingSpec(**_table("fading", value, _FADING_KEYS))
 
 
 def _parse_profiles(key: str, value):
@@ -233,56 +242,37 @@ def _parse_profiles(key: str, value):
         raise ConfigurationError(
             "profiles must be \"table1\" or a non-empty list of profile tables"
         )
-    # a list of tables (JSON objects) with optional tap tables
     profs = []
     for entry in value:
-        if not isinstance(entry, dict) or not _PROFILE_KEYS <= set(entry):
-            raise ConfigurationError(
-                f"each profile needs {', '.join(sorted(_PROFILE_KEYS))}, got {entry!r}"
-            )
-        unknown = set(entry) - _PROFILE_KEYS - {"taps"}
-        if unknown:
-            raise ConfigurationError(f"unknown profile keys {sorted(unknown)}")
-        taps = entry.get("taps", [])
-        if not isinstance(taps, list) or not all(isinstance(t, list) and len(t) == 2 for t in taps):
-            raise ConfigurationError(f"profile taps must be [delay_s, power] rows, got {taps!r}")
-        if "taps" in entry and not taps:
-            raise ConfigurationError(f"profile {entry['name']!r} has an empty tap table")
-        profs.append(
-            ChannelProfile(
-                name=_str("profile name", entry["name"]),
-                max_doppler_hz=_number("max_doppler_hz", entry["max_doppler_hz"]),
-                max_delay_spread_s=_number("max_delay_spread_s", entry["max_delay_spread_s"]),
-                taps=tuple((_number("tap delay", d), _number("tap power", p)) for d, p in taps),
-            )
-        )
+        kwargs = _table("profile", entry, _PROFILE_KEYS, required=_PROFILE_REQUIRED)
+        if kwargs.get("taps") == ():
+            raise ConfigurationError(f"profile {kwargs['name']!r} has an empty tap table")
+        profs.append(ChannelProfile(**kwargs))
     return tuple(profs)
 
 
-_PROFILE_KEYS = {"name", "max_doppler_hz", "max_delay_spread_s"}
-# config key -> validating parser(key, value)
+# config key -> validating parser(key, value); the Numerology fields set
+# the config's numerology
 _KEYS = {
-    "m_list": _int_list,
-    "u_mux_list": _int_list,
+    **dict.fromkeys(("m_list", "u_mux_list"), _int_list),
+    **dict.fromkeys(("trials", "num_rbs", "seed", "symbols_per_rb", "subcarriers_per_rb"), _int),
+    **dict.fromkeys(("snr_db", "ul_power", "dl_power", "noise_power", "symbol_duration_s",
+                     "subcarrier_spacing_hz"), _number),
+    **dict.fromkeys(("direction", "scheduler", "picker", "out", "format"), _str),
     "group_sizes": _parse_group_sizes,
-    "trials": _int,
-    "num_rbs": _int,
-    "seed": _int,
-    "snr_db": _number,
-    "ul_power": _number,
-    "dl_power": _number,
-    "noise_power": _number,
-    "direction": _str,
-    "scheduler": _str,
-    "picker": _str,
-    "out": _str,
-    "format": _str,
     "fading": _parse_fading,
     "profiles": _parse_profiles,
 }
-_NUMEROLOGY_KEYS = {
-    "symbol_duration_s": _number,
-    "subcarrier_spacing_hz": _number,
-    "symbols_per_rb": _int,
-    "subcarriers_per_rb": _int,
+_FADING_KEYS = {
+    "kind": _str,
+    "value": _number,
+    "spread_db": _number,
+    "values": _list(_number, "numbers"),
 }
+_PROFILE_KEYS = {
+    "name": _str,
+    "max_doppler_hz": _number,
+    "max_delay_spread_s": _number,
+    "taps": _list(_tap, "[delay_s, power] rows"),
+}
+_PROFILE_REQUIRED = ("name", "max_doppler_hz", "max_delay_spread_s")

@@ -24,7 +24,7 @@ import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, groupby
 
 import numpy as np
 
@@ -102,7 +102,8 @@ class RbRateCalculator:
     `users` restricts the pair terms to the users that subsets may contain
     (all of them when None); subsets name users by id, and any other id is
     refused, as is an id that is not an integer. Neither `users` nor a subset
-    may name a user twice.
+    may name a user twice, and a subset may hold at most the pattern's
+    `mux_order` users, one per pilot layer.
     """
 
     def __init__(
@@ -129,6 +130,7 @@ class RbRateCalculator:
         self._local = np.full(k + 1, -1, dtype=np.intp)
         self._local[users] = np.arange(len(users))
         self._power = cfg, direction  # named if a rate overflows
+        self._mux = pattern.mux_order
         try:
             with np.errstate(over="raise", invalid="raise"):
                 self._terms = pair_terms(cross, norms, fadings, cfg, direction, data)
@@ -151,6 +153,9 @@ class RbRateCalculator:
         # a row of distinct users equals itself only on the diagonal
         if np.count_nonzero(subsets[:, :, None] == subsets[:, None, :]) > subsets.size:
             raise ValueError("a subset names a user twice")
+        if subsets.shape[1] > self._mux:
+            raise ValueError(f"subsets of {subsets.shape[1]} users exceed the pattern's "
+                             f"mux order {self._mux}")
         try:
             with np.errstate(over="raise", invalid="raise"):
                 sinr = subset_sinr(self._terms, subsets)
@@ -425,11 +430,12 @@ def grouping_schedule(
     """Grouping-based pattern adaptation and scheduling.
 
     Each owned RB takes min(max_mux, group size) users from its group and
-    the registry pattern of the group's profile in `pop`. The random picker
-    deals group members without replacement across the group's RBs
-    (re-drawing from the full group only once its members are exhausted,
-    never repeating a user within one RB); round_robin cycles members
-    deterministically.
+    the registry pattern of the group's profile in `pop`, selected once per
+    group. A dealer per group hands out its members one round after
+    another: in order for round_robin, and reshuffled by `rng` at the start
+    of each round for random. An RB skips a dealt member it already holds,
+    so a round that runs out mid-RB never repeats a user within the RB, and
+    its next RB takes up where it left off.
     """
     if user_picker not in ("random", "round_robin"):
         raise ConfigurationError(f"unknown user picker {user_picker!r}")
@@ -437,35 +443,28 @@ def grouping_schedule(
         rng = np.random.default_rng(0)
     registry.check_mux_order(cfg.max_mux)
 
-    owners = group_rb_ownership(pop, cfg.num_rbs)
+    def dealt(members):
+        while True:
+            order = list(members)
+            if user_picker == "random":
+                rng.shuffle(order)
+            yield from order
 
+    owners = group_rb_ownership(pop, cfg.num_rbs)
     rb_users: list[tuple[int, ...]] = []
     rb_patterns: list[PilotPattern] = []
-    pools: dict[int, list[int]] = {}
-    for g in owners:
-        members = list(pop.groups[g])  # non-empty: a group with no users owns no RB
-        take = min(cfg.max_mux, len(members))
-        if g not in pools:
-            pools[g] = _shuffled(members, user_picker, rng)
-        picked: list[int] = []
-        while len(picked) < take:
-            if not pools[g]:
-                pools[g] = _shuffled(members, user_picker, rng)
-            u = pools[g].pop(0)
-            if u not in picked:
-                picked.append(u)
-        rb_users.append(tuple(sorted(picked)))
-        rb_patterns.append(select_pattern_for_group(registry, pop.profiles[g], cfg.numerology))
+    for g, rbs in groupby(owners):
+        members = pop.groups[g]  # non-empty: a group with no users owns no RB
+        deal, take = dealt(members), min(cfg.max_mux, len(members))
+        pattern = select_pattern_for_group(registry, pop.profiles[g], cfg.numerology)
+        for _ in rbs:
+            picked: set[int] = set()
+            while len(picked) < take:
+                picked.add(next(deal))
+            rb_users.append(tuple(sorted(picked)))
+            rb_patterns.append(pattern)
 
     return ScheduleAssignment(tuple(rb_users), tuple(rb_patterns), tuple(owners))
-
-
-def _shuffled(members: list[int], picker: str, rng) -> list[int]:
-    if picker == "round_robin":
-        return list(members)
-    order = list(members)
-    rng.shuffle(order)
-    return order
 
 
 def evaluate_schedule(

@@ -45,10 +45,11 @@ def tiny_numerology(n_s: int, n_sc: int) -> Numerology:
     )
 
 
-def no_pilots(num: Numerology) -> PilotPattern:
-    """A pattern with no pilot REs: every RE of the block carries data."""
+def no_pilots(num: Numerology, mux: int) -> PilotPattern:
+    """A pattern with no pilot REs: every RE of the block carries data, for
+    up to `mux` users."""
     n_s, n_sc = num.symbols_per_rb, num.subcarriers_per_rb
-    return PilotPattern(PilotSpacing(n_s, n_sc), (), 1, n_s, n_sc)
+    return PilotPattern(PilotSpacing(n_s, n_sc), (), mux, n_s, n_sc)
 
 
 def random_channels(rng: np.random.Generator, *shape) -> np.ndarray:

@@ -13,6 +13,7 @@ measured +11% at M=64 rising to +13% at M=112, bounded by 26.6%).
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 from scipy.special import j0
@@ -27,6 +28,7 @@ from pilotadapt.estimation import interpolation_nmse
 from pilotadapt.experiments import run_sweep
 from pilotadapt.patterns import (
     ChannelProfile,
+    PilotPattern,
     PilotSpacing,
     build_pattern,
     builtin_profiles,
@@ -47,7 +49,7 @@ from oracles import StoredGrams, draw_channels, oracle_grams, oracle_rb_rate
 from test_scheduler import exhaustive_best, rated
 
 
-def _report(criterion: int, ok: bool, detail: str) -> None:
+def _report(criterion: int | str, ok: bool, detail: str) -> None:
     print(f"[criterion {criterion}] {'PASS' if ok else 'FAIL'}: {detail}")
 
 
@@ -74,13 +76,15 @@ def test_criterion_1_formula_fidelity():
         )
         real = StoredGrams(oracle_grams(h), cfg, eta)
         if i % 3 == 0:
-            pattern = no_pilots(num)
+            pattern = no_pilots(num, u)
         else:
             spacing = PilotSpacing(int(rng.integers(1, n_s + 1)), int(rng.integers(1, n_sc + 1)))
             try:
-                pattern = build_pattern(spacing, num, 1)
+                # the single-layer positions, carrying the u users rated
+                mask = build_pattern(spacing, num, 1)
+                pattern = PilotPattern(mask.spacing, mask.positions, u, n_s, n_sc)
             except NoDataRoomError:
-                pattern = no_pilots(num)
+                pattern = no_pilots(num, u)
         got = rb_rate(real, 0, list(range(u)), pattern, direction)
         want = oracle_rb_rate(
             h[:, 0].tolist(), list(eta), pattern.positions, 1.0, sigma2, direction
@@ -189,6 +193,52 @@ def test_criterion_4_superiority_vs_exact_baseline():
         f"mean gain {float(np.mean(np.array(grp) / np.array(conv) - 1)):+.2%} "
         f"(exact baseline outsearches grouping at M=64, U=4; see module docstring)",
     )
+    assert ok
+
+
+def test_criterion_4a_overhead_factor_meets_the_bound():
+    """The paper's claim where it holds: on one partition, the grouping
+    patterns rate (1 + bound) times what the conventional pattern rates.
+
+    The factor R_grp / R_fix, with R_fix the grouping partition rated under
+    the conventional pattern, is the overhead gain; criterion 4 fails on
+    the exact baseline's partition, not on this factor. Checked on
+    criterion 4's seeds in both directions and on criterion 5's setting at
+    M = 64 and 112, each within 3 SE of its trials' mean.
+    """
+    profiles = builtin_profiles()
+    num = lte_numerology()
+    settings = [  # (U_mux, trials, first realization seed, M, direction)
+        (4, 10, 4000, 64, "uplink"),
+        (4, 10, 4000, 64, "downlink"),
+        (7, 20, 5000, 64, "uplink"),
+        (7, 20, 5000, 112, "uplink"),
+        (7, 20, 5000, 64, "downlink"),
+    ]
+    ok, detail = True, []
+    for mux, trials, first_seed, m, direction in settings:
+        pop = build_population([mux] * 4, profiles, FadingSpec(), seed=0)
+        cfg = SystemConfig(
+            num_rbs=4, num_antennas=m, max_mux=mux,
+            ul_power=1.0, dl_power=1.0, noise_power=0.1,
+        )
+        registry = default_registry(profiles, num, mux)
+        fixed = (conventional_pattern(registry),) * cfg.num_rbs
+        rhos = [select_pattern_for_group(registry, p, num).overhead_ratio for p in profiles]
+        want = 1.0 + gain_bound((0.25,) * 4, rhos)
+        factors = []
+        for trial in range(trials):
+            real = generate_realization(pop, cfg, seed=first_seed + trial)
+            assign = grouping_schedule(
+                pop, cfg, registry, "random", np.random.default_rng(trial)
+            )
+            r_fix = evaluate_schedule(real, replace(assign, rb_patterns=fixed), direction)
+            factors.append(evaluate_schedule(real, assign, direction) / r_fix)
+        mean = float(np.mean(factors))
+        se = float(np.std(factors, ddof=1) / math.sqrt(trials))
+        ok &= abs(mean - want) <= 3 * se
+        detail.append(f"U={mux} M={m} {direction} {mean:.5f} +- {se:.5f} vs {want:.5f}")
+    _report("4a", ok, "R_grp/R_fix vs 1 + bound (within 3 SE): " + "; ".join(detail))
     assert ok
 
 

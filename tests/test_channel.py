@@ -1,4 +1,5 @@
 import functools
+import re
 import tracemalloc
 from unittest import mock
 
@@ -225,6 +226,18 @@ def test_gram_refuses_an_rb_outside_the_draw(profiles, monkeypatch):
     for rb in (-1, 2, 3):
         with pytest.raises(ValueError, match=f"RB {rb} outside the 2 RBs of the draw"):
             fresh.gram(rb, [0])
+
+
+def test_gram_refuses_user_ids_that_are_not_a_flat_list(profiles, monkeypatch):
+    """Nested ids would come back as a Gram with extra axes ([[0, 1]] as
+    cross of shape (1, 1, 2, T, N)), and a single id as no Gram at all:
+    each is refused, naming the ids, before anything is built."""
+    pop = build_population([3], profiles[:1], FadingSpec(), seed=0)
+    real = generate_realization(pop, _cfg(1, 4), seed=1)
+    monkeypatch.setattr(channel.ChannelRealization, "_build", lambda *args: pytest.fail("built"))
+    for users, shown in (([[0, 1]], "[[0, 1]]"), (np.array([[0], [2]]), "[[0], [2]]"), (1, "1")):
+        with pytest.raises(ValueError, match=re.escape(f"user ids {shown} are not a flat list")):
+            real.gram(0, users)
 
 
 @pytest.mark.parametrize(

@@ -125,7 +125,7 @@ def test_subset_rates_match_per_re_oracles_on_data_res():
         num_rbs=1, num_antennas=m, max_mux=mux,
         ul_power=1.3, dl_power=0.7, noise_power=0.4,
     )
-    pat = build_pattern(PilotSpacing(2, 3), tiny_numerology(n_s, n_sc), 1)
+    pat = build_pattern(PilotSpacing(2, 3), tiny_numerology(n_s, n_sc), mux)
     assert 0 < pat.size < n_s * n_sc
     for _ in range(3):
         h = random_channels(rng, u, 1, n_s, n_sc, m)
@@ -158,7 +158,7 @@ def test_rb_rate_unit_sinr_cases():
     h = np.ones((1, 1, n_s, n_sc, 1), dtype=complex)
     cfg = _cfg(1, sigma2=1.0)
     real = _realization_from_array(h, n_s, n_sc, cfg)
-    assert rb_rate(real, 0, [0], no_pilots(real.cfg.numerology), "uplink") == pytest.approx(1.0)
+    assert rb_rate(real, 0, [0], no_pilots(real.cfg.numerology, 1), "uplink") == pytest.approx(1.0)
     # a pattern covering half the REs halves the rate
     num = tiny_numerology(n_s, n_sc)
     half = build_pattern(PilotSpacing(2, 1), num, 1)
@@ -176,7 +176,7 @@ def test_rb_rate_matches_straight_line_oracle():
             cfg = _cfg(m, sigma2=0.4, mux=4)
             real = _realization_from_array(h, n_s, n_sc, cfg, eta)
             num = tiny_numerology(n_s, n_sc)
-            pat = build_pattern(PilotSpacing(3, 2), num, 1)
+            pat = build_pattern(PilotSpacing(3, 2), num, u)
             got = rb_rate(real, 0, [0, 1, 2], pat, direction)
             want = oracle_rb_rate(
                 h[:, 0].tolist(), list(eta), pat.positions, 1.0, 0.4, direction
@@ -191,12 +191,12 @@ def test_rb_rate_overhead_monotonicity():
     cfg = _cfg(m, sigma2=0.5)
     real = _realization_from_array(h, n_s, n_sc, cfg)
     num = tiny_numerology(n_s, n_sc)
-    small = build_pattern(PilotSpacing(4, 4), num, 1)
-    big = build_pattern(PilotSpacing(2, 2), num, 1)
+    small = build_pattern(PilotSpacing(4, 4), num, u)
+    big = build_pattern(PilotSpacing(2, 2), num, u)
     assert big.size > small.size
     r_small = rb_rate(real, 0, [0, 1], small, "uplink")
     r_big = rb_rate(real, 0, [0, 1], big, "uplink")
-    r_none = rb_rate(real, 0, [0, 1], no_pilots(real.cfg.numerology), "uplink")
+    r_none = rb_rate(real, 0, [0, 1], no_pilots(real.cfg.numerology, u), "uplink")
     assert r_none > r_small > r_big
 
 
@@ -220,7 +220,7 @@ def test_degenerate_channel_raises():
     cfg = _cfg(3, mux=2)
     real = _realization_from_array(h, 2, 2, cfg)
     for direction in ("uplink", "downlink"):
-        calc = RbRateCalculator(real, 0, no_pilots(real.cfg.numerology), direction)
+        calc = RbRateCalculator(real, 0, no_pilots(real.cfg.numerology, 2), direction)
         assert calc.rates_for_subsets([[0]])[0] > 0.0
         with pytest.raises(DegenerateChannelError):
             calc.rates_for_subsets([[0, 1]])
@@ -231,7 +231,7 @@ def test_degenerate_channel_on_pilot_re_raises():
     although the rates read only the data REs."""
     rng = np.random.default_rng(11)
     n_s, n_sc = 2, 2
-    pat = build_pattern(PilotSpacing(2, 2), tiny_numerology(n_s, n_sc), 1)
+    pat = build_pattern(PilotSpacing(2, 2), tiny_numerology(n_s, n_sc), 2)
     t, n = pat.positions[0]
     h = random_channels(rng, 3, 1, n_s, n_sc, 3)
     h[1, 0, t, n] = 0.0

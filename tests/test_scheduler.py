@@ -21,6 +21,7 @@ from pilotadapt.patterns import (
     conventional_pattern,
     default_registry,
     max_spacing,
+    select_pattern_for_group,
 )
 from pilotadapt.scheduling import (
     MAX_DP_USERS,
@@ -421,6 +422,38 @@ def test_grouping_random_picker_seeded():
     assert a == b
 
 
+@pytest.mark.parametrize(
+    "picker, picks",
+    [
+        ("random", ((2, 5, 6), (1, 3, 4), (0, 4, 6), (8, 9), (10, 11, 12))),
+        ("round_robin", ((0, 1, 2), (3, 4, 5), (0, 1, 6), (8, 9), (10, 11, 12))),
+    ],
+)
+def test_grouping_deals_a_group_over_its_rbs(monkeypatch, picker, picks):
+    """Group 0 (7 users) owns 3 RBs of 3 layers: its members run out on the
+    third RB, which starts a new round and skips the user it already
+    holds. Group 1 (one user) owns no RB. The picks are pinned, and each
+    group's pattern is selected once, however many RBs it owns."""
+    profiles = builtin_profiles()
+    pop = build_population([7, 1, 2, 4], profiles, FadingSpec(), seed=0)
+    cfg = SystemConfig(num_rbs=5, num_antennas=8, max_mux=3, ul_power=1.0, dl_power=1.0, noise_power=0.1)
+    registry = default_registry(profiles, cfg.numerology, 3)
+    selected = []
+
+    def select(registry, profile, num):
+        selected.append(profile)
+        return select_pattern_for_group(registry, profile, num)
+
+    monkeypatch.setattr(scheduling, "select_pattern_for_group", select)
+    assign = grouping_schedule(pop, cfg, registry, picker, np.random.default_rng(3))
+    assert assign.rb_users == picks
+    assert assign.rb_groups == (0, 0, 0, 2, 3)
+    assert selected == [profiles[0], profiles[2], profiles[3]]
+    assert assign.rb_patterns == tuple(
+        select_pattern_for_group(registry, profiles[g], cfg.numerology) for g in assign.rb_groups
+    )
+
+
 def test_grouping_dominated_by_exact_when_collapsed():
     # single group, registry collapsed to the worst-case pattern: any grouping
     # schedule is one feasible point of the conventional optimization
@@ -527,6 +560,32 @@ def test_calculator_refuses_user_ids_outside_its_users(users):
             calc.rates_for_subsets([subset])
     whole = RbRateCalculator(real, 0, pattern, "uplink")
     assert calc.rates_for_subsets([[2]])[0] == whole.rates_for_subsets([[2]])[0]
+
+
+def test_calculator_refuses_subsets_wider_than_its_pattern():
+    """A pattern of mux order n carries pilots for n layers, so a wider
+    subset would be rated as if its users' channels were estimated: the
+    exact DP under a mux-1 pattern rated four users per RB above the mux-4
+    pattern it needs. The calculator refuses the subset, naming both
+    numbers, and so every scheduler and `evaluate_schedule` do."""
+    profiles = builtin_profiles()
+    pop = build_population([4, 4, 4, 4], profiles, FadingSpec(), seed=0)
+    cfg = SystemConfig(
+        num_rbs=4, num_antennas=64, max_mux=4, ul_power=1.0, dl_power=1.0, noise_power=0.1
+    )
+    real = generate_realization(pop, cfg, seed=7)
+    narrow = conventional_pattern(default_registry(profiles, cfg.numerology, 1))
+    calc = RbRateCalculator(real, 0, narrow, "uplink")
+    assert calc.rates_for_subsets([[0], [5]]).shape == (2,)
+    with pytest.raises(ValueError, match="subsets of 2 users exceed the pattern's mux order 1"):
+        calc.rates_for_subsets([[0, 5]])
+    for schedule in (conventional_schedule_exact, conventional_schedule_greedy):
+        with pytest.raises(ValueError, match="exceed the pattern's mux order 1"):
+            schedule(real, narrow, "uplink")
+    assign = ScheduleAssignment(((0, 5),), (narrow,), (None,))
+    one_rb = generate_realization(pop, dataclasses.replace(cfg, num_rbs=1), seed=7)
+    with pytest.raises(ValueError, match="subsets of 2 users exceed the pattern's mux order 1"):
+        evaluate_schedule(one_rb, assign, "uplink")
 
 
 def test_user_ids_that_are_not_integers_are_refused():
