@@ -279,7 +279,7 @@ class ChannelRealization:
 def generate_realization(
     pop: UserPopulation,
     cfg: SystemConfig,
-    seed: int = 0,
+    seed: int,
     include=None,
 ) -> ChannelRealization:
     """The per-user, per-RB fading field of `pop`, each user drawn with its

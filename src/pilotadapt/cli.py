@@ -130,7 +130,7 @@ def _cmd_asymptotics(args) -> int:
     header = ("direction", "M", "U_mux", "det_sinr", "sinr_bar", "log_rate", "gain_bound")
     rows = []
     for mux in cfg.u_mux_list:
-        bound = cfg.gain_bound(mux, default_registry(cfg.profiles, cfg.numerology, mux))
+        bound = cfg.gain_bound(mux)
         for m in cfg.m_list:
             sys_cfg = cfg.system_config(m, mux)
             for direction in cfg.directions():

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, fields, replace
 
 from .core import FadingSpec, Numerology, SystemConfig, balanced_sizes, lte_numerology
 from .errors import ConfigurationError
-from .patterns import ChannelProfile, PatternRegistry, builtin_profiles, select_pattern_for_group
+from .patterns import ChannelProfile, builtin_profiles, default_registry, select_pattern_for_group
 
 
 @dataclass(frozen=True)
@@ -47,8 +47,11 @@ class ExperimentConfig:
         if not self.m_list or not self.u_mux_list:
             raise ConfigurationError("m_list and u_mux_list must be non-empty")
         for key in ("m_list", "u_mux_list"):
-            if min(getattr(self, key)) < 1:
+            values = getattr(self, key)
+            if min(values) < 1:
                 raise ConfigurationError(f"every {key} entry must be at least 1")
+            if repeated := sorted({v for v in values if values.count(v) > 1}):
+                raise ConfigurationError(f"{key} repeats {repeated}: its entries must be distinct")
         if self.num_rbs < 1:
             raise ConfigurationError("num_rbs must be at least 1")
         if self.trials < 1:
@@ -116,14 +119,13 @@ class ExperimentConfig:
             numerology=self.numerology,
         )
 
-    def gain_bound(self, mux: int, registry: PatternRegistry) -> float:
-        """The gain bound at mux order `mux` for `registry`, the
-        `default_registry` of that order: each group's share of
-        `sizes_for(mux)` against the overhead of the registry pattern it is
-        given."""
+    def gain_bound(self, mux: int) -> float:
+        """The gain bound at mux order `mux`: each group's share of
+        `sizes_for(mux)` against the overhead of the pattern it is given in
+        the `default_registry` of that order."""
         from .asymptotics import gain_bound
 
-        registry.check_mux_order(mux)
+        registry = default_registry(self.profiles, self.numerology, mux)
         sizes = self.sizes_for(mux)
         k = sum(sizes)
         return gain_bound(

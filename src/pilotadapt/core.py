@@ -190,7 +190,7 @@ def build_population(
     group_sizes: Sequence[int],
     profiles: Sequence[ChannelProfile],
     fading_spec: FadingSpec,
-    seed: int = 0,
+    seed: int,
 ) -> UserPopulation:
     """Users 0..K-1, numbered group by group in order, with large-scale
     fading gains drawn from `fading_spec`; group g has profiles[g]."""

@@ -40,8 +40,8 @@ def interpolation_nmse(
     profile: ChannelProfile,
     spacings: Sequence[PilotSpacing],
     num: Numerology,
-    trials: int = 100,
-    seed: int = 0,
+    trials: int,
+    seed: int,
 ) -> list[float]:
     """Mean NMSE of linear interpolation from the anchor lattice of each of
     `spacings`, in order, over a grid of _GRID_RBS blocks. Trial t draws one

@@ -84,7 +84,7 @@ def run_trial(cfg: ExperimentConfig, m: int, mux: int, trial: int, seed: int) ->
     picker_rng = np.random.default_rng(np.random.SeedSequence((seed, 1)))
     assignment = grouping_schedule(pop, sys_cfg, registry, cfg.picker, picker_rng)
     realization = generate_realization(pop, sys_cfg, seed=seed, include=assignment.rb_users)
-    bound = cfg.gain_bound(mux, registry)
+    bound = cfg.gain_bound(mux)
 
     # looked up per call, so that wrappers installed on the module are used
     schedule = (

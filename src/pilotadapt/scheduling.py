@@ -424,8 +424,8 @@ def grouping_schedule(
     pop: UserPopulation,
     cfg: SystemConfig,
     registry: PatternRegistry,
-    user_picker: str = "random",
-    rng: np.random.Generator | None = None,
+    user_picker: str,
+    rng: np.random.Generator | None,
 ) -> ScheduleAssignment:
     """Grouping-based pattern adaptation and scheduling.
 
@@ -433,14 +433,12 @@ def grouping_schedule(
     the registry pattern of the group's profile in `pop`, selected once per
     group. A dealer per group hands out its members one round after
     another: in order for round_robin, and reshuffled by `rng` at the start
-    of each round for random. An RB skips a dealt member it already holds,
-    so a round that runs out mid-RB never repeats a user within the RB, and
-    its next RB takes up where it left off.
+    of each round for random (round_robin reads no `rng`). An RB skips a
+    dealt member it already holds, so a round that runs out mid-RB never
+    repeats a user within the RB, and its next RB takes up where it left off.
     """
     if user_picker not in ("random", "round_robin"):
         raise ConfigurationError(f"unknown user picker {user_picker!r}")
-    if user_picker == "random" and rng is None:
-        rng = np.random.default_rng(0)
     registry.check_mux_order(cfg.max_mux)
 
     def dealt(members):

@@ -1,6 +1,7 @@
 import ast
 import contextlib
 import importlib.util
+import inspect
 import io
 import json
 import math
@@ -19,7 +20,9 @@ from hypothesis import strategies as st
 from pilotadapt import channel, experiments
 from pilotadapt.cli import main as cli_main, table_text
 from pilotadapt.config import ExperimentConfig, config_from_dict, load_config
+from pilotadapt.core import build_population
 from pilotadapt.errors import ConfigurationError, ExactSearchBudgetError
+from pilotadapt.estimation import interpolation_nmse
 from pilotadapt.experiments import (
     CSV_HEADER,
     run_sweep,
@@ -28,7 +31,7 @@ from pilotadapt.experiments import (
     trial_seed,
 )
 from pilotadapt.patterns import builtin_profiles
-from pilotadapt.scheduling import RbRateCalculator, check_exact_budget
+from pilotadapt.scheduling import RbRateCalculator, check_exact_budget, grouping_schedule
 
 from conftest import rows_csv
 
@@ -202,6 +205,18 @@ def test_exact_budget_refused_before_any_trial(monkeypatch):
     assert started == []
 
 
+def _refusal(code: int, out: str, err: str) -> str:
+    """The message of the CLI's one-line refusal: exit code 1, nothing on
+    stdout, and one stderr line holding a JSON object whose only key is
+    `error`."""
+    assert code == 1 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    payload = json.loads(lines[0])
+    assert set(payload) == {"error"}
+    return payload["error"]
+
+
 _GREEDY_FIX = 'use the greedy scheduler (set scheduler = "greedy" in the experiment config)'
 
 
@@ -283,7 +298,9 @@ def test_fig4_rows_carry_bound_and_summary():
         assert entry["bound"] == pytest.approx(rows[0].bound)
 
 
-def test_flat_config_parsing(tmp_path):
+def test_toml_config_parsing(tmp_path):
+    """load_config reads a TOML config with comments, lists, strings and a
+    fading spec string."""
     text = """
 # comment
 m_list = [16, 32]
@@ -417,7 +434,7 @@ def test_unknown_config_key_rejected():
         config_from_dict({"profiles": [{**profile, "tapz": [[0.0, 1.0]]}]})
 
 
-def test_flat_parser_scalars(tmp_path):
+def test_toml_loader_scalars(tmp_path):
     """load_config reads TOML scalars and lists; a `#` inside quotes is part
     of the value, one outside starts a comment."""
     path = tmp_path / "exp.toml"
@@ -431,7 +448,7 @@ def test_flat_parser_scalars(tmp_path):
 
 _FLOATS = st.floats(allow_nan=False, allow_infinity=False)
 _POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
-_INT_LISTS = st.lists(st.integers(1, 10**6), min_size=1, max_size=4).map(
+_INT_LISTS = st.lists(st.integers(1, 10**6), min_size=1, max_size=4, unique=True).map(
     lambda v: (tuple(v), "[" + ", ".join(map(str, v)) + "]")
 )
 # config key -> strategy of (value, its TOML text)
@@ -451,16 +468,32 @@ _TOML_VALUES = {
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(st.fixed_dictionaries(_TOML_VALUES), st.text("ab #='\"", max_size=6))
-def test_flat_parser_round_trips(tmp_path_factory, entries, comment):
-    """Written `key = value  # comment` lines load back to the same config:
-    positive int lists, non-negative seeds up to 2^63 - 1, negative and
-    exponent floats in both notations, and quoted strings that contain
-    `#`."""
+def test_toml_loader_round_trips(tmp_path_factory, entries, comment):
+    """Written TOML `key = value  # comment` lines load back to the same
+    config: positive int lists of distinct entries, non-negative seeds up to
+    2^63 - 1, negative and exponent floats in both notations, and quoted
+    strings that contain `#`."""
     text = "".join(f"{key} = {shown}  # {comment}\n" for key, (_, shown) in entries.items())
     path = tmp_path_factory.getbasetemp() / "round_trip.toml"
     path.write_text(text)
     cfg = load_config(str(path))
     assert cfg == ExperimentConfig(**{key: value for key, (value, _) in entries.items()})
+
+
+def test_trial_inputs_have_no_defaults():
+    """Every trial input is passed by the caller or read from the config: the
+    seeds, trial count, user picker and picker generator have no default,
+    and the config's gain bound takes only the mux order."""
+    for func, names in [
+        (build_population, ["seed"]),
+        (channel.generate_realization, ["seed"]),
+        (interpolation_nmse, ["trials", "seed"]),
+        (grouping_schedule, ["user_picker", "rng"]),
+    ]:
+        params = inspect.signature(func).parameters
+        for name in names:
+            assert params[name].default is inspect.Parameter.empty, (func.__name__, name)
+    assert list(inspect.signature(ExperimentConfig.gain_bound).parameters) == ["self", "mux"]
 
 
 def test_auto_group_sizes_scale_with_mux():
@@ -563,12 +596,7 @@ def test_cli_asymptotics_matches_pinned_output(capsys, config, fmt):
 def test_cli_asymptotics_refuses_mux_at_antenna_count(tmp_path, capsys):
     path = tmp_path / "m4.toml"
     path.write_text("m_list = [4]\nu_mux_list = [4]\n")
-    assert cli_main(["asymptotics", "--config", str(path)]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    lines = captured.err.splitlines()
-    assert len(lines) == 1
-    assert set(json.loads(lines[0])) == {"error"}
+    _refusal(cli_main(["asymptotics", "--config", str(path)]), *capsys.readouterr())
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -726,10 +754,8 @@ def test_cli_writes_output_file(tmp_path):
 def test_cli_error_is_machine_readable(tmp_path, capsys):
     bad = tmp_path / "bad.toml"
     bad.write_text("nonsense_key = 1\n")
-    assert cli_main(["simulate", "--config", str(bad)]) == 1
-    err = capsys.readouterr().err.strip()
-    payload = json.loads(err)
-    assert "nonsense_key" in payload["error"]
+    error = _refusal(cli_main(["simulate", "--config", str(bad)]), *capsys.readouterr())
+    assert "nonsense_key" in error
 
 
 @pytest.mark.parametrize(
@@ -750,10 +776,7 @@ def test_cli_out_of_memory_is_one_json_line(tmp_path, capsys, monkeypatch, exc, 
         raise exc
 
     monkeypatch.setattr(experiments, "run_sweep", out_of_memory)
-    assert cli_main(["simulate", "--config", str(path)]) == 1
-    out, err = capsys.readouterr()
-    assert out == "" and err.count("\n") == 1
-    assert json.loads(err) == {"error": want}
+    assert _refusal(cli_main(["simulate", "--config", str(path)]), *capsys.readouterr()) == want
 
 
 _PROFILE = {"max_doppler_hz": 5.0, "max_delay_spread_s": 0.4e-6}
@@ -801,12 +824,7 @@ def test_cli_malformed_config_one_json_line(tmp_path, capsys, filename, text):
         path.write_bytes(text)
     else:
         path.write_text(text)
-    assert cli_main(["simulate", "--config", str(path)]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    lines = captured.err.splitlines()
-    assert len(lines) == 1
-    assert set(json.loads(lines[0])) == {"error"}
+    _refusal(cli_main(["simulate", "--config", str(path)]), *capsys.readouterr())
 
 
 @pytest.mark.parametrize(
@@ -821,6 +839,8 @@ def test_cli_malformed_config_one_json_line(tmp_path, capsys, filename, text):
         ("snr_db = 4000\n", "snr_db"),
         ("snr_db = -4000\n", "snr_db"),
         ("noise_power = 0\n", "noise_power"),
+        ("m_list = [8, 8]\n", "m_list"),
+        ("u_mux_list = [4, 2, 4]\n", "u_mux_list"),
     ],
 )
 def test_cli_out_of_range_sizes_refused_before_any_trial(tmp_path, capsys, monkeypatch, text, key):
@@ -830,12 +850,7 @@ def test_cli_out_of_range_sizes_refused_before_any_trial(tmp_path, capsys, monke
     monkeypatch.setattr(experiments, "run_trial", no_trial)
     path = tmp_path / "range.toml"
     path.write_text('trials = 1\nscheduler = "greedy"\n' + text)
-    assert cli_main(["simulate", "--config", str(path)]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    lines = captured.err.splitlines()
-    assert len(lines) == 1
-    assert key in json.loads(lines[0])["error"]
+    assert key in _refusal(cli_main(["simulate", "--config", str(path)]), *capsys.readouterr())
 
 
 def test_cli_users_do_not_fit_error(tmp_path, capsys):
@@ -844,22 +859,16 @@ def test_cli_users_do_not_fit_error(tmp_path, capsys):
         "m_list = [8]\nu_mux_list = [7, 4]\ntrials = 1\n"
         "group_sizes = [7, 7, 7, 7]\nscheduler = \"greedy\"\n"
     )
-    assert cli_main(["simulate", "--config", str(path)]) == 1
-    lines = capsys.readouterr().err.splitlines()
-    assert len(lines) == 1
-    assert json.loads(lines[0]) == {"error": "28 users cannot fit 4 RBs x 4 layers"}
+    error = _refusal(cli_main(["simulate", "--config", str(path)]), *capsys.readouterr())
+    assert error == "28 users cannot fit 4 RBs x 4 layers"
 
 
 @pytest.mark.parametrize("workers", ["0", "-3", "two"])
 def test_cli_bad_worker_count(tmp_path, capsys, monkeypatch, workers):
     monkeypatch.setenv("PILOTADAPT_WORKERS", workers)
     cfg = _write_quick_config(tmp_path)
-    assert cli_main(["simulate", "--config", cfg]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    lines = captured.err.splitlines()
-    assert len(lines) == 1
-    assert "PILOTADAPT_WORKERS" in json.loads(lines[0])["error"]
+    error = _refusal(cli_main(["simulate", "--config", cfg]), *capsys.readouterr())
+    assert "PILOTADAPT_WORKERS" in error
 
 
 @pytest.mark.parametrize("command", ["simulate", "asymptotics"])
@@ -869,8 +878,8 @@ def test_cli_lognormal_mean_overflow_names_spread(tmp_path, capsys, command):
     for text in ('fading = "lognormal:200"\n', 'fading = "lognormal:200"\nnoise_power = 0.1\n'):
         path = tmp_path / "spread.toml"
         path.write_text(text)
-        assert cli_main([command, "--config", str(path)]) == 1
-        assert "spread_db" in json.loads(capsys.readouterr().err)["error"]
+        error = _refusal(cli_main([command, "--config", str(path)]), *capsys.readouterr())
+        assert "spread_db" in error
 
 
 def test_cli_explicit_mean_overflow_names_values(tmp_path):
@@ -884,10 +893,7 @@ def test_cli_explicit_mean_overflow_names_values(tmp_path):
         text=True,
         env=_child_env(),
     )
-    assert proc.returncode == 1 and proc.stdout == ""
-    lines = proc.stderr.splitlines()
-    assert len(lines) == 1
-    assert "values (1e+308, 1e+308)" in json.loads(lines[0])["error"]
+    assert "values (1e+308, 1e+308)" in _refusal(proc.returncode, proc.stdout, proc.stderr)
 
 
 @pytest.mark.parametrize(
@@ -905,12 +911,8 @@ def test_cli_overflowing_power_names_it(tmp_path, capsys, text, key):
     path.write_text('m_list = [8]\ntrials = 1\nscheduler = "greedy"\n' + text)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert cli_main(["simulate", "--config", str(path)]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    lines = captured.err.splitlines()
-    assert len(lines) == 1
-    assert key in json.loads(lines[0])["error"]
+        code = cli_main(["simulate", "--config", str(path)])
+    assert key in _refusal(code, *capsys.readouterr())
 
 
 # a downlink power so far below the noise that every rate is 0
@@ -931,12 +933,8 @@ def test_cli_zero_conventional_rate_names_power(tmp_path, capsys, config):
     path.write_text("".join(f"{key} = {json.dumps(value)}\n" for key, value in config.items()))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert cli_main(["simulate", "--config", str(path)]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    lines = captured.err.splitlines()
-    assert len(lines) == 1
-    error = json.loads(lines[0])["error"]
+        code = cli_main(["simulate", "--config", str(path)])
+    error = _refusal(code, *capsys.readouterr())
     assert "dl_power = 1e-300" in error and "noise_power" in error
 
 
@@ -1018,17 +1016,13 @@ def test_cli_simulate_finite_rows_or_one_json_line(tmp_path_factory, config):
             rec = dict(zip(CSV_HEADER.split(","), row.split(",")))
             assert all(math.isfinite(float(rec[k])) for k in ("R_grp", "R_conv", "rel_gain", "bound"))
     else:
-        assert code == 1 and out.getvalue() == ""
-        lines = err.getvalue().splitlines()
-        assert len(lines) == 1 and set(json.loads(lines[0])) == {"error"}
+        _refusal(code, out.getvalue(), err.getvalue())
 
 
 def test_cli_exact_budget_error(tmp_path, capsys):
     path = tmp_path / "big.toml"
     path.write_text('m_list = [8]\nu_mux_list = [7]\ntrials = 1\nscheduler = "exact"\n')
-    assert cli_main(["simulate", "--config", str(path)]) == 1
-    err = json.loads(capsys.readouterr().err.strip())
-    assert "greedy" in err["error"]
+    assert "greedy" in _refusal(cli_main(["simulate", "--config", str(path)]), *capsys.readouterr())
 
 
 def _child_env() -> dict:

@@ -374,7 +374,7 @@ def test_grouping_schedule_equal_groups():
     pop = build_population([4, 4, 4, 4], profiles, FadingSpec(), seed=0)
     cfg = SystemConfig(num_rbs=4, num_antennas=8, max_mux=4, ul_power=1.0, dl_power=1.0, noise_power=0.1)
     registry = default_registry(profiles, cfg.numerology, 4)
-    assign = grouping_schedule(pop, cfg, registry, "round_robin")
+    assign = grouping_schedule(pop, cfg, registry, "round_robin", None)
     assert assign.rb_groups == (0, 1, 2, 3)
     # forced sets: each group's four users on its own RB
     assert assign.rb_users == tuple(pop.groups)
@@ -618,8 +618,9 @@ def test_user_ids_that_are_not_integers_are_refused():
 def test_registry_of_another_mux_order_is_refused(registry_mux):
     """Pilot counts scale with the mux order, so a registry built for
     another order than the cell's would misstate every grouping rate and the
-    gain bound: grouping_schedule and gain_bound refuse it, and take the
-    registry of the cell's own order."""
+    gain bound: grouping_schedule refuses it and takes the registry of the
+    cell's own order, and the config's gain bound builds that registry
+    itself."""
     profiles = builtin_profiles()
     pop = build_population([4, 4, 4, 4], profiles, FadingSpec(), seed=7)
     cfg = SystemConfig(
@@ -628,12 +629,10 @@ def test_registry_of_another_mux_order_is_refused(registry_mux):
     other = default_registry(profiles, cfg.numerology, registry_mux)
     message = f"registry built for mux orders \\[{registry_mux}\\], not 4"
     with pytest.raises(ConfigurationError, match=message):
-        grouping_schedule(pop, cfg, other, rng=np.random.default_rng(0))
-    with pytest.raises(ConfigurationError, match=message):
-        ExperimentConfig().gain_bound(4, other)
+        grouping_schedule(pop, cfg, other, "random", np.random.default_rng(0))
     own = default_registry(profiles, cfg.numerology, 4)
-    grouping_schedule(pop, cfg, own, rng=np.random.default_rng(0))
-    assert ExperimentConfig().gain_bound(4, own) == pytest.approx(0.125)
+    grouping_schedule(pop, cfg, own, "random", np.random.default_rng(0))
+    assert ExperimentConfig().gain_bound(4) == pytest.approx(0.125)
 
 
 def _grid_instance(n_s, n_sc):
@@ -691,7 +690,7 @@ def test_grouping_empty_group_with_rbs_rejected():
     cfg = SystemConfig(num_rbs=4, num_antennas=4, max_mux=4, ul_power=1.0, dl_power=1.0, noise_power=0.1)
     registry = default_registry(profiles, cfg.numerology, 4)
     # group 1 is empty; the fair mapping gives it no RBs, so this succeeds
-    assign = grouping_schedule(pop, cfg, registry, "round_robin")
+    assign = grouping_schedule(pop, cfg, registry, "round_robin", None)
     assert all(g == 0 for g in assign.rb_groups)
 
 
@@ -706,7 +705,7 @@ def test_assignment_json_dump():
     pop = build_population([4, 4, 4, 4], profiles, FadingSpec(), seed=0)
     cfg = SystemConfig(num_rbs=4, num_antennas=4, max_mux=4, ul_power=1.0, dl_power=1.0, noise_power=0.1)
     registry = default_registry(profiles, cfg.numerology, 4)
-    assign = grouping_schedule(pop, cfg, registry, "round_robin")
+    assign = grouping_schedule(pop, cfg, registry, "round_robin", None)
     dump = assign.to_dict()
     assert dump["mode"] == "grouping"
     assert [rb["group"] for rb in dump["rbs"]] == [0, 1, 2, 3]
