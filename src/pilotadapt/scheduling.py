@@ -1,7 +1,7 @@
 """User-to-RB scheduling: conventional exact/greedy baselines and grouping mode.
 
-Every scheduler returns a `ScheduleAssignment`, and `evaluate_schedule`
-rates any of them: it is the one function that gives a schedule's rate.
+Every scheduler returns a `ScheduleAssignment`, each RB's users and pattern;
+`evaluate_schedule` is the one function that gives such a schedule's rate.
 
 The conventional baseline partitions all users into per-RB sets of size at
 most max_mux and maximizes the mean per-RB spectral efficiency under the fixed
@@ -58,36 +58,18 @@ _DP_CHUNK = 16_384
 
 @dataclass(frozen=True)
 class ScheduleAssignment:
-    """Per-RB user sets, pilot patterns and group labels. A conventional
-    schedule labels every RB None; a grouping schedule names each RB's
-    owning group. No RB lists a user twice, but a user may sit on several."""
+    """Per-RB user sets and pilot patterns: the fixed pattern on every RB of a
+    conventional schedule, the owning group's (`group_rb_ownership`) in a
+    grouping one. No RB lists a user twice, but a user may sit on several."""
 
     rb_users: tuple[tuple[int, ...], ...]
     rb_patterns: tuple[PilotPattern, ...]
-    rb_groups: tuple[int | None, ...]
 
     def __post_init__(self):
-        if not len(self.rb_users) == len(self.rb_patterns) == len(self.rb_groups):
-            raise ValueError("rb_users, rb_patterns and rb_groups differ in length")
+        if len(self.rb_users) != len(self.rb_patterns):
+            raise ValueError("rb_users and rb_patterns differ in length")
         if any(len(set(users)) < len(users) for users in self.rb_users):
             raise ValueError(f"an RB lists a user twice: {self.rb_users}")
-
-    def to_dict(self) -> dict:
-        conventional = all(g is None for g in self.rb_groups)
-        return {
-            "mode": "conventional" if conventional else "grouping",
-            "rbs": [
-                {
-                    "group": g,
-                    "spacing": [
-                        p.spacing.time_spacing_symbols,
-                        p.spacing.freq_spacing_subcarriers,
-                    ],
-                    "users": list(u),
-                }
-                for u, p, g in zip(self.rb_users, self.rb_patterns, self.rb_groups)
-            ],
-        }
 
 
 class RbRateCalculator:
@@ -141,12 +123,15 @@ class RbRateCalculator:
     def rates_for_subsets(self, subsets: np.ndarray) -> np.ndarray:
         """RB rates of many equally sized user subsets at once.
 
-        subsets: integer array (batch, subset_size) of user ids; rows of
-        size 0 (empty RBs) rate 0.
+        subsets: integer array (batch, subset_size) of user ids, any other
+        rank refused; rows of size 0 (empty RBs) rate 0.
         """
+        ids = integer_ids(subsets)
+        if ids.ndim != 2:
+            raise ValueError(f"subsets must be a (batch, size) array, got shape {ids.shape}")
         # viewed unsigned, a negative id exceeds k, so one minimum sends every id
         # outside 0..k-1 to slot k
-        ids = integer_ids(subsets).astype(np.intp, copy=False).view(np.uintp)
+        ids = ids.astype(np.intp, copy=False).view(np.uintp)
         subsets = self._local[np.minimum(ids, len(self._local) - 1)]
         if (subsets < 0).any():
             raise ValueError("subset names a user outside the calculator's users")
@@ -228,13 +213,7 @@ def conventional_schedule_exact(
         sub = int(subs[np.searchsorted(states, mask)])
         chosen.append(tuple(u for u in range(k) if (sub >> u) & 1))
         mask ^= sub
-    return _conventional(chosen[::-1], pattern)
-
-
-def _conventional(rb_users: list[tuple[int, ...]], pattern: PilotPattern) -> ScheduleAssignment:
-    """The conventional schedule of per-RB user sets: `pattern`, no group."""
-    n_rbs = len(rb_users)
-    return ScheduleAssignment(tuple(rb_users), (pattern,) * n_rbs, (None,) * n_rbs)
+    return ScheduleAssignment(tuple(chosen[::-1]), (pattern,) * n_rbs)
 
 
 def _stage_plan(k: int, n_rbs: int, mux: int) -> list[dict[int, list[int]]]:
@@ -401,7 +380,7 @@ def conventional_schedule_greedy(
             best = int(np.argmax(cands))  # first maximum: lowest id
             current = tuple(sorted(current + (remaining.pop(best),)))
         chosen.append(current)
-    return _conventional(chosen, pattern)
+    return ScheduleAssignment(tuple(chosen), (pattern,) * n_rbs)
 
 
 def group_rb_ownership(pop: UserPopulation, num_rbs: int) -> list[int]:
@@ -439,6 +418,8 @@ def grouping_schedule(
     """
     if user_picker not in ("random", "round_robin"):
         raise ConfigurationError(f"unknown user picker {user_picker!r}")
+    if user_picker == "random" and rng is None:
+        raise ConfigurationError("the random picker needs a generator, got None")
     registry.check_mux_order(cfg.max_mux)
 
     def dealt(members):
@@ -448,10 +429,9 @@ def grouping_schedule(
                 rng.shuffle(order)
             yield from order
 
-    owners = group_rb_ownership(pop, cfg.num_rbs)
     rb_users: list[tuple[int, ...]] = []
     rb_patterns: list[PilotPattern] = []
-    for g, rbs in groupby(owners):
+    for g, rbs in groupby(group_rb_ownership(pop, cfg.num_rbs)):
         members = pop.groups[g]  # non-empty: a group with no users owns no RB
         deal, take = dealt(members), min(cfg.max_mux, len(members))
         pattern = select_pattern_for_group(registry, pop.profiles[g], cfg.numerology)
@@ -462,7 +442,7 @@ def grouping_schedule(
             rb_users.append(tuple(sorted(picked)))
             rb_patterns.append(pattern)
 
-    return ScheduleAssignment(tuple(rb_users), tuple(rb_patterns), tuple(owners))
+    return ScheduleAssignment(tuple(rb_users), tuple(rb_patterns))
 
 
 def evaluate_schedule(

@@ -1200,12 +1200,6 @@ def test_commands_import_only_what_they_run(tmp_path):
     ]
 
 
-# definitions that nothing in src/ uses yet, with the reason each stays
-UNUSED_IN_SRC = {
-    "ScheduleAssignment.to_dict": "the planned per-trial trace writes assignments with it",
-}
-
-
 def _definitions(body, prefix=""):
     """(qualified name, node) of every function and class in `body`, nested
     ones included."""
@@ -1241,4 +1235,4 @@ def _unused_definitions(src: Path) -> list[str]:
 def test_every_definition_in_src_is_used_in_src():
     """Library code that only tests call does not stay in src/. A name that
     appears only inside a string does not count as a use."""
-    assert _unused_definitions(ROOT / "src" / "pilotadapt") == sorted(UNUSED_IN_SRC)
+    assert _unused_definitions(ROOT / "src" / "pilotadapt") == []

@@ -206,9 +206,9 @@ def test_rb_rate_rejects_overloaded_set():
     cfg = _cfg(2, mux=2)
     real = _realization_from_array(h, 2, 2, cfg)
     overfull = ScheduleAssignment(
-        rb_users=((0, 1, 2),), rb_patterns=(None,), rb_groups=(None,)
+        rb_users=((0, 1, 2),), rb_patterns=(no_pilots(real.cfg.numerology, 2),)
     )
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="3 users exceed the multiplexing cap 2"):
         evaluate_schedule(real, overfull, "uplink")
 
 

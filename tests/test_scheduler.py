@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import itertools
+import re
 import tracemalloc
 
 import numpy as np
@@ -375,11 +376,12 @@ def test_grouping_schedule_equal_groups():
     cfg = SystemConfig(num_rbs=4, num_antennas=8, max_mux=4, ul_power=1.0, dl_power=1.0, noise_power=0.1)
     registry = default_registry(profiles, cfg.numerology, 4)
     assign = grouping_schedule(pop, cfg, registry, "round_robin", None)
-    assert assign.rb_groups == (0, 1, 2, 3)
+    owners = group_rb_ownership(pop, cfg.num_rbs)
+    assert owners == [0, 1, 2, 3]
     # forced sets: each group's four users on its own RB
     assert assign.rb_users == tuple(pop.groups)
     # every RB pattern is feasible for its group (both spacing inequalities)
-    for rb, g in enumerate(assign.rb_groups):
+    for rb, g in enumerate(owners):
         limit = max_spacing(profiles[g], cfg.numerology)
         sp = assign.rb_patterns[rb].spacing
         assert sp.time_spacing_symbols <= limit.time_spacing_symbols
@@ -396,7 +398,7 @@ def test_grouping_disjoint_when_groups_large_enough():
     assign = grouping_schedule(pop, cfg, registry, "random", rng)
     all_users = [u for s in assign.rb_users for u in s]
     assert len(all_users) == len(set(all_users))
-    for rb, g in enumerate(assign.rb_groups):
+    for rb, g in enumerate(group_rb_ownership(pop, cfg.num_rbs)):
         assert set(assign.rb_users[rb]) <= set(pop.groups[g])
 
 
@@ -420,6 +422,17 @@ def test_grouping_random_picker_seeded():
     a = grouping_schedule(pop, cfg, registry, "random", np.random.default_rng(9))
     b = grouping_schedule(pop, cfg, registry, "random", np.random.default_rng(9))
     assert a == b
+
+
+def test_grouping_random_picker_needs_a_generator():
+    """The random picker reshuffles each round with the caller's generator;
+    without one it is refused up front, not deep inside the dealer."""
+    profiles = builtin_profiles()
+    pop = build_population([8, 8, 8, 8], profiles, FadingSpec(), seed=0)
+    cfg = SystemConfig(num_rbs=4, num_antennas=4, max_mux=4, ul_power=1.0, dl_power=1.0, noise_power=0.1)
+    registry = default_registry(profiles, cfg.numerology, 4)
+    with pytest.raises(ConfigurationError, match="the random picker needs a generator, got None"):
+        grouping_schedule(pop, cfg, registry, "random", None)
 
 
 @pytest.mark.parametrize(
@@ -447,10 +460,11 @@ def test_grouping_deals_a_group_over_its_rbs(monkeypatch, picker, picks):
     monkeypatch.setattr(scheduling, "select_pattern_for_group", select)
     assign = grouping_schedule(pop, cfg, registry, picker, np.random.default_rng(3))
     assert assign.rb_users == picks
-    assert assign.rb_groups == (0, 0, 0, 2, 3)
+    owners = group_rb_ownership(pop, cfg.num_rbs)
+    assert owners == [0, 0, 0, 2, 3]
     assert selected == [profiles[0], profiles[2], profiles[3]]
     assert assign.rb_patterns == tuple(
-        select_pattern_for_group(registry, profiles[g], cfg.numerology) for g in assign.rb_groups
+        select_pattern_for_group(registry, profiles[g], cfg.numerology) for g in owners
     )
 
 
@@ -488,7 +502,6 @@ def test_evaluate_schedule_empty_rb_contributes_zero():
     only_first = ScheduleAssignment(
         rb_users=((0, 1, 2, 3), ()),
         rb_patterns=(pattern, pattern),
-        rb_groups=(None, None),
     )
     rate = evaluate_schedule(real, only_first, "uplink")
     solo = rb_rate(real, 0, [0, 1, 2, 3], pattern, "uplink")
@@ -501,7 +514,7 @@ def test_evaluate_schedule_refuses_another_rb_count(n_rbs):
     would be rated over 2 or 5 RBs."""
     pop, cfg, real, pattern, _ = _instance(34, k=8, n_rbs=4, mux=2)
     users = ((0, 1), (2, 3), (4, 5), (6, 7), ())[:n_rbs]
-    assign = ScheduleAssignment(users, (pattern,) * n_rbs, (None,) * n_rbs)
+    assign = ScheduleAssignment(users, (pattern,) * n_rbs)
     with pytest.raises(ValueError, match=f"{n_rbs} RBs assigned for the 4 drawn"):
         evaluate_schedule(real, assign, "uplink")
 
@@ -511,9 +524,9 @@ def test_schedule_assignment_refuses_fields_of_unequal_length():
     the rating's zip."""
     pattern = _instance(35, k=4, n_rbs=4, mux=1)[3]
     with pytest.raises(ValueError, match="differ in length"):
-        ScheduleAssignment(((0,), (1,), (2,), (3,)), (pattern,), (None,) * 4)
+        ScheduleAssignment(((0,), (1,), (2,), (3,)), (pattern,))
     with pytest.raises(ValueError, match="differ in length"):
-        ScheduleAssignment(((0,), (1,)), (pattern,) * 2, (None,))
+        ScheduleAssignment(((0,), (1,)), (pattern,) * 3)
 
 
 def test_schedule_assignment_refuses_a_user_twice_on_one_rb():
@@ -521,8 +534,8 @@ def test_schedule_assignment_refuses_a_user_twice_on_one_rb():
     user on two RBs stays allowed (the random picker re-deals a group)."""
     pattern = _instance(35, k=4, n_rbs=2, mux=2)[3]
     with pytest.raises(ValueError, match="lists a user twice"):
-        ScheduleAssignment(((0, 0), (1,)), (pattern,) * 2, (None,) * 2)
-    ScheduleAssignment(((0, 1), (0,)), (pattern,) * 2, (0, 0))
+        ScheduleAssignment(((0, 0), (1,)), (pattern,) * 2)
+    ScheduleAssignment(((0, 1), (0,)), (pattern,) * 2)
 
 
 def test_calculator_refuses_a_user_twice():
@@ -562,6 +575,26 @@ def test_calculator_refuses_user_ids_outside_its_users(users):
     assert calc.rates_for_subsets([[2]])[0] == whole.rates_for_subsets([[2]])[0]
 
 
+@pytest.mark.parametrize(
+    "subsets, shape", [([[[0, 1]]], "(1, 1, 2)"), ([0, 1], "(2,)"), (5, "()")]
+)
+def test_calculator_refuses_subsets_that_are_not_a_batch(subsets, shape):
+    """Subsets are a (batch, size) array: a 3-D batch would come back as
+    per-RE values rather than RB rates, and a flat list or a scalar has no
+    rows to rate. Each is refused, naming its shape."""
+    profiles = builtin_profiles()
+    pop = build_population([4, 4, 4, 4], profiles, FadingSpec(), seed=0)
+    cfg = SystemConfig(
+        num_rbs=4, num_antennas=8, max_mux=4, ul_power=1.0, dl_power=1.0, noise_power=0.1
+    )
+    real = generate_realization(pop, cfg, seed=7)
+    pattern = conventional_pattern(default_registry(profiles, cfg.numerology, 4))
+    calc = RbRateCalculator(real, 0, pattern, "uplink")
+    message = f"subsets must be a (batch, size) array, got shape {shape}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        calc.rates_for_subsets(subsets)
+
+
 def test_calculator_refuses_subsets_wider_than_its_pattern():
     """A pattern of mux order n carries pilots for n layers, so a wider
     subset would be rated as if its users' channels were estimated: the
@@ -582,7 +615,7 @@ def test_calculator_refuses_subsets_wider_than_its_pattern():
     for schedule in (conventional_schedule_exact, conventional_schedule_greedy):
         with pytest.raises(ValueError, match="exceed the pattern's mux order 1"):
             schedule(real, narrow, "uplink")
-    assign = ScheduleAssignment(((0, 5),), (narrow,), (None,))
+    assign = ScheduleAssignment(((0, 5),), (narrow,))
     one_rb = generate_realization(pop, dataclasses.replace(cfg, num_rbs=1), seed=7)
     with pytest.raises(ValueError, match="subsets of 2 users exceed the pattern's mux order 1"):
         evaluate_schedule(one_rb, assign, "uplink")
@@ -658,7 +691,7 @@ def test_pattern_for_another_grid_is_refused(monkeypatch, drawn, built):
     with pytest.raises(ValueError, match=message):
         RbRateCalculator(real, 0, pattern, "uplink")
     with pytest.raises(ValueError, match=message):
-        evaluate_schedule(real, ScheduleAssignment(((0, 1),), (pattern,), (None,)), "uplink")
+        evaluate_schedule(real, ScheduleAssignment(((0, 1),), (pattern,)), "uplink")
     for schedule in (conventional_schedule_exact, conventional_schedule_greedy):
         with pytest.raises(ValueError, match=message):
             schedule(real, pattern, "uplink")
@@ -675,7 +708,6 @@ def test_identical_rbs_contribute_equally():
     assign = ScheduleAssignment(
         rb_users=((0, 1), (0, 1)),
         rb_patterns=(pattern, pattern),
-        rb_groups=(None, None),
     )
     r0 = rb_rate(dup, 0, [0, 1], pattern, "uplink")
     r1 = rb_rate(dup, 1, [0, 1], pattern, "uplink")
@@ -690,30 +722,14 @@ def test_grouping_empty_group_with_rbs_rejected():
     cfg = SystemConfig(num_rbs=4, num_antennas=4, max_mux=4, ul_power=1.0, dl_power=1.0, noise_power=0.1)
     registry = default_registry(profiles, cfg.numerology, 4)
     # group 1 is empty; the fair mapping gives it no RBs, so this succeeds
-    assign = grouping_schedule(pop, cfg, registry, "round_robin", None)
-    assert all(g == 0 for g in assign.rb_groups)
+    grouping_schedule(pop, cfg, registry, "round_robin", None)
+    assert all(g == 0 for g in group_rb_ownership(pop, cfg.num_rbs))
 
 
 def test_conventional_rejects_overflow():
     pop, cfg, real, pattern, _ = _instance(33, k=8, n_rbs=2, mux=3)
     with pytest.raises(ConfigurationError):
         conventional_schedule_exact(real, pattern, "uplink")
-
-
-def test_assignment_json_dump():
-    profiles = builtin_profiles()
-    pop = build_population([4, 4, 4, 4], profiles, FadingSpec(), seed=0)
-    cfg = SystemConfig(num_rbs=4, num_antennas=4, max_mux=4, ul_power=1.0, dl_power=1.0, noise_power=0.1)
-    registry = default_registry(profiles, cfg.numerology, 4)
-    assign = grouping_schedule(pop, cfg, registry, "round_robin", None)
-    dump = assign.to_dict()
-    assert dump["mode"] == "grouping"
-    assert [rb["group"] for rb in dump["rbs"]] == [0, 1, 2, 3]
-    assert dump["rbs"][0]["spacing"] == [14, 12]
-    assert dump["rbs"][0]["users"] == [0, 1, 2, 3]
-    pattern = conventional_pattern(registry)
-    conventional = ScheduleAssignment(((0, 1), (2, 3)), (pattern, pattern), (None, None))
-    assert conventional.to_dict()["mode"] == "conventional"
 
 
 def test_grouping_gain_vs_exact_rises_with_antennas():
