@@ -25,27 +25,18 @@ from .patterns import (
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="experiment config file (TOML or JSON)")
     sub.add_argument("--seed", type=int, help="override the master seed")
-    sub.add_argument("--out", help="output file (default: config `out` or stdout)")
+    sub.add_argument("--out", help="output file (default: stdout)")
     sub.add_argument("--format", choices=("csv", "json"), help="output format")
 
 
 def _load(args: argparse.Namespace) -> ExperimentConfig:
     cfg = load_config(args.config) if args.config else ExperimentConfig()
-    updates = {}
-    if args.seed is not None:
-        updates["seed"] = args.seed
-    if args.out is not None:
-        updates["out"] = args.out
-    if getattr(args, "format", None) is not None:
-        updates["format"] = args.format
-    if updates:
-        cfg = replace(cfg, **updates)
-    return cfg
+    return cfg if args.seed is None else replace(cfg, seed=args.seed)
 
 
-def _emit(text: str, cfg: ExperimentConfig) -> None:
-    if cfg.out:
-        with open(cfg.out, "w", newline="") as fh:
+def _emit(text: str, out: str | None) -> None:
+    if out:
+        with open(out, "w", newline="") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -66,8 +57,8 @@ def table_text(header, rows, fmt: str) -> str:
 
 
 def _cmd_patterns(args) -> int:
-    # text grid maps unless the config or --format names csv or json, for the
-    # first u_mux_list entry only; a note on stderr names the others
+    # text grid maps unless --format names csv or json, for the first
+    # u_mux_list entry only; a note on stderr names the others
     cfg = _load(args)
     mux = cfg.u_mux_list[0]
     registry = default_registry(cfg.profiles, cfg.numerology, mux)
@@ -76,14 +67,14 @@ def _cmd_patterns(args) -> int:
     rows = [(kind, *astuple(p.spacing), p.size, p.overhead_ratio)
             for kind, p in zip(kinds, [*registry.patterns, conv])]
 
-    if cfg.format == "json":
+    if args.format == "json":
         payload = {
             "mux_order": mux,
             "registry": [pattern_to_dict(p) for p in registry.patterns],
             "conventional": pattern_to_dict(conv),
         }
         text = json.dumps(payload, indent=2) + "\n"
-    elif cfg.format == "csv":
+    elif args.format == "csv":
         text = table_text(("kind", "spacing_t", "spacing_f", "size", "overhead_ratio"), rows, "csv")
     else:
         lines = [f"pattern registry at mux order {mux} "
@@ -95,7 +86,7 @@ def _cmd_patterns(args) -> int:
         lines.append(f"\nconventional (worst case): spacing ({t}, {f}), {size} pilot REs, "
                      f"overhead {overhead:.4f}")
         text = "\n".join(lines) + "\n"
-    _emit(text, cfg)
+    _emit(text, args.out)
     omitted = sorted(set(cfg.u_mux_list) - {mux})
     if omitted:
         sys.stderr.write(
@@ -110,7 +101,7 @@ def _cmd_simulate(args) -> int:
 
     cfg = _load(args)
     rows = run_sweep(cfg)
-    _emit(table_text(CSV_HEADER.split(","), [astuple(r) for r in rows], cfg.format), cfg)
+    _emit(table_text(CSV_HEADER.split(","), [astuple(r) for r in rows], args.format), args.out)
     if args.command != "sweep":
         return 0
     for entry in summarize_gains(rows):
@@ -137,7 +128,7 @@ def _cmd_asymptotics(args) -> int:
                 det = deterministic_sinr(sys_cfg, direction, eta_bar, eta_bar)
                 bar = sinr_bar(sys_cfg, direction, cfg.fading)
                 rows.append((direction, m, mux, det, bar, math.log2(1.0 + bar), bound))
-    _emit(table_text(header, rows, cfg.format), cfg)
+    _emit(table_text(header, rows, args.format), args.out)
     return 0
 
 
@@ -155,7 +146,7 @@ def _cmd_validate_estimation(args) -> int:
         # math.log10 raises at 0: a spacing with nothing to interpolate
         rows += [(prof.name, *sp, nmse, 10.0 * math.log10(nmse) if nmse > 0.0 else -math.inf)
                  for sp, nmse in zip(spacings, nmses)]
-    _emit(table_text(header, rows, cfg.format), cfg)
+    _emit(table_text(header, rows, args.format), args.out)
     return 0
 
 

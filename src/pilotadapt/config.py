@@ -38,8 +38,6 @@ class ExperimentConfig:
     fading: FadingSpec = field(default_factory=FadingSpec)
     numerology: Numerology = field(default_factory=lte_numerology)
     seed: int = 0
-    out: str | None = None
-    format: str | None = None  # None: each command's own default
 
     def __post_init__(self):
         if self.profiles == "table1":
@@ -60,8 +58,6 @@ class ExperimentConfig:
             raise ConfigurationError(f"unknown direction {self.direction!r}")
         if self.scheduler not in ("exact", "greedy"):
             raise ConfigurationError(f"unknown scheduler {self.scheduler!r}")
-        if self.format not in (None, "csv", "json"):
-            raise ConfigurationError(f"unknown output format {self.format!r}")
         if self.picker not in ("random", "round_robin"):
             raise ConfigurationError(f"unknown user picker {self.picker!r}")
         if self.seed < 0:
@@ -221,19 +217,8 @@ def _parse_group_sizes(key: str, value):
 
 
 def _parse_fading(key: str, value) -> FadingSpec:
-    if isinstance(value, str):  # the table that "constant", "lognormal:6" or "explicit:1,2" spells
-        kind, _, arg = value.partition(":")
-        try:
-            if value == "constant":
-                value = {"kind": kind}
-            elif kind == "lognormal":
-                value = {"kind": kind, "spread_db": float(arg)}
-            elif kind == "explicit":
-                value = {"kind": kind, "values": [float(v) for v in arg.split(",")]}
-            else:
-                raise ValueError
-        except ValueError:
-            raise ConfigurationError(f"cannot parse fading spec {value!r}") from None
+    if isinstance(value, str):  # a kind name stands for the table {kind = name}
+        value = {"kind": value}
     return FadingSpec(**_table("fading", value, _FADING_KEYS))
 
 
@@ -260,7 +245,7 @@ _KEYS = {
     **dict.fromkeys(("trials", "num_rbs", "seed", "symbols_per_rb", "subcarriers_per_rb"), _int),
     **dict.fromkeys(("snr_db", "ul_power", "dl_power", "noise_power", "symbol_duration_s",
                      "subcarrier_spacing_hz"), _number),
-    **dict.fromkeys(("direction", "scheduler", "picker", "out", "format"), _str),
+    **dict.fromkeys(("direction", "scheduler", "picker"), _str),
     "group_sizes": _parse_group_sizes,
     "fading": _parse_fading,
     "profiles": _parse_profiles,

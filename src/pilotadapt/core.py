@@ -134,7 +134,7 @@ class FadingSpec:
             return self.value
         if self.kind == "explicit":
             return math.fsum(self.values) / len(self.values)
-        # lognormal: eta = value * 10^(spread_db*Z/10)
+        # lognormal, eta = value * 10^(spread_db*Z/10)
         s = self.spread_db * math.log(10.0) / 10.0
         return self.value * math.exp(0.5 * s * s)
 

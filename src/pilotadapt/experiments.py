@@ -149,13 +149,13 @@ def run_sweep(cfg: ExperimentConfig) -> list[ResultRow]:
 
 
 def summarize_gains(rows: list[ResultRow]) -> list[dict]:
-    """Mean relative gain and standard error per (direction, M, U_mux)."""
+    """Mean relative gain and standard error (NaN for one trial) per (direction, M, U_mux)."""
     keys = sorted({(r.direction, r.m, r.u_mux) for r in rows})
     out = []
     for direction, m, mux in keys:
         matching = [r for r in rows if (r.direction, r.m, r.u_mux) == (direction, m, mux)]
         arr = np.asarray([r.rel_gain for r in matching])
-        se = float(arr.std(ddof=1) / math.sqrt(arr.size)) if arr.size > 1 else 0.0
+        se = float(arr.std(ddof=1) / math.sqrt(arr.size)) if arr.size > 1 else math.nan
         out.append(
             {
                 "direction": direction,

@@ -51,6 +51,9 @@ class ChannelProfile:
     taps: tuple[tuple[float, float], ...] = ()
 
     def __post_init__(self):
+        # the name is the one free-text field a table writes, unquoted in CSV
+        if any(c in self.name for c in ',"\r\n'):
+            raise ConfigurationError(f"profile name {self.name!r} holds a comma, quote or newline")
         if self.max_doppler_hz <= 0 or self.max_delay_spread_s <= 0:
             raise ConfigurationError("Doppler and delay spread must be positive")
         taps = self.taps

@@ -40,7 +40,7 @@ GRIDS = {
         "num_rbs": 4,
         "direction": "both",
         "scheduler": "greedy",
-        "fading": "lognormal:6",
+        "fading": {"kind": "lognormal", "spread_db": 6.0},
         "seed": 11,
     },
     "exact": {
@@ -50,7 +50,7 @@ GRIDS = {
         "num_rbs": 3,
         "direction": "both",
         "scheduler": "exact",
-        "fading": "lognormal:6",
+        "fading": {"kind": "lognormal", "spread_db": 6.0},
         "seed": 11,
     },
 }

@@ -25,12 +25,13 @@ from pilotadapt.errors import ConfigurationError, ExactSearchBudgetError
 from pilotadapt.estimation import interpolation_nmse
 from pilotadapt.experiments import (
     CSV_HEADER,
+    ResultRow,
     run_sweep,
     run_trial,
     summarize_gains,
     trial_seed,
 )
-from pilotadapt.patterns import builtin_profiles
+from pilotadapt.patterns import ChannelProfile, builtin_profiles
 from pilotadapt.scheduling import RbRateCalculator, check_exact_budget, grouping_schedule
 
 from conftest import rows_csv
@@ -298,9 +299,20 @@ def test_fig4_rows_carry_bound_and_summary():
         assert entry["bound"] == pytest.approx(rows[0].bound)
 
 
+def test_one_trial_standard_error_is_nan(tmp_path, capsys):
+    """The standard error of one trial is undefined: `summarize_gains` gives
+    NaN and `sweep` prints `+- nan`, not a zero uncertainty."""
+    rows = [ResultRow(8, 4, 0, d, 2.0, 1.0, 1.0, 0.2, "greedy", 5) for d in ("uplink", "downlink")]
+    assert all(math.isnan(entry["stderr_rel_gain"]) for entry in summarize_gains(rows))
+    assert cli_main(["sweep", "--config", _write_quick_config(tmp_path)]) == 0
+    err = capsys.readouterr().err
+    assert err.startswith("# uplink M=8 U=4: gain ") and " +- nan (bound " in err
+    assert err.endswith(", 1 trials)\n") and err.count("\n") == 1
+
+
 def test_toml_config_parsing(tmp_path):
-    """load_config reads a TOML config with comments, lists, strings and a
-    fading spec string."""
+    """load_config reads a TOML config with comments, lists, strings and an
+    inline fading table."""
     text = """
 # comment
 m_list = [16, 32]
@@ -309,7 +321,7 @@ trials = 3          # trailing comment
 direction = "both"
 scheduler = "greedy"
 snr_db = 10.0
-fading = "lognormal:6"
+fading = {kind = "lognormal", spread_db = 6.0}
 seed = 11
 """
     path = tmp_path / "exp.toml"
@@ -439,11 +451,13 @@ def test_toml_loader_scalars(tmp_path):
     of the value, one outside starts a comment."""
     path = tmp_path / "exp.toml"
     path.write_text(
-        'out = "rows#1.csv"\ntrials = 3  # "three"\n# whole line\n'
+        'trials = 3  # "three"\n# whole line\n'
         "snr_db = 2.5\nm_list = [1, 2]  # [3]\n"
+        '[[profiles]]\nname = "slow#1"  # "fast"\n'
+        "max_doppler_hz = 5.0\nmax_delay_spread_s = 0.4e-6\n"
     )
     cfg = load_config(str(path))
-    assert (cfg.out, cfg.trials, cfg.snr_db, cfg.m_list) == ("rows#1.csv", 3, 2.5, (1, 2))
+    assert (cfg.profiles[0].name, cfg.trials, cfg.snr_db, cfg.m_list) == ("slow#1", 3, 2.5, (1, 2))
 
 
 _FLOATS = st.floats(allow_nan=False, allow_infinity=False)
@@ -462,22 +476,26 @@ _TOML_VALUES = {
     "snr_db": st.one_of(
         _FLOATS.map(lambda v: (v, repr(v))), _FLOATS.map(lambda v: (v, f"{v:.17e}"))
     ),
-    "out": st.text("ab #.=-/_'", max_size=10).map(lambda v: (v, f'"{v}"')),
 }
+_PROFILE_NAMES = st.text("ab #.=-/_'", max_size=10)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(st.fixed_dictionaries(_TOML_VALUES), st.text("ab #='\"", max_size=6))
-def test_toml_loader_round_trips(tmp_path_factory, entries, comment):
+@given(st.fixed_dictionaries(_TOML_VALUES), _PROFILE_NAMES, st.text("ab #='\"", max_size=6))
+def test_toml_loader_round_trips(tmp_path_factory, entries, name, comment):
     """Written TOML `key = value  # comment` lines load back to the same
     config: positive int lists of distinct entries, non-negative seeds up to
-    2^63 - 1, negative and exponent floats in both notations, and quoted
-    strings that contain `#`."""
+    2^63 - 1, negative and exponent floats in both notations, and a quoted
+    `[[profiles]]` name that contains `#`."""
     text = "".join(f"{key} = {shown}  # {comment}\n" for key, (_, shown) in entries.items())
+    text += (f'[[profiles]]\nname = "{name}"  # {comment}\n'
+             "max_doppler_hz = 5.0\nmax_delay_spread_s = 0.4e-6\n")
     path = tmp_path_factory.getbasetemp() / "round_trip.toml"
     path.write_text(text)
     cfg = load_config(str(path))
-    assert cfg == ExperimentConfig(**{key: value for key, (value, _) in entries.items()})
+    profiles = (ChannelProfile(name, 5.0, 0.4e-6),)
+    assert cfg == ExperimentConfig(**{key: value for key, (value, _) in entries.items()},
+                                   profiles=profiles)
 
 
 def test_trial_inputs_have_no_defaults():
@@ -617,6 +635,20 @@ def test_cli_validate_estimation(tmp_path, capsys, fmt):
     assert [rec["profile"] for rec in records[:2]] == ["EPA5", "EPA5"]
 
 
+@pytest.mark.parametrize(
+    "name", ["slow,EPA", 'slow"EPA', "fast\nline", "fast\rline"], ids=["comma", "quote", "lf", "cr"]
+)
+def test_cli_profile_name_that_breaks_csv_is_refused(tmp_path, capsys, name):
+    """A profile name is written unquoted in CSV rows, so a comma, quote or
+    line break in it is refused, naming it, before any row is written."""
+    path = tmp_path / "names.json"
+    profiles = [{"name": name, **_PROFILE}, {"name": "fast", **_PROFILE}]
+    path.write_text(json.dumps({"profiles": profiles}))
+    argv = ["validate-estimation", "--config", str(path), "--trials", "2"]
+    error = _refusal(cli_main(argv), *capsys.readouterr())
+    assert error == f"profile name {name!r} holds a comma, quote or newline"
+
+
 def test_cli_validate_estimation_matches_pinned_output(capsys):
     """`validate-estimation` writes the committed CSV byte for byte."""
     argv = ["validate-estimation", "--config", str(ROOT / "configs/table1.toml"), "--trials", "3"]
@@ -726,16 +758,6 @@ def test_cli_sweep_prints_gain_summary(tmp_path, capsys):
     assert capsys.readouterr() == (captured.out, "")
 
 
-def test_cli_patterns_honours_config_format(tmp_path, capsys):
-    path = tmp_path / "json.toml"
-    path.write_text('u_mux_list = [4]\nformat = "json"\n')
-    assert cli_main(["patterns", "--config", str(path)]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert [p["size"] for p in payload["registry"]] == [4, 8, 16, 32]
-    assert cli_main(["patterns", "--config", str(path), "--format", "csv"]) == 0
-    assert capsys.readouterr().out.startswith("kind,spacing_t,spacing_f,size,overhead_ratio\n")
-
-
 def test_cli_patterns_csv_summary(tmp_path, capsys):
     cfg = _write_quick_config(tmp_path)
     assert cli_main(["patterns", "--config", cfg, "--format", "csv"]) == 0
@@ -749,6 +771,26 @@ def test_cli_writes_output_file(tmp_path):
     out = tmp_path / "rows.csv"
     assert cli_main(["simulate", "--config", cfg, "--out", str(out)]) == 0
     assert out.read_text().splitlines()[0] == CSV_HEADER
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ('out = "rows.csv"\n', "unknown config keys ['out']"),
+        ('format = "json"\n', "unknown config keys ['format']"),
+        ('fading = "lognormal:6"\n', "unknown fading kind 'lognormal:6'"),
+    ],
+    ids=["out", "format", "fading"],
+)
+def test_cli_second_spelling_of_a_value_is_refused(tmp_path, capsys, monkeypatch, text, error):
+    """Output goes by `--out` and `--format` alone, and a fading string names
+    only a kind: a config `out` or `format` key and the `lognormal:6` string
+    end in one JSON line that names the key or the value."""
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "old.toml"
+    path.write_text(Path(_write_quick_config(tmp_path)).read_text() + text)
+    assert _refusal(cli_main(["simulate", "--config", str(path)]), *capsys.readouterr()) == error
+    assert not (tmp_path / "rows.csv").exists()
 
 
 def test_cli_error_is_machine_readable(tmp_path, capsys):
@@ -780,6 +822,8 @@ def test_cli_out_of_memory_is_one_json_line(tmp_path, capsys, monkeypatch, exc, 
 
 
 _PROFILE = {"max_doppler_hz": 5.0, "max_delay_spread_s": 0.4e-6}
+# a lognormal spread whose mean overflows
+_SPREAD_200 = '{kind = "lognormal", spread_db = 200.0}'
 
 
 @pytest.mark.parametrize(
@@ -792,10 +836,10 @@ _PROFILE = {"max_doppler_hz": 5.0, "max_delay_spread_s": 0.4e-6}
         ("m_list_mixed.toml", "m_list = [64, x]\n"),
         ("seed_negative.toml", "seed = -1\n"),
         ("snr_str.toml", 'snr_db = "high"\n'),
-        ("fading_bad.toml", 'fading = "lognormal:x"\n'),
-        ("fading_negative_spread.toml", 'fading = "lognormal:-3"\n'),
-        ("fading_overflow_spread.toml", 'fading = "lognormal:200"\n'),
-        ("fading_overflow_spread_noise.toml", 'fading = "lognormal:200"\nnoise_power = 0.1\n'),
+        ("fading_bad.toml", 'fading = {kind = "lognormal", spread_db = "x"}\n'),
+        ("fading_negative_spread.toml", 'fading = {kind = "lognormal", spread_db = -3.0}\n'),
+        ("fading_overflow_spread.toml", f"fading = {_SPREAD_200}\n"),
+        ("fading_overflow_spread_noise.toml", f"fading = {_SPREAD_200}\nnoise_power = 0.1\n"),
         ("picker_bad.toml", 'picker = "first"\n'),
         ("no_equals.toml", "trials 3\n"),
         ("truncated.json", '{"m_list": [8], "trials": '),
@@ -875,7 +919,7 @@ def test_cli_bad_worker_count(tmp_path, capsys, monkeypatch, workers):
 def test_cli_lognormal_mean_overflow_names_spread(tmp_path, capsys, command):
     """A spread whose lognormal mean overflows is blamed on spread_db, with or
     without an explicit noise power."""
-    for text in ('fading = "lognormal:200"\n', 'fading = "lognormal:200"\nnoise_power = 0.1\n'):
+    for text in (f"fading = {_SPREAD_200}\n", f"fading = {_SPREAD_200}\nnoise_power = 0.1\n"):
         path = tmp_path / "spread.toml"
         path.write_text(text)
         error = _refusal(cli_main([command, "--config", str(path)]), *capsys.readouterr())
@@ -886,7 +930,7 @@ def test_cli_explicit_mean_overflow_names_values(tmp_path):
     """Explicit fading values whose mean overflows end in one JSON line that
     names them, with no numpy warning before it."""
     path = tmp_path / "explicit.toml"
-    path.write_text('fading = "explicit:1e308,1e308"\n')
+    path.write_text('fading = {kind = "explicit", values = [1e308, 1e308]}\n')
     proc = subprocess.run(
         [sys.executable, "-m", "pilotadapt.cli", "simulate", "--config", str(path)],
         capture_output=True,
@@ -921,7 +965,8 @@ _ZERO_RATE = dict(
 )
 _ZERO_RATE_CONFIGS = [
     {**_ZERO_RATE, "scheduler": "greedy", "m_list": [8], "u_mux_list": [5]},
-    {**_ZERO_RATE, "scheduler": "exact", "m_list": [2], "u_mux_list": [5], "fading": "lognormal:6"},
+    {**_ZERO_RATE, "scheduler": "exact", "m_list": [2], "u_mux_list": [5],
+     "fading": {"kind": "lognormal", "spread_db": 6.0}},
 ]
 
 
@@ -929,8 +974,8 @@ _ZERO_RATE_CONFIGS = [
 def test_cli_zero_conventional_rate_names_power(tmp_path, capsys, config):
     """A conventional rate of 0 leaves the relative gain undefined: the run
     ends in the diagnostic, not in a traceback or a nan row."""
-    path = tmp_path / "zero.toml"
-    path.write_text("".join(f"{key} = {json.dumps(value)}\n" for key, value in config.items()))
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(config))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code = cli_main(["simulate", "--config", str(path)])
@@ -968,7 +1013,9 @@ _FUZZ_CONFIGS = st.fixed_dictionaries(
         "dl_power": _FLOATS,
         "snr_db": _FLOATS,
         "noise_power": _FLOATS,
-        "fading": st.sampled_from(["constant", "lognormal:6", "lognormal:40"]),
+        "fading": st.sampled_from(
+            ["constant", *({"kind": "lognormal", "spread_db": s} for s in (6.0, 40.0))]
+        ),
         "group_sizes": st.lists(st.integers(0, 4), min_size=1, max_size=5),
         "profiles": _FUZZ_PROFILES,
     },
@@ -1155,7 +1202,7 @@ def test_commands_import_only_what_they_run(tmp_path):
     config = tmp_path / "tiny.toml"
     config.write_text(_TINY_CONFIG)
     explicit = tmp_path / "explicit.toml"
-    explicit.write_text(_TINY_CONFIG + 'fading = "explicit:0.3,0.7,1.9"\n')
+    explicit.write_text(_TINY_CONFIG + 'fading = {kind = "explicit", values = [0.3, 0.7, 1.9]}\n')
     unwanted = ["pilotadapt.scheduling", "pilotadapt.experiments", "pilotadapt.estimation",
                 "concurrent.futures"]
     code = (
