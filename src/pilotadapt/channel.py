@@ -98,23 +98,19 @@ def generate_single_grid(
     num_subcarriers: int,
     num: Numerology,
     rng: np.random.Generator,
-    num_antennas: int = 1,
 ) -> np.ndarray:
-    """One correlated fading grid of shape (num_symbols, num_subcarriers, antennas).
+    """One antenna's correlated fading grid of shape (num_symbols, num_subcarriers).
 
-    Each (antenna, tap) is a sum-of-sinusoids process with Jakes
-    autocorrelation and unit power, weighted by the tap's power; the
-    frequency response sums the taps with per-subcarrier phase rotations.
-    The random phases are drawn antenna-major, so drawing the antennas in
-    consecutive blocks from one generator yields the same channels as one
-    draw of all of them. Used directly by the estimation-validation
-    experiments, which need grids wider than a single resource block.
+    Each tap is a sum-of-sinusoids process with Jakes autocorrelation and
+    unit power, weighted by the tap's power; the frequency response sums
+    the taps with per-subcarrier phase rotations. Used by the
+    estimation-validation experiments, which need grids wider than a
+    single resource block.
     """
     basis, mix = _grid_bases(profile, num_symbols, num_subcarriers, num)
-    n_taps = mix.shape[1]
-    phases = rng.uniform(0.0, 2.0 * math.pi, size=(num_antennas * n_taps, NUM_ARRIVAL_ANGLES))
-    taps = (unit_phasors(phases) @ basis).reshape(num_antennas, n_taps, num_symbols)
-    return np.matmul(mix, taps.transpose(2, 1, 0))  # (T, N, A)
+    phases = rng.uniform(0.0, 2.0 * math.pi, size=(mix.shape[1], NUM_ARRIVAL_ANGLES))
+    taps = (unit_phasors(phases) @ basis).reshape(1, -1, num_symbols)  # one antenna
+    return np.matmul(mix, taps.transpose(2, 1, 0))[:, :, 0]
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -145,8 +141,9 @@ class ChannelRealization:
     are read-only. Every rate reads only these, so the channels themselves
     are never held. An RB outside the draw, users that are not a flat list,
     or a user id other than an integer in 0..K-1, is refused with a
-    ValueError before any build. User k's channels on RB rb are
-    `generate_single_grid` of its profile with cfg's antenna count, drawn
+    ValueError before any build. User k's channels on RB rb are its
+    profile's taps on each of cfg's antennas, mixed over subcarriers, with
+    one uniform phase per (antenna, tap, arrival angle) drawn in that order
     from a generator seeded by (seed, k, rb).
 
     A user's profile is pop.profiles[g] of its group g. Per draw it holds
@@ -220,13 +217,13 @@ class ChannelRealization:
         include[rb]. One call is one RB build.
 
         Each (user, RB) pair draws its phases from its own generator seeded
-        by (seed, user, rb), in `generate_single_grid`'s antenna-major
-        order, so a user's channels do not depend on the block size, on
-        which other users are drawn with it, or on how generation is
-        parallelized or ordered. Per block of at most _ANTENNA_CHUNK
-        antennas, all users' phases become (T, U, L, a) taps in one phasor
-        call and one batched matmul, and the block's G_t is added to their
-        sum. User k's taps beyond its own count carry zero mix weight.
+        by (seed, user, rb), in (antenna, tap, angle) order, so a user's
+        channels do not depend on the block size, on which other users are
+        drawn with it, or on how generation is parallelized or ordered.
+        Per block of at most _ANTENNA_CHUNK antennas, all users' phases
+        become (T, U, L, a) taps in one phasor call and one batched matmul,
+        and the block's G_t is added to their sum. User k's taps beyond its
+        own count carry zero mix weight.
         """
         # a mask, not np.union1d: np.unique imports numpy.ma (~15 ms)
         chosen = np.zeros(self.num_users, dtype=bool)

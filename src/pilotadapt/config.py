@@ -139,14 +139,29 @@ class ExperimentConfig:
 
 
 def load_config(path: str) -> ExperimentConfig:
-    """Read an experiment config from a TOML or JSON file."""
+    """Read an experiment config from a TOML or JSON file. A key given twice
+    in one table or object is refused in either format."""
     try:
         with open(path) as fh:
             text = fh.read()
-        data = json.loads(text) if path.endswith(".json") else tomllib.loads(text)
-    except (UnicodeDecodeError, json.JSONDecodeError, tomllib.TOMLDecodeError) as exc:
+        if path.endswith(".json"):
+            data = json.loads(text, object_pairs_hook=_json_object)
+        else:
+            data = tomllib.loads(text)
+    except ValueError as exc:  # undecodable text, bad JSON or TOML, or a repeated key
         raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
     return config_from_dict(data)
+
+
+def _json_object(pairs: list) -> dict:
+    """One JSON object's (key, value) pairs as a dict; a repeated key is
+    refused (ValueError), where `json` would keep its last value."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"repeated key {key!r}")
+        obj[key] = value
+    return obj
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:

@@ -110,7 +110,9 @@ class FadingSpec:
             if f.name not in reads and (got := getattr(self, f.name)) != f.default:
                 raise ConfigurationError(f"{self.kind} fading does not read {f.name}, got {got}")
         if self.kind == "explicit":
-            if not self.values or not all(v > 0 and math.isfinite(v) for v in self.values):
+            if not self.values:
+                raise ConfigurationError("explicit fading needs at least one value")
+            if not all(v > 0 and math.isfinite(v) for v in self.values):
                 raise ConfigurationError(
                     f"explicit fading values must be finite and positive, got {self.values}"
                 )

@@ -65,7 +65,7 @@ def interpolation_nmse(
     err, power = np.zeros((2, len(lattices)))
     for trial in range(trials):
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, trial))))
-        h = generate_single_grid(profile, n_t, n_f, num, rng)[:, :, 0]
+        h = generate_single_grid(profile, n_t, n_f, num, rng)
         for i, (t_anchors, f_anchors, mask) in enumerate(lattices):
             est_t = _interp_axis(h[np.ix_(t_anchors, f_anchors)], t_anchors, n_t)
             est = _interp_axis(est_t.T, f_anchors, n_f).T

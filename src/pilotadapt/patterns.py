@@ -56,11 +56,11 @@ class ChannelProfile:
             raise ConfigurationError(f"profile name {self.name!r} holds a comma, quote or newline")
         if self.max_doppler_hz <= 0 or self.max_delay_spread_s <= 0:
             raise ConfigurationError("Doppler and delay spread must be positive")
-        taps = self.taps
-        if not taps:
-            # bracket PDP: equal-power taps at the delay-support endpoints
-            taps = ((0.0, 0.5), (self.max_delay_spread_s, 0.5))
-            object.__setattr__(self, "taps", taps)
+        # rows held as tuples, so the profile stays hashable and immutable
+        # whatever sequences it got; the default is the bracket PDP, equal-power
+        # taps at the delay-support endpoints
+        taps = tuple(map(tuple, self.taps)) or ((0.0, 0.5), (self.max_delay_spread_s, 0.5))
+        object.__setattr__(self, "taps", taps)
         total = sum(p for _, p in taps)
         if abs(total - 1.0) > 1e-9:
             raise ConfigurationError("tap powers must sum to 1")

@@ -87,18 +87,17 @@ def oracle_single_grid(profile, num_symbols, num_subcarriers, num, rng, num_ante
 
 def draw_channels(pop, cfg, seed, rb):
     """The channels (K, T, N, M) of one RB of `generate_realization`'s draw:
-    each user's `generate_single_grid`, from its own generator seeded by
-    (seed, user, rb), with the profile of the group that lists the user."""
+    each user's `oracle_single_grid` over all M antennas, from its own
+    generator seeded by (seed, user, rb), with the profile of the group
+    that lists the user. Nothing here comes from `pilotadapt.channel`."""
     import numpy as np
-
-    from pilotadapt.channel import generate_single_grid
 
     num = cfg.numerology
     grids = [None] * pop.num_users
     for profile, members in zip(pop.profiles, pop.groups):
         for k in members:
             rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, k, rb))))
-            grids[k] = generate_single_grid(
+            grids[k] = oracle_single_grid(
                 profile, num.symbols_per_rb, num.subcarriers_per_rb, num, rng,
                 num_antennas=cfg.num_antennas,
             )

@@ -106,6 +106,18 @@ ONE_TAP = ChannelProfile("one-tap", 70.0, 1e-6, taps=((0.0, 1.0),))
 THREE_TAP = ChannelProfile("three-tap", 300.0, 4.69e-6, taps=((0.0, 0.5), (1.5e-6, 0.3), (4.69e-6, 0.2)))
 
 
+def test_profile_given_list_taps_draws_as_tuple_built():
+    """A profile built in code from lists holds its taps as a tuple of
+    tuples, equals the tuple-built profile and draws the same channels."""
+    listed = ChannelProfile("x", 5.0, 1e-6, taps=[[0.0, 0.25], [1e-6, 0.75]])
+    built = ChannelProfile("x", 5.0, 1e-6, taps=((0.0, 0.25), (1e-6, 0.75)))
+    assert type(listed.taps) is tuple and all(type(row) is tuple for row in listed.taps)
+    assert listed == built and hash(listed) == hash(built)
+    pops = [build_population([2], [prof], FadingSpec(), seed=0) for prof in (listed, built)]
+    grams = [generate_realization(pop, _cfg(1, 4), seed=1).gram(0) for pop in pops]
+    assert all(np.array_equal(a, b) for a, b in zip(*grams))
+
+
 def _one_user_channels(profile, cfg, seed):
     """(RBs, T, N, M) channels of a single user of `profile`."""
     pop = build_population([1], [profile], FadingSpec(), seed=0)
@@ -173,7 +185,7 @@ def test_doppler_band_limitation(num):
     prof = ChannelProfile("ETU300", 300.0, 4.69e-6)
     n_t = 4096
     rng = np.random.default_rng(21)
-    series = generate_single_grid(prof, n_t, 1, num, rng)[:, 0, 0]
+    series = generate_single_grid(prof, n_t, 1, num, rng)[:, 0]
     spec = np.abs(np.fft.fft(series)) ** 2
     freqs = np.fft.fftfreq(n_t, d=num.symbol_duration_s)
     margin = 10.0 / (n_t * num.symbol_duration_s)  # leakage allowance
@@ -330,7 +342,7 @@ def test_gram_of_users_matches_the_full_build(case):
 def test_gram_matches_direct_inner_products():
     """The tap-domain Gram accumulated over antenna blocks equals the
     frequency-domain Gram of the same RB's channels, each user's drawn in
-    one `generate_single_grid` call from its (seed, user, RB) generator.
+    one `oracle_single_grid` call from its (seed, user, RB) generator.
     One-, two- and three-tap users share the blocks, so the padded taps are
     exercised. M = 70 and M = 130 (five blocks, the last of 2 antennas) are
     not multiples of the block size, so each user's stream must continue
@@ -359,38 +371,25 @@ def test_unit_phasors_match_exp():
 
 
 @pytest.mark.parametrize("profile", [ONE_TAP, THREE_TAP, builtin_profiles()[1]], ids=lambda p: p.name)
-@pytest.mark.parametrize("shape", [(14, 12, 1), (14, 12, 130), (140, 24, 1), (28, 120, 3)])
+@pytest.mark.parametrize("shape", [(14, 12), (140, 24)])
 def test_single_grid_matches_einsum_oracle(num, profile, shape):
-    """The matmul kernel equals the step-by-step einsum form on RB-sized,
-    estimation-sized (wide) and many-antenna grids."""
-    t, n, a = shape
-    got = generate_single_grid(profile, t, n, num, np.random.default_rng(7), num_antennas=a)
-    want = oracle_single_grid(profile, t, n, num, np.random.default_rng(7), num_antennas=a)
+    """The matmul kernel equals the step-by-step einsum form on RB-sized and
+    estimation-sized (wide) grids of one antenna."""
+    got = generate_single_grid(profile, *shape, num, np.random.default_rng(7))
+    want = oracle_single_grid(profile, *shape, num, np.random.default_rng(7))[:, :, 0]
     assert got.shape == want.shape == shape
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
-def test_drawn_blocks_continue_one_stream(num):
+def test_drawn_blocks_continue_one_stream():
     """M = 130 is drawn in several blocks, yet each RB's Gram equals the Gram
     of one einsum-oracle draw of all 130 antennas per user from that user's
     (seed, user, RB) generator."""
-    profs = [ONE_TAP, THREE_TAP]
-    pop = build_population([1, 2], profs, FadingSpec(), seed=0)
+    pop = build_population([1, 2], [ONE_TAP, THREE_TAP], FadingSpec(), seed=0)
     cfg = _cfg(2, 130)
     assert cfg.num_antennas % channel._ANTENNA_CHUNK != 0
     real = generate_realization(pop, cfg, seed=11)
-    h = np.stack([
-        np.stack([
-            oracle_single_grid(
-                profs[g], 14, 12, num,
-                np.random.Generator(np.random.PCG64(np.random.SeedSequence((11, k, rb)))),
-                num_antennas=130,
-            )
-            for rb in range(cfg.num_rbs)
-        ])
-        for g, members in enumerate(pop.groups)
-        for k in members
-    ])
+    h = np.stack([draw_channels(pop, cfg, 11, rb) for rb in range(cfg.num_rbs)], axis=1)
     for rb, (want_cross, want_norms) in enumerate(oracle_grams(h)):
         cross, norms = real.gram(rb)
         assert np.allclose(cross, want_cross, rtol=1e-12, atol=0.0)

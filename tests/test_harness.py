@@ -446,6 +446,16 @@ def test_unknown_config_key_rejected():
         config_from_dict({"profiles": [{**profile, "tapz": [[0.0, 1.0]]}]})
 
 
+@pytest.mark.parametrize(
+    "fading", ["explicit", {"kind": "explicit", "values": []}], ids=["kind-name", "empty-values"]
+)
+def test_explicit_fading_with_no_values_is_refused_as_empty(fading):
+    """An explicit fading with no values is refused for being empty, not
+    for holding a value that is not finite and positive."""
+    with pytest.raises(ConfigurationError, match="^explicit fading needs at least one value$"):
+        config_from_dict({"fading": fading})
+
+
 def test_toml_loader_scalars(tmp_path):
     """load_config reads TOML scalars and lists; a `#` inside quotes is part
     of the value, one outside starts a comment."""
@@ -874,6 +884,26 @@ def test_cli_malformed_config_one_json_line(tmp_path, capsys, filename, text):
 @pytest.mark.parametrize(
     "text, key",
     [
+        ('{"m_list": [8], "u_mux_list": [2], "trials": 1, "num_rbs": 2, '
+         '"scheduler": "greedy", "seed": 1, "seed": 5}', "seed"),
+        ('{"profiles": [{"name": "a", "max_doppler_hz": 5.0, "max_doppler_hz": 900.0, '
+         '"max_delay_spread_s": 4e-07}]}', "max_doppler_hz"),
+    ],
+    ids=["top", "profile"],
+)
+def test_cli_json_repeated_key_is_refused(tmp_path, capsys, text, key):
+    """A JSON config that gives a key twice, at the top level or inside a
+    profile, ends in one line naming the key, as TOML's repeated key does;
+    `json` alone would keep the last value."""
+    path = tmp_path / "repeated.json"
+    path.write_text(text)
+    error = _refusal(cli_main(["patterns", "--config", str(path)]), *capsys.readouterr())
+    assert error == f"cannot read config {path}: repeated key {key!r}"
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [
         ("m_list = [8, 0]\n", "m_list"),
         ("m_list = [-8]\n", "m_list"),
         ("u_mux_list = [0]\n", "u_mux_list"),
@@ -1283,3 +1313,52 @@ def test_every_definition_in_src_is_used_in_src():
     """Library code that only tests call does not stay in src/. A name that
     appears only inside a string does not count as a use."""
     assert _unused_definitions(ROOT / "src" / "pilotadapt") == []
+
+
+def _unset_parameters(src: Path) -> list[str]:
+    """`module.function parameter` of each parameter with a default, in any
+    def of `src`, that no call in `src` sets by position or by keyword. A
+    call reaches a def through the Name or Attribute it calls, a class call
+    reaches the class's __init__, and a * or ** argument sets every
+    parameter."""
+    calls = {}
+    modules = [(path.stem, ast.parse(path.read_text())) for path in sorted(src.glob("*.py"))]
+    for node in (n for _, tree in modules for n in ast.walk(tree)):
+        if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+            name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+            calls.setdefault(name, []).append(node)
+    unset = []
+    for module, tree in modules:
+        defs = dict(_definitions(tree.body))
+        for qualname, defn in defs.items():
+            if isinstance(defn, ast.ClassDef):
+                continue
+            owner = defs.get(qualname.rpartition(".")[0])
+            method = isinstance(owner, ast.ClassDef) and not any(
+                isinstance(d, ast.Name) and d.id == "staticmethod" for d in defn.decorator_list
+            )
+            callee = owner.name if method and defn.name == "__init__" else defn.name
+            args = defn.args
+            positional = args.posonlyargs + args.args
+            first = len(positional) - len(args.defaults)
+            # a call's positional arguments start after a method's self or cls
+            defaulted = [(i - method, positional[i].arg) for i in range(first, len(positional))]
+            defaulted += [
+                (None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None
+            ]
+            for index, param in defaulted:
+                if not any(
+                    any(isinstance(a, ast.Starred) for a in call.args)
+                    or (index is not None and len(call.args) > index)
+                    or any(k.arg in (None, param) for k in call.keywords)
+                    for call in calls.get(callee, [])
+                ):
+                    unset.append(f"{module}.{qualname} {param}")
+    return sorted(unset)
+
+
+def test_every_parameter_default_in_src_is_overridden_in_src():
+    """A parameter with a default that no src/ call sets is a path only
+    tests take, so it does not stay in src/. The one exemption is
+    `cli.main`'s argv, which the console script leaves unset."""
+    assert _unset_parameters(ROOT / "src" / "pilotadapt") == ["cli.main argv"]
