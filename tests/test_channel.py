@@ -371,14 +371,17 @@ def test_unit_phasors_match_exp():
 
 
 @pytest.mark.parametrize("profile", [ONE_TAP, THREE_TAP, builtin_profiles()[1]], ids=lambda p: p.name)
-@pytest.mark.parametrize("shape", [(14, 12), (140, 24)])
+@pytest.mark.parametrize("shape", [(14, 12, 1), (14, 12, 130), (140, 24, 1), (28, 120, 3)])
 def test_single_grid_matches_einsum_oracle(num, profile, shape):
     """The matmul kernel equals the step-by-step einsum form on RB-sized and
-    estimation-sized (wide) grids of one antenna."""
-    got = generate_single_grid(profile, *shape, num, np.random.default_rng(7))
-    want = oracle_single_grid(profile, *shape, num, np.random.default_rng(7))[:, :, 0]
-    assert got.shape == want.shape == shape
-    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    estimation-sized (wide) grids, and its one antenna is the first antenna
+    of an A-antenna oracle draw from the same generator, whose phases come
+    in (antenna, tap, angle) order."""
+    t, n, a = shape
+    got = generate_single_grid(profile, t, n, num, np.random.default_rng(7))
+    want = oracle_single_grid(profile, t, n, num, np.random.default_rng(7), num_antennas=a)
+    assert got.shape == (t, n) and want.shape == shape
+    assert np.max(np.abs(got - want[:, :, 0])) <= 1e-12 * np.max(np.abs(want[:, :, 0]))
 
 
 def test_drawn_blocks_continue_one_stream():
