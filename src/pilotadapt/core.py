@@ -103,6 +103,14 @@ class FadingSpec:
     values: tuple[float, ...] = ()
 
     def __post_init__(self):
+        # held as a tuple, so the spec stays hashable and immutable whatever
+        # sequence it got
+        try:
+            object.__setattr__(self, "values", tuple(self.values))
+        except TypeError:
+            raise ConfigurationError(
+                f"fading values must be a sequence of numbers, got {self.values!r}"
+            ) from None
         reads = _FADING_READS.get(self.kind)
         if reads is None:
             raise ConfigurationError(f"unknown fading kind {self.kind!r}")
@@ -112,7 +120,11 @@ class FadingSpec:
         if self.kind == "explicit":
             if not self.values:
                 raise ConfigurationError("explicit fading needs at least one value")
-            if not all(v > 0 and math.isfinite(v) for v in self.values):
+            try:
+                valid = all(v > 0 and math.isfinite(v) for v in self.values)
+            except TypeError:  # a value that is not a number
+                valid = False
+            if not valid:
                 raise ConfigurationError(
                     f"explicit fading values must be finite and positive, got {self.values}"
                 )

@@ -9,16 +9,18 @@ from __future__ import annotations
 
 import math
 import os
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import generate_realization
 from .config import ExperimentConfig
-from .core import build_population
+from .core import SystemConfig, UserPopulation, build_population
 from .errors import ConfigurationError
-from .patterns import conventional_pattern, default_registry
+from .patterns import PatternRegistry, conventional_pattern, default_registry
 from .scheduling import (
+    ScheduleAssignment,
     check_exact_budget,
     check_users_fit,
     conventional_schedule_exact,
@@ -64,56 +66,101 @@ def _num_workers() -> int:
     return n
 
 
-def run_trial(cfg: ExperimentConfig, m: int, mux: int, trial: int, seed: int) -> list[ResultRow]:
+@dataclass(frozen=True)
+class DirectionResult:
+    """One direction of a trial: the conventional scheduler's assignment, and
+    the rates of the grouping (R_grp) and of that assignment (R_conv)."""
+
+    direction: str
+    conventional: ScheduleAssignment
+    r_grp: float
+    r_conv: float
+
+    @property
+    def rel_gain(self) -> float:
+        return self.r_grp / self.r_conv - 1.0 if self.r_conv > 0.0 else math.nan
+
+
+@dataclass(frozen=True)
+class TrialRecord:
+    """What a trial's rows are made from: the grouping assignment, which
+    every direction shares, and one `DirectionResult` per direction, in the
+    order the directions were given."""
+
+    grouping: ScheduleAssignment
+    directions: tuple[DirectionResult, ...]
+
+
+def simulate_trial(
+    pop: UserPopulation,
+    sys_cfg: SystemConfig,
+    registry: PatternRegistry,
+    *,
+    scheduler: str,
+    picker: str,
+    picker_rng: np.random.Generator | None,
+    directions: Sequence[str],
+    draw_seed: int,
+) -> TrialRecord:
     """Evaluate one realization: grouping vs conventional, per direction.
 
     The population carries the profiles that the grouping and the draw read.
-    Both directions share the draw and one grouping assignment, which does not
-    depend on the channel; every rating reads the cell config and gains from the
-    realization. The conventional scheduler picks its assignment per direction,
-    and `evaluate_schedule` rates both, so R_grp and R_conv come from one
-    function. Each RB's Gram is built on request for the users the scheduler
-    rates there and the grouping's, and rebuilt only when a request leaves that
-    set: once per RB for the exact DP (every user) and a greedy run in one
-    direction, at most once per RB and direction for greedy runs in both.
+    `picker` and `picker_rng` pick the grouping's users, and `draw_seed` seeds
+    the draw. Both directions share the draw and one grouping assignment,
+    which does not depend on the channel; every rating reads the cell config
+    and gains from the realization. The conventional scheduler ("exact" or
+    "greedy") picks its assignment under the registry's densest pattern per
+    direction, and `evaluate_schedule` rates both, so R_grp and R_conv come
+    from one function. Each RB's Gram is built on request for the users the
+    scheduler rates there and the grouping's, and rebuilt only when a request
+    leaves that set: once per RB for the exact DP (every user) and a greedy
+    run in one direction, at most once per RB and direction for greedy runs
+    in both.
     """
-    pop = build_population(cfg.sizes_for(mux), cfg.profiles, cfg.fading, seed=seed)
-    sys_cfg = cfg.system_config(m, mux)
-    registry = default_registry(cfg.profiles, cfg.numerology, mux)
+    if scheduler not in ("exact", "greedy"):
+        raise ConfigurationError(f"unknown scheduler {scheduler!r}")
     pattern = conventional_pattern(registry)
-    picker_rng = np.random.default_rng(np.random.SeedSequence((seed, 1)))
-    assignment = grouping_schedule(pop, sys_cfg, registry, cfg.picker, picker_rng)
-    realization = generate_realization(pop, sys_cfg, seed=seed, include=assignment.rb_users)
-    bound = cfg.gain_bound(mux)
-
+    assignment = grouping_schedule(pop, sys_cfg, registry, picker, picker_rng)
+    realization = generate_realization(pop, sys_cfg, seed=draw_seed, include=assignment.rb_users)
     # looked up per call, so that wrappers installed on the module are used
-    schedule = (
-        conventional_schedule_exact if cfg.scheduler == "exact" else conventional_schedule_greedy
-    )
-    rows = []
-    for direction in cfg.directions():
+    schedule = conventional_schedule_exact if scheduler == "exact" else conventional_schedule_greedy
+    results = []
+    for direction in directions:
         conventional = schedule(realization, pattern, direction)
         r_conv = evaluate_schedule(realization, conventional, direction)
         r_grp = evaluate_schedule(realization, assignment, direction)
-        rel_gain = r_grp / r_conv - 1.0 if r_conv > 0.0 else math.nan
-        if not math.isfinite(rel_gain):
+        result = DirectionResult(direction, conventional, r_grp, r_conv)
+        if not math.isfinite(result.rel_gain):
             problem = f"rates R_grp = {r_grp!r} and R_conv = {r_conv!r} give no finite gain"
             raise power_error(sys_cfg, direction, problem, fix="raise")
-        rows.append(
-            ResultRow(
-                m=m,
-                u_mux=mux,
-                trial=trial,
-                direction=direction,
-                r_grp=r_grp,
-                r_conv=r_conv,
-                rel_gain=rel_gain,
-                bound=bound,
-                scheduler=cfg.scheduler,
-                seed=seed,
-            )
-        )
-    return rows
+        results.append(result)
+    return TrialRecord(assignment, tuple(results))
+
+
+def sweep_trial(cfg: ExperimentConfig, m: int, mux: int, seed: int) -> TrialRecord:
+    """The trial of sweep point (m, mux) at row seed `seed`: the population,
+    the picker's generator and the draw all derive from that one seed."""
+    return simulate_trial(
+        build_population(cfg.sizes_for(mux), cfg.profiles, cfg.fading, seed=seed),
+        cfg.system_config(m, mux),
+        default_registry(cfg.profiles, cfg.numerology, mux),
+        scheduler=cfg.scheduler,
+        picker=cfg.picker,
+        picker_rng=np.random.default_rng(np.random.SeedSequence((seed, 1))),
+        directions=cfg.directions(),
+        draw_seed=seed,
+    )
+
+
+def run_trial(cfg: ExperimentConfig, m: int, mux: int, trial: int, seed: int) -> list[ResultRow]:
+    """The rows of one trial of the sweep, one per direction (`sweep_trial`)."""
+    record = sweep_trial(cfg, m, mux, seed)
+    bound = cfg.gain_bound(mux)
+    return [
+        ResultRow(m, mux, trial, d.direction, d.r_grp, d.r_conv, d.rel_gain, bound,
+                  cfg.scheduler, seed)
+        for d in record.directions
+    ]
 
 
 def run_sweep(cfg: ExperimentConfig) -> list[ResultRow]:

@@ -41,6 +41,19 @@ from .errors import (
 )
 
 
+def _tap_row(row) -> tuple[float, float]:
+    """A (delay_s, power) tap row as a tuple, if it is a pair of finite numbers."""
+    try:
+        delay, power = row
+        if math.isfinite(delay) and math.isfinite(power):
+            return delay, power
+    except (TypeError, ValueError):
+        pass
+    raise ConfigurationError(
+        f"taps must be (delay_s, power) pairs of finite numbers, got the row {row!r}"
+    )
+
+
 @dataclass(frozen=True)
 class ChannelProfile:
     """Second-order statistics class: Doppler, delay spread, power-delay profile."""
@@ -59,7 +72,7 @@ class ChannelProfile:
         # rows held as tuples, so the profile stays hashable and immutable
         # whatever sequences it got; the default is the bracket PDP, equal-power
         # taps at the delay-support endpoints
-        taps = tuple(map(tuple, self.taps)) or ((0.0, 0.5), (self.max_delay_spread_s, 0.5))
+        taps = tuple(map(_tap_row, self.taps)) or ((0.0, 0.5), (self.max_delay_spread_s, 0.5))
         object.__setattr__(self, "taps", taps)
         total = sum(p for _, p in taps)
         if abs(total - 1.0) > 1e-9:

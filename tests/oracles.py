@@ -5,16 +5,19 @@ the library's computation paths.
 """
 
 import math
+from operator import mul
 
 
 def _vdot(a, b):
-    return sum(complex(x).conjugate() * complex(y) for x, y in zip(a, b))
+    """sum(conj(a_i) b_i) of two sequences of complex numbers."""
+    return sum(map(mul, map(complex.conjugate, a), b))
 
 
 def oracle_uplink_sinr(h_set, k, fadings, p, sigma2):
     w = list(h_set[k])
-    own = _vdot(w, w).real
-    signal = fadings[k] * p * abs(_vdot(w, h_set[k])) ** 2
+    gram = _vdot(w, w)  # h_k^H h_k: the norm, and the signal's inner product
+    own = gram.real
+    signal = fadings[k] * p * abs(gram) ** 2
     interference = 0.0
     for j in range(len(h_set)):
         if j == k:

@@ -1,4 +1,5 @@
 import functools
+import math
 import re
 import tracemalloc
 from unittest import mock
@@ -95,6 +96,16 @@ def test_profile_validations():
         ChannelProfile("bad", 10.0, 1e-6, taps=((0.0, 0.4), (1e-6, 0.4)))  # sums to 0.8
     with pytest.raises(ConfigurationError):
         ChannelProfile("bad", 10.0, 1e-6, taps=((2e-6, 1.0),))  # delay beyond spread
+
+
+@pytest.mark.parametrize(
+    "taps",
+    [[(0.0, 1.0, 2.0)], [1], [("0", 1.0)], [(0.0, math.nan)]],
+    ids=["three-values", "not-a-row", "string-delay", "nan-power"],
+)
+def test_profile_refuses_a_tap_row_that_is_not_two_numbers(taps):
+    with pytest.raises(ConfigurationError, match=r"^taps must be \(delay_s, power\) pairs"):
+        ChannelProfile("x", 5.0, 1e-6, taps=taps)
 
 
 def test_default_bracket_pdp():

@@ -109,6 +109,8 @@ def test_empty_population_rejected():
         ({"value": math.nan}, "fading value must be finite and positive"),
         ({"value": math.inf}, "fading value must be finite and positive"),
         ({"kind": "explicit", "values": (1.0, math.nan)}, "fading values must be finite"),
+        ({"kind": "explicit", "values": ("a",)}, "fading values must be finite"),
+        ({"values": None}, "fading values must be a sequence of numbers, got None"),
     ],
 )
 def test_fading_spec_names_the_bad_field(kwargs, message):
@@ -136,6 +138,18 @@ def test_fading_spec_names_the_bad_field(kwargs, message):
 def test_fading_spec_refuses_a_field_its_kind_does_not_read(kwargs, message):
     with pytest.raises(ConfigurationError, match=f"^{message}$"):
         FadingSpec(**kwargs)
+
+
+def test_fading_spec_holds_list_values_as_a_tuple():
+    spec = FadingSpec(kind="explicit", values=[0.5, 2.0])
+    assert spec.values == (0.5, 2.0) and type(spec.values) is tuple
+    assert spec == FadingSpec(kind="explicit", values=(0.5, 2.0))
+    assert hash(spec) == hash(FadingSpec(kind="explicit", values=(0.5, 2.0)))
+
+
+@pytest.mark.parametrize("kind, kwargs", [("constant", {}), ("lognormal", {"spread_db": 6.0})])
+def test_fading_spec_takes_empty_list_values_as_the_default(kind, kwargs):
+    assert FadingSpec(kind=kind, values=[], **kwargs) == FadingSpec(kind=kind, **kwargs)
 
 
 def test_fading_spec_means():

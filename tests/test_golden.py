@@ -19,12 +19,8 @@ from pathlib import Path
 
 import pytest
 
-from pilotadapt.channel import generate_realization
-from pilotadapt.core import build_population
 from pilotadapt.config import config_from_dict
-from pilotadapt.experiments import CSV_HEADER, run_sweep
-from pilotadapt.patterns import conventional_pattern, default_registry
-from pilotadapt.scheduling import conventional_schedule_exact, conventional_schedule_greedy
+from pilotadapt.experiments import CSV_HEADER, run_sweep, sweep_trial
 
 from conftest import rows_csv
 
@@ -57,25 +53,21 @@ GRIDS = {
 
 
 def _partitions(cfg, rows) -> list[dict]:
-    """Conventional per-RB user sets for every row, from the row's own seed."""
-    profiles = cfg.profiles
-    schedule = (
-        conventional_schedule_exact if cfg.scheduler == "exact" else conventional_schedule_greedy
-    )
+    """Conventional per-RB user sets for every row, from the trial at the row's seed."""
+    records = {}
     out = []
     for row in rows:
-        pop = build_population(cfg.sizes_for(row.u_mux), profiles, cfg.fading, seed=row.seed)
-        sys_cfg = cfg.system_config(row.m, row.u_mux)
-        real = generate_realization(pop, sys_cfg, seed=row.seed)
-        pattern = conventional_pattern(default_registry(profiles, cfg.numerology, row.u_mux))
-        assign = schedule(real, pattern, row.direction)
+        key = (row.m, row.u_mux, row.seed)
+        if key not in records:
+            records[key] = sweep_trial(cfg, *key)
+        (result,) = [d for d in records[key].directions if d.direction == row.direction]
         out.append(
             {
                 "M": row.m,
                 "U_mux": row.u_mux,
                 "trial": row.trial,
                 "direction": row.direction,
-                "rb_users": [list(u) for u in assign.rb_users],
+                "rb_users": [list(u) for u in result.conventional.rb_users],
             }
         )
     return out

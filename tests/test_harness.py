@@ -31,7 +31,7 @@ from pilotadapt.experiments import (
     summarize_gains,
     trial_seed,
 )
-from pilotadapt.patterns import ChannelProfile, builtin_profiles
+from pilotadapt.patterns import ChannelProfile, builtin_profiles, default_registry
 from pilotadapt.scheduling import RbRateCalculator, check_exact_budget, grouping_schedule
 
 from conftest import rows_csv
@@ -122,11 +122,6 @@ def test_trial_builds_each_rb_gram_once(monkeypatch, scheduler):
     directions builds each RB at most once per direction, RB 0 once for
     all K users, and every build covers the grouping's users of the RB."""
     builds = _count_builds(monkeypatch)
-    grouped = []
-    schedule = experiments.grouping_schedule
-    monkeypatch.setattr(
-        experiments, "grouping_schedule", lambda *a: grouped.append(schedule(*a)) or grouped[-1]
-    )
     if scheduler == "exact":
         for direction in ("uplink", "both"):
             builds.clear()
@@ -137,11 +132,10 @@ def test_trial_builds_each_rb_gram_once(monkeypatch, scheduler):
         return
     cfg = ExperimentConfig(**{**QUICK, "num_rbs": 4, "direction": "both"})
     seed = trial_seed(cfg.seed, 0, 0, 0)
-    rows = run_trial(cfg, 8, 4, 0, seed)
-    assert [r.direction for r in rows] == ["uplink", "downlink"]
+    record = experiments.sweep_trial(cfg, 8, 4, seed)
+    assert [d.direction for d in record.directions] == ["uplink", "downlink"]
     assert builds[seed, 0] == [tuple(range(16))]
-    (assignment,) = grouped
-    for rb, users in enumerate(assignment.rb_users):
+    for rb, users in enumerate(record.grouping.rb_users):
         assert 1 <= len(builds[seed, rb]) <= 2
         assert all(set(users) <= set(built) for built in builds[seed, rb])
 
@@ -164,6 +158,17 @@ def test_one_direction_greedy_builds_rbs_for_the_rated_users(monkeypatch):
     (up,) = [r for r in both if r.direction == "uplink"]
     assert row.r_conv == up.r_conv
     assert row.r_grp == up.r_grp
+
+
+def test_trial_refuses_an_unknown_scheduler():
+    cfg = ExperimentConfig(**QUICK)
+    pop = build_population(cfg.sizes_for(4), cfg.profiles, cfg.fading, seed=0)
+    with pytest.raises(ConfigurationError, match="^unknown scheduler 'optimal'$"):
+        experiments.simulate_trial(
+            pop, cfg.system_config(8, 4), default_registry(cfg.profiles, cfg.numerology, 4),
+            scheduler="optimal", picker="round_robin", picker_rng=None,
+            directions=["uplink"], draw_seed=0,
+        )
 
 
 def test_benchmark_trace_points_exist(monkeypatch):
@@ -517,6 +522,7 @@ def test_trial_inputs_have_no_defaults():
         (channel.generate_realization, ["seed"]),
         (interpolation_nmse, ["trials", "seed"]),
         (grouping_schedule, ["user_picker", "rng"]),
+        (experiments.simulate_trial, ["scheduler", "picker", "picker_rng", "draw_seed"]),
     ]:
         params = inspect.signature(func).parameters
         for name in names:

@@ -736,23 +736,23 @@ def test_grouping_gain_vs_exact_rises_with_antennas():
     """The large-system mechanism: the exact baseline's search advantage is a
     constant rate offset, so the grouping deficit shrinks as log2(M) grows."""
     from pilotadapt.core import lte_numerology
+    from pilotadapt.experiments import simulate_trial
 
     profiles = builtin_profiles()
     num_rb, mux = 4, 4
     pop = build_population([4, 4, 4, 4], profiles, FadingSpec(), seed=0)
-    num = lte_numerology()
-    registry = default_registry(profiles, num, mux)
-    pattern = conventional_pattern(registry)
+    registry = default_registry(profiles, lte_numerology(), mux)
     gains = {}
     for m in (64, 256):
         cfg = SystemConfig(num_rbs=num_rb, num_antennas=m, max_mux=mux, ul_power=1.0, dl_power=1.0, noise_power=0.1)
         vals = []
         for trial in range(2):
-            real = generate_realization(pop, cfg, seed=600 + trial)
-            _, r_conv = rated(conventional_schedule_exact, real, pattern, "uplink")
-            assign = grouping_schedule(pop, cfg, registry, "random", np.random.default_rng(trial))
-            r_grp = evaluate_schedule(real, assign, "uplink")
-            vals.append(r_grp / r_conv - 1.0)
+            record = simulate_trial(
+                pop, cfg, registry, scheduler="exact", picker="random",
+                picker_rng=np.random.default_rng(trial), directions=["uplink"],
+                draw_seed=600 + trial,
+            )
+            vals.append(record.directions[0].rel_gain)
         gains[m] = np.mean(vals)
     assert gains[256] > gains[64]
 
